@@ -78,18 +78,10 @@ void run_batch_sweep() {
       &lockstep_batch);
   const double lockstep_wall = lockstep_timer.elapsed_seconds();
 
-  BatchStats expm_batch;
-  WallTimer expm_timer;
-  const auto expm = run_sweep(
-      sweep, BatchOptions{.threads = 1, .batch_kernel = BatchKernel::kLockstepExpm},
-      &expm_batch);
-  const double expm_wall = expm_timer.elapsed_seconds();
-
-  bool lockstep_bounded = lockstep.size() == serial.size() && expm.size() == serial.size();
+  bool lockstep_bounded = lockstep.size() == serial.size();
   for (std::size_t i = 0; lockstep_bounded && i < serial.size(); ++i) {
     const double scale = std::max(1.0, std::abs(serial[i].final_vc));
-    lockstep_bounded = std::abs(lockstep[i].final_vc - serial[i].final_vc) <= 1e-3 * scale &&
-                       std::abs(expm[i].final_vc - serial[i].final_vc) <= 1e-3 * scale;
+    lockstep_bounded = std::abs(lockstep[i].final_vc - serial[i].final_vc) <= 1e-3 * scale;
   }
 
   bool identical = serial.size() == parallel.size() && serial.size() == warm.size();
@@ -122,14 +114,11 @@ void run_batch_sweep() {
   std::printf("parallel+warm traces bit-identical to serial: %s\n",
               identical ? "YES" : "NO");
   const double lockstep_speedup = serial_wall / lockstep_wall;
-  std::printf("\nlockstep (1 thread):      %.2f s wall  (%.2fx vs per-job serial)\n",
+  std::printf("\nlockstep (1 thread): %.2f s wall  (%.2fx vs per-job serial)\n",
               lockstep_wall, lockstep_speedup);
   std::printf("  %llu shared groups, %llu shared factorisations\n",
               static_cast<unsigned long long>(lockstep_batch.lockstep_groups),
               static_cast<unsigned long long>(lockstep_batch.shared_factorisations));
-  std::printf("lockstep_expm (1 thread): %.2f s wall  (%.2fx), %llu expm segments\n",
-              expm_wall, serial_wall / expm_wall,
-              static_cast<unsigned long long>(expm_batch.expm_segments));
   std::printf("lockstep finals within 1e-3 of per-job serial: %s\n",
               lockstep_bounded ? "YES" : "NO");
   if (!identical || warm_batch.init_iterations >= cold_batch.init_iterations) {
@@ -166,8 +155,6 @@ void run_batch_sweep() {
   lockstep_json.set("speedup_vs_serial", lockstep_speedup);
   lockstep_json.set("groups", lockstep_batch.lockstep_groups);
   lockstep_json.set("shared_factorisations", lockstep_batch.shared_factorisations);
-  lockstep_json.set("expm_wall_seconds", expm_wall);
-  lockstep_json.set("expm_segments", expm_batch.expm_segments);
   doc.set("lockstep", std::move(lockstep_json));
   ehsim::benchio::maybe_write_bench_json(doc);
 }

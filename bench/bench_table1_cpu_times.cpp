@@ -107,7 +107,8 @@ int main() {
         "\nmean NR-baseline / proposed CPU ratio: %.1fx\n"
         "paper's claim: >= two orders of magnitude vs commercial simulators; the\n"
         "measured ratio here is a lower bound (no commercial elaboration/event\n"
-        "overhead is emulated — see DESIGN.md section 3).\n",
+        "overhead is emulated — see README.md, \"What the reproduction does not\n"
+        "emulate\").\n",
         mean_baseline / proposed_per_sim_second);
   }
   ehsim::benchio::maybe_write_bench_json(doc);

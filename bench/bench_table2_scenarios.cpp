@@ -8,7 +8,7 @@
 /// watchdog + MCU process) through the same co-simulation scheduler.
 ///
 /// Default: scaled scenario spans (1/10 of the full durations) to keep the
-/// bench interactive; EHSIM_BENCH_FULL=1 runs the full spans of DESIGN.md §7
+/// bench interactive; EHSIM_BENCH_FULL=1 runs the paper's full spans
 /// and EHSIM_BENCH_SMOKE=1 shrinks them further for the CI bench-smoke job.
 /// EHSIM_BENCH_JSON=<path> writes the measured rows as a JSON artifact.
 #include <cstdio>
@@ -89,7 +89,8 @@ int main() {
   std::printf("\nmeasured existing/proposed CPU ratios: scenario 1: %.1fx, scenario 2: %.1fx\n",
               ratio[0], ratio[1]);
   std::printf("paper ratios: scenario 1: %.0fx, scenario 2: %.0fx (commercial overhead\n"
-              "not emulated here — measured ratios are a lower bound; see DESIGN.md)\n",
+              "not emulated here — measured ratios are a lower bound; see README.md,\n"
+              "\"What the reproduction does not emulate\")\n",
               paper[0].existing_s / paper[0].proposed_s,
               paper[1].existing_s / paper[1].proposed_s);
   ehsim::benchio::maybe_write_bench_json(doc);

@@ -20,7 +20,8 @@
 /// AnalogEngine interface as the proposed solver, so every comparison in
 /// bench/ is apples-to-apples. What it deliberately does NOT emulate is the
 /// constant interpreter/elaboration overhead of the commercial tools, so
-/// measured speed-ups are a lower bound on the paper's (see DESIGN.md §3).
+/// measured speed-ups are a lower bound on the paper's (see README.md, "What
+/// the reproduction does not emulate").
 #pragma once
 
 #include <limits>
@@ -149,7 +150,8 @@ class NrEngine final : public core::AnalogEngine {
 
 /// Baseline profiles emulating the paper's Table I simulators. The
 /// differences (integration method, tolerance and step policies) are chosen
-/// to mirror each tool's documented behaviour; see DESIGN.md §3.
+/// to mirror each tool's documented behaviour; see README.md, "What the
+/// reproduction does not emulate".
 [[nodiscard]] NrEngineConfig systemvision_profile();  ///< VHDL-AMS, trapezoidal
 [[nodiscard]] NrEngineConfig pspice_profile();        ///< OrCAD, Gear-2, print-step capped
 [[nodiscard]] NrEngineConfig systemca_profile();      ///< SystemC-A, backward Euler

@@ -88,6 +88,7 @@ void LinearisedSolver::initialise(double t0) {
   // march-in-time process itself never iterates (paper §II). A warm-started
   // solve begins at the seed instead of zero but converges to the identical
   // tolerance.
+  Linearisation& lin = linearisation_;
   bool converged = false;
   std::uint64_t init_iterations = 0;
   for (std::size_t it = 0; it < config_.max_init_iterations; ++it) {
@@ -97,14 +98,14 @@ void LinearisedSolver::initialise(double t0) {
       break;
     }
     ++init_iterations;
-    system_->jacobians(t_, x_.span(), y_.span(), jxx_, jxy_, jyx_, jyy_);
-    if (!jyy_lu_.factor(jyy_)) {
+    system_->jacobians(t_, x_.span(), y_.span(), lin.jxx, lin.jxy, lin.jyx, lin.jyy);
+    if (!lin.jyy_lu.factor(lin.jyy)) {
       throw SolverError("LinearisedSolver: singular algebraic system (Jyy) during init");
     }
     for (std::size_t i = 0; i < dy_.size(); ++i) {
       dy_[i] = -fy_[i];
     }
-    jyy_lu_.solve_inplace(dy_.span());
+    lin.jyy_lu.solve_inplace(dy_.span());
     y_.axpy(1.0, dy_);
   }
   if (!converged && y_.size() > 0) {
@@ -128,6 +129,15 @@ void LinearisedSolver::initialise(double t0) {
   initialised_ = true;
 }
 
+void LinearisedSolver::require_advance(double t_end) const {
+  if (!initialised_) {
+    throw SolverError("LinearisedSolver: advance_to before initialise");
+  }
+  if (!(t_end >= t_)) {
+    throw SolverError("LinearisedSolver: advance_to would move time backwards");
+  }
+}
+
 void LinearisedSolver::check_for_discontinuity() {
   const std::uint64_t epoch = system_->total_epoch();
   if (epoch != last_epoch_) {
@@ -143,16 +153,10 @@ void LinearisedSolver::check_for_discontinuity() {
   }
 }
 
-void LinearisedSolver::refresh() {
-  if (fresh_) {
-    return;
-  }
+bool LinearisedSolver::evaluate() {
   // Linearise at the newest available point (x_n, y_{n-1}) — Eq. 2. The
   // non-linear devices' (G, J) pairs come from their look-up tables inside
-  // the blocks' jacobians()/eval(). A piecewise-linear model's Jacobians are
-  // piecewise *constant*, so the rebuild (and the Jyy factorisation) is
-  // skipped whenever the blocks certify an unchanged linearisation through
-  // their signatures — the table-lookup economy of paper §III-B.
+  // the blocks' jacobians()/eval().
   system_->eval(t_, x_.span(), y_.span(), fx_.span(), fy_.span());
   // The LLE observation sequence is driven by the *signature*, not by
   // whether the cached Jacobians are reused: a stable signature certifies an
@@ -161,24 +165,46 @@ void LinearisedSolver::refresh() {
   // A6) the Jacobians are still rebuilt and refactorised every refresh, but
   // the controller sees the identical observation sequence — so the
   // reuse-on and reuse-off ablation arms march through the same steps.
-  bool signature_stable = false;
-  if (config_.enable_jacobian_reuse || config_.enable_lle_control) {
-    const std::uint64_t signature = system_->jacobian_signature(t_, x_.span(), y_.span());
-    signature_stable = jacobians_valid_ && signature == jacobian_signature_;
-    jacobian_signature_ = signature;
+  if (!config_.enable_jacobian_reuse && !config_.enable_lle_control) {
+    return false;
   }
-  const bool reuse_cache = config_.enable_jacobian_reuse && signature_stable;
-  if (!reuse_cache) {
-    jacobians_valid_ = true;
-    system_->jacobians(t_, x_.span(), y_.span(), jxx_, jxy_, jyx_, jyy_);
-    ++stats_.jacobian_builds;
-    if (y_.size() > 0 && !jyy_lu_.factor(jyy_)) {
-      throw SolverError("LinearisedSolver: singular algebraic system (Jyy) at t=" +
-                        std::to_string(t_));
-    }
-  } else {
-    ++stats_.jacobian_reuses;
+  const std::uint64_t signature = system_->jacobian_signature(t_, x_.span(), y_.span());
+  const bool signature_stable = jacobians_valid_ && signature == jacobian_signature_;
+  jacobian_signature_ = signature;
+  return signature_stable;
+}
+
+bool LinearisedSolver::reuse_linearisation(bool signature_stable) {
+  // A piecewise-linear model's Jacobians are piecewise *constant*, so the
+  // rebuild (and the Jyy factorisation) is skipped whenever the blocks
+  // certify an unchanged linearisation through their signatures — the
+  // table-lookup economy of paper §III-B.
+  if (!config_.enable_jacobian_reuse || !signature_stable) {
+    return false;
   }
+  ++stats_.jacobian_reuses;
+  return true;
+}
+
+void LinearisedSolver::relinearise() {
+  Linearisation& lin = linearisation_;
+  jacobians_valid_ = true;
+  system_->jacobians(t_, x_.span(), y_.span(), lin.jxx, lin.jxy, lin.jyx, lin.jyy);
+  ++stats_.jacobian_builds;
+  if (y_.size() > 0 && !lin.jyy_lu.factor(lin.jyy)) {
+    throw SolverError("LinearisedSolver: singular algebraic system (Jyy) at t=" +
+                      std::to_string(t_));
+  }
+}
+
+void LinearisedSolver::adopt_linearisation(const Linearisation& donor) {
+  jacobians_valid_ = true;
+  linearisation_ = donor;
+  ++stats_.jacobian_reuses;
+}
+
+void LinearisedSolver::observe_drift(bool signature_stable) {
+  const Linearisation& lin = linearisation_;
   if (config_.enable_lle_control && config_.fixed_step <= 0.0) {
     // Feed-forward LLE control (Eq. 3): the drift ratio shrinks or grows
     // the *next* step; an explicit march cannot backtrack, so there is no
@@ -187,40 +213,68 @@ void LinearisedSolver::refresh() {
     // signature change.
     double drift = 0.0;
     if (!signature_stable) {
-      drift = lle_.update(jxx_, jxy_, jyx_, jyy_);
+      drift = lle_.update(lin.jxx, lin.jxy, lin.jyx, lin.jyy);
       drift_since_stability_ = std::max(drift_since_stability_, drift);
     }
     controller_.update(drift / std::max(config_.lle_tolerance, 1e-12));
   } else if (!signature_stable) {
     drift_since_stability_ =
-        std::max(drift_since_stability_, lle_.update(jxx_, jxy_, jyx_, jyy_));
+        std::max(drift_since_stability_, lle_.update(lin.jxx, lin.jxy, lin.jyx, lin.jyy));
   }
+}
 
+void LinearisedSolver::eliminate() {
   // Eliminate the non-state variables (Eq. 4): with the affine remainder
   // ey = fy(P) - Jyx x - Jyy y_prev, solving Jyy y = -Jyx x - ey reduces to
   // one linear update y += -Jyy^-1 fy(P).
   if (y_.size() > 0) {
-    ++stats_.algebraic_solves;
     for (std::size_t i = 0; i < dy_.size(); ++i) {
       dy_[i] = -fy_[i];
     }
-    jyy_lu_.solve_inplace(dy_.span());
+    linearisation_.jyy_lu.solve_inplace(dy_.span());
+  }
+  apply_elimination();
+}
+
+void LinearisedSolver::eliminate(std::span<const double> dy) {
+  std::copy(dy.begin(), dy.end(), dy_.span().begin());
+  apply_elimination();
+}
+
+void LinearisedSolver::apply_elimination() {
+  if (y_.size() > 0) {
+    ++stats_.algebraic_solves;
     y_.axpy(1.0, dy_);
   }
-
   // Derivative sample at the new consistent point, via the linearisation:
   // f = fx(P) + Jxy (y_new - y_prev).
   for (std::size_t i = 0; i < f_step_.size(); ++i) {
     f_step_[i] = fx_[i];
   }
   if (y_.size() > 0) {
-    jxy_.matvec_acc(1.0, dy_.span(), f_step_.span());
+    linearisation_.jxy.matvec_acc(1.0, dy_.span(), f_step_.span());
   }
+  record_sample();
+}
+
+void LinearisedSolver::record_sample() {
   if (t_ > last_history_time_) {
     history_.push(t_, f_step_.span());
     last_history_time_ = t_;
   }
   fresh_ = true;
+}
+
+void LinearisedSolver::refresh() {
+  if (fresh_) {
+    return;
+  }
+  const bool signature_stable = evaluate();
+  if (!reuse_linearisation(signature_stable)) {
+    relinearise();
+  }
+  observe_drift(signature_stable);
+  eliminate();
 }
 
 void LinearisedSolver::recompute_stability_cap() {
@@ -230,14 +284,15 @@ void LinearisedSolver::recompute_stability_cap() {
   }
   // Eliminated system A = Jxx - Jxy Jyy^-1 Jyx (the paper's point total-step
   // matrix is I + hA, Eq. 6).
+  const Linearisation& lin = linearisation_;
   const std::size_t n = x_.size();
   const std::size_t m = y_.size();
   if (m > 0) {
-    jyy_lu_.solve_matrix(jyx_, z_elim_);
-    a_eliminated_ = jxx_;
+    lin.jyy_lu.solve_matrix(lin.jyx, z_elim_);
+    a_eliminated_ = lin.jxx;
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t k = 0; k < m; ++k) {
-        const double jxy_rk = jxy_(r, k);
+        const double jxy_rk = lin.jxy(r, k);
         if (jxy_rk == 0.0) {
           continue;
         }
@@ -247,7 +302,7 @@ void LinearisedSolver::recompute_stability_cap() {
       }
     }
   } else {
-    a_eliminated_ = jxx_;
+    a_eliminated_ = lin.jxx;
   }
   // Heuristic Eq. 7 cap (diagonal dominance / spectral estimate), then a
   // rigorous refinement through the multistep companion-matrix test: the
@@ -265,11 +320,108 @@ void LinearisedSolver::recompute_stability_cap() {
       candidate = config_.h_min;
     }
   }
-  h_stability_ = candidate * config_.stability_safety;
+  set_stability_cap(candidate * config_.stability_safety);
+}
+
+void LinearisedSolver::adopt_stability_cap(const LinearisedSolver& donor) {
+  a_eliminated_ = donor.a_eliminated_;
+  set_stability_cap(donor.h_stability_);
+}
+
+void LinearisedSolver::set_stability_cap(double h) {
+  h_stability_ = h;
   ++stats_.stability_recomputes;
   steps_since_stability_ = 0;
   drift_since_stability_ = 0.0;
   stability_due_ = false;
+}
+
+bool LinearisedSolver::snap_sliver(double t_end) {
+  if (t_end - t_ > config_.h_min) {
+    return false;
+  }
+  t_ = t_end;
+  fresh_ = false;
+  return true;
+}
+
+double LinearisedSolver::propose_step(double remaining) const {
+  // Fixed-step mode (ablations) bypasses the accuracy ceiling h_max; the
+  // Eq. 7 stability cap still applies unless explicitly disabled. Without
+  // LLE control the engine runs at the pure stability-capped step — the
+  // paper's primary operating mode.
+  double h;
+  if (config_.fixed_step > 0.0) {
+    h = std::min(config_.fixed_step, remaining);
+  } else if (config_.enable_lle_control) {
+    h = std::min({controller_.suggested_step(), config_.h_max, remaining});
+  } else {
+    h = std::min(config_.h_max, remaining);
+  }
+  return std::min(h, h_stability_);
+}
+
+void LinearisedSolver::commit_step(double h) {
+  h = std::max(h, config_.h_min);
+  // Explicit Adams-Bashforth march (Eq. 5); effective order ramps with the
+  // available history.
+  history_.step(t_ + h, x_.span());
+  t_ += h;
+  fresh_ = false;
+
+  ++stats_.steps;
+  ++steps_since_stability_;
+  stats_.last_step = h;
+  stats_.min_step = stats_.min_step == 0.0 ? h : std::min(stats_.min_step, h);
+  stats_.max_step = std::max(stats_.max_step, h);
+
+  if (!all_finite(x_.span())) {
+    throw SolverError("LinearisedSolver: state diverged (non-finite) at t=" +
+                      std::to_string(t_) + " — check the Eq. 7 stability cap configuration");
+  }
+}
+
+void LinearisedSolver::follow(const LinearisedSolver& leader, bool leader_relinearised) {
+  // The leader marched exactly as its per-job self; replaying identical
+  // arithmetic on the copied data keeps the follower bit-for-bit its per-job
+  // self while the clone relation holds.
+  t_ = leader.t_;
+  x_ = leader.x_;
+  y_ = leader.y_;
+  fx_ = leader.fx_;
+  fy_ = leader.fy_;
+  dy_ = leader.dy_;
+  f_step_ = leader.f_step_;
+  controller_ = leader.controller_;
+  stats_ = leader.stats_;
+  jacobian_signature_ = leader.jacobian_signature_;
+  jacobians_valid_ = leader.jacobians_valid_;
+  h_stability_ = leader.h_stability_;
+  stability_due_ = leader.stability_due_;
+  steps_since_stability_ = leader.steps_since_stability_;
+  drift_since_stability_ = leader.drift_since_stability_;
+  // last_epoch_ is NOT copied: epoch counters belong to each member's own
+  // assembler and the follower's check_for_discontinuity manages its own.
+  if (leader_relinearised) {
+    linearisation_ = leader.linearisation_;
+    lle_ = leader.lle_;
+  }
+  record_sample();
+}
+
+void LinearisedSolver::follow_stability(const LinearisedSolver& leader) {
+  // follow() copied the leader's stats, so its recompute count has moved
+  // exactly when it recomputed *or adopted* a cap since. Either way the
+  // follower must mirror it: a stale cap would enter the batch-wide step.
+  if (leader.stats_.stability_recomputes == stats_.stability_recomputes) {
+    return;
+  }
+  a_eliminated_ = leader.a_eliminated_;
+  h_stability_ = leader.h_stability_;
+  stats_.stability_recomputes = leader.stats_.stability_recomputes;
+  steps_since_stability_ = leader.steps_since_stability_;
+  drift_since_stability_ = leader.drift_since_stability_;
+  stability_due_ = leader.stability_due_;
 }
 
 void LinearisedSolver::notify_observers() {
@@ -293,10 +445,11 @@ io::JsonValue LinearisedSolver::checkpoint_state() const {
   state.set("y", io::reals_to_json(y_.span()));
   state.set("jacobians_valid", io::JsonValue(jacobians_valid_));
   if (jacobians_valid_) {
-    state.set("jxx", io::matrix_to_json(jxx_));
-    state.set("jxy", io::matrix_to_json(jxy_));
-    state.set("jyx", io::matrix_to_json(jyx_));
-    state.set("jyy", io::matrix_to_json(jyy_));
+    const Linearisation& lin = linearisation_;
+    state.set("jxx", io::matrix_to_json(lin.jxx));
+    state.set("jxy", io::matrix_to_json(lin.jxy));
+    state.set("jyx", io::matrix_to_json(lin.jyx));
+    state.set("jyy", io::matrix_to_json(lin.jyy));
   }
   state.set("jacobian_signature", io::u64_to_json(jacobian_signature_));
   state.set("history", history_.checkpoint_state());
@@ -341,21 +494,24 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
   jacobians_valid_ = io::bool_from_json(io::require_key(state, what, "jacobians_valid"),
                                         what + ".jacobians_valid");
   if (jacobians_valid_) {
-    jxx_ = io::matrix_from_json(io::require_key(state, what, "jxx"), what + ".jxx");
-    jxy_ = io::matrix_from_json(io::require_key(state, what, "jxy"), what + ".jxy");
-    jyx_ = io::matrix_from_json(io::require_key(state, what, "jyx"), what + ".jyx");
-    jyy_ = io::matrix_from_json(io::require_key(state, what, "jyy"), what + ".jyy");
-    if (jxx_.rows() != x_.size() || jxx_.cols() != x_.size() || jxy_.rows() != x_.size() ||
-        jxy_.cols() != y_.size() || jyx_.rows() != y_.size() || jyx_.cols() != x_.size() ||
-        jyy_.rows() != y_.size() || jyy_.cols() != y_.size()) {
+    Linearisation lin;
+    lin.jxx = io::matrix_from_json(io::require_key(state, what, "jxx"), what + ".jxx");
+    lin.jxy = io::matrix_from_json(io::require_key(state, what, "jxy"), what + ".jxy");
+    lin.jyx = io::matrix_from_json(io::require_key(state, what, "jyx"), what + ".jyx");
+    lin.jyy = io::matrix_from_json(io::require_key(state, what, "jyy"), what + ".jyy");
+    if (lin.jxx.rows() != x_.size() || lin.jxx.cols() != x_.size() ||
+        lin.jxy.rows() != x_.size() || lin.jxy.cols() != y_.size() ||
+        lin.jyx.rows() != y_.size() || lin.jyx.cols() != x_.size() ||
+        lin.jyy.rows() != y_.size() || lin.jyy.cols() != y_.size()) {
       throw ModelError(what + ": Jacobian dimensions do not match the model");
     }
     // The LU is derived state: refactorising the restored Jyy is a
     // deterministic function of its bits, so the solve results match the
     // uninterrupted run's exactly.
-    if (y_.size() > 0 && !jyy_lu_.factor(jyy_)) {
+    if (y_.size() > 0 && !lin.jyy_lu.factor(lin.jyy)) {
       throw ModelError(what + ": restored Jyy is singular");
     }
+    linearisation_ = std::move(lin);
   }
   jacobian_signature_ = io::u64_from_json(io::require_key(state, what, "jacobian_signature"),
                                           what + ".jacobian_signature");
@@ -408,13 +564,7 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
 }
 
 void LinearisedSolver::advance_to(double t_end) {
-  if (!initialised_) {
-    throw SolverError("LinearisedSolver: advance_to before initialise");
-  }
-  if (!(t_end >= t_)) {
-    throw SolverError("LinearisedSolver: advance_to would move time backwards");
-  }
-
+  require_advance(t_end);
   while (true) {
     check_for_discontinuity();
     refresh();
@@ -423,49 +573,13 @@ void LinearisedSolver::advance_to(double t_end) {
     if (remaining <= 0.0) {
       break;
     }
-    if (stability_due_ || steps_since_stability_ >= config_.stability_check_interval ||
-        drift_since_stability_ > config_.stability_drift_threshold) {
+    if (stability_due()) {
       recompute_stability_cap();
     }
-
-    // Fixed-step mode (ablations) bypasses the accuracy ceiling h_max; the
-    // Eq. 7 stability cap still applies unless explicitly disabled. Without
-    // LLE control the engine runs at the pure stability-capped step — the
-    // paper's primary operating mode.
-    double h;
-    if (config_.fixed_step > 0.0) {
-      h = std::min(config_.fixed_step, remaining);
-    } else if (config_.enable_lle_control) {
-      h = std::min({controller_.suggested_step(), config_.h_max, remaining});
-    } else {
-      h = std::min(config_.h_max, remaining);
-    }
-    h = std::min(h, h_stability_);
-    if (remaining <= config_.h_min) {
-      // Snap across a sliver smaller than the minimum step.
-      t_ = t_end;
-      fresh_ = false;
+    if (snap_sliver(t_end)) {
       continue;
     }
-    h = std::max(h, config_.h_min);
-
-    // Explicit Adams-Bashforth march (Eq. 5); effective order ramps with the
-    // available history.
-    history_.step(t_ + h, x_.span());
-    t_ += h;
-    fresh_ = false;
-
-    ++stats_.steps;
-    ++steps_since_stability_;
-    stats_.last_step = h;
-    stats_.min_step = stats_.min_step == 0.0 ? h : std::min(stats_.min_step, h);
-    stats_.max_step = std::max(stats_.max_step, h);
-
-    if (!all_finite(x_.span())) {
-      throw SolverError("LinearisedSolver: state diverged (non-finite) at t=" +
-                        std::to_string(t_) +
-                        " — check the Eq. 7 stability cap configuration");
-    }
+    commit_step(propose_step(remaining));
   }
 }
 

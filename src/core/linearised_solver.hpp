@@ -17,9 +17,34 @@
 /// Discontinuities raised by the digital side (block epoch changes) restart
 /// the multistep history, exactly as an HDL mixed-signal kernel re-seeds its
 /// analogue solver after a digital event.
+///
+/// The march is one pipeline of named phases, each written once:
+///
+///   check_for_discontinuity     epoch change -> multistep restart
+///   evaluate                    residuals at (t, x, y) + signature verdict
+///   reuse_linearisation         keep the cached Linearisation, else
+///   relinearise                 assemble the Jacobians + factorise Jyy, or
+///   adopt_linearisation         take a peer's at a coinciding signature
+///   observe_drift               LLE drift (Eq. 3) + step-controller update
+///   eliminate                   terminal update (Eq. 4) + derivative sample
+///   stability_due               Eq. 7 cap trigger, then
+///   recompute_stability_cap     recompute the cap, or
+///   adopt_stability_cap         take a peer's freshly recomputed one
+///   snap_sliver                 jump across a remainder below h_min
+///   propose_step                h selection (fixed / LLE / h_max / Eq. 7)
+///   commit_step                 one explicit AB step (Eq. 5)
+///   follow / follow_stability   clone-follower sync
+///
+/// advance_to() composes them for one solver (refresh() is its evaluate ->
+/// eliminate half). sim::LockstepBatch composes the same functions across a
+/// batch, interleaving the members between phases to share linearisations;
+/// both callers run the identical phase bodies, so a lockstep member that
+/// never adopts marches bit-for-bit like its per-job self.
 #pragma once
 
+#include <cstdint>
 #include <limits>
+#include <span>
 #include <vector>
 
 #include "core/engine.hpp"
@@ -30,6 +55,14 @@
 #include "ode/step_control.hpp"
 
 namespace ehsim::core {
+
+/// One linearisation point (Eq. 2): the Jacobian blocks of the assembled
+/// system and the LU factorisation of Jyy the elimination (Eq. 4) solves
+/// with.
+struct Linearisation {
+  linalg::Matrix jxx, jxy, jyx, jyy;
+  linalg::LuFactorization jyy_lu;
+};
 
 class LinearisedSolver final : public AnalogEngine {
  public:
@@ -53,13 +86,6 @@ class LinearisedSolver final : public AnalogEngine {
 
   [[nodiscard]] const SolverConfig& config() const noexcept { return config_; }
 
-  /// Access port for the lockstep batch kernel (core/lockstep_port.hpp):
-  /// static wrappers that decompose advance_to()/refresh() into the phases a
-  /// batch-of-solvers march interleaves, preserving the exact per-member
-  /// arithmetic. Nested so it reaches the private march state without
-  /// widening the public API.
-  struct Lockstep;
-
   /// Current stability step cap from Eq. 7 (infinity when uncapped).
   [[nodiscard]] double stability_step_cap() const noexcept { return h_stability_; }
   /// Last drift reported by the LLE monitor.
@@ -68,15 +94,86 @@ class LinearisedSolver final : public AnalogEngine {
   /// stability evaluation (diagnostics; empty before the first evaluation).
   [[nodiscard]] const linalg::Matrix& eliminated_matrix() const noexcept { return a_eliminated_; }
 
+  // ---- step pipeline (see the file header for the composition) ----------
+
+  /// advance_to() entry guards: initialised, and \p t_end not in the past.
+  void require_advance(double t_end) const;
+  /// Restart the multistep history when a block epoch changed.
+  void check_for_discontinuity();
+  /// Evaluate the residuals at (t, x, y) and refresh the linearisation
+  /// signature. Returns true when the signature held: the cached
+  /// linearisation is certified unchanged.
+  [[nodiscard]] bool evaluate();
+  /// Keep the cached linearisation when reuse is enabled and
+  /// \p signature_stable; false means the caller must relinearise() or
+  /// adopt_linearisation() instead.
+  [[nodiscard]] bool reuse_linearisation(bool signature_stable);
+  /// Assemble the Jacobians at (t, x, y) and factorise Jyy.
+  void relinearise();
+  /// Take a peer's linearisation instead of assembling one. Only valid at a
+  /// coinciding signature on the bounded-error path; counts as a reuse.
+  void adopt_linearisation(const Linearisation& donor);
+  /// LLE drift observation and step-controller update, driven by the
+  /// signature verdict of evaluate() — not by the rebuild decision, so
+  /// reuse-on and reuse-off runs observe the same sequence.
+  void observe_drift(bool signature_stable);
+  /// Eliminate the terminals with this solver's own Jyy LU and record the
+  /// derivative sample: the point becomes fresh.
+  void eliminate();
+  /// Same, with the terminal update \p dy = -Jyy^-1 fy already solved by
+  /// the caller (a lockstep group's shared multi-RHS back-substitution).
+  void eliminate(std::span<const double> dy);
+  /// Whether the Eq. 7 cap must be re-derived before the next step.
+  [[nodiscard]] bool stability_due() const noexcept {
+    return stability_due_ || steps_since_stability_ >= config_.stability_check_interval ||
+           drift_since_stability_ > config_.stability_drift_threshold;
+  }
+  /// Recompute the Eq. 7 stability cap on the eliminated system.
+  void recompute_stability_cap();
+  /// Take a peer's freshly recomputed cap (same signature, so the
+  /// eliminated systems agree to the signature quantum).
+  void adopt_stability_cap(const LinearisedSolver& donor);
+  /// When \p t_end lies within h_min of the current time, jump straight to
+  /// it without a step and return true.
+  [[nodiscard]] bool snap_sliver(double t_end);
+  /// The step this solver would take with \p remaining time to its horizon:
+  /// fixed step, LLE controller or h_max, then the Eq. 7 cap.
+  [[nodiscard]] double propose_step(double remaining) const;
+  /// Commit one explicit Adams-Bashforth step (Eq. 5) of max(h, h_min);
+  /// throws SolverError when the state turns non-finite.
+  void commit_step(double h);
+  /// Clone-follower sync: copy the post-refresh point of \p leader, whose
+  /// spec is identical to this one's up to a known divergence time, and
+  /// push this solver's own history sample. The heavy objects (Jacobians,
+  /// LU, LLE monitor) only change when the leader relinearised or adopted
+  /// (\p leader_relinearised), so they are copied only then.
+  void follow(const LinearisedSolver& leader, bool leader_relinearised);
+  /// Clone-follower sync of the stability phase: mirror every cap change of
+  /// \p leader, recomputed or adopted.
+  void follow_stability(const LinearisedSolver& leader);
+  /// Invoke the observers at the current point (once per time point).
+  void notify_observers();
+
+  [[nodiscard]] bool fresh() const noexcept { return fresh_; }
+  [[nodiscard]] std::uint64_t jacobian_signature() const noexcept { return jacobian_signature_; }
+  [[nodiscard]] const Linearisation& linearisation() const noexcept { return linearisation_; }
+  /// Algebraic residual fy at the last evaluate(); the elimination solves
+  /// Jyy dy = -fy.
+  [[nodiscard]] std::span<const double> algebraic_residual() const noexcept {
+    return fy_.span();
+  }
+
  private:
   /// Make (t_, x_, y_) a consistent linearised solution point: evaluate,
   /// re-linearise, eliminate y (Eq. 4) and record the derivative sample.
   void refresh();
-  /// Recompute the Eq. 7 stability cap on the eliminated system.
-  void recompute_stability_cap();
-  /// Handle block parameter discontinuities (epoch changes).
-  void check_for_discontinuity();
-  void notify_observers();
+  /// Elimination tail shared by both eliminate() forms: apply dy_, form the
+  /// derivative sample and push it into the AB history.
+  void apply_elimination();
+  /// Push the derivative sample at t_ (once per time point); marks fresh.
+  void record_sample();
+  /// Install \p h as the Eq. 7 cap and reset the recompute triggers.
+  void set_stability_cap(double h);
 
   SystemAssembler* system_;
   SolverConfig config_;
@@ -90,8 +187,7 @@ class LinearisedSolver final : public AnalogEngine {
   linalg::Vector dy_;      // scratch: terminal update
   linalg::Vector f_step_;  // derivative sample pushed into the AB history
 
-  linalg::Matrix jxx_, jxy_, jyx_, jyy_;
-  linalg::LuFactorization jyy_lu_;
+  Linearisation linearisation_;
   linalg::Matrix z_elim_;        // scratch: Jyy^-1 Jyx
   linalg::Matrix a_eliminated_;  // Jxx - Jxy Jyy^-1 Jyx
 
@@ -110,7 +206,7 @@ class LinearisedSolver final : public AnalogEngine {
 
   std::uint64_t last_epoch_ = 0;
   std::uint64_t jacobian_signature_ = 0;
-  // Cached Jacobians + Jyy LU usable. Invalidated by initialise(), by a
+  // Cached linearisation usable. Invalidated by initialise(), by a
   // block-epoch change (discontinuity restart) and by a signature mismatch
   // (PWL segment crossing / operating-point quantum change); while valid
   // and the signature holds, refresh() skips assembly and the factorisation

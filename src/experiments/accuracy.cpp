@@ -30,7 +30,7 @@ double rel_error(double oracle, double fast, double scale_floor) {
 /// The kernels an engine supports (AccuracyOptions::kernels empty).
 std::vector<BatchKernel> default_kernels(EngineKind engine) {
   if (engine == EngineKind::kProposed) {
-    return {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm};
+    return {BatchKernel::kJobs, BatchKernel::kLockstep};
   }
   return {BatchKernel::kJobs};
 }

@@ -1,5 +1,6 @@
 /// \file reference_data.hpp
-/// \brief Synthetic "experimental measurement" traces (DESIGN.md §3).
+/// \brief Synthetic "experimental measurement" traces (README.md, "What the
+/// reproduction does not emulate").
 ///
 /// The paper validates simulation against measurements of the physical
 /// harvester and attributes the residual difference to "leakage and

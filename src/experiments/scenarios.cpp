@@ -27,21 +27,18 @@ const char* batch_kernel_id(BatchKernel kernel) {
       return "jobs";
     case BatchKernel::kLockstep:
       return "lockstep";
-    case BatchKernel::kLockstepExpm:
-      return "lockstep_expm";
   }
   return "?";
 }
 
 BatchKernel parse_batch_kernel(std::string_view id) {
-  for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}) {
+  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     if (id == batch_kernel_id(kernel)) {
       return kernel;
     }
   }
   throw ModelError("unknown batch kernel '" + std::string(id) +
-                   "' (expected jobs | lockstep | lockstep_expm)");
+                   "' (expected jobs | lockstep)");
 }
 
 ExperimentSpec scenario1() {
@@ -304,7 +301,6 @@ io::JsonValue checkpoint_meta(const ExperimentSpec& spec, const PreparedExperime
     batch.set("kernel", batch_kernel_id(kernel));
     batch.set("lockstep_groups", io::u64_to_json(counters->lockstep_groups));
     batch.set("shared_factorisations", io::u64_to_json(counters->shared_factorisations));
-    batch.set("expm_segments", io::u64_to_json(counters->expm_segments));
     meta.set("batch", std::move(batch));
   } else {
     meta.set("batch", io::JsonValue(nullptr));
@@ -357,7 +353,7 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
   if (!batch.is_null()) {
     const std::string batch_what = what + ".batch";
     io::check_state_keys(batch, batch_what,
-                         {"kernel", "lockstep_groups", "shared_factorisations", "expm_segments"});
+                         {"kernel", "lockstep_groups", "shared_factorisations"});
     info.has_batch = true;
     info.kernel_id = io::require_key(batch, batch_what, "kernel").as_string();
     info.counters.lockstep_groups = io::u64_from_json(
@@ -365,8 +361,6 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
     info.counters.shared_factorisations =
         io::u64_from_json(io::require_key(batch, batch_what, "shared_factorisations"),
                           batch_what + ".shared_factorisations");
-    info.counters.expm_segments = io::u64_from_json(
-        io::require_key(batch, batch_what, "expm_segments"), batch_what + ".expm_segments");
   }
   return info;
 }
@@ -407,7 +401,6 @@ void verify_batch_kernel(const CheckpointMetaInfo& info, const std::string& kern
 void accumulate(sim::LockstepCounters& into, const sim::LockstepCounters& add) {
   into.lockstep_groups += add.lockstep_groups;
   into.shared_factorisations += add.shared_factorisations;
-  into.expm_segments += add.expm_segments;
 }
 
 /// Restore a checkpointed lockstep batch. All jobs of a lockstep batch
@@ -640,20 +633,16 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     members[i].solver = solver;
     members[i].kernel = prepared[i].session->session().kernel();
     members[i].t_end = jobs[i].spec.duration;
-    members[i].profile = &prepared[i].session->system().vibration();
     members[i].param_class = param_class[i];
     members[i].share_after = share_after[i];
     members[i].clone_leader = clone_leader[i];
     members[i].diverges_at = diverges_at[i];
   }
 
-  sim::LockstepOptions lockstep_options;
-  lockstep_options.use_expm = options.batch_kernel == BatchKernel::kLockstepExpm;
-
   // March in chunks. Without checkpointing this is a single chunk over the
   // full horizon — exactly the one-batch behaviour. With a checkpoint period
   // every chunk ends on an absolute boundary k * every; a fresh LockstepBatch
-  // per chunk resets the cross-time linearisation pool and expm cache there,
+  // per chunk resets the cross-time linearisation pool there,
   // which is what makes a resumed batch (whose caches start empty)
   // bit-identical to an uninterrupted checkpointed one.
   double horizon = 0.0;
@@ -692,7 +681,7 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
         }
         chunk.push_back(member);
       }
-      sim::LockstepBatch batch(std::move(chunk), lockstep_options);
+      sim::LockstepBatch batch(std::move(chunk));
       // lint:allow wall-clock -- march timing feeds only cpu_seconds
       const auto march_begin = std::chrono::steady_clock::now();
       batch.run();
@@ -744,7 +733,6 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     result.batch_kernel = options.batch_kernel;
     result.lockstep_groups = total.lockstep_groups;
     result.shared_factorisations = total.shared_factorisations;
-    result.expm_segments = total.expm_segments;
     results.push_back(std::move(result));
   }
   return results;
@@ -907,7 +895,6 @@ void fill_batch_stats(BatchStats* stats, const std::vector<ScenarioResult>& resu
   }
   stats->lockstep_groups = counters.lockstep_groups;
   stats->shared_factorisations = counters.shared_factorisations;
-  stats->expm_segments = counters.expm_segments;
 }
 
 }  // namespace
@@ -1066,39 +1053,6 @@ std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
   }
   fill_batch_stats(stats, results, warm.producer_iterations, lockstep_counters);
   return results;
-}
-
-// ---------------------------------------------------------------------------
-// Compatibility shim
-// ---------------------------------------------------------------------------
-
-ExperimentSpec to_experiment_spec(const ScenarioSpec& spec, EngineKind kind) {
-  ExperimentSpec experiment;
-  experiment.name = spec.name;
-  experiment.duration = spec.duration;
-  experiment.pre_tuned_hz = spec.pre_tuned_hz;
-  experiment.with_mcu = spec.with_mcu;
-  experiment.trace_interval = spec.trace_interval;
-  experiment.power_bin_width = spec.power_bin_width;
-  experiment.engine = kind;
-  experiment.excitation.initial_frequency_hz = spec.initial_ambient_hz;
-  if (spec.shift_time > 0.0) {
-    experiment.excitation.step_frequency(spec.shift_time, spec.shifted_ambient_hz);
-  }
-  if (spec.name == "supercap-charging") {
-    // The seed scenario_params special-cased the charging run by name.
-    experiment.overrides.push_back(ParamOverride{"supercap.initial_voltage", 0.0});
-  }
-  return experiment;
-}
-
-harvester::HarvesterParams scenario_params(const ScenarioSpec& spec) {
-  return experiment_params(to_experiment_spec(spec));
-}
-
-ScenarioResult run_scenario(const ScenarioSpec& spec, EngineKind kind,
-                            const harvester::HarvesterParams* params_override) {
-  return run_experiment(to_experiment_spec(spec, kind), params_override);
 }
 
 }  // namespace ehsim::experiments

@@ -15,15 +15,6 @@
 /// control events and CPU statistics; `run_scenario_batch` fans independent
 /// jobs over a thread pool with deterministic, bit-identical-to-serial
 /// results.
-///
-/// The pre-redesign one-shot `ScenarioSpec` (a single shift_time /
-/// shifted_ambient_hz pair) survives as a compatibility shim: `run_scenario`
-/// converts it to an ExperimentSpec and produces traces bit-identical to the
-/// declarative path (run_experiment / the `ehsim` CLI — pinned by
-/// test_cli_end_to_end). Note the shim is *not* bit-comparable to pre-PR-2
-/// golden data: the same PR changed the LLE controller to observe
-/// signature-driven drift (see linearised_solver.cpp), which alters step
-/// sequences for every engine configuration equally.
 #pragma once
 
 #include <cstdint>
@@ -67,15 +58,9 @@ enum class BatchKernel {
   /// BatchOptions::threads is ignored, and results are identical for any
   /// requested thread count.
   kLockstep,
-  /// kLockstep plus exact matrix-exponential propagation of stretches where
-  /// every member's linearisation holds still on a fixed-frequency
-  /// excitation segment (bounded error by construction of the exact
-  /// segment solution).
-  kLockstepExpm,
 };
 
-/// Stable identifier ("jobs" | "lockstep" | "lockstep_expm") — the JSON /
-/// CLI vocabulary.
+/// Stable identifier ("jobs" | "lockstep") — the JSON / CLI vocabulary.
 [[nodiscard]] const char* batch_kernel_id(BatchKernel kernel);
 /// Inverse of batch_kernel_id; throws ModelError on unknown ids.
 [[nodiscard]] BatchKernel parse_batch_kernel(std::string_view id);
@@ -103,12 +88,11 @@ struct ScenarioResult {
   /// Batch kernel that produced this result, plus the batch-wide lockstep
   /// work-sharing counters mirrored onto every result of the batch (see
   /// sim/lockstep_batch.hpp). Serialised as an optional "batch" block only
-  /// when a lockstep kernel ran, so kJobs results are byte-identical to the
+  /// when the lockstep kernel ran, so kJobs results are byte-identical to the
   /// pre-lockstep output.
   BatchKernel batch_kernel = BatchKernel::kJobs;
   std::uint64_t lockstep_groups = 0;
   std::uint64_t shared_factorisations = 0;
-  std::uint64_t expm_segments = 0;
 
   std::vector<double> time;  ///< decimated trace times
   std::vector<double> vc;    ///< supercapacitor voltage trace
@@ -247,7 +231,6 @@ struct BatchStats {
   /// semantics in sim/lockstep_batch.hpp (LockstepCounters).
   std::uint64_t lockstep_groups = 0;
   std::uint64_t shared_factorisations = 0;
-  std::uint64_t expm_segments = 0;
 };
 
 /// Execution options of one run_scenario_batch call.
@@ -266,8 +249,8 @@ struct BatchOptions {
   /// Relative parameter quantum of the warm-start signature (<= 0: exact
   /// parameter equality required to share a seed).
   double warm_start_quantum = kWarmStartQuantum;
-  /// Batch execution kernel. The lockstep kernels require every job to run
-  /// EngineKind::kProposed (ModelError otherwise) and march serially; the
+  /// Batch execution kernel. The lockstep kernel requires every job to run
+  /// EngineKind::kProposed (ModelError otherwise) and marches serially; the
   /// shared march wall-clock is attributed evenly across the jobs'
   /// ScenarioResult::cpu_seconds. Warm starts compose: the seed phase runs
   /// before the march exactly as under kJobs.
@@ -337,7 +320,7 @@ struct CheckpointOptions {
 
 /// run_scenario_batch with per-job checkpoint files. Under kJobs every job
 /// checkpoints at its own absolute boundaries on the worker threads; under
-/// the lockstep kernels the batch marches in global chunks of `every`
+/// the lockstep kernel the batch marches in global chunks of `every`
 /// simulated seconds with a fresh lockstep march per chunk (work-sharing
 /// caches reset at each boundary — part of the deterministic-chunking
 /// contract) and all jobs checkpoint together at each boundary, with the
@@ -360,37 +343,5 @@ struct CheckpointOptions {
 [[nodiscard]] std::vector<ScenarioResult> run_scenario_batch(
     const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
     BatchStats* stats = nullptr);
-
-// ---------------------------------------------------------------------------
-// Compatibility shim: the pre-redesign one-shot scenario description.
-// ---------------------------------------------------------------------------
-
-struct ScenarioSpec {
-  std::string name;
-  double duration = 300.0;          ///< simulated span [s]
-  double pre_tuned_hz = 70.0;       ///< generator tuned here at t = 0
-  double initial_ambient_hz = 70.0;
-  double shift_time = 60.0;         ///< ambient frequency step time (0: none)
-  double shifted_ambient_hz = 71.0;
-  bool with_mcu = true;
-  double trace_interval = 0.05;     ///< Vc trace decimation [s]
-  double power_bin_width = 0.5;     ///< Fig. 8(a) power bin width [s]
-};
-
-/// Lift a legacy one-shot spec into the declarative API. run_scenario(spec)
-/// and run_experiment(to_experiment_spec(spec)) are the same computation,
-/// bit for bit.
-[[nodiscard]] ExperimentSpec to_experiment_spec(const ScenarioSpec& spec,
-                                                EngineKind kind = EngineKind::kProposed);
-
-/// Device parameters for a legacy spec (kept for the shim; equals
-/// experiment_params(to_experiment_spec(spec))).
-[[nodiscard]] harvester::HarvesterParams scenario_params(const ScenarioSpec& spec);
-
-/// Run a legacy one-shot scenario on an engine — thin shim over
-/// run_experiment.
-[[nodiscard]] ScenarioResult run_scenario(const ScenarioSpec& spec, EngineKind kind,
-                                          const harvester::HarvesterParams* params_override =
-                                              nullptr);
 
 }  // namespace ehsim::experiments

@@ -5,7 +5,8 @@
 /// (Ayala-Garcia et al., PowerMEMS 2009 [7]; microgenerator characterised in
 /// Zhu et al., Sensors & Actuators A 158 [2]) but does not tabulate raw
 /// parameters. The values below are calibrated so that the *observables the
-/// paper reports* are reproduced (DESIGN.md §3):
+/// paper reports* are reproduced (README.md, "What the reproduction does not
+/// emulate"):
 ///   * untuned resonance 64 Hz, maximum tuning range ~14 Hz (64 -> 78 Hz),
 ///   * RMS microgenerator output power ~117-118 uW when tuned at 70/71 Hz
 ///     under 0.59 m/s^2 excitation (measured: 116 uW),

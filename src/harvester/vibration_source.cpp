@@ -1,7 +1,6 @@
 #include "harvester/vibration_source.hpp"
 
 #include <cmath>
-#include <limits>
 #include <numbers>
 
 #include "common/error.hpp"
@@ -88,15 +87,6 @@ const VibrationProfile::Segment& VibrationProfile::segment_at(double t) const {
     }
   }
   return segments_.front();
-}
-
-VibrationProfile::SegmentInfo VibrationProfile::segment_info(double t) const {
-  const Segment& seg = segment_at(t);
-  const std::size_t index = static_cast<std::size_t>(&seg - segments_.data());
-  const double end = index + 1 < segments_.size() ? segments_[index + 1].start_time
-                                                  : std::numeric_limits<double>::infinity();
-  return SegmentInfo{seg.start_time, end,       seg.frequency_hz,
-                     seg.slope_hz_per_s, seg.amplitude, seg.phase_at_start};
 }
 
 double VibrationProfile::acceleration(double t) const {

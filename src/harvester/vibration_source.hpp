@@ -46,20 +46,6 @@ class VibrationProfile {
   /// Initial amplitude (t = 0) [m/s^2].
   [[nodiscard]] double amplitude() const noexcept { return segments_.front().amplitude; }
 
-  /// Description of the schedule segment active at a given time — what the
-  /// lockstep batch kernel needs to decide whether a matrix-exponential
-  /// stretch fits before the next excitation boundary.
-  struct SegmentInfo {
-    double start_time;      ///< segment start [s]
-    double end_time;        ///< next segment's start, +inf for the last one
-    double frequency_hz;    ///< frequency at segment start
-    double slope_hz_per_s;  ///< chirp rate (0: constant frequency)
-    double amplitude;       ///< acceleration amplitude [m/s^2]
-    double phase_at_start;  ///< radians at segment start
-  };
-  /// The segment active at \p t (times before the first segment map to it).
-  [[nodiscard]] SegmentInfo segment_info(double t) const;
-
  private:
   struct Segment {
     double start_time;

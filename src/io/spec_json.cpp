@@ -837,7 +837,6 @@ JsonValue to_json(const ScenarioResult& result) {
     batch.set("kernel", experiments::batch_kernel_id(result.batch_kernel));
     batch.set("lockstep_groups", result.lockstep_groups);
     batch.set("shared_factorisations", result.shared_factorisations);
-    batch.set("expm_segments", result.expm_segments);
     json.set("batch", std::move(batch));
   }
 

@@ -8,22 +8,23 @@
 /// of that work is repeated N times. This kernel advances the whole batch in
 /// lockstep on a single global clock instead:
 ///
-///  * members are grouped at every step by their linearisation signature
-///    (core/lockstep_port.hpp exposes the LinearisedSolver machinery); one
-///    member of each group assembles + factorises, the rest adopt, and the
-///    terminal elimination back-substitutes across the whole group through
-///    one structure-of-arrays multi-RHS solve
+///  * members are grouped at every step by their linearisation signature;
+///    one member of each group assembles + factorises, the rest adopt, and
+///    the terminal elimination back-substitutes across the whole group
+///    through one structure-of-arrays multi-RHS solve
 ///    (linalg::LuFactorization::solve_multi_inplace);
 ///  * members whose spec is identical up to a known divergence time (sweep
 ///    points sharing the pre-event prefix) follow a clone leader outright:
 ///    the leader marches exactly as the per-job path would and followers
-///    copy its refresh, so a batch of pure duplicates is bit-for-bit the
-///    per-job result. Followers peel off at their divergence time and
-///    re-merge into signature groups whenever signatures coincide again;
-///  * optionally (LockstepOptions::use_expm) a stretch where every member's
-///    linearisation holds still and the excitation segment is a pure
-///    sinusoid is propagated *exactly* with a cached matrix exponential
-///    (linalg/expm.hpp) instead of being stepped through.
+///    copy its refresh and its stability cap, so a batch of pure duplicates
+///    is bit-for-bit the per-job result. Followers peel off at their
+///    divergence time and re-merge into signature groups whenever
+///    signatures coincide again.
+///
+/// Every member runs through the public step pipeline of
+/// core::LinearisedSolver — the same phase functions its advance_to()
+/// composes (see linearised_solver.hpp) — so the grouping, adoption and
+/// follower copies above are all this kernel adds.
 ///
 /// Sharing is only engaged for a member once the global clock passes its
 /// `share_after` horizon, which the caller sets so that batches whose
@@ -31,7 +32,7 @@
 /// per-job trajectories bit-for-bit; after the horizon results stay within
 /// the documented io::compare tolerances of the serial reference (the
 /// adopted Jacobians agree with a private rebuild only to the signature
-/// quantum). docs/spec_format.md "Batch kernel" states the contract.
+/// quantum). docs/spec_format.md "Batch kernels" states the contract.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,6 @@
 
 #include "core/linearised_solver.hpp"
 #include "digital/kernel.hpp"
-#include "harvester/vibration_source.hpp"
 
 namespace ehsim::sim {
 
@@ -53,9 +53,6 @@ struct LockstepMember {
   core::LinearisedSolver* solver = nullptr;  ///< initialised engine (required)
   digital::Kernel* kernel = nullptr;         ///< digital side; may be null
   double t_end = 0.0;                        ///< member horizon [s]
-  /// Excitation profile backing the member (expm segment eligibility); may
-  /// be null, which only disables exact propagation for the batch.
-  const harvester::VibrationProfile* profile = nullptr;
   /// Equivalence class of members with bitwise-identical device parameters;
   /// linearisations are only shared within a class.
   std::size_t param_class = 0;
@@ -70,16 +67,6 @@ struct LockstepMember {
   double diverges_at = 0.0;  ///< clone relation holds for t < diverges_at
 };
 
-struct LockstepOptions {
-  /// Exact matrix-exponential propagation of still-linearisation stretches.
-  bool use_expm = false;
-  /// expm substep [s]; 0 picks the solver's h_max accuracy ceiling.
-  double expm_substep = 0.0;
-  /// Do not open an expm stretch shorter than this many substeps (the
-  /// multistep restart it forces afterwards must be amortised).
-  std::size_t min_expm_substeps = 4;
-};
-
 /// Work-sharing counters surfaced through BatchStats / result JSON.
 struct LockstepCounters {
   /// Shared linearisation groups materialised: refreshes (one per step per
@@ -89,8 +76,6 @@ struct LockstepCounters {
   /// Member-refreshes served without their own Jacobian assembly +
   /// factorisation: clone-follower syncs plus signature-group/pool adoptions.
   std::uint64_t shared_factorisations = 0;
-  /// Exact-propagation stretches, summed over participating members.
-  std::uint64_t expm_segments = 0;
 };
 
 /// Advances every member to its t_end on one global clock; see file header.
@@ -99,9 +84,7 @@ class LockstepBatch {
   /// Validates the batch: non-null initialised solvers, a common
   /// SolverConfig, clone leaders preceding their followers. Throws
   /// ModelError on violations.
-  LockstepBatch(std::vector<LockstepMember> members, LockstepOptions options = {});
-  // Out of line: the cache entry types are incomplete here.
-  ~LockstepBatch();
+  explicit LockstepBatch(std::vector<LockstepMember> members);
 
   /// Run the lockstep march to completion. Propagates SolverError from any
   /// member (the whole batch stops, like a failing job stops its sweep).
@@ -110,29 +93,26 @@ class LockstepBatch {
   [[nodiscard]] const LockstepCounters& counters() const noexcept { return counters_; }
 
  private:
-  struct PoolEntry;  // cross-time linearisation cache (lockstep_batch.cpp)
-  struct ExpmCell;   // cached exact-propagation operators (lockstep_batch.cpp)
+  /// Cross-time cache of one assembled + factorised linearisation.
+  struct PoolEntry {
+    std::size_t param_class = 0;
+    std::uint64_t signature = 0;
+    core::Linearisation linearisation;
+  };
 
   /// March every live member to the barrier time \p target.
-  void advance_to_barrier(std::vector<std::size_t>& live, double target);
-  /// Refresh phase across \p live members; returns per-member rebuild flags.
-  void refresh_all(const std::vector<std::size_t>& live, std::vector<char>& rebuilt);
+  void advance_to_barrier(const std::vector<std::size_t>& live, double target);
+  /// Refresh phase across \p live members.
+  void refresh_all(const std::vector<std::size_t>& live);
   /// Stability phase across \p live members.
   void stability_all(const std::vector<std::size_t>& live);
-  /// Attempt one exact-propagation stretch; returns true when at least one
-  /// substep was taken (members then need a fresh refresh pass).
-  bool try_expm_stretch(const std::vector<std::size_t>& live, double target);
+  /// The pooled linearisation for (\p param_class, \p signature), or null.
+  [[nodiscard]] PoolEntry* find_pooled(std::size_t param_class, std::uint64_t signature);
 
   std::vector<LockstepMember> members_;
-  LockstepOptions options_;
   LockstepCounters counters_;
   std::vector<PoolEntry> pool_;
   std::size_t pool_cursor_ = 0;  ///< round-robin replacement at capacity
-  std::vector<ExpmCell> expm_cache_;
-  std::size_t expm_cursor_ = 0;  ///< round-robin replacement at capacity
-  /// Cool-down after a stretch that a signature flip cut short — re-entering
-  /// immediately would thrash multistep restarts against tiny stretches.
-  double expm_backoff_until_ = 0.0;
   double clock_ = 0.0;
 };
 

@@ -72,7 +72,7 @@ const KernelAccuracy& kernel_row(const AccuracyReport& report, const char* id) {
   return *it;
 }
 
-// ---- the proposed engine across all three batch kernels --------------------
+// ---- the proposed engine across both batch kernels -------------------------
 
 TEST(AccuracyMatrix, ProposedKernelsStayWithinMeasuredVcBounds) {
   // A two-job sweep whose members share a prefix and then diverge (distinct
@@ -84,7 +84,7 @@ TEST(AccuracyMatrix, ProposedKernelsStayWithinMeasuredVcBounds) {
       .param = "excitation.event[0].frequency_hz", .values = {70.5, 71.5}, .engines = {}});
 
   for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}) {
+       {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     const AccuracyReport report =
         ehsim::experiments::run_accuracy(sweep, oracle_options({kernel}));
     ASSERT_EQ(report.kernels.size(), 1u);
@@ -161,9 +161,6 @@ TEST(AccuracyMatrix, LockstepKernelsRejectBaselineEngines) {
   spec.engine = EngineKind::kSystemVision;
   EXPECT_THROW((void)ehsim::experiments::run_accuracy(
                    spec, oracle_options({BatchKernel::kLockstep})),
-               ModelError);
-  EXPECT_THROW((void)ehsim::experiments::run_accuracy(
-                   spec, oracle_options({BatchKernel::kLockstepExpm})),
                ModelError);
 }
 

@@ -94,7 +94,6 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.batch_kernel, b.batch_kernel);
   EXPECT_EQ(a.lockstep_groups, b.lockstep_groups);
   EXPECT_EQ(a.shared_factorisations, b.shared_factorisations);
-  EXPECT_EQ(a.expm_segments, b.expm_segments);
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.vc, b.vc);
   EXPECT_EQ(a.power_time, b.power_time);
@@ -260,7 +259,7 @@ TEST(Checkpoint, ResumeWithoutFilesStartsFresh) {
   expect_identical(*straight, *fresh);
 }
 
-// ---- sweeps across all three batch kernels --------------------------------
+// ---- sweeps across both batch kernels --------------------------------------
 
 SweepSpec small_sweep(BatchKernel kernel) {
   SweepSpec sweep;
@@ -311,10 +310,6 @@ TEST(Checkpoint, SweepKillResumeJobs) { check_sweep_kill_resume(BatchKernel::kJo
 
 TEST(Checkpoint, SweepKillResumeLockstep) {
   check_sweep_kill_resume(BatchKernel::kLockstep, "lockstep");
-}
-
-TEST(Checkpoint, SweepKillResumeLockstepExpm) {
-  check_sweep_kill_resume(BatchKernel::kLockstepExpm, "lockstep_expm");
 }
 
 TEST(Checkpoint, LockstepCheckpointRefusesJobsResume) {

@@ -1,10 +1,9 @@
 /// \file test_cli_end_to_end.cpp
 /// \brief Acceptance: `ehsim run examples/specs/scenario1.json` reproduces
-/// scenario1() with a trace bit-identical to the run_scenario compatibility
-/// shim.
+/// scenario1() with a trace bit-identical to the in-process run_experiment.
 ///
 /// The full 300 s scenario runs twice (once through the CLI binary, once
-/// in-process through the legacy shim), so this is the slowest test in the
+/// in-process through run_experiment), so this is the slowest test in the
 /// suite (~15 s); it is also the one that pins the whole spec -> JSON ->
 /// CLI -> engine -> CSV pipeline bit-for-bit.
 #include <gtest/gtest.h>
@@ -27,7 +26,7 @@ namespace {
 
 using namespace ehsim::experiments;
 
-TEST(EhsimCli, Scenario1SpecBitIdenticalToCompatibilityShim) {
+TEST(EhsimCli, Scenario1SpecBitIdenticalToRunExperiment) {
   const std::string spec_path =
       std::string(EHSIM_SOURCE_DIR) + "/examples/specs/scenario1.json";
   const std::filesystem::path out_dir =
@@ -38,19 +37,12 @@ TEST(EhsimCli, Scenario1SpecBitIdenticalToCompatibilityShim) {
                               "\" --out \"" + out_dir.string() + "\" --quiet";
   ASSERT_EQ(std::system(command.c_str()), 0) << command;
 
-  // The legacy one-shot description of scenario 1 through the shim.
-  ScenarioSpec legacy;
-  legacy.name = "scenario1-1hz";
-  legacy.duration = 300.0;
-  legacy.pre_tuned_hz = 70.0;
-  legacy.initial_ambient_hz = 70.0;
-  legacy.shift_time = 60.0;
-  legacy.shifted_ambient_hz = 71.0;
-  const ScenarioResult shim = run_scenario(legacy, EngineKind::kProposed);
+  // The canned scenario through the in-process declarative path.
+  const ScenarioResult expected = run_experiment(scenario1());
 
-  // The CLI's CSV trace must equal the shim's, byte for byte.
+  // The CLI's CSV trace must equal the in-process one, byte for byte.
   std::ostringstream expected_csv;
-  ehsim::io::write_trace_csv(expected_csv, shim);
+  ehsim::io::write_trace_csv(expected_csv, expected);
   const std::string actual_csv =
       ehsim::io::read_file((out_dir / "scenario1-1hz.trace.csv").string());
   EXPECT_EQ(expected_csv.str(), actual_csv);
@@ -59,10 +51,10 @@ TEST(EhsimCli, Scenario1SpecBitIdenticalToCompatibilityShim) {
   const auto json = ehsim::io::JsonValue::parse(
       ehsim::io::read_file((out_dir / "scenario1-1hz.result.json").string()));
   EXPECT_EQ(json.at("stats").at("steps").as_number(),
-            static_cast<double>(shim.stats.steps));
-  EXPECT_EQ(json.at("final_vc").as_number(), shim.final_vc);
-  EXPECT_EQ(json.at("final_resonance_hz").as_number(), shim.final_resonance_hz);
-  EXPECT_EQ(json.at("mcu_events").as_array().size(), shim.mcu_events.size());
+            static_cast<double>(expected.stats.steps));
+  EXPECT_EQ(json.at("final_vc").as_number(), expected.final_vc);
+  EXPECT_EQ(json.at("final_resonance_hz").as_number(), expected.final_resonance_hz);
+  EXPECT_EQ(json.at("mcu_events").as_array().size(), expected.mcu_events.size());
 
   std::filesystem::remove_all(out_dir);
 }

@@ -83,61 +83,30 @@ TEST(ExperimentParams, ConflictingOverridesAreRejectedLoudly) {
   EXPECT_THROW((void)experiment_params(amplitude), ModelError);
 }
 
-// ---- legacy shim ----------------------------------------------------------
+// ---- excitation schedules -------------------------------------------------
 
-/// The seed one-shot description of scenario 1, written out by hand.
-ScenarioSpec seed_scenario1() {
-  ScenarioSpec spec;
-  spec.name = "scenario1-1hz";
-  spec.duration = 300.0;
-  spec.pre_tuned_hz = 70.0;
-  spec.initial_ambient_hz = 70.0;
-  spec.shift_time = 60.0;
-  spec.shifted_ambient_hz = 71.0;
-  return spec;
-}
-
-TEST(LegacyShim, CannedSpecsLiftTheSeedScenarios) {
-  EXPECT_EQ(to_experiment_spec(seed_scenario1()), scenario1());
-  ScenarioSpec charging;
-  charging.name = "supercap-charging";
-  charging.duration = 10.0;
-  charging.shift_time = 0.0;
-  charging.with_mcu = false;
-  EXPECT_EQ(to_experiment_spec(charging), charging_scenario(10.0));
-}
-
-TEST(LegacyShim, ScenarioParamsMatchesExperimentParams) {
-  const auto legacy = scenario_params(seed_scenario1());
-  const auto modern = experiment_params(scenario1());
-  EXPECT_DOUBLE_EQ(legacy.actuator.initial_gap, modern.actuator.initial_gap);
-  EXPECT_DOUBLE_EQ(legacy.vibration.initial_frequency_hz,
-                   modern.vibration.initial_frequency_hz);
-  EXPECT_DOUBLE_EQ(legacy.supercap.initial_voltage, modern.supercap.initial_voltage);
-}
-
-TEST(LegacyShim, RunScenarioBitIdenticalToScheduleDrivenSession) {
-  // The shim (one-shot shift) and a hand-built session using the raw
+TEST(ExcitationSchedule, StepFrequencyBitIdenticalToRawSession) {
+  // A step_frequency schedule and a hand-built session using the raw
   // VibrationProfile API must produce the same trace bits.
-  ScenarioSpec legacy = seed_scenario1();
-  legacy.duration = 4.0;
-  legacy.shift_time = 1.5;
-  legacy.with_mcu = false;
-  legacy.trace_interval = 0.01;
-  const ScenarioResult via_shim = run_scenario(legacy, EngineKind::kProposed);
+  ExperimentSpec spec = scenario1();
+  spec.duration = 4.0;
+  spec.excitation.events.clear();
+  spec.excitation.step_frequency(1.5, 71.0);
+  spec.with_mcu = false;
+  spec.trace_interval = 0.01;
+  const ScenarioResult via_spec = run_experiment(spec);
 
-  const auto params = scenario_params(legacy);
   ehsim::sim::HarvesterSession::Options options;
   options.mode = ehsim::harvester::DeviceEvalMode::kPwlTable;
   options.with_mcu = false;
-  ehsim::sim::HarvesterSession session(params, options);
+  ehsim::sim::HarvesterSession session(experiment_params(spec), options);
   session.system().vibration().set_frequency_at(1.5, 71.0);
   session.enable_trace(0.01).probe_net("Vc");
   session.run_until(4.0);
 
-  EXPECT_EQ(via_shim.stats.steps, session.stats().steps);
-  EXPECT_EQ(via_shim.time, session.session().trace().times());
-  EXPECT_EQ(via_shim.vc, session.session().trace().column("Vc"));
+  EXPECT_EQ(via_spec.stats.steps, session.stats().steps);
+  EXPECT_EQ(via_spec.time, session.session().trace().times());
+  EXPECT_EQ(via_spec.vc, session.session().trace().column("Vc"));
 }
 
 // ---- sweep expansion ------------------------------------------------------

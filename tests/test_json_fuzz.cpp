@@ -267,8 +267,8 @@ SweepSpec random_sweep(SplitMix64& rng) {
   sweep.mode = rng.chance(0.5) ? SweepSpec::Mode::kGrid : SweepSpec::Mode::kZip;
   sweep.threads = rng.below(5);
   sweep.warm_start = rng.chance(0.3);
-  sweep.batch_kernel = std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep,
-                                                BatchKernel::kLockstepExpm}[rng.below(3)];
+  sweep.batch_kernel =
+      std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[rng.below(2)];
   const std::size_t axes = 1 + rng.below(3);
   const std::size_t zip_length = 1 + rng.below(4);
   for (std::size_t a = 0; a < axes; ++a) {
@@ -371,8 +371,8 @@ EnsembleSpec random_ensemble(SplitMix64& rng) {
   }
   ensemble.threads = rng.below(5);
   ensemble.warm_start = rng.chance(0.3);
-  ensemble.batch_kernel = std::vector<BatchKernel>{
-      BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}[rng.below(3)];
+  ensemble.batch_kernel =
+      std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[rng.below(2)];
   return ensemble;
 }
 
@@ -420,7 +420,7 @@ AutotuneSpec random_autotune(SplitMix64& rng) {
   if (rng.chance(0.6)) {
     spec.kernels.push_back(BatchKernel::kJobs);
     if (rng.chance(0.5)) {
-      spec.kernels.push_back(BatchKernel::kLockstepExpm);
+      spec.kernels.push_back(BatchKernel::kLockstep);
     }
   }
   spec.error_budget = rng.uniform(1e-4, 0.1);
@@ -448,11 +448,11 @@ AccuracyReport random_accuracy_report(SplitMix64& rng) {
   report.oracle_step = rng.uniform(1e-6, 1e-4);
   report.oracle_steps = rng.next() >> 24;
   report.oracle_cpu_seconds = rng.uniform(0.0, 10.0);
-  const std::size_t kernels = 1 + rng.below(3);
+  const std::size_t kernels = 1 + rng.below(2);
   for (std::size_t k = 0; k < kernels; ++k) {
     KernelAccuracy kernel;
-    kernel.kernel = batch_kernel_id(std::vector<BatchKernel>{
-        BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}[k]);
+    kernel.kernel =
+        batch_kernel_id(std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[k]);
     kernel.cpu_seconds = rng.uniform(0.0, 1.0);
     kernel.steps = rng.next() >> 24;
     kernel.bounds = random_error_metrics(rng);
@@ -486,7 +486,7 @@ AutotuneResult random_autotune_result(SplitMix64& rng) {
   result.baseline_cost = rng.uniform(1e3, 1e6);
   result.baseline_error = rng.uniform(0.0, 0.1);
   result.chosen_values = {rng.uniform(5e-4, 4e-3), std::floor(rng.uniform(256.0, 4096.0))};
-  result.chosen_kernel = "lockstep_expm";
+  result.chosen_kernel = "lockstep";
   result.chosen_cost = rng.uniform(1e3, 1e6);
   result.chosen_error = rng.uniform(0.0, 0.1);
   result.cost_ratio = result.chosen_cost / result.baseline_cost;
@@ -497,7 +497,7 @@ AutotuneResult random_autotune_result(SplitMix64& rng) {
   for (std::size_t i = 0; i < entries; ++i) {
     AutotuneEvaluation entry;
     entry.values = {rng.uniform(5e-4, 4e-3), std::floor(rng.uniform(256.0, 4096.0))};
-    entry.kernel = rng.chance(0.5) ? "jobs" : "lockstep_expm";
+    entry.kernel = rng.chance(0.5) ? "jobs" : "lockstep";
     entry.cost = rng.uniform(1e3, 1e6);
     entry.error = rng.uniform(0.0, 0.1);
     entry.feasible = entry.error <= result.error_budget;

@@ -1,25 +1,23 @@
 /// \file test_lockstep_batch.cpp
-/// \brief Lockstep SoA batch kernel: exactness, divergence and expm bounds.
+/// \brief Lockstep SoA batch kernel: exactness and divergence bounds.
 ///
 /// The contract under test (sim/lockstep_batch.hpp, docs/spec_format.md):
 ///  * a batch of bitwise-identical jobs marches bit-for-bit like the per-job
 ///    path, and so does the shared prefix of sweep points that differ only
 ///    in excitation events after t = 0;
+///  * a clone follower is passive: adding one never changes another member;
 ///  * once members diverge, shared linearisations keep every result within
 ///    the documented io::compare tolerances of its per-job reference;
-///  * lockstep_expm stays within the same bounds while taking exact
-///    matrix-exponential stretches;
 ///  * the march is serial, so results are identical for any thread count.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
+#include <memory>
 #include <vector>
 
 #include "common/error.hpp"
 #include "core/linearised_solver.hpp"
-#include "linalg/expm.hpp"
-#include "linalg/matrix.hpp"
 #include "experiments/scenarios.hpp"
 #include "sim/harvester_session.hpp"
 #include "sim/lockstep_batch.hpp"
@@ -28,65 +26,6 @@ namespace {
 
 using namespace ehsim::experiments;
 using ehsim::ModelError;
-using ehsim::linalg::Matrix;
-
-// ---- linalg::expm ---------------------------------------------------------
-
-TEST(Expm, IdentityAndDiagonal) {
-  Matrix zero(3, 3);
-  const Matrix ez = ehsim::linalg::expm(zero);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_NEAR(ez(r, c), r == c ? 1.0 : 0.0, 1e-15);
-    }
-  }
-
-  Matrix diag(2, 2);
-  diag(0, 0) = -1.5;
-  diag(1, 1) = 2.0;
-  const Matrix ed = ehsim::linalg::expm(diag);
-  EXPECT_NEAR(ed(0, 0), std::exp(-1.5), 1e-13);
-  EXPECT_NEAR(ed(1, 1), std::exp(2.0), 1e-12);
-  EXPECT_NEAR(ed(0, 1), 0.0, 1e-14);
-  EXPECT_NEAR(ed(1, 0), 0.0, 1e-14);
-}
-
-TEST(Expm, RotationMatchesTrig) {
-  // exp([[0,-w],[w,0]]) = [[cos w, -sin w],[sin w, cos w]] — the oscillator
-  // propagation the lockstep expm path builds on (needs squaring: |w| > 1/2).
-  const double w = 2.75;
-  Matrix a(2, 2);
-  a(0, 1) = -w;
-  a(1, 0) = w;
-  const Matrix e = ehsim::linalg::expm(a);
-  EXPECT_NEAR(e(0, 0), std::cos(w), 1e-12);
-  EXPECT_NEAR(e(0, 1), -std::sin(w), 1e-12);
-  EXPECT_NEAR(e(1, 0), std::sin(w), 1e-12);
-  EXPECT_NEAR(e(1, 1), std::cos(w), 1e-12);
-}
-
-TEST(Expm, DampedOscillatorMatchesClosedForm) {
-  // exp(t*[[a,-b],[b,a]]) = e^{a t} R(b t).
-  const double alpha = -0.4;
-  const double beta = 1.9;
-  Matrix m(2, 2);
-  m(0, 0) = alpha;
-  m(0, 1) = -beta;
-  m(1, 0) = beta;
-  m(1, 1) = alpha;
-  const Matrix e = ehsim::linalg::expm(m);
-  const double scale = std::exp(alpha);
-  EXPECT_NEAR(e(0, 0), scale * std::cos(beta), 1e-12);
-  EXPECT_NEAR(e(0, 1), -scale * std::sin(beta), 1e-12);
-  EXPECT_NEAR(e(1, 0), scale * std::sin(beta), 1e-12);
-  EXPECT_NEAR(e(1, 1), scale * std::cos(beta), 1e-12);
-}
-
-TEST(Expm, RejectsNonSquare) {
-  EXPECT_THROW((void)ehsim::linalg::expm(Matrix(2, 3)), ModelError);
-}
-
-// ---- lockstep batch end-to-end --------------------------------------------
 
 ExperimentSpec lockstep_spec(double duration) {
   ExperimentSpec spec;
@@ -144,7 +83,6 @@ TEST(LockstepBatch, DuplicateBatchBitIdenticalToPerJob) {
   }
   // Followers rode the leader's refreshes instead of assembling their own.
   EXPECT_GT(lockstep_stats.shared_factorisations, 0u);
-  EXPECT_EQ(lockstep_stats.expm_segments, 0u);
 }
 
 TEST(LockstepBatch, SingleJobBitIdenticalToPerJob) {
@@ -199,29 +137,6 @@ TEST(LockstepBatch, SplitAndRemergeAcrossSegmentCrossing) {
         << "job " << i;
   }
   EXPECT_GT(stats.shared_factorisations, 0u);
-}
-
-TEST(LockstepBatch, ExpmKernelStaysWithinBounds) {
-  std::vector<ScenarioJob> jobs(3);
-  for (auto& job : jobs) {
-    job.spec = lockstep_spec(1.5);
-  }
-  // Distinct trace decimation must not break clone detection (observers are
-  // per-member).
-  jobs[1].spec.trace_interval = 0.05;
-
-  BatchStats stats;
-  const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
-  const auto expm = run_with_kernel(jobs, BatchKernel::kLockstepExpm, &stats);
-
-  ASSERT_EQ(expm.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_LT(max_rel_error(per_job[i].vc, expm[i].vc), 1e-3) << "job " << i;
-    EXPECT_NEAR(per_job[i].rms_power_before, expm[i].rms_power_before,
-                1e-3 * std::max(1.0, std::abs(per_job[i].rms_power_before)))
-        << "job " << i;
-  }
-  EXPECT_GT(stats.expm_segments, 0u) << "expm never engaged on a still, sinusoidal stretch";
 }
 
 TEST(LockstepBatch, DeterministicAcrossThreadCounts) {
@@ -315,27 +230,55 @@ TEST(LockstepBatch, ReuseDisabledArmStepIdenticalToPerJob) {
   }
 }
 
-TEST(LockstepBatch, ExpmDeclinesWhenDistinctCellsExceedCache) {
-  // More distinct parameter classes than the expm cell cache holds: every
-  // slot gets pinned by the stretch being assembled, so the kernel must
-  // decline exact propagation and fall back to time-stepping (regression for
-  // the eviction scan spinning forever hunting a free slot).
-  std::vector<ScenarioJob> jobs(129);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    jobs[i].spec = lockstep_spec(0.1);
-    jobs[i].spec.with_mcu = false;
-    jobs[i].spec.overrides.push_back(
-        {"load.sleep_ohms", 40000.0 + 50.0 * static_cast<double>(i)});
-  }
+TEST(LockstepBatch, AddingACloneFollowerNeverChangesAnyOtherMembersBits) {
+  // Two identical charging members that may share from t = 0: member 1
+  // adopts member 0's linearisations and stability caps (the bounded-error
+  // path). A third member following member 1 must be passive: it mirrors
+  // member 1, cap adoptions included, so the batch-wide step and every
+  // other member's bits stay exactly those of the pair. Regression: the
+  // follower kept a stale cap whenever its leader adopted a cap instead of
+  // recomputing one, and that stale cap entered the global step.
+  const auto params = experiment_params(charging_scenario(0.2));
+  ehsim::sim::HarvesterSession::Options options;
+  options.with_mcu = false;
+  const auto march = [&](std::size_t n) {
+    std::vector<std::unique_ptr<ehsim::sim::HarvesterSession>> sessions;
+    std::vector<ehsim::sim::LockstepMember> members(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      sessions.push_back(std::make_unique<ehsim::sim::HarvesterSession>(params, options));
+      sessions[i]->initialise();
+      members[i].solver =
+          dynamic_cast<ehsim::core::LinearisedSolver*>(&sessions[i]->engine());
+      members[i].t_end = 0.2;
+      members[i].param_class = 0;
+      members[i].share_after = 0.0;
+    }
+    if (n > 2) {
+      members[2].clone_leader = 1;
+      members[2].diverges_at = std::numeric_limits<double>::infinity();
+    }
+    ehsim::sim::LockstepBatch batch(std::move(members));
+    batch.run();
+    return sessions;
+  };
+  const auto pair = march(2);
+  const auto triple = march(3);
 
-  BatchStats stats;
-  const auto results = run_with_kernel(jobs, BatchKernel::kLockstepExpm, &stats);
-  ASSERT_EQ(results.size(), jobs.size());
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    EXPECT_TRUE(std::isfinite(results[i].final_vc)) << "job " << i;
+  for (std::size_t i = 0; i < 2; ++i) {
+    EXPECT_EQ(pair[i]->stats().steps, triple[i]->stats().steps) << "member " << i;
+    const auto expected = pair[i]->state();
+    const auto actual = triple[i]->state();
+    ASSERT_EQ(expected.size(), actual.size());
+    for (std::size_t k = 0; k < actual.size(); ++k) {
+      EXPECT_EQ(expected[k], actual[k]) << "member " << i << " state " << k;
+    }
   }
-  // The stretch needs a cell for every live member, so it can never open.
-  EXPECT_EQ(stats.expm_segments, 0u);
+  EXPECT_EQ(triple[1]->stats().steps, triple[2]->stats().steps);
+  const auto leader = triple[1]->state();
+  const auto follower = triple[2]->state();
+  for (std::size_t k = 0; k < follower.size(); ++k) {
+    EXPECT_EQ(leader[k], follower[k]) << "follower state " << k;
+  }
 }
 
 TEST(LockstepBatch, BaselineEngineJobRejected) {
@@ -350,11 +293,11 @@ TEST(LockstepBatch, BaselineEngineJobRejected) {
 }
 
 TEST(LockstepBatch, KernelIdsRoundTrip) {
-  for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep, BatchKernel::kLockstepExpm}) {
+  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     EXPECT_EQ(parse_batch_kernel(batch_kernel_id(kernel)), kernel);
   }
   EXPECT_THROW((void)parse_batch_kernel("simd"), ModelError);
+  EXPECT_THROW((void)parse_batch_kernel("lockstep_expm"), ModelError);
 }
 
 }  // namespace

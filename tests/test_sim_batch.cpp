@@ -144,12 +144,10 @@ TEST(BatchRunner, JobsKernelReportsNoLockstepActivity) {
   ASSERT_EQ(results.size(), 2u);
   EXPECT_EQ(stats.lockstep_groups, 0u);
   EXPECT_EQ(stats.shared_factorisations, 0u);
-  EXPECT_EQ(stats.expm_segments, 0u);
   for (const ScenarioResult& result : results) {
     EXPECT_EQ(result.batch_kernel, BatchKernel::kJobs);
     EXPECT_EQ(result.lockstep_groups, 0u);
     EXPECT_EQ(result.shared_factorisations, 0u);
-    EXPECT_EQ(result.expm_segments, 0u);
   }
 }
 

@@ -71,12 +71,11 @@ int usage(std::FILE* where = stderr) {
                "      --warm-start seeds each job's initial operating point from a\n"
                "      structurally identical prior job (same results within solver\n"
                "      tolerance, fewer consistency iterations; off by default).\n"
-               "      --batch-kernel picks jobs | lockstep | lockstep_expm: lockstep\n"
-               "      marches the whole batch on one clock sharing Jacobian\n"
-               "      factorisations (proposed engine only; identical jobs stay\n"
-               "      bit-identical, diverged ones within compare tolerances);\n"
-               "      lockstep_expm adds exact matrix-exponential segment\n"
-               "      propagation. Overrides the sweep spec's batch_kernel.\n"
+               "      --batch-kernel picks jobs | lockstep: lockstep marches the\n"
+               "      whole batch on one clock sharing Jacobian factorisations\n"
+               "      (proposed engine only; identical jobs stay bit-identical,\n"
+               "      diverged ones within compare tolerances). Overrides the\n"
+               "      sweep spec's batch_kernel.\n"
                "      --checkpoint-every S --checkpoint-dir D write one checkpoint\n"
                "      file per job into D at every S simulated seconds (atomic\n"
                "      replace; see docs/checkpoint_format.md).\n"
@@ -142,7 +141,7 @@ struct RunArgs {
   std::size_t threads = 0;
   std::string out_dir = ".";
   std::string probes;          ///< comma list of --probes shorthands (may be empty)
-  std::string batch_kernel;    ///< jobs | lockstep | lockstep_expm (empty: spec's choice)
+  std::string batch_kernel;    ///< jobs | lockstep (empty: spec's choice)
   std::string checkpoint_dir;  ///< empty: checkpointing off
   double checkpoint_every = 0.0;
   int abort_after = -1;  ///< test hook: stop after N checkpoints (exit 3)
@@ -277,14 +276,10 @@ void print_summary(const std::vector<experiments::ScenarioResult>& results,
                 batch->warm_start_hits, batch->warm_start_rejects,
                 static_cast<unsigned long long>(batch->init_iterations));
   }
-  if (batch != nullptr &&
-      (batch->lockstep_groups > 0 || batch->shared_factorisations > 0 ||
-       batch->expm_segments > 0)) {
-    std::printf("lockstep: %llu shared groups, %llu shared factorisations, "
-                "%llu expm segments\n",
+  if (batch != nullptr && (batch->lockstep_groups > 0 || batch->shared_factorisations > 0)) {
+    std::printf("lockstep: %llu shared groups, %llu shared factorisations\n",
                 static_cast<unsigned long long>(batch->lockstep_groups),
-                static_cast<unsigned long long>(batch->shared_factorisations),
-                static_cast<unsigned long long>(batch->expm_segments));
+                static_cast<unsigned long long>(batch->shared_factorisations));
   }
 }
 
@@ -511,7 +506,7 @@ int cmd_optimise(const std::vector<std::string>& args) {
   return 0;
 }
 
-/// Parse a comma list of batch-kernel ids ("jobs,lockstep_expm").
+/// Parse a comma list of batch-kernel ids ("jobs,lockstep").
 std::vector<experiments::BatchKernel> parse_kernel_list(const std::string& list) {
   std::vector<experiments::BatchKernel> kernels;
   std::size_t start = 0;
