@@ -26,19 +26,16 @@ namespace {
 /// Wide-tuning design sweep: the scenario-2 retune repeated for a fan of
 /// target frequencies, expressed as a declarative SweepSpec over the shift
 /// event's target frequency and executed serially, across a 4-thread
-/// BatchRunner pool, and once more with cross-job operating-point warm
-/// starts. Parallel and warm-started results must be bit-identical to
-/// serial (the sweep only varies a mid-run event, so every job shares one
-/// structural signature and seeds converge to the exact cold operating
-/// point).
+/// BatchRunner pool and on the lockstep kernel. Parallel results must be
+/// bit-identical to serial.
 void run_batch_sweep() {
   using namespace ehsim::experiments;
 
   SweepSpec sweep;
   sweep.base = scenario2();
   sweep.base.name = "wide-tuning";
-  // CI smoke keeps the sweep seconds-scale; the counters (steps, consistency
-  // iterations, warm-start hits) stay deterministic at any span. The shift
+  // CI smoke keeps the sweep seconds-scale; the counters (steps, shared
+  // factorisations) stay deterministic at any span. The shift
   // sits at 3/4 of the span: until then every job is a clone of job 0, which
   // is the regime the lockstep kernel amortises (one integration drives the
   // whole batch).
@@ -52,21 +49,14 @@ void run_batch_sweep() {
   std::printf("\n=== wide-tuning SweepSpec through sim::BatchRunner (%zu jobs) ===\n",
               jobs.size());
 
-  BatchStats cold_batch;
   WallTimer serial_timer;
-  const auto serial = run_sweep(sweep, BatchOptions{.threads = 1}, &cold_batch);
+  const auto serial = run_sweep(sweep, BatchOptions{.threads = 1});
   const double serial_wall = serial_timer.elapsed_seconds();
 
   BatchStats batch;
   WallTimer parallel_timer;
   const auto parallel = run_sweep(sweep, BatchOptions{.threads = 4}, &batch);
   const double parallel_wall = parallel_timer.elapsed_seconds();
-
-  BatchStats warm_batch;
-  WallTimer warm_timer;
-  const auto warm =
-      run_sweep(sweep, BatchOptions{.threads = 4, .warm_start = true}, &warm_batch);
-  const double warm_wall = warm_timer.elapsed_seconds();
 
   // Lockstep arms run the same sweep serially on one global clock; the
   // pre-shift clone prefix costs one integration instead of six. Bounded
@@ -84,12 +74,10 @@ void run_batch_sweep() {
     lockstep_bounded = std::abs(lockstep[i].final_vc - serial[i].final_vc) <= 1e-3 * scale;
   }
 
-  bool identical = serial.size() == parallel.size() && serial.size() == warm.size();
+  bool identical = serial.size() == parallel.size();
   for (std::size_t i = 0; identical && i < serial.size(); ++i) {
     identical = serial[i].time == parallel[i].time && serial[i].vc == parallel[i].vc &&
-                serial[i].final_resonance_hz == parallel[i].final_resonance_hz &&
-                serial[i].time == warm[i].time && serial[i].vc == warm[i].vc &&
-                serial[i].final_resonance_hz == warm[i].final_resonance_hz;
+                serial[i].final_resonance_hz == parallel[i].final_resonance_hz;
   }
 
   std::printf("# target[Hz]  final_f0r[Hz]  final_Vc[V]  steps\n");
@@ -105,14 +93,7 @@ void run_batch_sweep() {
               std::thread::hardware_concurrency());
   std::printf("shared diode-table hits in the parallel batch: %zu of %zu jobs\n",
               batch.shared_table_hits, batch.jobs);
-  std::printf("warm starts (4 threads): %.2f s wall, %zu/%zu jobs seeded, %zu rejected\n",
-              warm_wall, warm_batch.warm_start_hits, warm_batch.jobs,
-              warm_batch.warm_start_rejects);
-  std::printf("consistency iterations: %llu cold -> %llu warm-started\n",
-              static_cast<unsigned long long>(cold_batch.init_iterations),
-              static_cast<unsigned long long>(warm_batch.init_iterations));
-  std::printf("parallel+warm traces bit-identical to serial: %s\n",
-              identical ? "YES" : "NO");
+  std::printf("parallel traces bit-identical to serial: %s\n", identical ? "YES" : "NO");
   const double lockstep_speedup = serial_wall / lockstep_wall;
   std::printf("\nlockstep (1 thread): %.2f s wall  (%.2fx vs per-job serial)\n",
               lockstep_wall, lockstep_speedup);
@@ -121,7 +102,7 @@ void run_batch_sweep() {
               static_cast<unsigned long long>(lockstep_batch.shared_factorisations));
   std::printf("lockstep finals within 1e-3 of per-job serial: %s\n",
               lockstep_bounded ? "YES" : "NO");
-  if (!identical || warm_batch.init_iterations >= cold_batch.init_iterations) {
+  if (!identical) {
     std::exit(EXIT_FAILURE);
   }
   // The lockstep kernel earns its keep or the bench fails: the clone-prefix
@@ -134,22 +115,15 @@ void run_batch_sweep() {
     std::exit(EXIT_FAILURE);
   }
 
-  // CI perf artifact: the warm-start counters ride the BENCH_*.json
-  // trajectory next to the wall-clock numbers.
+  // CI perf artifact: the sharing counters ride the BENCH_*.json trajectory
+  // next to the wall-clock numbers.
   namespace io = ehsim::io;
   io::JsonValue doc = io::JsonValue::make_object();
   doc.set("bench", "fig9_wide_tuning_sweep");
   doc.set("jobs", static_cast<double>(batch.jobs));
   doc.set("serial_wall_seconds", serial_wall);
   doc.set("parallel_wall_seconds", parallel_wall);
-  doc.set("warm_wall_seconds", warm_wall);
   doc.set("shared_table_hits", static_cast<double>(batch.shared_table_hits));
-  io::JsonValue warm_json = io::JsonValue::make_object();
-  warm_json.set("hits", static_cast<double>(warm_batch.warm_start_hits));
-  warm_json.set("rejects", static_cast<double>(warm_batch.warm_start_rejects));
-  warm_json.set("init_iterations_cold", cold_batch.init_iterations);
-  warm_json.set("init_iterations_warm", warm_batch.init_iterations);
-  doc.set("warm_start", std::move(warm_json));
   io::JsonValue lockstep_json = io::JsonValue::make_object();
   lockstep_json.set("wall_seconds", lockstep_wall);
   lockstep_json.set("speedup_vs_serial", lockstep_speedup);

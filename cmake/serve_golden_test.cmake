@@ -1,16 +1,16 @@
 # Serve-daemon determinism golden: drive `ehsim serve` end to end with a
-# scripted session (run x2, sweep, optimise, stats, shutdown), then assert
-#   1. every result file the daemon wrote is BIT-IDENTICAL (rtol 0, atol 0)
-#      to a cold one-shot `ehsim run|sweep|optimise` of the same spec —
-#      ignoring only the explicitly run-dependent keys cpu_seconds,
-#      warm_start and shared_diode_table;
-#   2. the cross-request caches actually engaged: the stats event reports at
-#      least one session-pool hit, and the daemon exits 0 with no error
-#      events.
+# scripted session covering every job verb (run x2, sweep, optimise,
+# ensemble, accuracy, autotune, stats, shutdown), then assert that every file
+# the daemon wrote is BIT-IDENTICAL (rtol 0, atol 0) to the one-shot
+# `ehsim <verb>` twin of the same spec — ignoring only the run-dependent
+# keys cpu_seconds and shared_diode_table (CSV traces are compared with no
+# ignores) — and that the daemon exits 0 with no error events. Both sides
+# run serve::execute, so this is the end-to-end gate for the shared
+# executor.
 #
 # Required -D variables: EHSIM (binary), SPEC_DIR (checked-in specs:
-# golden_charging.json, golden_serve_sweep.json, golden_optimise.json),
-# OUT_DIR (scratch).
+# golden_charging.json, golden_serve_sweep.json, golden_optimise.json,
+# golden_ensemble.json, golden_autotune.json), OUT_DIR (scratch).
 
 foreach(required EHSIM SPEC_DIR OUT_DIR)
   if(NOT DEFINED ${required})
@@ -23,37 +23,36 @@ set(SERVE_DIR ${OUT_DIR}/serve)
 file(REMOVE_RECURSE ${ONESHOT_DIR} ${SERVE_DIR})
 file(MAKE_DIRECTORY ${ONESHOT_DIR} ${SERVE_DIR})
 
-# ---- cold one-shot reference runs ------------------------------------------
-execute_process(
-  COMMAND ${EHSIM} run ${SPEC_DIR}/golden_charging.json --out ${ONESHOT_DIR} --quiet
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "one-shot run failed (${rc})")
-endif()
-execute_process(
-  COMMAND ${EHSIM} sweep ${SPEC_DIR}/golden_serve_sweep.json --out ${ONESHOT_DIR} --quiet
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "one-shot sweep failed (${rc})")
-endif()
-execute_process(
-  COMMAND ${EHSIM} optimise ${SPEC_DIR}/golden_optimise.json --out ${ONESHOT_DIR} --quiet
-  RESULT_VARIABLE rc)
-if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "one-shot optimise failed (${rc})")
-endif()
+# ---- one-shot reference runs -----------------------------------------------
+foreach(job
+    "run;golden_charging.json"
+    "sweep;golden_serve_sweep.json"
+    "optimise;golden_optimise.json"
+    "ensemble;golden_ensemble.json"
+    "verify-accuracy;golden_charging.json"
+    "autotune;golden_autotune.json")
+  list(GET job 0 verb)
+  list(GET job 1 spec)
+  execute_process(
+    COMMAND ${EHSIM} ${verb} ${SPEC_DIR}/${spec} --out ${ONESHOT_DIR} --quiet
+    RESULT_VARIABLE rc)
+  if(NOT rc EQUAL 0)
+    message(FATAL_ERROR "one-shot ${verb} ${spec} failed (${rc})")
+  endif()
+endforeach()
 
 # ---- scripted daemon session -----------------------------------------------
-# Request 2 repeats request 1's spec, so it must be served from the prepared-
-# session pool (the stats assertion below).
 set(SCRIPT ${OUT_DIR}/serve_script.ndjson)
 file(WRITE ${SCRIPT} "\
 {\"id\": 1, \"type\": \"run\", \"spec_path\": \"${SPEC_DIR}/golden_charging.json\"}
 {\"id\": 2, \"type\": \"run\", \"spec_path\": \"${SPEC_DIR}/golden_charging.json\"}
 {\"id\": 3, \"type\": \"sweep\", \"spec_path\": \"${SPEC_DIR}/golden_serve_sweep.json\"}
 {\"id\": 4, \"type\": \"optimise\", \"spec_path\": \"${SPEC_DIR}/golden_optimise.json\"}
-{\"id\": 5, \"type\": \"stats\"}
-{\"id\": 6, \"type\": \"shutdown\"}
+{\"id\": 5, \"type\": \"ensemble\", \"spec_path\": \"${SPEC_DIR}/golden_ensemble.json\"}
+{\"id\": 6, \"type\": \"accuracy\", \"spec_path\": \"${SPEC_DIR}/golden_charging.json\"}
+{\"id\": 7, \"type\": \"autotune\", \"spec_path\": \"${SPEC_DIR}/golden_autotune.json\"}
+{\"id\": 8, \"type\": \"stats\"}
+{\"id\": 9, \"type\": \"shutdown\"}
 ")
 
 execute_process(
@@ -70,39 +69,33 @@ endif()
 if(NOT events MATCHES "\"event\":\"shutdown\"")
   message(FATAL_ERROR "serve session never acknowledged shutdown:\n${events}")
 endif()
-# The repeated run (id 2) must have been served from the session pool.
-if(NOT events MATCHES "\"session_pool\":{[^}]*\"hits\":([1-9][0-9]*)")
-  message(FATAL_ERROR "stats report no session-pool hits:\n${events}")
-endif()
-# The sweep and optimise requests must have consumed the cross-request
-# operating-point caches.
-if(NOT events MATCHES "\"op_cache\":{[^}]*\"seeded_runs\":([1-9][0-9]*)")
-  message(FATAL_ERROR "stats report no cross-request operating-point seeds:\n${events}")
-endif()
 
-# ---- bit-identity: every daemon file equals its cold one-shot twin ---------
+# ---- bit-identity: every daemon file equals its one-shot twin --------------
 file(GLOB reference_files RELATIVE ${ONESHOT_DIR} ${ONESHOT_DIR}/*)
-list(LENGTH reference_files reference_count)
-if(reference_count EQUAL 0)
-  message(FATAL_ERROR "one-shot reference directory is empty")
+file(GLOB served_files RELATIVE ${SERVE_DIR} ${SERVE_DIR}/*)
+if(NOT reference_files STREQUAL served_files)
+  message(FATAL_ERROR "daemon wrote ${served_files}, one-shots wrote ${reference_files}")
 endif()
-foreach(name ${reference_files})
-  if(NOT EXISTS ${SERVE_DIR}/${name})
-    message(FATAL_ERROR "daemon did not write ${name}")
+list(LENGTH reference_files reference_count)
+foreach(suffix .result.json .trace.csv .optimise.json .ensemble.json .accuracy.json
+        .autotune.json)
+  if(NOT reference_files MATCHES "\\${suffix}")
+    message(FATAL_ERROR "no ${suffix} file among ${reference_files}")
   endif()
+endforeach()
+foreach(name ${reference_files})
   if(name MATCHES "\\.csv$")
     set(ignore_args "")
   else()
-    set(ignore_args --ignore cpu_seconds,warm_start,shared_diode_table)
+    set(ignore_args --ignore cpu_seconds,shared_diode_table)
   endif()
   execute_process(
     COMMAND ${EHSIM} compare ${ONESHOT_DIR}/${name} ${SERVE_DIR}/${name}
             --rtol 0 --atol 0 ${ignore_args}
     RESULT_VARIABLE rc)
   if(NOT rc EQUAL 0)
-    message(FATAL_ERROR "serve result ${name} is not bit-identical to the cold one-shot")
+    message(FATAL_ERROR "serve result ${name} is not bit-identical to the one-shot")
   endif()
 endforeach()
 
-message(STATUS "serve session bit-identical to cold one-shots across "
-               "${reference_count} files, with cross-request cache hits")
+message(STATUS "serve session bit-identical to one-shots across ${reference_count} files")

@@ -66,8 +66,7 @@ void NrEngine::add_observer(core::SolutionObserver observer) {
 
 void NrEngine::solve_initial_terminals() {
   // DC-consistent terminals for the fixed initial state: Newton on y only,
-  // using the algebraic block Jyy. A warm-started solve begins at the seeded
-  // terminals instead of zero but converges to the identical tolerance.
+  // using the algebraic block Jyy.
   auto x = std::span<double>(u_.data(), num_states_);
   auto y = std::span<double>(u_.data() + num_states_, num_nets_);
   linalg::LuFactorization lu;
@@ -109,23 +108,10 @@ void NrEngine::solve_initial_terminals() {
   }
 }
 
-bool NrEngine::seed_initial_terminals(std::span<const double> y) {
-  if (y.size() != num_nets_) {
-    return false;
-  }
-  init_seed_.assign(y.begin(), y.end());
-  init_seed_armed_ = true;
-  return true;
-}
-
 void NrEngine::initialise(double t0) {
   t_ = t0;
   std::fill(u_.begin(), u_.end(), 0.0);
   system_->initial_state(std::span<double>(u_.data(), num_states_));
-  if (init_seed_armed_) {
-    std::copy(init_seed_.begin(), init_seed_.end(), u_.begin() + static_cast<std::ptrdiff_t>(num_states_));
-    init_seed_armed_ = false;
-  }
   solve_initial_terminals();
 
   std::copy(u_.begin(), u_.end(), u_prev_.begin());
@@ -358,7 +344,6 @@ void NrEngine::restore_checkpoint_state(const io::JsonValue& snapshot) {
   last_notify_time_ = io::real_from_json(io::require_key(snapshot, what, "last_notify_time"),
                                          what + ".last_notify_time");
   stats_ = io::solver_stats_from_json(io::require_key(snapshot, what, "stats"), what + ".stats");
-  init_seed_armed_ = false;
   initialised_ = true;
 
   const double saved = io::real_from_json(io::require_key(snapshot, what, "residual"),

@@ -77,7 +77,6 @@ class NrEngine final : public core::AnalogEngine {
   NrEngine(core::SystemAssembler& system, NrEngineConfig config = {});
 
   void initialise(double t0) override;
-  bool seed_initial_terminals(std::span<const double> y) override;
   void advance_to(double t_end) override;
 
   [[nodiscard]] double time() const override { return t_; }
@@ -136,9 +135,6 @@ class NrEngine final : public core::AnalogEngine {
   ode::NewtonWorkspace newton_ws_;
   ode::StepController controller_;
 
-  // Warm-start seed for the next initialise() (empty: cold start from y=0).
-  std::vector<double> init_seed_;
-  bool init_seed_armed_ = false;
   std::uint64_t init_iterations_ = 0;
 
   std::uint64_t last_epoch_ = 0;

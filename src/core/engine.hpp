@@ -30,16 +30,6 @@ class AnalogEngine {
   /// the blocks, algebraic variables solved).
   virtual void initialise(double t0) = 0;
 
-  /// Seed the next initialise()'s consistency iterations from a previously
-  /// converged terminal vector instead of zero (warm start). The seeded
-  /// solve still iterates to the engine's own init tolerance, so the result
-  /// is correct regardless of seed quality; a good seed merely converges in
-  /// fewer iterations (SolverStats::init_iterations). The seed is consumed
-  /// by the next initialise(). Returns false (and arms nothing) when the
-  /// engine cannot accept it — e.g. the size does not match the model's
-  /// terminal count. Default: warm starts unsupported.
-  virtual bool seed_initial_terminals(std::span<const double> /*y*/) { return false; }
-
   /// Advance the transient solution to exactly \p t_end (>= time()).
   virtual void advance_to(double t_end) = 0;
 

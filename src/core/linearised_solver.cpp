@@ -63,31 +63,13 @@ void LinearisedSolver::add_observer(SolutionObserver observer) {
   observers_.push_back(std::move(observer));
 }
 
-bool LinearisedSolver::seed_initial_terminals(std::span<const double> y) {
-  if (y.size() != y_.size()) {
-    return false;
-  }
-  init_seed_.assign(y.begin(), y.end());
-  init_seed_armed_ = true;
-  return true;
-}
-
 void LinearisedSolver::initialise(double t0) {
   t_ = t0;
   system_->initial_state(x_.span());
-  if (init_seed_armed_) {
-    for (std::size_t i = 0; i < y_.size(); ++i) {
-      y_[i] = init_seed_[i];
-    }
-    init_seed_armed_ = false;
-  } else {
-    y_.fill(0.0);
-  }
+  y_.fill(0.0);
 
   // Consistency iterations for the initial operating point only; the
-  // march-in-time process itself never iterates (paper §II). A warm-started
-  // solve begins at the seed instead of zero but converges to the identical
-  // tolerance.
+  // march-in-time process itself never iterates (paper §II).
   Linearisation& lin = linearisation_;
   bool converged = false;
   std::uint64_t init_iterations = 0;
@@ -544,7 +526,6 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
   last_notify_time_ = io::real_from_json(io::require_key(state, what, "last_notify_time"),
                                          what + ".last_notify_time");
   stats_ = io::solver_stats_from_json(io::require_key(state, what, "stats"), what + ".stats");
-  init_seed_armed_ = false;
   initialised_ = true;
 
   // Consistency proof: the restored model must reproduce the checkpointed

@@ -70,7 +70,6 @@ class LinearisedSolver final : public AnalogEngine {
   LinearisedSolver(SystemAssembler& system, SolverConfig config = {});
 
   void initialise(double t0) override;
-  bool seed_initial_terminals(std::span<const double> y) override;
   void advance_to(double t_end) override;
 
   [[nodiscard]] double time() const override { return t_; }
@@ -194,10 +193,6 @@ class LinearisedSolver final : public AnalogEngine {
   ode::AbHistory history_;
   ode::StepController controller_;
   LleMonitor lle_;
-
-  // Warm-start seed for the next initialise() (empty: cold start from y=0).
-  std::vector<double> init_seed_;
-  bool init_seed_armed_ = false;
 
   double h_stability_ = std::numeric_limits<double>::infinity();
   std::size_t steps_since_stability_ = 0;

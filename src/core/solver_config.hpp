@@ -60,9 +60,7 @@ struct SolverConfig {
 /// Run statistics of either engine.
 struct SolverStats {
   std::uint64_t steps = 0;
-  /// Consistency iterations spent establishing the initial operating point
-  /// (the quantity cross-job warm starts amortise; see
-  /// AnalogEngine::seed_initial_terminals).
+  /// Consistency iterations spent establishing the initial operating point.
   std::uint64_t init_iterations = 0;
   std::uint64_t jacobian_builds = 0;
   std::uint64_t jacobian_reuses = 0;        ///< refreshes served from the cache

@@ -4,8 +4,8 @@
 /// The repo's headline contract — every parallel batch, lockstep march,
 /// serve response and resumed checkpoint is bit-identical to a serial cold
 /// run — rests on data-race freedom in a handful of locked subsystems
-/// (ThreadPool, JobQueue, SessionPool, Server, the diode-table and
-/// operating-point caches). This header makes that freedom machine-checked:
+/// (ThreadPool, JobQueue, Server, the diode-table cache). This header makes
+/// that freedom machine-checked:
 /// it defines the Clang `-Wthread-safety` annotation macros and annotated
 /// Mutex / CondVar / MutexLock wrappers, so an unguarded access to a
 /// `EHSIM_GUARDED_BY` field is a *build break* on the clang CI leg

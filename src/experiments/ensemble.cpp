@@ -104,7 +104,6 @@ EnsembleResult run_ensemble(const EnsembleSpec& ensemble, const BatchOptions& op
   if (batch.threads == 0) {
     batch.threads = ensemble.threads;
   }
-  batch.warm_start = batch.warm_start || ensemble.warm_start;
 
   EnsembleResult result;
   result.name = ensemble.base.name;

@@ -7,8 +7,8 @@
 /// different walk seeds and reduces the per-replica scalars to ensemble
 /// statistics (mean, standard error of the mean, min, max) per probe and
 /// for the built-in summary figures. Replicas ride the ordinary
-/// run_scenario_batch fan-out — lockstep kernels, warm starts and the
-/// shared diode-table cache all apply — and the reduction accumulates in
+/// run_scenario_batch fan-out — lockstep kernels and the shared diode-table
+/// cache both apply — and the reduction accumulates in
 /// job order, so the statistics are bit-identical for any worker count.
 #pragma once
 
@@ -32,7 +32,6 @@ struct EnsembleSpec {
   std::size_t num_seeds = 0;
   /// Worker threads for the replica batch (0: hardware concurrency).
   std::size_t threads = 0;
-  bool warm_start = false;
   BatchKernel batch_kernel = BatchKernel::kJobs;
 
   /// Throws ModelError: base invalid, no random-walk event, fewer than two
@@ -89,7 +88,7 @@ struct EnsembleResult {
 
 /// Run the ensemble through run_scenario_batch and reduce. Like run_sweep,
 /// the explicit BatchOptions overload takes the caller's kernel choice
-/// verbatim (threads 0 and warm_start false fall back to the spec); the
+/// verbatim (threads 0 falls back to the spec); the
 /// convenience overload resolves every option from the spec itself.
 [[nodiscard]] EnsembleResult run_ensemble(const EnsembleSpec& ensemble,
                                           const BatchOptions& options,

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <charconv>
 #include <cmath>
-#include <optional>
 #include <utility>
 
 #include "common/error.hpp"
@@ -159,8 +158,8 @@ ExperimentSpec optimise_candidate(const OptimiseSpec& spec, const std::vector<do
 
 std::vector<std::string> optimise_spec_keys() {
   return {"name",      "base",     "variable",   "variables",       "lower",
-          "upper",     "objective", "statistic", "maximise",        "warm_start",
-          "max_evaluations", "x_tolerance"};
+          "upper",     "objective", "statistic", "maximise",        "max_evaluations",
+          "x_tolerance"};
 }
 
 std::vector<std::string> optimise_variable_keys() {
@@ -168,109 +167,12 @@ std::vector<std::string> optimise_variable_keys() {
 }
 
 OptimiseResult run_optimise(const OptimiseSpec& spec) {
-  return run_optimise(spec, nullptr);
-}
-
-OptimiseResult run_optimise(const OptimiseSpec& spec, OptimiseRuntime* runtime) {
   spec.validate();
 
   OptimiseResult result;
   result.name = spec.name;
   result.statistic = spec.statistic;
   result.maximise = spec.maximise;
-  result.warm_start = spec.warm_start;
-
-  // Line-search candidates are structurally identical models at nearby
-  // parameter values — the ideal warm-start consumer. The cache is local to
-  // this (strictly serial) search, so the seed any evaluation sees is a pure
-  // function of the evaluation sequence: the run stays deterministic.
-  // \p count_counters: the final best_run re-run accumulates iterations but
-  // not hit/reject counts — those are documented per *evaluation*.
-  OperatingPointCache cache;
-  OperatingPointCache* cross = runtime != nullptr ? runtime->cross_cache : nullptr;
-  const auto run_candidate = [&spec, &result, &cache, cross,
-                              runtime](const ExperimentSpec& candidate, bool count_counters) {
-    RunOptions options;
-    std::uint64_t signature = 0;
-    std::uint64_t exact_signature = 0;
-    bool cross_seeded = false;
-    // The seed copy must own its storage for the whole run:
-    // options.initial_terminals is a span over it.
-    std::optional<std::vector<double>> seed;
-    if (cross != nullptr) {
-      // Cross-request seeds are keyed by *exact* parameter bits and hold
-      // only cold-converged points, so a hit seeds this candidate with its
-      // own cold operating point: the seeded solve reproduces the cold run
-      // bit for bit. Takes precedence over the per-search quantised cache —
-      // an exact seed is never worse than a neighbour's.
-      exact_signature =
-          operating_point_signature(candidate, experiment_params(candidate), 0.0);
-      if ((seed = cross->find(exact_signature))) {
-        options.initial_terminals = *seed;
-        cross_seeded = true;
-      }
-    }
-    if (spec.warm_start) {
-      signature = operating_point_signature(candidate, experiment_params(candidate));
-      if (!cross_seeded && (seed = cache.find(signature))) {
-        options.initial_terminals = *seed;
-      }
-    }
-    ScenarioResult run = run_experiment(candidate, options);
-    result.init_iterations += run.stats.init_iterations;
-    if (spec.warm_start) {
-      switch (run.warm_start) {
-        case WarmStartOutcome::kSeeded:
-          if (count_counters) {
-            ++result.warm_start_hits;
-          }
-          if (cross_seeded && !cache.contains(signature)) {
-            // The per-search cache must still learn this signature exactly
-            // as a cold first visit would have (the terminals are the same
-            // bits either way), or later quantised collisions would run
-            // cold where the one-shot search seeds them.
-            cache.store(signature, run.initial_terminals);
-          }
-          break;
-        case WarmStartOutcome::kRejected:
-          if (count_counters) {
-            ++result.warm_start_rejects;
-          }
-          // The seed failed for this signature but the cold fallback did
-          // converge — evict the bad seed so later same-signature
-          // evaluations don't repeat the identical deterministic failure.
-          // Serial driver: replacement keeps the run deterministic.
-          cache.replace(signature, run.initial_terminals);
-          break;
-        case WarmStartOutcome::kCold:
-          // First visit to this signature: its converged operating point
-          // seeds every later candidate that collides with it.
-          cache.store(signature, run.initial_terminals);
-          break;
-      }
-    }
-    if (cross != nullptr) {
-      if (cross_seeded) {
-        if (run.warm_start == WarmStartOutcome::kSeeded) {
-          ++runtime->cross_hits;
-        } else {
-          // The exact seed was rejected (the stored point no longer
-          // converges — e.g. solver knobs changed between requests): heal
-          // the entry with the fresh cold point.
-          cross->replace(exact_signature, run.initial_terminals);
-        }
-      } else if (run.warm_start == WarmStartOutcome::kCold &&
-                 !run.initial_terminals.empty() &&
-                 !cross->contains(exact_signature)) {
-        // Only cold-converged points enter the cross cache (bit-identity
-        // contract — see OptimiseRuntime); a quantised-seeded evaluation's
-        // terminals are its neighbour's point, not this candidate's.
-        cross->store(exact_signature, run.initial_terminals);
-        ++runtime->cross_stores;
-      }
-    }
-    return run;
-  };
 
   const auto objective_of = [&spec](const ScenarioResult& run) {
     for (const ProbeResult& probe : run.probes) {
@@ -287,7 +189,7 @@ OptimiseResult run_optimise(const OptimiseSpec& spec, OptimiseRuntime* runtime) 
     // golden-section driver, bit-identical to the pre-multi-variable one.
     result.variable = axes.front().path;
     const auto evaluate = [&](double x) {
-      const ScenarioResult run = run_candidate(optimise_candidate(spec, x), true);
+      const ScenarioResult run = run_experiment(optimise_candidate(spec, x));
       const double value = objective_of(run);
       result.evaluations.push_back(OptimiseEvaluation{x, {}, 0, 0, value});
       return spec.maximise ? value : -value;
@@ -301,10 +203,8 @@ OptimiseResult run_optimise(const OptimiseSpec& spec, OptimiseRuntime* runtime) 
       result.best.value = -result.best.value;
     }
     // Re-run the winner for the full result document; the simulation is
-    // deterministic, so this reproduces the search's evaluation bit for bit
-    // (under warm starts: including the identical seed, which the cache
-    // still holds for the winning candidate's signature).
-    result.best_run = run_candidate(optimise_candidate(spec, result.best.x), false);
+    // deterministic, so this reproduces the search's evaluation bit for bit.
+    result.best_run = run_experiment(optimise_candidate(spec, result.best.x));
     return result;
   }
 
@@ -334,7 +234,7 @@ OptimiseResult run_optimise(const OptimiseSpec& spec, OptimiseRuntime* runtime) 
     current_axis = axis;
   };
   const auto evaluate = [&](const std::vector<double>& xs) {
-    const ScenarioResult run = run_candidate(optimise_candidate(spec, xs), true);
+    const ScenarioResult run = run_experiment(optimise_candidate(spec, xs));
     const double value = objective_of(run);
     result.evaluations.push_back(
         OptimiseEvaluation{0.0, xs, current_sweep, current_axis, value});
@@ -345,7 +245,7 @@ OptimiseResult run_optimise(const OptimiseSpec& spec, OptimiseRuntime* runtime) 
   if (!spec.maximise) {
     result.best_nd.value = -result.best_nd.value;
   }
-  result.best_run = run_candidate(optimise_candidate(spec, result.best_nd.x), false);
+  result.best_run = run_experiment(optimise_candidate(spec, result.best_nd.x));
   return result;
 }
 

@@ -65,14 +65,6 @@ struct OptimiseSpec {
   /// golden_section_maximise budget/tolerance (see OptimiseOptions).
   std::size_t max_evaluations = 32;
   double x_tolerance = 1e-3;
-  /// Opt-in operating-point warm starts across the evaluation sequence:
-  /// golden-section candidates are structurally identical models evaluated
-  /// at nearby parameter values, so converged t=0 operating points are
-  /// cached by structural signature (see warm_start.hpp) and seed later
-  /// evaluations' consistency iterations. Every seeded solve still
-  /// converges to the engine's init tolerance. Default off: the evaluation
-  /// sequence is byte-identical to the cold driver.
-  bool warm_start = false;
 
   /// Throws ModelError naming the first inconsistency (degenerate bracket,
   /// unknown/duplicate/integer-valued variable path, both variable forms at
@@ -120,33 +112,6 @@ struct OptimiseResult {
   /// The full experiment re-run at the optimum — deterministic, so
   /// bit-identical to the evaluation the search saw.
   ScenarioResult best_run{};
-
-  /// Warm-start bookkeeping (all zero when the spec ran cold).
-  bool warm_start = false;            ///< the spec enabled warm starts
-  std::size_t warm_start_hits = 0;    ///< evaluations seeded from the cache
-  std::size_t warm_start_rejects = 0; ///< seeds rejected → cold fallback
-  /// Total consistency iterations across every evaluation and the best-run
-  /// re-run (the quantity warm starts reduce).
-  std::uint64_t init_iterations = 0;
-};
-
-/// Cross-request execution context for run_optimise — what the serve daemon
-/// threads through repeated optimise requests. `cross_cache`, when non-null,
-/// is a caller-owned operating-point cache keyed by *exact* signatures
-/// (warm_start_quantum 0): an evaluation whose exact parameter vector is
-/// already cached is seeded from it — the seed is that candidate's own
-/// cold-converged point, so the seeded solve is bit-identical to cold — and
-/// evaluations that converge cold store their point back. The evaluation
-/// *sequence* (and hence the result document) is unchanged whether the
-/// cross cache is present, empty or warm; only consistency-iteration work
-/// shrinks. Works with or without spec.warm_start (whose per-search
-/// quantised cache and counters behave exactly as before). `cross_hits` /
-/// `cross_stores` report what this call consumed from and contributed to
-/// the cache.
-struct OptimiseRuntime {
-  OperatingPointCache* cross_cache = nullptr;
-  std::size_t cross_hits = 0;    ///< evaluations seeded from cross_cache
-  std::size_t cross_stores = 0;  ///< cold operating points stored back
 };
 
 /// Execute the optimisation loop serially (every evaluation depends on the
@@ -159,12 +124,6 @@ struct OptimiseRuntime {
 /// is bit-identical to driving the C++ API directly. Throws ModelError on an
 /// invalid spec.
 [[nodiscard]] OptimiseResult run_optimise(const OptimiseSpec& spec);
-
-/// run_optimise with a cross-request runtime (see OptimiseRuntime). A null
-/// \p runtime (or a null cross_cache inside it) behaves exactly like the
-/// plain overload.
-[[nodiscard]] OptimiseResult run_optimise(const OptimiseSpec& spec,
-                                          OptimiseRuntime* runtime);
 
 /// Top-level document keys of an optimise spec (besides "type"), in schema
 /// order — the io parser's allowed set and `ehsim params` both derive from

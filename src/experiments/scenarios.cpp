@@ -6,7 +6,6 @@
 #include <filesystem>
 #include <limits>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 
 #include "common/error.hpp"
@@ -93,25 +92,6 @@ sim::HarvesterSession make_experiment_session(const ExperimentSpec& spec,
   return session;
 }
 
-ScenarioResult run_experiment(const ExperimentSpec& spec,
-                              const harvester::HarvesterParams* params_override) {
-  RunOptions options;
-  options.params_override = params_override;
-  return run_experiment(spec, options);
-}
-
-std::vector<double> compute_initial_operating_point(
-    const ExperimentSpec& spec, const harvester::HarvesterParams* params_override,
-    std::uint64_t* init_iterations) {
-  sim::HarvesterSession producer = make_experiment_session(spec, params_override);
-  producer.initialise(0.0);
-  if (init_iterations != nullptr) {
-    *init_iterations = producer.stats().init_iterations;
-  }
-  const std::span<const double> y = producer.terminals();
-  return {y.begin(), y.end()};
-}
-
 namespace {
 
 /// A session wired and initialised for run_experiment, stopped right before
@@ -123,20 +103,13 @@ struct PreparedExperiment {
   std::unique_ptr<sim::HarvesterSession> session;
   std::unique_ptr<BinnedAccumulator> power_bins;
   std::size_t bins = 0;
-  WarmStartOutcome warm_start = WarmStartOutcome::kCold;
-  /// A warm seed was offered but rejected or failed to converge; the caller
-  /// must rebuild and restart cold (correctness first — a warm start is
-  /// only ever an accelerator).
-  bool seed_failed = false;
-  /// Converged t=0 terminal vector, captured before the transient
-  /// overwrites it (later warm starts reuse it).
-  std::vector<double> initial_terminals;
 };
 
-PreparedExperiment prepare_experiment(const ExperimentSpec& spec, const RunOptions& options) {
+PreparedExperiment prepare_experiment(const ExperimentSpec& spec,
+                                      const harvester::HarvesterParams* params_override) {
   PreparedExperiment prep;
   prep.session = std::make_unique<sim::HarvesterSession>(
-      make_experiment_session(spec, options.params_override));
+      make_experiment_session(spec, params_override));
   sim::HarvesterSession& run = *prep.session;
 
   prep.bins = static_cast<std::size_t>(std::ceil(spec.duration / spec.power_bin_width)) + 1;
@@ -155,27 +128,7 @@ PreparedExperiment prepare_experiment(const ExperimentSpec& spec, const RunOptio
       "power_bins", [power_bins] { return power_bins->checkpoint_state(); },
       [power_bins](const io::JsonValue& state) { power_bins->restore_checkpoint_state(state); });
   install_probes(run, spec.probes, spec.duration);
-
-  if (!options.initial_terminals.empty()) {
-    bool seeded = run.seed_initial_terminals(options.initial_terminals);
-    if (seeded) {
-      try {
-        run.initialise(0.0);
-      } catch (const SolverError&) {
-        // The seeded consistency iterations failed to converge.
-        seeded = false;
-      }
-    }
-    if (!seeded) {  // terminal-count mismatch or seeded non-convergence
-      prep.seed_failed = true;
-      return prep;
-    }
-    prep.warm_start = WarmStartOutcome::kSeeded;
-  } else {
-    run.initialise(0.0);
-  }
-  const std::span<const double> y0 = run.terminals();
-  prep.initial_terminals.assign(y0.begin(), y0.end());
+  run.initialise(0.0);
   return prep;
 }
 
@@ -195,8 +148,6 @@ ScenarioResult collect_experiment(const ExperimentSpec& spec, PreparedExperiment
   result.cpu_seconds = cpu_seconds;
   result.stats = run.stats();
   result.shared_diode_table = run.system().multiplier().table_shared();
-  result.warm_start = prep.warm_start;
-  result.initial_terminals = prep.initial_terminals;
   const core::TraceRecorder& trace = run.session().trace();
   result.time = trace.times();
   result.vc = trace.column("Vc");
@@ -244,54 +195,16 @@ ScenarioResult collect_experiment(const ExperimentSpec& spec, PreparedExperiment
 // Checkpoint / restart plumbing
 // ---------------------------------------------------------------------------
 
-const char* warm_outcome_id(WarmStartOutcome outcome) {
-  switch (outcome) {
-    case WarmStartOutcome::kCold:
-      return "cold";
-    case WarmStartOutcome::kSeeded:
-      return "seeded";
-    case WarmStartOutcome::kRejected:
-      return "rejected";
-  }
-  return "?";
-}
-
-WarmStartOutcome parse_warm_outcome(const std::string& id, const std::string& what) {
-  for (const WarmStartOutcome outcome :
-       {WarmStartOutcome::kCold, WarmStartOutcome::kSeeded, WarmStartOutcome::kRejected}) {
-    if (id == warm_outcome_id(outcome)) {
-      return outcome;
-    }
-  }
-  throw ModelError(what + ": unknown warm-start outcome '" + id + "'");
-}
-
-/// prepare_experiment plus the standard rejected-seed-restarts-cold fallback
-/// (the exact behaviour of prepare_run and the lockstep prepare loop).
-PreparedExperiment prepare_with_fallback(const ExperimentSpec& spec, const RunOptions& options) {
-  PreparedExperiment prep = prepare_experiment(spec, options);
-  if (prep.seed_failed) {
-    RunOptions cold = options;
-    cold.initial_terminals = {};
-    prep = prepare_experiment(spec, cold);
-    prep.warm_start = WarmStartOutcome::kRejected;
-  }
-  return prep;
-}
-
 /// Workload-layer metadata embedded in every job checkpoint: the spec it was
 /// cut from (verified at resume — a checkpoint never silently continues a
-/// different experiment), the boundary coordinates and the prepare-time
-/// fields the result reports but the Session cannot serialise itself.
-io::JsonValue checkpoint_meta(const ExperimentSpec& spec, const PreparedExperiment& prep,
-                              double sim_time, std::uint64_t index,
+/// different experiment), the boundary coordinates and the batch counters
+/// the result reports but the Session cannot serialise itself.
+io::JsonValue checkpoint_meta(const ExperimentSpec& spec, double sim_time, std::uint64_t index,
                               const sim::LockstepCounters* counters, BatchKernel kernel) {
   io::JsonValue meta = io::JsonValue::make_object();
   meta.set("spec", io::to_json(spec));
   meta.set("sim_time", io::real_to_json(sim_time));
   meta.set("checkpoint_index", io::u64_to_json(index));
-  meta.set("warm_start", warm_outcome_id(prep.warm_start));
-  meta.set("initial_terminals", io::reals_to_json(prep.initial_terminals));
   // Position in the expanded excitation stream (random-walk updates
   // included) — resume re-expands the schedule from its seed and verifies
   // the cursor, so a restored run provably resumes the drift mid-walk.
@@ -312,8 +225,6 @@ io::JsonValue checkpoint_meta(const ExperimentSpec& spec, const PreparedExperime
 struct CheckpointMetaInfo {
   double sim_time = 0.0;
   std::uint64_t index = 0;
-  WarmStartOutcome warm_start = WarmStartOutcome::kCold;
-  std::vector<double> initial_terminals;
   bool has_batch = false;
   std::string kernel_id;
   sim::LockstepCounters counters{};
@@ -323,8 +234,7 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
                                          const ExperimentSpec& spec, const std::string& what) {
   const io::JsonValue& meta = checkpoint.meta;
   io::check_state_keys(meta, what,
-                       {"spec", "sim_time", "checkpoint_index", "warm_start",
-                        "initial_terminals", "drift_cursor", "batch"});
+                       {"spec", "sim_time", "checkpoint_index", "drift_cursor", "batch"});
   const ExperimentSpec saved = io::experiment_from_json(io::require_key(meta, what, "spec"));
   if (!(saved == spec)) {
     throw ModelError(what + ": embedded spec does not match job '" + spec.name +
@@ -335,10 +245,6 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
       io::real_from_json(io::require_key(meta, what, "sim_time"), what + ".sim_time");
   info.index = io::u64_from_json(io::require_key(meta, what, "checkpoint_index"),
                                  what + ".checkpoint_index");
-  info.warm_start =
-      parse_warm_outcome(io::require_key(meta, what, "warm_start").as_string(), what);
-  info.initial_terminals = io::reals_from_json(io::require_key(meta, what, "initial_terminals"),
-                                               what + ".initial_terminals");
   const std::uint64_t drift_cursor = io::u64_from_json(
       io::require_key(meta, what, "drift_cursor"), what + ".drift_cursor");
   const std::uint64_t expected_cursor =
@@ -365,16 +271,6 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
   return info;
 }
 
-/// Restore one prepared job from a parsed checkpoint: the session state plus
-/// the prepare-time fields the result reports (warm-start outcome and the
-/// t = 0 terminals, which the restored engine no longer holds).
-void restore_prepared(PreparedExperiment& prep, const CheckpointMetaInfo& info,
-                      const sim::Checkpoint& checkpoint) {
-  prep.warm_start = info.warm_start;
-  prep.initial_terminals = info.initial_terminals;
-  prep.session->restore_checkpoint(checkpoint);
-}
-
 std::string staging_path(const std::string& path) { return path + ".next"; }
 
 /// Serialise one job checkpoint into the staging file next to \p path. The
@@ -384,8 +280,8 @@ std::string staging_path(const std::string& path) { return path + ".next"; }
 void write_staged_checkpoint(const ExperimentSpec& spec, PreparedExperiment& prep,
                              const std::string& path, double sim_time, std::uint64_t index,
                              const sim::LockstepCounters* counters, BatchKernel kernel) {
-  const sim::Checkpoint checkpoint = prep.session->save_checkpoint(
-      checkpoint_meta(spec, prep, sim_time, index, counters, kernel));
+  const sim::Checkpoint checkpoint =
+      prep.session->save_checkpoint(checkpoint_meta(spec, sim_time, index, counters, kernel));
   checkpoint.write_file(staging_path(path));
 }
 
@@ -486,7 +382,7 @@ bool resume_lockstep_jobs(const std::vector<ScenarioJob>& jobs,
                        "' has no state at boundary " + std::to_string(hi) +
                        " — the checkpoint set is torn");
     }
-    restore_prepared(prepared[i], pick->info, pick->checkpoint);
+    prepared[i].session->restore_checkpoint(pick->checkpoint);
     job_time[i] = pick->info.sim_time;
     if (i == 0) {
       total = pick->info.counters;
@@ -528,16 +424,14 @@ double excitation_divergence(const ExcitationSchedule& a, const ExcitationSchedu
 }
 
 /// The lockstep execution path of run_scenario_batch: prepare every job
-/// serially (warm seeds compose exactly as under kJobs), derive the clone /
-/// sharing structure from the job list, march the whole batch on one clock
-/// and collect results in job order. With \p checkpointing non-null the
+/// serially, derive the clone / sharing structure from the job list, march
+/// the whole batch on one clock and collect results in job order. With \p checkpointing non-null the
 /// march is cut into global chunks of `every` simulated seconds — a fresh
 /// lockstep march per chunk, work-sharing caches reset at each boundary —
 /// and every job checkpoints at every boundary; returns std::nullopt only
 /// when the abort_after test hook stopped the batch.
 std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
     const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
-    const std::vector<std::uint64_t>& signatures, OperatingPointCache& cache,
     sim::LockstepCounters* counters_out, const CheckpointOptions* checkpointing) {
   const std::string kernel_id = batch_kernel_id(options.batch_kernel);
   for (const ScenarioJob& job : jobs) {
@@ -556,15 +450,7 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
   for (std::size_t i = 0; i < n; ++i) {
     const ScenarioJob& job = jobs[i];
     params.push_back(job.params ? *job.params : experiment_params(job.spec));
-    RunOptions run_options;
-    run_options.params_override = job.params ? &*job.params : nullptr;
-    // The seed copy must own its storage for the whole prepare call:
-    // initial_terminals is a span over it.
-    std::optional<std::vector<double>> seed;
-    if (options.warm_start && (seed = cache.find(signatures[i]))) {
-      run_options.initial_terminals = *seed;
-    }
-    prepared.push_back(prepare_with_fallback(job.spec, run_options));
+    prepared.push_back(prepare_experiment(job.spec, job.params ? &*job.params : nullptr));
   }
 
   // Checkpoint / resume bookkeeping. Every job's simulated time (restored
@@ -593,12 +479,12 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
   }
 
   // Clone relations and sharing horizons. Two jobs are clones up to time d
-  // when their dynamics-relevant spec fields agree, their excitation event
-  // lists agree before d, and they demonstrably started from the same
-  // operating point (bitwise-equal t=0 terminals, same warm-start outcome).
-  // share_after is the earliest time this member's trajectory is allowed to
-  // deviate from its per-job reference: +inf while every same-class peer is
-  // a bitwise duplicate, so such batches stay exact end to end.
+  // when their device parameters and dynamics-relevant spec fields agree and
+  // their excitation event lists agree before d (every job starts cold, so
+  // such jobs start from the same operating point). share_after is the
+  // earliest time this member's trajectory is allowed to deviate from its
+  // per-job reference: +inf while every same-class peer is a bitwise
+  // duplicate, so such batches stay exact end to end.
   constexpr double kInf = std::numeric_limits<double>::infinity();
   std::vector<std::size_t> clone_leader(n, sim::LockstepMember::kNoLeader);
   std::vector<double> diverges_at(n, 0.0);
@@ -609,9 +495,7 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
         continue;
       }
       double divergence = 0.0;
-      if (clone_compatible_specs(jobs[i].spec, jobs[j].spec) &&
-          prepared[i].warm_start == prepared[j].warm_start &&
-          prepared[i].initial_terminals == prepared[j].initial_terminals) {
+      if (clone_compatible_specs(jobs[i].spec, jobs[j].spec)) {
         divergence = excitation_divergence(jobs[i].spec.excitation, jobs[j].spec.excitation);
       }
       share_after[i] = std::min(share_after[i], divergence);
@@ -751,32 +635,11 @@ PreparedRun::~PreparedRun() = default;
 
 bool PreparedRun::valid() const noexcept { return impl_ != nullptr; }
 
-WarmStartOutcome PreparedRun::warm_start() const {
-  if (impl_ == nullptr) {
-    throw ModelError("PreparedRun: warm_start() on an invalid run");
-  }
-  return impl_->prep.warm_start;
-}
-
-const std::vector<double>& PreparedRun::initial_terminals() const {
-  if (impl_ == nullptr) {
-    throw ModelError("PreparedRun: initial_terminals() on an invalid run");
-  }
-  return impl_->prep.initial_terminals;
-}
-
-PreparedRun prepare_run(const ExperimentSpec& spec, const RunOptions& options) {
+PreparedRun prepare_run(const ExperimentSpec& spec,
+                        const harvester::HarvesterParams* params_override) {
   PreparedRun run;
   run.impl_ = std::make_unique<PreparedRun::Impl>();
-  run.impl_->prep = prepare_experiment(spec, options);
-  if (run.impl_->prep.seed_failed) {
-    // Same fallback as run_experiment: rebuild the session and restart cold
-    // (a warm start is only ever an accelerator), remembering the rejection.
-    RunOptions cold = options;
-    cold.initial_terminals = {};
-    run.impl_->prep = prepare_experiment(spec, cold);
-    run.impl_->prep.warm_start = WarmStartOutcome::kRejected;
-  }
+  run.impl_->prep = prepare_experiment(spec, params_override);
   return run;
 }
 
@@ -792,8 +655,9 @@ ScenarioResult finish_run(const ExperimentSpec& spec, PreparedRun& run) {
   return result;
 }
 
-ScenarioResult run_experiment(const ExperimentSpec& spec, const RunOptions& options) {
-  PreparedRun run = prepare_run(spec, options);
+ScenarioResult run_experiment(const ExperimentSpec& spec,
+                              const harvester::HarvesterParams* params_override) {
+  PreparedRun run = prepare_run(spec, params_override);
   return finish_run(spec, run);
 }
 
@@ -806,73 +670,7 @@ std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& j
 
 namespace {
 
-struct WarmPhaseResult {
-  std::vector<std::uint64_t> signatures;
-  std::uint64_t producer_iterations = 0;
-};
-
-/// Warm-start phase 1 (serial, opt-in): one cold "producer" init per
-/// structural signature *shared by at least two jobs*. Seeding from the
-/// producer — never from whichever job a worker happened to finish last —
-/// keeps the batch deterministic under any scheduling: every job's seed is
-/// a pure function of the job list. Singleton signatures run cold: a
-/// producer would pay the full cold init serially only for its one
-/// consumer to skip the same iterations — pure overhead.
-WarmPhaseResult warm_start_phase(const std::vector<ScenarioJob>& jobs,
-                                 const BatchOptions& options, OperatingPointCache& cache) {
-  WarmPhaseResult warm;
-  if (!options.warm_start) {
-    return warm;
-  }
-  warm.signatures.reserve(jobs.size());
-  std::unordered_map<std::uint64_t, std::size_t> multiplicity;
-  for (const ScenarioJob& job : jobs) {
-    const harvester::HarvesterParams params =
-        job.params ? *job.params : experiment_params(job.spec);
-    const std::uint64_t signature =
-        operating_point_signature(job.spec, params, options.warm_start_quantum);
-    warm.signatures.push_back(signature);
-    ++multiplicity[signature];
-  }
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    if (multiplicity[warm.signatures[i]] < 2 || cache.contains(warm.signatures[i])) {
-      continue;
-    }
-    std::uint64_t iterations = 0;
-    cache.store(warm.signatures[i],
-                compute_initial_operating_point(
-                    jobs[i].spec, jobs[i].params ? &*jobs[i].params : nullptr, &iterations));
-    warm.producer_iterations += iterations;
-  }
-  return warm;
-}
-
-/// Persist this batch's operating points into a caller-owned cache for later
-/// batches, in job order (scheduling-independent). Only *cold*-converged
-/// points are stored — a seeded job's terminals equal its seed, and a
-/// quantised seed is merely tolerance-converged for this exact parameter
-/// vector; storing it would let a later exact-signature consumer inherit a
-/// neighbour's point and silently lose bit-identity with its cold run.
-void persist_warm_points(const std::vector<ScenarioResult>& results,
-                         const std::vector<std::uint64_t>& signatures,
-                         OperatingPointCache& cache) {
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    if (results[i].initial_terminals.empty()) {
-      continue;
-    }
-    if (results[i].warm_start == WarmStartOutcome::kRejected) {
-      // The cached seed failed but the cold fallback converged — evict the
-      // bad seed so later batches don't repeat the deterministic failure.
-      cache.replace(signatures[i], results[i].initial_terminals);
-    } else if (results[i].warm_start == WarmStartOutcome::kCold &&
-               !cache.contains(signatures[i])) {
-      cache.store(signatures[i], results[i].initial_terminals);
-    }
-  }
-}
-
 void fill_batch_stats(BatchStats* stats, const std::vector<ScenarioResult>& results,
-                      std::uint64_t producer_iterations,
                       const sim::LockstepCounters& counters) {
   if (stats == nullptr) {
     return;
@@ -881,18 +679,6 @@ void fill_batch_stats(BatchStats* stats, const std::vector<ScenarioResult>& resu
   stats->shared_table_hits = static_cast<std::size_t>(
       std::count_if(results.begin(), results.end(),
                     [](const ScenarioResult& r) { return r.shared_diode_table; }));
-  stats->warm_start_hits = static_cast<std::size_t>(
-      std::count_if(results.begin(), results.end(), [](const ScenarioResult& r) {
-        return r.warm_start == WarmStartOutcome::kSeeded;
-      }));
-  stats->warm_start_rejects = static_cast<std::size_t>(
-      std::count_if(results.begin(), results.end(), [](const ScenarioResult& r) {
-        return r.warm_start == WarmStartOutcome::kRejected;
-      }));
-  stats->init_iterations = producer_iterations;
-  for (const ScenarioResult& result : results) {
-    stats->init_iterations += result.stats.init_iterations;
-  }
   stats->lockstep_groups = counters.lockstep_groups;
   stats->shared_factorisations = counters.shared_factorisations;
 }
@@ -910,38 +696,17 @@ std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& j
     return {};
   }
 
-  OperatingPointCache local_cache;
-  // A caller-owned cache (serve) persists entries across batches; entries it
-  // already holds make the producer phase skip those signatures and let even
-  // singleton jobs seed (cache.find covers both).
-  OperatingPointCache& cache =
-      (options.warm_start && options.warm_cache != nullptr) ? *options.warm_cache
-                                                            : local_cache;
-  const WarmPhaseResult warm = warm_start_phase(jobs, options, cache);
-
   std::vector<ScenarioResult> results;
   sim::LockstepCounters lockstep_counters;
   if (options.batch_kernel == BatchKernel::kJobs) {
     sim::BatchRunner runner(options.threads);
-    results = runner.map_items(jobs, [&](const ScenarioJob& job, std::size_t index) {
-      RunOptions run_options;
-      run_options.params_override = job.params ? &*job.params : nullptr;
-      // The seed copy must own its storage for the whole run:
-      // initial_terminals is a span over it.
-      std::optional<std::vector<double>> seed;
-      if (options.warm_start && (seed = cache.find(warm.signatures[index]))) {
-        run_options.initial_terminals = *seed;
-      }
-      return run_experiment(job.spec, run_options);
+    results = runner.map_items(jobs, [](const ScenarioJob& job, std::size_t) {
+      return run_experiment(job.spec, job.params ? &*job.params : nullptr);
     });
   } else {
-    results = *run_lockstep_batch(jobs, options, warm.signatures, cache, &lockstep_counters,
-                                  nullptr);
+    results = *run_lockstep_batch(jobs, options, &lockstep_counters, nullptr);
   }
-  if (options.warm_start && options.warm_cache != nullptr) {
-    persist_warm_points(results, warm.signatures, cache);
-  }
-  fill_batch_stats(stats, results, warm.producer_iterations, lockstep_counters);
+  fill_batch_stats(stats, results, lockstep_counters);
   return results;
 }
 
@@ -950,14 +715,14 @@ std::string checkpoint_file_path(const CheckpointOptions& options, const std::st
       .string();
 }
 
-std::optional<ScenarioResult> run_experiment_checkpointed(const ExperimentSpec& spec,
-                                                          const RunOptions& options,
-                                                          const CheckpointOptions& checkpointing) {
+std::optional<ScenarioResult> run_experiment_checkpointed(
+    const ExperimentSpec& spec, const CheckpointOptions& checkpointing,
+    const harvester::HarvesterParams* params_override) {
   if (checkpointing.dir.empty()) {
     throw ModelError("checkpointing: a checkpoint directory is required");
   }
   std::filesystem::create_directories(checkpointing.dir);
-  PreparedExperiment prep = prepare_with_fallback(spec, options);
+  PreparedExperiment prep = prepare_experiment(spec, params_override);
   const std::string path = checkpoint_file_path(checkpointing, spec.name);
   double t = 0.0;
   std::uint64_t index = 0;
@@ -969,7 +734,7 @@ std::optional<ScenarioResult> run_experiment_checkpointed(const ExperimentSpec& 
       throw ModelError(what + ": written by batch kernel '" + info.kernel_id +
                        "' — resume it through the lockstep sweep that wrote it");
     }
-    restore_prepared(prep, info, checkpoint);
+    prep.session->restore_checkpoint(checkpoint);
     t = info.sim_time;
     index = info.index;
   }
@@ -1011,27 +776,14 @@ std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
     return std::vector<ScenarioResult>{};
   }
 
-  OperatingPointCache local_cache;
-  OperatingPointCache& cache =
-      (options.warm_start && options.warm_cache != nullptr) ? *options.warm_cache
-                                                            : local_cache;
-  const WarmPhaseResult warm = warm_start_phase(jobs, options, cache);
-
   std::vector<ScenarioResult> results;
   sim::LockstepCounters lockstep_counters;
   if (options.batch_kernel == BatchKernel::kJobs) {
     sim::BatchRunner runner(options.threads);
     std::vector<std::optional<ScenarioResult>> partial =
-        runner.map_items(jobs, [&](const ScenarioJob& job, std::size_t index) {
-          RunOptions run_options;
-          run_options.params_override = job.params ? &*job.params : nullptr;
-          // The seed copy must own its storage for the whole run:
-          // initial_terminals is a span over it.
-          std::optional<std::vector<double>> seed;
-          if (options.warm_start && (seed = cache.find(warm.signatures[index]))) {
-            run_options.initial_terminals = *seed;
-          }
-          return run_experiment_checkpointed(job.spec, run_options, checkpointing);
+        runner.map_items(jobs, [&checkpointing](const ScenarioJob& job, std::size_t) {
+          return run_experiment_checkpointed(job.spec, checkpointing,
+                                             job.params ? &*job.params : nullptr);
         });
     results.reserve(partial.size());
     for (std::optional<ScenarioResult>& result : partial) {
@@ -1041,17 +793,14 @@ std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
       results.push_back(std::move(*result));
     }
   } else {
-    std::optional<std::vector<ScenarioResult>> lockstep = run_lockstep_batch(
-        jobs, options, warm.signatures, cache, &lockstep_counters, &checkpointing);
+    std::optional<std::vector<ScenarioResult>> lockstep =
+        run_lockstep_batch(jobs, options, &lockstep_counters, &checkpointing);
     if (!lockstep) {
       return std::nullopt;
     }
     results = std::move(*lockstep);
   }
-  if (options.warm_start && options.warm_cache != nullptr) {
-    persist_warm_points(results, warm.signatures, cache);
-  }
-  fill_batch_stats(stats, results, warm.producer_iterations, lockstep_counters);
+  fill_batch_stats(stats, results, lockstep_counters);
   return results;
 }
 

@@ -21,13 +21,11 @@
 #include <functional>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "experiments/experiment_spec.hpp"
-#include "experiments/warm_start.hpp"
 #include "harvester/harvester_system.hpp"
 #include "sim/harvester_session.hpp"
 
@@ -65,13 +63,6 @@ enum class BatchKernel {
 /// Inverse of batch_kernel_id; throws ModelError on unknown ids.
 [[nodiscard]] BatchKernel parse_batch_kernel(std::string_view id);
 
-/// How a job's initial operating point was established.
-enum class WarmStartOutcome {
-  kCold,      ///< consistency iterations started from zero (the default)
-  kSeeded,    ///< started from a cached operating point (warm-start hit)
-  kRejected,  ///< a seed was offered but rejected/failed — cold fallback
-};
-
 struct ScenarioResult {
   std::string scenario;
   std::string engine;
@@ -81,10 +72,6 @@ struct ScenarioResult {
   /// This job's PWL diode table came out of the process-wide shared-table
   /// cache (see pwl/table_cache.hpp) instead of being built privately.
   bool shared_diode_table = false;
-  WarmStartOutcome warm_start = WarmStartOutcome::kCold;
-  /// Converged t=0 terminal vector, captured right after initialisation —
-  /// the operating point later warm starts reuse (not serialised).
-  std::vector<double> initial_terminals;
   /// Batch kernel that produced this result, plus the batch-wide lockstep
   /// work-sharing counters mirrored onto every result of the batch (see
   /// sim/lockstep_batch.hpp). Serialised as an optional "batch" block only
@@ -114,19 +101,6 @@ struct ScenarioResult {
   double rms_power_after = 0.0;
 };
 
-/// Per-run execution options beyond the spec itself.
-struct RunOptions {
-  /// Used instead of experiment_params(spec) when non-null (perturbed-plant
-  /// runs of the synthetic-measurement generator).
-  const harvester::HarvesterParams* params_override = nullptr;
-  /// Non-empty: seed the engine's initial consistency iterations from this
-  /// previously converged terminal vector. The seeded solve converges to the
-  /// engine's own init tolerance; if the engine rejects the seed or the
-  /// seeded solve fails to converge, the run falls back to a cold start and
-  /// the result reports WarmStartOutcome::kRejected.
-  std::span<const double> initial_terminals{};
-};
-
 /// Run an experiment spec on its engine. When \p params_override is non-null
 /// it is used instead of experiment_params(spec) (used by the synthetic-
 /// measurement generator, which perturbs the plant).
@@ -134,19 +108,15 @@ struct RunOptions {
                                             const harvester::HarvesterParams* params_override =
                                                 nullptr);
 
-/// Run an experiment spec with explicit execution options (warm starts).
-[[nodiscard]] ScenarioResult run_experiment(const ExperimentSpec& spec,
-                                            const RunOptions& options);
-
 /// A fully wired, initialised (but not yet run) experiment: the model,
 /// excitation, probes/observers and the converged t=0 operating point of one
 /// run_experiment call, stopped right before the transient. prepare_run /
-/// finish_run split run_experiment in two so long-lived callers (the serve
-/// session pool) can keep assembled-and-initialised models warm across
-/// requests; for any spec and options,
-/// `finish_run(spec, prepare_run(spec, options))` is bit-identical to
-/// `run_experiment(spec, options)`. Move-only; a prepared run is one-shot —
-/// finish_run consumes it.
+/// finish_run split run_experiment in two so callers can separate model
+/// assembly and initialisation from the transient (benchmarks time the two
+/// halves apart); for any spec and params override,
+/// `finish_run(spec, prepare_run(spec, params_override))` is bit-identical
+/// to `run_experiment(spec, params_override)`. Move-only; a prepared run is
+/// one-shot — finish_run consumes it.
 class PreparedRun {
  public:
   PreparedRun() noexcept;
@@ -158,27 +128,19 @@ class PreparedRun {
 
   /// False for a default-constructed, moved-from or finished run.
   [[nodiscard]] bool valid() const noexcept;
-  /// How the t=0 operating point was established. kRejected means a seed was
-  /// offered but failed — prepare_run already restarted cold, so the run is
-  /// usable either way.
-  [[nodiscard]] WarmStartOutcome warm_start() const;
-  /// Converged t=0 terminal vector (the seed later warm starts reuse).
-  [[nodiscard]] const std::vector<double>& initial_terminals() const;
 
  private:
   struct Impl;
   std::unique_ptr<Impl> impl_;
-  friend PreparedRun prepare_run(const ExperimentSpec&, const RunOptions&);
+  friend PreparedRun prepare_run(const ExperimentSpec&, const harvester::HarvesterParams*);
   friend ScenarioResult finish_run(const ExperimentSpec&, PreparedRun&);
 };
 
 /// First half of run_experiment: build the session, install probes and the
-/// power-bin observer, establish the t=0 operating point (seeded when
-/// RunOptions::initial_terminals is non-empty, with the same
-/// rejected-seed-restarts-cold fallback as run_experiment). Throws what
+/// power-bin observer, establish the t=0 operating point. Throws what
 /// run_experiment would throw for the same spec.
-[[nodiscard]] PreparedRun prepare_run(const ExperimentSpec& spec,
-                                      const RunOptions& options = {});
+[[nodiscard]] PreparedRun prepare_run(
+    const ExperimentSpec& spec, const harvester::HarvesterParams* params_override = nullptr);
 
 /// Second half of run_experiment: march the prepared session to
 /// spec.duration and collect the ScenarioResult. \p spec must be the spec
@@ -186,14 +148,6 @@ class PreparedRun {
 /// halves execute, not to mix specs). Consumes the run (valid() turns
 /// false); throws ModelError on an invalid one.
 [[nodiscard]] ScenarioResult finish_run(const ExperimentSpec& spec, PreparedRun& run);
-
-/// Build a session for \p spec, establish the t=0 operating point and return
-/// the converged terminal vector — the warm-start seed producer (no
-/// transient is run). \p init_iterations, when non-null, receives the
-/// consistency iterations the cold solve spent.
-[[nodiscard]] std::vector<double> compute_initial_operating_point(
-    const ExperimentSpec& spec, const harvester::HarvesterParams* params_override = nullptr,
-    std::uint64_t* init_iterations = nullptr);
 
 /// Build (but do not run) the complete experiment session: harvester model,
 /// excitation schedule, engine and the decimated Vc trace are wired exactly
@@ -217,16 +171,6 @@ struct BatchStats {
   /// cache rather than rebuilt (ROADMAP hot-path item: identical model
   /// structure across a sweep pays for one table build).
   std::size_t shared_table_hits = 0;
-  /// Jobs whose initial operating point was seeded from the warm-start
-  /// cache (0 with BatchOptions::warm_start off).
-  std::size_t warm_start_hits = 0;
-  /// Jobs where a seed was offered but rejected or failed to converge (the
-  /// job fell back to a cold start — correctness unaffected).
-  std::size_t warm_start_rejects = 0;
-  /// Total consistency iterations spent establishing operating points
-  /// across the batch, *including* the warm-start seed producers — the
-  /// honest cost warm starts are measured against.
-  std::uint64_t init_iterations = 0;
   /// Lockstep work-sharing counters (all 0 under BatchKernel::kJobs); exact
   /// semantics in sim/lockstep_batch.hpp (LockstepCounters).
   std::uint64_t lockstep_groups = 0;
@@ -237,38 +181,11 @@ struct BatchStats {
 struct BatchOptions {
   /// Worker count: 0 picks the hardware concurrency, 1 runs serially.
   std::size_t threads = 0;
-  /// Opt-in cross-job operating-point warm starts (see warm_start.hpp).
-  /// Before the fan-out, one cold "producer" init runs serially per distinct
-  /// structural signature; every job is then seeded from its signature's
-  /// producer. Seeds are assigned by signature — never by scheduling — so
-  /// parallel warm-started batches stay deterministic and job-order
-  /// reproducible; jobs with exactly equal parameter vectors are even
-  /// bit-identical to their cold runs. Default off: results are byte-
-  /// identical to the pre-warm-start behaviour.
-  bool warm_start = false;
-  /// Relative parameter quantum of the warm-start signature (<= 0: exact
-  /// parameter equality required to share a seed).
-  double warm_start_quantum = kWarmStartQuantum;
   /// Batch execution kernel. The lockstep kernel requires every job to run
   /// EngineKind::kProposed (ModelError otherwise) and marches serially; the
   /// shared march wall-clock is attributed evenly across the jobs'
-  /// ScenarioResult::cpu_seconds. Warm starts compose: the seed phase runs
-  /// before the march exactly as under kJobs.
+  /// ScenarioResult::cpu_seconds.
   BatchKernel batch_kernel = BatchKernel::kJobs;
-  /// Cross-batch operating-point cache (the serve daemon's cross-request
-  /// store). When non-null and warm_start is on, seeds are looked up in this
-  /// caller-owned cache instead of a per-call one: entries persist across
-  /// calls, so even singleton-signature jobs get seeded when an earlier
-  /// batch already converged their signature. After the batch, every job
-  /// that converged *cold* stores its operating point back (first store per
-  /// signature wins, in job order — scheduling-independent), and rejected
-  /// seeds are replaced by the cold fallback's point. Only cold-converged
-  /// points are ever stored, so with warm_start_quantum <= 0 (exact
-  /// signatures) a seeded job is bit-identical to its cold run and the cache
-  /// can never serve a tolerance-converged point under an exact key.
-  /// Ignored when warm_start is false. Not synchronised — one batch at a
-  /// time per cache.
-  OperatingPointCache* warm_cache = nullptr;
 };
 
 // ---- Checkpoint / restart -------------------------------------------------
@@ -315,8 +232,8 @@ struct CheckpointOptions {
 /// run_experiment with periodic checkpoints (and optional resume). Returns
 /// std::nullopt only when CheckpointOptions::abort_after stopped the run.
 [[nodiscard]] std::optional<ScenarioResult> run_experiment_checkpointed(
-    const ExperimentSpec& spec, const RunOptions& options,
-    const CheckpointOptions& checkpointing);
+    const ExperimentSpec& spec, const CheckpointOptions& checkpointing,
+    const harvester::HarvesterParams* params_override = nullptr);
 
 /// run_scenario_batch with per-job checkpoint files. Under kJobs every job
 /// checkpoints at its own absolute boundaries on the worker threads; under
@@ -339,7 +256,7 @@ struct CheckpointOptions {
     const std::vector<ScenarioJob>& jobs, std::size_t threads = 0,
     BatchStats* stats = nullptr);
 
-/// Batch execution with explicit options (warm starts, thread count).
+/// Batch execution with explicit options (thread count, batch kernel).
 [[nodiscard]] std::vector<ScenarioResult> run_scenario_batch(
     const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
     BatchStats* stats = nullptr);

@@ -205,7 +205,6 @@ std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep, std::size_t thread
                                       BatchStats* stats) {
   BatchOptions options;
   options.threads = threads;
-  options.warm_start = sweep.warm_start;
   options.batch_kernel = sweep.batch_kernel;
   return run_sweep(sweep, options, stats);
 }

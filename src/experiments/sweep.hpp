@@ -45,10 +45,6 @@ struct SweepSpec {
   std::vector<SweepAxis> axes{};
   /// Worker threads for run_sweep (0: hardware concurrency).
   std::size_t threads = 0;
-  /// Opt-in cross-job operating-point warm starts for the expanded batch
-  /// (see BatchOptions::warm_start). Off by default: results stay
-  /// byte-identical to the cold path.
-  bool warm_start = false;
   /// Batch execution kernel for the expanded jobs (see
   /// BatchOptions::batch_kernel). The default runs independent jobs; the
   /// lockstep kernels require the proposed engine on every job.
@@ -78,14 +74,15 @@ void set_spec_value(ExperimentSpec& spec, const std::string& path, double value)
 [[nodiscard]] std::vector<std::string> spec_field_paths();
 
 /// Expand and execute a sweep through run_scenario_batch. \p threads
-/// overrides spec.threads when non-zero; warm starts follow
-/// SweepSpec::warm_start.
+/// overrides spec.threads when non-zero; the batch kernel follows
+/// SweepSpec::batch_kernel.
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                                     std::size_t threads = 0,
                                                     BatchStats* stats = nullptr);
 
 /// Sweep execution with explicit batch options (threads = 0 in \p options
-/// falls back to spec.threads; warm_start in \p options wins over the spec).
+/// falls back to spec.threads; the batch kernel in \p options wins over the
+/// spec).
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                                     const BatchOptions& options,
                                                     BatchStats* stats = nullptr);

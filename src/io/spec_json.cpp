@@ -446,10 +446,7 @@ JsonValue to_json(const SweepSpec& sweep) {
   json.set("base", std::move(base));
   json.set("mode", sweep.mode == SweepSpec::Mode::kGrid ? "grid" : "zip");
   json.set("threads", static_cast<double>(sweep.threads));
-  if (sweep.warm_start) {  // default-off: omitted so existing specs round-trip unchanged
-    json.set("warm_start", true);
-  }
-  if (sweep.batch_kernel != experiments::BatchKernel::kJobs) {  // default omitted likewise
+  if (sweep.batch_kernel != experiments::BatchKernel::kJobs) {  // default omitted
     json.set("batch_kernel", experiments::batch_kernel_id(sweep.batch_kernel));
   }
   JsonValue axes = JsonValue::make_array();
@@ -476,8 +473,7 @@ JsonValue to_json(const SweepSpec& sweep) {
 }
 
 SweepSpec sweep_from_json(const JsonValue& json) {
-  check_keys(json, {"type", "base", "mode", "threads", "warm_start", "batch_kernel", "axes"},
-             "sweep spec");
+  check_keys(json, {"type", "base", "mode", "threads", "batch_kernel", "axes"}, "sweep spec");
   SweepSpec sweep;
   sweep.base = experiment_from_json(json.at("base"));
   if (const JsonValue* mode = json.find("mode")) {
@@ -495,7 +491,6 @@ SweepSpec sweep_from_json(const JsonValue& json) {
     throw ModelError("sweep threads must be a non-negative integer");
   }
   sweep.threads = static_cast<std::size_t>(threads);
-  sweep.warm_start = bool_or(json, "warm_start", sweep.warm_start);
   if (const JsonValue* kernel = json.find("batch_kernel")) {
     sweep.batch_kernel = experiments::parse_batch_kernel(kernel->as_string());
   }
@@ -557,9 +552,6 @@ JsonValue to_json(const OptimiseSpec& spec) {
   json.set("objective", spec.objective);
   json.set("statistic", spec.statistic);
   json.set("maximise", spec.maximise);
-  if (spec.warm_start) {  // default-off: omitted so existing specs round-trip unchanged
-    json.set("warm_start", true);
-  }
   json.set("max_evaluations", static_cast<double>(spec.max_evaluations));
   json.set("x_tolerance", spec.x_tolerance);
   return json;
@@ -617,7 +609,6 @@ OptimiseSpec optimise_from_json(const JsonValue& json) {
     spec.statistic = statistic->as_string();
   }
   spec.maximise = bool_or(json, "maximise", spec.maximise);
-  spec.warm_start = bool_or(json, "warm_start", spec.warm_start);
   const double budget = number_or(json, "max_evaluations",
                                   static_cast<double>(spec.max_evaluations));
   if (budget < 0.0 || budget != std::floor(budget)) {
@@ -651,9 +642,6 @@ JsonValue to_json(const EnsembleSpec& spec) {
     json.set("num_seeds", static_cast<double>(spec.num_seeds));
   }
   json.set("threads", static_cast<double>(spec.threads));
-  if (spec.warm_start) {  // defaults omitted so specs round-trip unchanged
-    json.set("warm_start", true);
-  }
   if (spec.batch_kernel != experiments::BatchKernel::kJobs) {
     json.set("batch_kernel", experiments::batch_kernel_id(spec.batch_kernel));
   }
@@ -662,7 +650,7 @@ JsonValue to_json(const EnsembleSpec& spec) {
 
 EnsembleSpec ensemble_from_json(const JsonValue& json) {
   check_keys(json,
-             {"type", "base", "seeds", "num_seeds", "threads", "warm_start", "batch_kernel"},
+             {"type", "base", "seeds", "num_seeds", "threads", "batch_kernel"},
              "ensemble spec");
   EnsembleSpec spec;
   spec.base = experiment_from_json(json.at("base"));
@@ -685,7 +673,6 @@ EnsembleSpec ensemble_from_json(const JsonValue& json) {
     throw ModelError("ensemble threads must be a non-negative integer");
   }
   spec.threads = static_cast<std::size_t>(threads);
-  spec.warm_start = bool_or(json, "warm_start", spec.warm_start);
   if (const JsonValue* kernel = json.find("batch_kernel")) {
     spec.batch_kernel = experiments::parse_batch_kernel(kernel->as_string());
   }
@@ -816,19 +803,6 @@ JsonValue to_json(const ScenarioResult& result) {
   stats.set("max_step", result.stats.max_step);
   json.set("stats", std::move(stats));
 
-  // Measured quantities are null-encoded when non-finite: a pathological
-  // run (diverged probe expression, empty reduction) must still produce a
-  // parseable result document instead of crashing the writer after the
-  // simulation already ran.
-  if (result.warm_start != experiments::WarmStartOutcome::kCold) {
-    JsonValue warm = JsonValue::make_object();
-    warm.set("outcome", result.warm_start == experiments::WarmStartOutcome::kSeeded
-                            ? "seeded"
-                            : "rejected");
-    warm.set("init_iterations", result.stats.init_iterations);
-    json.set("warm_start", std::move(warm));
-  }
-
   // Lockstep batches record their kernel and batch-wide sharing counters;
   // plain per-job batches omit the block so their documents stay
   // byte-identical to the pre-lockstep output.
@@ -840,6 +814,10 @@ JsonValue to_json(const ScenarioResult& result) {
     json.set("batch", std::move(batch));
   }
 
+  // Measured quantities are null-encoded when non-finite: a pathological
+  // run (diverged probe expression, empty reduction) must still produce a
+  // parseable result document instead of crashing the writer after the
+  // simulation already ran.
   json.set("final_vc", JsonValue::finite_or_null(result.final_vc));
   json.set("final_resonance_hz", JsonValue::finite_or_null(result.final_resonance_hz));
   json.set("rms_power_before", JsonValue::finite_or_null(result.rms_power_before));
@@ -976,15 +954,6 @@ JsonValue to_json(const OptimiseResult& result) {
     evaluations.push_back(std::move(entry));
   }
   json.set("evaluations", std::move(evaluations));
-
-  if (result.warm_start) {
-    JsonValue warm = JsonValue::make_object();
-    warm.set("hits", static_cast<double>(result.warm_start_hits));
-    warm.set("rejects", static_cast<double>(result.warm_start_rejects));
-    warm.set("init_iterations", result.init_iterations);
-    json.set("warm_start", std::move(warm));
-  }
-
   json.set("best_run", to_json(result.best_run));
   return json;
 }
@@ -1314,28 +1283,17 @@ std::string safe_file_stem(const std::string& name) {
   return stem;
 }
 
-std::string write_result_files(const std::string& dir,
-                               const experiments::ScenarioResult& result) {
+std::string file_stem(const std::string& dir, const std::string& name) {
+  return (std::filesystem::path(dir) / safe_file_stem(name)).string();
+}
+
+void write_result_files(const std::string& dir, const experiments::ScenarioResult& result) {
   std::filesystem::create_directories(dir);
-  const std::string stem =
-      (std::filesystem::path(dir) / safe_file_stem(result.scenario)).string();
+  const std::string stem = file_stem(dir, result.scenario);
   write_file(stem + ".result.json", to_json(result).dump(2) + "\n");
   std::ostringstream csv;
   write_trace_csv(csv, result);
   write_file(stem + ".trace.csv", std::move(csv).str());
-  return stem;
-}
-
-std::string write_ensemble_result_files(const std::string& dir,
-                                        const experiments::EnsembleResult& result) {
-  std::filesystem::create_directories(dir);
-  const std::string stem =
-      (std::filesystem::path(dir) / safe_file_stem(result.name)).string();
-  write_file(stem + ".ensemble.json", to_json(result).dump(2) + "\n");
-  for (const ScenarioResult& run : result.runs) {
-    write_result_files(dir, run);
-  }
-  return stem;
 }
 
 }  // namespace ehsim::io

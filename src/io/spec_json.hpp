@@ -166,18 +166,13 @@ void write_file(const std::string& path, const std::string& content);
 /// and the serve daemon write.
 [[nodiscard]] std::string safe_file_stem(const std::string& name);
 
-/// Write <dir>/<stem>.result.json (pretty-printed, trailing newline) and
-/// <dir>/<stem>.trace.csv for one result, creating \p dir as needed; returns
-/// the stem path (without extension). One shared writer keeps the one-shot
-/// CLI and the serve daemon byte-identical on disk — the serve determinism
-/// contract compares exactly these files.
-std::string write_result_files(const std::string& dir,
-                               const experiments::ScenarioResult& result);
+/// <dir>/<safe_file_stem(name)>: the path, without extension, of every file
+/// written for \p name.
+[[nodiscard]] std::string file_stem(const std::string& dir, const std::string& name);
 
-/// Write <dir>/<stem>.ensemble.json plus every replica's result/trace file
-/// pair (write_result_files each); returns the ensemble document's stem
-/// path (without extension).
-std::string write_ensemble_result_files(const std::string& dir,
-                                        const experiments::EnsembleResult& result);
+/// Write <dir>/<stem>.result.json (pretty-printed, trailing newline) and
+/// <dir>/<stem>.trace.csv for one result, creating \p dir as needed. The
+/// serve determinism contract compares exactly these files.
+void write_result_files(const std::string& dir, const experiments::ScenarioResult& result);
 
 }  // namespace ehsim::io

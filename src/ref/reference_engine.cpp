@@ -45,15 +45,6 @@ void ReferenceEngine::add_observer(core::SolutionObserver observer) {
   observers_.push_back(std::move(observer));
 }
 
-bool ReferenceEngine::seed_initial_terminals(std::span<const double> y) {
-  if (y.size() != num_nets_) {
-    return false;
-  }
-  init_seed_.assign(y.begin(), y.end());
-  init_seed_armed_ = true;
-  return true;
-}
-
 void ReferenceEngine::sync_shadows() {
   for (std::size_t i = 0; i < num_states_; ++i) {
     x_shadow_[i] = static_cast<double>(x_[i].value());
@@ -132,12 +123,6 @@ void ReferenceEngine::initialise(double t0) {
   system_->initial_state(std::span<double>(x0));
   for (std::size_t i = 0; i < num_states_; ++i) {
     x_[i].reset(static_cast<long double>(x0[i]));
-  }
-  if (init_seed_armed_) {
-    for (std::size_t i = 0; i < num_nets_; ++i) {
-      y_[i] = static_cast<long double>(init_seed_[i]);
-    }
-    init_seed_armed_ = false;
   }
   sync_shadows();
   solve_algebraic_consistency();

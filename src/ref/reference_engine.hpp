@@ -57,7 +57,6 @@ class ReferenceEngine final : public core::AnalogEngine {
   explicit ReferenceEngine(core::SystemAssembler& system, ReferenceConfig config = {});
 
   void initialise(double t0) override;
-  bool seed_initial_terminals(std::span<const double> y) override;
   void advance_to(double t_end) override;
 
   [[nodiscard]] double time() const override { return static_cast<double>(t_.value()); }
@@ -120,8 +119,6 @@ class ReferenceEngine final : public core::AnalogEngine {
 
   std::vector<core::SolutionObserver> observers_;
   core::SolverStats stats_;
-  std::vector<double> init_seed_;
-  bool init_seed_armed_ = false;
   bool initialised_ = false;
   std::uint64_t last_epoch_ = 0;
   double last_notify_time_ = 0.0;

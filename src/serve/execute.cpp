@@ -1,0 +1,146 @@
+#include "serve/execute.hpp"
+
+#include <filesystem>
+
+#include "common/error.hpp"
+#include "experiments/sweep.hpp"
+
+namespace ehsim::serve {
+namespace {
+
+/// Write <dir>/<stem>.<kind>.json: the document of the verbs that produce
+/// one (ensemble, optimise, accuracy, autotune).
+void write_document(const std::string& dir, const std::string& name, const char* kind,
+                    const io::JsonValue& json) {
+  std::filesystem::create_directories(dir);
+  io::write_file(io::file_stem(dir, name) + "." + kind + ".json", json.dump(2) + "\n");
+}
+
+/// run, sweep and resume: one experiment (as a one-job batch) or a sweep,
+/// optionally checkpointed.
+bool run_scenarios(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
+                   ExecuteSink& sink) {
+  std::optional<experiments::CheckpointOptions> checkpointing = options.checkpoint;
+  if (verb == RequestType::kResume && !checkpointing) {
+    throw ModelError("'resume' needs checkpoint options naming the directory to resume from");
+  }
+  if (checkpointing) {
+    checkpointing->resume = verb == RequestType::kResume;
+    checkpointing->on_checkpoint = [&sink](const std::string& path, const std::string& job,
+                                           double sim_time) {
+      sink.checkpoint(path, job, sim_time);
+    };
+  }
+
+  experiments::BatchOptions batch;
+  std::optional<std::vector<experiments::ScenarioResult>> results;
+  std::size_t jobs = 0;
+  if (const auto* sweep = spec.get_if<experiments::SweepSpec>()) {
+    sweep->validate();
+    sink.started(sweep->base.name);
+    jobs = sweep->job_count();
+    sink.progress(jobs);
+    batch.threads = options.threads;
+    batch.batch_kernel = options.batch_kernel.value_or(sweep->batch_kernel);
+    results = checkpointing ? experiments::run_sweep_checkpointed(*sweep, batch, *checkpointing)
+                            : experiments::run_sweep(*sweep, batch);
+  } else {
+    const auto& experiment = *spec.get_if<experiments::ExperimentSpec>();
+    sink.started(experiment.name);
+    batch.threads = 1;  // one job — run inline, never spin up a pool
+    batch.batch_kernel = options.batch_kernel.value_or(experiments::BatchKernel::kJobs);
+    const std::vector<experiments::ScenarioJob> one{{experiment, std::nullopt}};
+    results = checkpointing
+                  ? experiments::run_scenario_batch_checkpointed(one, batch, *checkpointing)
+                  : experiments::run_scenario_batch(one, batch);
+  }
+  if (!results) {
+    return false;
+  }
+  for (std::size_t i = 0; i < results->size(); ++i) {
+    if (!options.out_dir.empty()) {
+      io::write_result_files(options.out_dir, (*results)[i]);
+    }
+    sink.result((*results)[i], i, jobs);
+  }
+  return true;
+}
+
+}  // namespace
+
+bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
+             ExecuteSink& sink) {
+  check_spec_flavour(verb, spec);
+  const std::string& out = options.out_dir;
+  switch (verb) {
+    case RequestType::kRun:
+    case RequestType::kSweep:
+    case RequestType::kResume:
+      return run_scenarios(verb, spec, options, sink);
+    case RequestType::kEnsemble: {
+      const auto& ensemble = *spec.get_if<experiments::EnsembleSpec>();
+      sink.started(ensemble.base.name);
+      sink.progress(ensemble.replica_seeds().size());
+      experiments::BatchOptions batch;
+      batch.threads = options.threads;
+      batch.batch_kernel = options.batch_kernel.value_or(ensemble.batch_kernel);
+      const experiments::EnsembleResult result = experiments::run_ensemble(ensemble, batch);
+      if (!out.empty()) {
+        write_document(out, result.name, "ensemble", io::to_json(result));
+        for (const experiments::ScenarioResult& run : result.runs) {
+          io::write_result_files(out, run);
+        }
+      }
+      sink.result(result);
+      return true;
+    }
+    case RequestType::kOptimise: {
+      const auto& optimise = *spec.get_if<experiments::OptimiseSpec>();
+      sink.started(optimise.name);
+      const experiments::OptimiseResult result = experiments::run_optimise(optimise);
+      if (!out.empty()) {
+        write_document(out, result.name, "optimise", io::to_json(result));
+        io::write_result_files(out, result.best_run);
+      }
+      sink.result(result);
+      return true;
+    }
+    case RequestType::kAccuracy: {
+      experiments::AccuracyOptions accuracy;
+      accuracy.kernels = options.kernels;
+      accuracy.oracle_step = options.oracle_step;
+      if (options.threads > 0) {
+        accuracy.threads = options.threads;
+      }
+      const auto* sweep = spec.get_if<experiments::SweepSpec>();
+      const auto* experiment = spec.get_if<experiments::ExperimentSpec>();
+      sink.started(sweep != nullptr ? sweep->base.name : experiment->name);
+      const experiments::AccuracyReport report =
+          sweep != nullptr ? experiments::run_accuracy(*sweep, accuracy)
+                           : experiments::run_accuracy(*experiment, accuracy);
+      if (!out.empty()) {
+        write_document(out, report.name, "accuracy", io::to_json(report));
+      }
+      sink.result(report);
+      return true;
+    }
+    case RequestType::kAutotune: {
+      const auto& autotune = *spec.get_if<experiments::AutotuneSpec>();
+      sink.started(autotune.name);
+      const experiments::AutotuneOutcome outcome = experiments::run_autotune(autotune);
+      if (!out.empty()) {
+        write_document(out, outcome.result.name, "autotune", io::to_json(outcome.result));
+        io::write_result_files(out, outcome.best_run);
+      }
+      sink.result(outcome);
+      return true;
+    }
+    case RequestType::kCancel:
+    case RequestType::kStats:
+    case RequestType::kShutdown:
+      break;  // check_spec_flavour already refused: no control type takes a spec
+  }
+  return true;
+}
+
+}  // namespace ehsim::serve

@@ -23,68 +23,14 @@ RequestType request_type_from(const std::string& id) {
                       "type");
 }
 
-bool is_job_type(RequestType type) {
-  return type == RequestType::kRun || type == RequestType::kSweep ||
-         type == RequestType::kOptimise || type == RequestType::kEnsemble ||
-         type == RequestType::kResume || type == RequestType::kAccuracy ||
-         type == RequestType::kAutotune;
-}
-
-/// Spec flavours each job type accepts, as io::spec_type_id strings — the
-/// single place a new spec flavour or request type hooks into payload
-/// matching (the spec union itself dispatches, no per-flavour switch here).
-std::vector<const char*> expected_spec_types(RequestType type) {
-  switch (type) {
-    case RequestType::kRun:
-      return {"experiment"};
-    case RequestType::kSweep:
-      return {"sweep"};
-    case RequestType::kOptimise:
-      return {"optimise"};
-    case RequestType::kEnsemble:
-      return {"ensemble"};
-    case RequestType::kResume:
-      return {"experiment", "sweep"};
-    case RequestType::kAccuracy:
-      return {"experiment", "sweep"};
-    case RequestType::kAutotune:
-      return {"autotune"};
-    default:
-      return {};
-  }
-}
-
 std::uint64_t parse_id(const io::JsonValue& envelope) {
-  const io::JsonValue* id = envelope.find("id");
-  if (id == nullptr) throw ProtocolError("request is missing 'id'", "id");
-  if (!id->is_number())
-    throw ProtocolError("request 'id' must be a non-negative integer", "id");
-  const double value = id->as_number();
-  if (!(value >= 0.0) || value != std::floor(value) || value > 9.007199254740992e15)
-    throw ProtocolError("request 'id' must be a non-negative integer", "id");
-  return static_cast<std::uint64_t>(value);
+  if (envelope.find("id") == nullptr) throw ProtocolError("request is missing 'id'", "id");
+  const std::optional<std::uint64_t> id = envelope_id(envelope);
+  if (!id) throw ProtocolError("request 'id' must be a non-negative integer", "id");
+  return *id;
 }
 
-/// The payload must be a spec flavour the envelope type accepts — a "run"
-/// envelope carrying a sweep spec is a client bug worth naming, not
-/// something to silently reinterpret.
-void check_payload_matches(RequestType type, const io::AnySpec& spec,
-                           const std::string& key) {
-  const std::vector<const char*> expected = expected_spec_types(type);
-  const std::string actual = spec.type_id();
-  std::string wanted;
-  for (const char* id : expected) {
-    if (actual == id) return;
-    if (!wanted.empty()) wanted += "' | '";
-    wanted += id;
-  }
-  throw ProtocolError(std::string("request type '") + request_type_id(type) +
-                          "' needs a spec of type '" + wanted + "', but '" + key +
-                          "' holds a '" + actual + "' spec",
-                      key);
-}
-
-CheckpointRequest parse_checkpoint(RequestType type, const io::JsonValue& json) {
+experiments::CheckpointOptions parse_checkpoint(RequestType type, const io::JsonValue& json) {
   if (!json.is_object())
     throw ProtocolError("request 'checkpoint' must be an object {\"dir\", \"every\"}",
                         "checkpoint");
@@ -94,7 +40,7 @@ CheckpointRequest parse_checkpoint(RequestType type, const io::JsonValue& json) 
       throw ProtocolError("request 'checkpoint' has unknown key '" + key + "'",
                           "checkpoint");
   }
-  CheckpointRequest checkpoint;
+  experiments::CheckpointOptions checkpoint;
   const io::JsonValue* dir = json.find("dir");
   if (dir == nullptr || !dir->is_string() || dir->as_string().empty())
     throw ProtocolError("request 'checkpoint' needs a non-empty 'dir' string",
@@ -118,6 +64,48 @@ CheckpointRequest parse_checkpoint(RequestType type, const io::JsonValue& json) 
 
 const char* request_type_id(RequestType type) {
   return kTypeIds[static_cast<std::size_t>(type)];
+}
+
+std::vector<const char*> expected_spec_types(RequestType type) {
+  switch (type) {
+    case RequestType::kRun:
+      return {"experiment"};
+    case RequestType::kSweep:
+      return {"sweep"};
+    case RequestType::kOptimise:
+      return {"optimise"};
+    case RequestType::kEnsemble:
+      return {"ensemble"};
+    case RequestType::kResume:
+    case RequestType::kAccuracy:
+      return {"experiment", "sweep"};
+    case RequestType::kAutotune:
+      return {"autotune"};
+    default:
+      return {};
+  }
+}
+
+void check_spec_flavour(RequestType type, const io::AnySpec& spec, const std::string& key) {
+  const std::string actual = spec.type_id();
+  std::string wanted;
+  for (const char* id : expected_spec_types(type)) {
+    if (actual == id) return;
+    if (!wanted.empty()) wanted += "' | '";
+    wanted += id;
+  }
+  throw ProtocolError(std::string("'") + request_type_id(type) + "' needs a spec of type '" +
+                          wanted + "', but '" + key + "' holds a '" + actual + "' spec",
+                      key);
+}
+
+std::optional<std::uint64_t> envelope_id(const io::JsonValue& envelope) {
+  const io::JsonValue* id = envelope.is_object() ? envelope.find("id") : nullptr;
+  if (id == nullptr || !id->is_number()) return std::nullopt;
+  const double value = id->as_number();
+  if (!(value >= 0.0) || value != std::floor(value) || value > 9.007199254740992e15)
+    return std::nullopt;
+  return static_cast<std::uint64_t>(value);
 }
 
 Request parse_request(const std::string& line) {
@@ -150,7 +138,7 @@ Request parse_request(const std::string& line) {
   const io::JsonValue* spec = envelope.find("spec");
   const io::JsonValue* spec_path = envelope.find("spec_path");
   const io::JsonValue* checkpoint = envelope.find("checkpoint");
-  if (!is_job_type(request.type)) {
+  if (expected_spec_types(request.type).empty()) {
     if (spec != nullptr || spec_path != nullptr)
       throw ProtocolError(std::string("request type '") +
                               request_type_id(request.type) +
@@ -181,7 +169,7 @@ Request parse_request(const std::string& line) {
                               error.what(),
                           "spec");
     }
-    check_payload_matches(request.type, request.spec, "spec");
+    check_spec_flavour(request.type, request.spec, "spec");
   } else {
     if (!spec_path->is_string())
       throw ProtocolError("request 'spec_path' must be a file path string",
@@ -193,7 +181,7 @@ Request parse_request(const std::string& line) {
                               error.what(),
                           "spec_path");
     }
-    check_payload_matches(request.type, request.spec, "spec_path");
+    check_spec_flavour(request.type, request.spec, "spec_path");
   }
 
   const bool takes_checkpoint = request.type == RequestType::kRun ||

@@ -28,8 +28,11 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "common/error.hpp"
+#include "experiments/scenarios.hpp"
+#include "io/json.hpp"
 #include "io/spec_json.hpp"
 
 namespace ehsim::serve {
@@ -44,13 +47,18 @@ enum class RequestType {
   kAccuracy,  ///< measure a spec's error bounds against the reference oracle
   kAutotune,  ///< execute an autotune spec (error-budget solver-knob search)
   kCancel,    ///< drop the queued (not yet started) job with this id
-  kStats,     ///< report queue/cache/pool counters
+  kStats,     ///< report request/queue/diode-table counters
   kShutdown,  ///< finish queued jobs, emit a shutdown event, exit
 };
 
 /// Stable wire identifier ("run" | "sweep" | "optimise" | "ensemble" |
 /// "resume" | "accuracy" | "autotune" | "cancel" | "stats" | "shutdown").
 [[nodiscard]] const char* request_type_id(RequestType type);
+
+/// The spec flavours (io::spec_type_id strings) each job verb accepts — the
+/// one verb -> flavour table the serve envelopes and `ehsim <verb>` share.
+/// Empty for the control types (cancel/stats/shutdown).
+[[nodiscard]] std::vector<const char*> expected_spec_types(RequestType type);
 
 /// Envelope validation failure that knows which key/field it is about —
 /// the daemon copies \c key() into the error event so clients can point at
@@ -67,21 +75,28 @@ class ProtocolError : public ModelError {
   std::string key_;
 };
 
-/// The optional "checkpoint" block of run/sweep envelopes (periodic state
-/// capture) and the mandatory one of resume envelopes (where the files are).
-struct CheckpointRequest {
-  std::string dir;     ///< per-job checkpoint files live here
-  double every = 0.0;  ///< simulated-seconds cadence (0 on resume: finish only)
-};
+/// Throws ProtocolError (keyed \p key) unless \p spec is a flavour \p type
+/// accepts; the message names the verb, the flavours it takes and the one
+/// \p key holds.
+void check_spec_flavour(RequestType type, const io::AnySpec& spec,
+                        const std::string& key = "spec");
 
 /// One parsed request. For the job types (run/sweep/optimise/ensemble/
 /// resume/accuracy/autotune) \c spec holds the matching spec flavour.
+/// \c checkpoint is the optional "checkpoint" block of run/sweep envelopes
+/// (periodic state capture: dir and every) and the mandatory one of resume
+/// envelopes (where the files are; every 0 finishes without writing more).
 struct Request {
   std::uint64_t id = 0;
   RequestType type = RequestType::kRun;
   io::AnySpec spec{};
-  std::optional<CheckpointRequest> checkpoint{};
+  std::optional<experiments::CheckpointOptions> checkpoint{};
 };
+
+/// The request id of an envelope: a non-negative integer no larger than
+/// 2^53 (the doubles JSON numbers parse into hold every such id exactly).
+/// nullopt when "id" is missing or anything else.
+[[nodiscard]] std::optional<std::uint64_t> envelope_id(const io::JsonValue& envelope);
 
 /// Parse and validate one envelope line. Strict keys: {"id", "type",
 /// "spec", "spec_path", "checkpoint"}. "id" must be a non-negative integer;

@@ -1,8 +1,7 @@
 #include "serve/server.hpp"
 
-#include <cmath>
 #include <exception>
-#include <filesystem>
+#include <functional>
 #include <istream>
 #include <optional>
 #include <ostream>
@@ -10,32 +9,20 @@
 #include <utility>
 #include <vector>
 
-#include "common/error.hpp"
-#include "experiments/accuracy.hpp"
-#include "experiments/autotune.hpp"
-#include "experiments/experiment_spec.hpp"
-#include "experiments/optimise_spec.hpp"
 #include "experiments/probes.hpp"
-#include "experiments/scenarios.hpp"
-#include "experiments/sweep.hpp"
 #include "io/spec_json.hpp"
 #include "pwl/table_cache.hpp"
+#include "serve/execute.hpp"
 
 namespace ehsim::serve {
 namespace {
 
 /// A line that failed full validation may still be well-formed enough to
-/// carry an id — recover it so the error event can be correlated with the
-/// request that caused it.
+/// carry an id — recover it (under the same check parse_request applies) so
+/// the error event can be correlated with the request that caused it.
 std::optional<std::uint64_t> best_effort_id(const std::string& line) {
   try {
-    const io::JsonValue envelope = io::JsonValue::parse(line);
-    if (!envelope.is_object()) return std::nullopt;
-    const io::JsonValue* id = envelope.find("id");
-    if (id == nullptr || !id->is_number()) return std::nullopt;
-    const double value = id->as_number();
-    if (!(value >= 0.0) || value != std::floor(value)) return std::nullopt;
-    return static_cast<std::uint64_t>(value);
+    return envelope_id(io::JsonValue::parse(line));
   } catch (const std::exception&) {
     return std::nullopt;
   }
@@ -65,6 +52,97 @@ io::JsonValue probes_summary(const std::vector<experiments::ProbeResult>& probes
   return array;
 }
 
+/// Streams one request's execution as NDJSON events.
+class EventSink final : public ExecuteSink {
+ public:
+  EventSink(const Request& request, std::function<void(const io::JsonValue&)> emit)
+      : request_(request), emit_(std::move(emit)) {}
+
+  void started(const std::string& name) override {
+    io::JsonValue event = base("started");
+    event.set("type", type());
+    event.set("name", name);
+    emit_(event);
+  }
+
+  void progress(std::size_t jobs) override {
+    io::JsonValue event = base("progress");
+    event.set("jobs", static_cast<double>(jobs));
+    emit_(event);
+  }
+
+  void checkpoint(const std::string& path, const std::string& job, double sim_time) override {
+    io::JsonValue event = base("checkpoint");
+    event.set("job", job);
+    event.set("path", path);
+    event.set("sim_time", sim_time);
+    emit_(event);
+  }
+
+  void result(const experiments::ScenarioResult& result, std::size_t job,
+              std::size_t jobs) override {
+    emit_probes(result);
+    io::JsonValue done = result_base();
+    if (jobs > 0) {
+      done.set("job", static_cast<double>(job));
+      done.set("jobs", static_cast<double>(jobs));
+    }
+    done.set("result", io::to_json(result));
+    emit_(done);
+  }
+
+  void result(const experiments::EnsembleResult& result) override {
+    io::JsonValue done = result_base();
+    done.set("replicas", static_cast<double>(result.runs.size()));
+    done.set("result", io::to_json(result));
+    emit_(done);
+  }
+
+  void result(const experiments::OptimiseResult& result) override {
+    emit_probes(result.best_run);
+    io::JsonValue done = result_base();
+    done.set("evaluations", static_cast<double>(result.evaluations.size()));
+    done.set("result", io::to_json(result));
+    emit_(done);
+  }
+
+  void result(const experiments::AccuracyReport& report) override {
+    io::JsonValue done = result_base();
+    done.set("kernels", static_cast<double>(report.kernels.size()));
+    done.set("result", io::to_json(report));
+    emit_(done);
+  }
+
+  void result(const experiments::AutotuneOutcome& outcome) override {
+    emit_probes(outcome.best_run);
+    io::JsonValue done = result_base();
+    done.set("evaluations", static_cast<double>(outcome.result.evaluations));
+    done.set("result", io::to_json(outcome.result));
+    emit_(done);
+  }
+
+ private:
+  [[nodiscard]] io::JsonValue base(const char* event) const {
+    return event_base(event, request_.id);
+  }
+  [[nodiscard]] const char* type() const { return request_type_id(request_.type); }
+  [[nodiscard]] io::JsonValue result_base() const {
+    io::JsonValue done = base("result");
+    done.set("type", type());
+    return done;
+  }
+  void emit_probes(const experiments::ScenarioResult& run) {
+    if (run.probes.empty()) return;
+    io::JsonValue probes = base("probes");
+    probes.set("scenario", run.scenario);
+    probes.set("probes", probes_summary(run.probes));
+    emit_(probes);
+  }
+
+  const Request& request_;
+  std::function<void(const io::JsonValue&)> emit_;
+};
+
 /// One coherent copy of the Server counters, taken under stats_mutex_ so
 /// the stats event never mixes values from different instants.
 struct Snapshot {
@@ -72,10 +150,6 @@ struct Snapshot {
   std::size_t completed = 0;
   std::size_t errors = 0;
   std::size_t cancelled = 0;
-  std::size_t op_seeded_runs = 0;
-  std::size_t op_stored_points = 0;
-  std::size_t optimise_cross_hits = 0;
-  std::size_t optimise_cross_stores = 0;
 };
 
 }  // namespace
@@ -84,7 +158,6 @@ Server::Server(std::istream& in, std::ostream& out, ServerOptions options)
     : in_(in),
       options_(std::move(options)),
       queue_(options_.queue_capacity),
-      pool_(options_.cross_request_caches ? options_.pool_capacity : 0),
       out_(out) {}
 
 void Server::emit(const io::JsonValue& event) {
@@ -112,7 +185,6 @@ int Server::run() {
     io::JsonValue ready = io::JsonValue::make_object();
     ready.set("event", "ready");
     ready.set("protocol", 1.0);
-    ready.set("cross_request_caches", caches_on());
     emit(ready);
   }
 
@@ -167,7 +239,7 @@ void Server::worker_loop() {
       emit(event_base("cancelled", request->id));
       continue;
     }
-    execute(*request);
+    handle(*request);
     // A cancel that raced in while this id was *running* must not linger:
     // the job already completed, and a stale entry would spuriously cancel
     // a later request that reuses the id.
@@ -178,396 +250,31 @@ void Server::worker_loop() {
   }
 }
 
-void Server::execute(const Request& request) {
+void Server::handle(const Request& request) {
   try {
     switch (request.type) {
-      case RequestType::kRun:
-        handle_run(request);
-        break;
-      case RequestType::kSweep:
-        handle_sweep(request);
-        break;
-      case RequestType::kOptimise:
-        handle_optimise(request);
-        break;
-      case RequestType::kEnsemble:
-        handle_ensemble(request);
-        break;
-      case RequestType::kResume:
-        handle_resume(request);
-        break;
-      case RequestType::kAccuracy:
-        handle_accuracy(request);
-        break;
-      case RequestType::kAutotune:
-        handle_autotune(request);
-        break;
       case RequestType::kStats:
         emit_stats(request.id);
-        count_completed();
         break;
       case RequestType::kShutdown:
         emit(event_base("shutdown", request.id));
-        count_completed();
         break;
       case RequestType::kCancel:
-        break;  // handled by the reader; never enqueued
+        return;  // handled by the reader; never enqueued
+      default: {
+        EventSink sink(request, [this](const io::JsonValue& event) { emit(event); });
+        ExecuteOptions options;
+        options.threads = options_.threads;
+        options.out_dir = options_.out_dir;
+        options.checkpoint = request.checkpoint;
+        execute(request.type, request.spec, options, sink);
+        break;
+      }
     }
+    count_completed();
   } catch (const std::exception& error) {
     emit_error(request.id, true, error.what(), "");
   }
-}
-
-experiments::PreparedRun Server::prepare_seeded(const experiments::ExperimentSpec& spec) {
-  experiments::RunOptions options;
-  std::uint64_t signature = 0;
-  // The seed copy must own its storage for the whole prepare call:
-  // options.initial_terminals is a span over it.
-  std::optional<std::vector<double>> seed;
-  if (caches_on()) {
-    signature =
-        experiments::operating_point_signature(spec, experiments::experiment_params(spec),
-                                               /*quantum=*/0.0);
-    if ((seed = op_cache_.find(signature))) {
-      options.initial_terminals = *seed;
-    }
-  }
-  experiments::PreparedRun run = experiments::prepare_run(spec, options);
-  if (caches_on()) note_outcome(signature, run);
-  return run;
-}
-
-void Server::note_outcome(std::uint64_t signature, const experiments::PreparedRun& run) {
-  switch (run.warm_start()) {
-    case experiments::WarmStartOutcome::kSeeded: {
-      const core::MutexLock lock(stats_mutex_);
-      ++op_seeded_runs_;
-      break;
-    }
-    case experiments::WarmStartOutcome::kRejected:
-      // Heal the entry so the deterministic rejection is not replayed on
-      // every later request for this signature.
-      op_cache_.replace(signature, run.initial_terminals());
-      break;
-    case experiments::WarmStartOutcome::kCold:
-      if (!run.initial_terminals().empty() && !op_cache_.contains(signature)) {
-        op_cache_.store(signature, run.initial_terminals());
-        const core::MutexLock lock(stats_mutex_);
-        ++op_stored_points_;
-      }
-      break;
-  }
-}
-
-void Server::write_scenario_files(const experiments::ScenarioResult& result) {
-  if (options_.out_dir.empty()) return;
-  io::write_result_files(options_.out_dir, result);
-}
-
-void Server::emit_scenario_result(const Request& request, const char* type,
-                                  const experiments::ScenarioResult& result,
-                                  std::size_t job, std::size_t jobs) {
-  if (!result.probes.empty()) {
-    io::JsonValue probes = event_base("probes", request.id);
-    probes.set("scenario", result.scenario);
-    probes.set("probes", probes_summary(result.probes));
-    emit(probes);
-  }
-  io::JsonValue done = event_base("result", request.id);
-  done.set("type", type);
-  if (jobs > 0) {
-    done.set("job", static_cast<double>(job));
-    done.set("jobs", static_cast<double>(jobs));
-  }
-  done.set("result", io::to_json(result));
-  emit(done);
-  write_scenario_files(result);
-}
-
-void Server::run_checkpointed(const Request& request, bool resume) {
-  experiments::CheckpointOptions checkpointing;
-  checkpointing.every = request.checkpoint->every;
-  checkpointing.dir = request.checkpoint->dir;
-  checkpointing.resume = resume;
-  checkpointing.on_checkpoint = [&](const std::string& path, const std::string& job,
-                                    double sim_time) {
-    io::JsonValue event = event_base("checkpoint", request.id);
-    event.set("job", job);
-    event.set("path", path);
-    event.set("sim_time", sim_time);
-    emit(event);
-  };
-
-  request.spec.dispatch(io::overloaded{
-      [&](const experiments::ExperimentSpec& spec) {
-        io::JsonValue started = event_base("started", request.id);
-        started.set("type", request_type_id(request.type));
-        started.set("name", spec.name);
-        emit(started);
-        experiments::RunOptions options;
-        const std::optional<experiments::ScenarioResult> result =
-            experiments::run_experiment_checkpointed(spec, options, checkpointing);
-        // The abort_after test hook is never set on the serve path, so a
-        // missing result cannot happen here; guard anyway.
-        if (result) emit_scenario_result(request, request_type_id(request.type), *result, 0, 0);
-      },
-      [&](const experiments::SweepSpec& sweep) {
-        sweep.validate();
-        io::JsonValue started = event_base("started", request.id);
-        started.set("type", request_type_id(request.type));
-        started.set("name", sweep.base.name);
-        emit(started);
-        const std::size_t total = sweep.job_count();
-        {
-          io::JsonValue progress = event_base("progress", request.id);
-          progress.set("jobs", static_cast<double>(total));
-          emit(progress);
-        }
-        experiments::BatchOptions batch;
-        batch.threads = options_.threads;
-        batch.batch_kernel = sweep.batch_kernel;
-        batch.warm_start = sweep.warm_start;
-        const std::optional<std::vector<experiments::ScenarioResult>> results =
-            experiments::run_sweep_checkpointed(sweep, batch, checkpointing, nullptr);
-        if (results) {
-          for (std::size_t i = 0; i < results->size(); ++i) {
-            emit_scenario_result(request, request_type_id(request.type), (*results)[i], i,
-                                 total);
-          }
-        }
-      },
-      [&](const auto&) {
-        // parse_request only lets experiment/sweep specs through with a
-        // checkpoint block.
-        throw ModelError("checkpointed execution needs an experiment or sweep spec");
-      }});
-  count_completed();
-}
-
-void Server::handle_resume(const Request& request) { run_checkpointed(request, true); }
-
-void Server::handle_run(const Request& request) {
-  if (request.checkpoint) {
-    run_checkpointed(request, false);
-    return;
-  }
-  const experiments::ExperimentSpec& spec =
-      *request.spec.get_if<experiments::ExperimentSpec>();
-  io::JsonValue started = event_base("started", request.id);
-  started.set("type", "run");
-  started.set("name", spec.name);
-  emit(started);
-
-  const std::string key = io::to_json(spec).dump(-1);
-  experiments::ScenarioResult result;
-  std::optional<experiments::PreparedRun> pooled = pool_.take(key);
-  if (pooled && pooled->valid()) {
-    result = experiments::finish_run(spec, *pooled);
-  } else {
-    experiments::PreparedRun run = prepare_seeded(spec);
-    result = experiments::finish_run(spec, run);
-  }
-  if (caches_on() && options_.pool_capacity > 0) {
-    // Speculatively re-prepare so the next identical request skips model
-    // assembly and initialisation entirely (the pool hit the stats report).
-    pool_.put(key, prepare_seeded(spec));
-  }
-
-  emit_scenario_result(request, "run", result, 0, 0);
-  count_completed();
-}
-
-void Server::handle_sweep(const Request& request) {
-  if (request.checkpoint) {
-    run_checkpointed(request, false);
-    return;
-  }
-  const experiments::SweepSpec& sweep = *request.spec.get_if<experiments::SweepSpec>();
-  sweep.validate();
-  io::JsonValue started = event_base("started", request.id);
-  started.set("type", "sweep");
-  started.set("name", sweep.base.name);
-  emit(started);
-
-  const std::size_t total = sweep.job_count();
-  {
-    io::JsonValue progress = event_base("progress", request.id);
-    progress.set("jobs", static_cast<double>(total));
-    emit(progress);
-  }
-
-  experiments::BatchOptions batch;
-  batch.threads = options_.threads;
-  batch.batch_kernel = sweep.batch_kernel;
-  const bool use_cross_cache = !sweep.warm_start && caches_on();
-  if (sweep.warm_start) {
-    // The spec opted into quantised warm starts: run them exactly as the
-    // one-shot CLI would (per-batch cache, default quantum) so the response
-    // stays bit-identical to `ehsim run sweep.json`.
-    batch.warm_start = true;
-  } else if (use_cross_cache) {
-    // Exact signatures only: a cross-request seed is the job's own
-    // cold-converged point, so seeded jobs stay bit-identical to cold ones.
-    batch.warm_start = true;
-    batch.warm_start_quantum = 0.0;
-    batch.warm_cache = &op_cache_;
-  }
-  const std::size_t entries_before = op_cache_.size();
-  experiments::BatchStats stats;
-  const std::vector<experiments::ScenarioResult> results =
-      experiments::run_sweep(sweep, batch, &stats);
-  if (use_cross_cache) {
-    const core::MutexLock lock(stats_mutex_);
-    op_seeded_runs_ += stats.warm_start_hits;
-    op_stored_points_ += op_cache_.size() - entries_before;
-  }
-
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    emit_scenario_result(request, "sweep", results[i], i, total);
-  }
-  count_completed();
-}
-
-void Server::handle_ensemble(const Request& request) {
-  const experiments::EnsembleSpec& spec = *request.spec.get_if<experiments::EnsembleSpec>();
-  io::JsonValue started = event_base("started", request.id);
-  started.set("type", "ensemble");
-  started.set("name", spec.base.name);
-  emit(started);
-  {
-    io::JsonValue progress = event_base("progress", request.id);
-    progress.set("jobs", static_cast<double>(spec.replica_seeds().size()));
-    emit(progress);
-  }
-
-  experiments::BatchOptions batch;
-  batch.threads = options_.threads;
-  batch.batch_kernel = spec.batch_kernel;
-  const experiments::EnsembleResult result = experiments::run_ensemble(spec, batch, nullptr);
-
-  io::JsonValue done = event_base("result", request.id);
-  done.set("type", "ensemble");
-  done.set("replicas", static_cast<double>(result.runs.size()));
-  done.set("result", io::to_json(result));
-  emit(done);
-  if (!options_.out_dir.empty()) {
-    io::write_ensemble_result_files(options_.out_dir, result);
-  }
-  count_completed();
-}
-
-void Server::handle_optimise(const Request& request) {
-  const experiments::OptimiseSpec& spec = *request.spec.get_if<experiments::OptimiseSpec>();
-  io::JsonValue started = event_base("started", request.id);
-  started.set("type", "optimise");
-  started.set("name", spec.name);
-  emit(started);
-
-  experiments::OptimiseRuntime runtime;
-  if (caches_on()) runtime.cross_cache = &op_cache_;
-  const experiments::OptimiseResult result = experiments::run_optimise(spec, &runtime);
-  {
-    const core::MutexLock lock(stats_mutex_);
-    optimise_cross_hits_ += runtime.cross_hits;
-    optimise_cross_stores_ += runtime.cross_stores;
-    op_stored_points_ += runtime.cross_stores;
-  }
-
-  if (!result.best_run.probes.empty()) {
-    io::JsonValue probes = event_base("probes", request.id);
-    probes.set("scenario", result.best_run.scenario);
-    probes.set("probes", probes_summary(result.best_run.probes));
-    emit(probes);
-  }
-  io::JsonValue done = event_base("result", request.id);
-  done.set("type", "optimise");
-  done.set("evaluations", static_cast<double>(result.evaluations.size()));
-  done.set("result", io::to_json(result));
-  emit(done);
-  if (!options_.out_dir.empty()) {
-    // Mirror `ehsim optimise --out`: the search document plus the best
-    // run's result/trace files.
-    std::filesystem::create_directories(options_.out_dir);
-    const std::string stem = (std::filesystem::path(options_.out_dir) /
-                              io::safe_file_stem(result.name))
-                                 .string();
-    io::write_file(stem + ".optimise.json", io::to_json(result).dump(2) + "\n");
-    io::write_result_files(options_.out_dir, result.best_run);
-  }
-  count_completed();
-}
-
-void Server::handle_accuracy(const Request& request) {
-  experiments::AccuracyOptions options;
-  if (options_.threads > 0) options.threads = options_.threads;
-  std::optional<experiments::AccuracyReport> report;
-  request.spec.dispatch(io::overloaded{
-      [&](const experiments::ExperimentSpec& spec) {
-        io::JsonValue started = event_base("started", request.id);
-        started.set("type", "accuracy");
-        started.set("name", spec.name);
-        emit(started);
-        report = experiments::run_accuracy(spec, options);
-      },
-      [&](const experiments::SweepSpec& sweep) {
-        io::JsonValue started = event_base("started", request.id);
-        started.set("type", "accuracy");
-        started.set("name", sweep.base.name);
-        emit(started);
-        report = experiments::run_accuracy(sweep, options);
-      },
-      [&](const auto&) {
-        // parse_request only lets experiment/sweep specs through.
-        throw ModelError("accuracy measurement needs an experiment or sweep spec");
-      }});
-
-  io::JsonValue done = event_base("result", request.id);
-  done.set("type", "accuracy");
-  done.set("kernels", static_cast<double>(report->kernels.size()));
-  done.set("result", io::to_json(*report));
-  emit(done);
-  if (!options_.out_dir.empty()) {
-    std::filesystem::create_directories(options_.out_dir);
-    const std::string stem = (std::filesystem::path(options_.out_dir) /
-                              io::safe_file_stem(report->name))
-                                 .string();
-    io::write_file(stem + ".accuracy.json", io::to_json(*report).dump(2) + "\n");
-  }
-  count_completed();
-}
-
-void Server::handle_autotune(const Request& request) {
-  const experiments::AutotuneSpec& spec = *request.spec.get_if<experiments::AutotuneSpec>();
-  io::JsonValue started = event_base("started", request.id);
-  started.set("type", "autotune");
-  started.set("name", spec.name);
-  emit(started);
-
-  const experiments::AutotuneOutcome outcome = experiments::run_autotune(spec);
-  const experiments::AutotuneResult& result = outcome.result;
-
-  if (!outcome.best_run.probes.empty()) {
-    io::JsonValue probes = event_base("probes", request.id);
-    probes.set("scenario", outcome.best_run.scenario);
-    probes.set("probes", probes_summary(outcome.best_run.probes));
-    emit(probes);
-  }
-  io::JsonValue done = event_base("result", request.id);
-  done.set("type", "autotune");
-  done.set("evaluations", static_cast<double>(result.evaluations));
-  done.set("result", io::to_json(result));
-  emit(done);
-  if (!options_.out_dir.empty()) {
-    // Mirror `ehsim autotune --out`: the search document plus the chosen
-    // configuration's result/trace files.
-    std::filesystem::create_directories(options_.out_dir);
-    const std::string stem = (std::filesystem::path(options_.out_dir) /
-                              io::safe_file_stem(result.name))
-                                 .string();
-    io::write_file(stem + ".autotune.json", io::to_json(result).dump(2) + "\n");
-    io::write_result_files(options_.out_dir, outcome.best_run);
-  }
-  count_completed();
 }
 
 void Server::count_completed() {
@@ -586,10 +293,6 @@ void Server::emit_stats(std::uint64_t id) {
     snapshot.completed = completed_;
     snapshot.errors = errors_;
     snapshot.cancelled = cancelled_;
-    snapshot.op_seeded_runs = op_seeded_runs_;
-    snapshot.op_stored_points = op_stored_points_;
-    snapshot.optimise_cross_hits = optimise_cross_hits_;
-    snapshot.optimise_cross_stores = optimise_cross_stores_;
   }
 
   io::JsonValue json = event_base("stats", id);
@@ -608,27 +311,6 @@ void Server::emit_stats(std::uint64_t id) {
   queue_json.set("dequeued", static_cast<double>(queue.dequeued));
   queue_json.set("max_depth", static_cast<double>(queue.max_depth));
   json.set("queue", std::move(queue_json));
-
-  const SessionPool::Stats pool = pool_.stats();
-  io::JsonValue pool_json = io::JsonValue::make_object();
-  pool_json.set("capacity", static_cast<double>(pool.capacity));
-  pool_json.set("entries", static_cast<double>(pool.entries));
-  pool_json.set("hits", static_cast<double>(pool.hits));
-  pool_json.set("misses", static_cast<double>(pool.misses));
-  pool_json.set("inserts", static_cast<double>(pool.inserts));
-  pool_json.set("evictions", static_cast<double>(pool.evictions));
-  json.set("session_pool", std::move(pool_json));
-
-  io::JsonValue op_json = io::JsonValue::make_object();
-  op_json.set("entries", static_cast<double>(op_cache_.size()));
-  op_json.set("seeded_runs", static_cast<double>(snapshot.op_seeded_runs));
-  op_json.set("stored_points", static_cast<double>(snapshot.op_stored_points));
-  json.set("op_cache", std::move(op_json));
-
-  io::JsonValue optimise_json = io::JsonValue::make_object();
-  optimise_json.set("hits", static_cast<double>(snapshot.optimise_cross_hits));
-  optimise_json.set("stores", static_cast<double>(snapshot.optimise_cross_stores));
-  json.set("optimise_cache", std::move(optimise_json));
 
   const pwl::TableCacheStats diode = pwl::diode_table_cache_stats();
   io::JsonValue diode_json = io::JsonValue::make_object();

@@ -5,26 +5,15 @@
 /// protocol.hpp) from an input stream, schedules the job types through a
 /// bounded JobQueue onto a single simulation worker thread, and streams
 /// newline-delimited JSON events back: progress, per-probe summaries, full
-/// result documents and cache statistics, each tagged with the request id.
+/// result documents and counters, each tagged with the request id.
 ///
-/// What makes the daemon worth running over repeated one-shot `ehsim`
-/// invocations is the cross-request state it keeps warm:
-///   - the process-wide PWL diode-table cache (pwl/table_cache.hpp) now
-///     amortises across *requests*, not just across the jobs of one sweep;
-///   - a cross-request OperatingPointCache keyed by *exact* operating-point
-///     signatures seeds the t=0 consistency iterations of any request whose
-///     parameter vector was converged before (runs, sweep jobs and optimise
-///     evaluations all share it);
-///   - a bounded SessionPool of fully prepared sessions lets a repeated
-///     spec skip model assembly and initialisation entirely.
-///
-/// Determinism contract: because cross-request seeds use exact signatures
-/// (warm_start_quantum 0), a seeded solve converges to the very operating
-/// point it was seeded with, so every response is bit-identical to a cold
-/// one-shot `ehsim run|sweep|optimise` of the same spec — modulo the
-/// explicitly run-dependent fields "cpu_seconds", "warm_start" and
-/// "shared_diode_table" (the golden serve ctest pins exactly this with
-/// `compare --ignore`). Wire protocol reference: docs/serve_protocol.md.
+/// Every job request runs through serve::execute (execute.hpp), the same
+/// executor `ehsim <verb>` calls, so every response is the one-shot
+/// document of the same spec — modulo the run-dependent fields
+/// "cpu_seconds" and "shared_diode_table" (the golden serve ctest pins
+/// exactly this with `compare --ignore`). The only state requests share is
+/// the process-wide PWL diode-table cache (pwl/table_cache.hpp). Wire
+/// protocol reference: docs/serve_protocol.md.
 #pragma once
 
 #include <cstddef>
@@ -34,36 +23,27 @@
 #include <unordered_set>
 
 #include "core/thread_annotations.hpp"
-#include "experiments/scenarios.hpp"
-#include "experiments/warm_start.hpp"
 #include "io/json.hpp"
 #include "serve/job_queue.hpp"
-#include "serve/session_pool.hpp"
 
 namespace ehsim::serve {
 
 struct ServerOptions {
-  /// Sweep worker threads (0: the sweep spec's own setting, then hardware
-  /// concurrency). Runs and optimise loops are inherently serial.
+  /// Sweep, ensemble and accuracy worker threads (0: the spec's own
+  /// setting, then hardware concurrency). Runs and optimise/autotune
+  /// searches are inherently serial.
   std::size_t threads = 0;
-  /// Non-empty: also write each result to disk exactly as the one-shot CLI
-  /// would (<stem>.result.json / .trace.csv / .optimise.json under this
-  /// directory) via io::write_result_files.
+  /// Non-empty: also write each request's files exactly as the one-shot CLI
+  /// would (<stem>.result.json / .trace.csv / .<verb>.json under this
+  /// directory).
   std::string out_dir{};
   /// Job-queue ring capacity (blocking back-pressure past this depth).
   std::size_t queue_capacity = 16;
-  /// Prepared-session pool capacity (0 disables pooling).
-  std::size_t pool_capacity = 8;
-  /// Master switch for the cross-request caches (`--cold` clears it): off,
-  /// every request runs exactly like an isolated one-shot invocation —
-  /// useful for A/B-ing the caches and for the amortisation benchmark's
-  /// baseline.
-  bool cross_request_caches = true;
 };
 
 /// The daemon. Construct over any istream/ostream pair (the CLI passes
-/// stdin/stdout; tests and the amortisation benchmark drive it in-process
-/// over stringstreams).
+/// stdin/stdout; tests and benchmarks drive it in-process over
+/// stringstreams).
 class Server {
  public:
   Server(std::istream& in, std::ostream& out, ServerOptions options = {});
@@ -77,10 +57,6 @@ class Server {
   int run();
 
  private:
-  [[nodiscard]] bool caches_on() const noexcept {
-    return options_.cross_request_caches;
-  }
-
   void emit(const io::JsonValue& event) EHSIM_EXCLUDES(out_mutex_);
   void emit_error(std::uint64_t id, bool has_id, const std::string& message,
                   const std::string& key) EHSIM_EXCLUDES(stats_mutex_, out_mutex_);
@@ -93,61 +69,19 @@ class Server {
   void count_completed() EHSIM_EXCLUDES(stats_mutex_);
 
   void worker_loop();
-  void execute(const Request& request);
-  void handle_run(const Request& request);
-  void handle_sweep(const Request& request);
-  void handle_optimise(const Request& request);
-  void handle_ensemble(const Request& request);
-  /// Oracle-vs-fast-path error measurement of an experiment or sweep spec;
-  /// emits the AccuracyReport document and writes <name>.accuracy.json.
-  void handle_accuracy(const Request& request);
-  /// Error-budget knob search of an autotune spec; emits the deterministic
-  /// AutotuneResult document plus the chosen configuration's run, and
-  /// mirrors `ehsim autotune --out` on disk.
-  void handle_autotune(const Request& request);
-  /// Dispatches the resumed spec flavour back onto the checkpointed
-  /// run/sweep path with CheckpointOptions::resume set.
-  void handle_resume(const Request& request);
-
-  /// Checkpointed run/sweep/resume executor shared by handle_run,
-  /// handle_sweep and handle_resume: periodic per-job checkpoint files plus
-  /// one "checkpoint" event per committed file. Bypasses the session pool
-  /// (a chunked march is prepared per request), but keeps the cross-request
-  /// operating-point cache semantics of the plain paths.
-  void run_checkpointed(const Request& request, bool resume);
-
-  /// Emit per-probe summary + result events and write result files for one
-  /// run/sweep result (the shared tail of every scenario-producing handler).
-  void emit_scenario_result(const Request& request, const char* type,
-                            const experiments::ScenarioResult& result,
-                            std::size_t job, std::size_t jobs);
-
-  /// Cross-request operating-point bookkeeping after prepare_run: seeded
-  /// runs count a hit, rejected seeds are healed with the cold fallback's
-  /// point, and cold-converged points are stored (first store wins).
-  void note_outcome(std::uint64_t signature, const experiments::PreparedRun& run);
-
-  /// Prepare a fresh run for \p spec, seeding from the cross-request
-  /// operating-point cache when possible.
-  [[nodiscard]] experiments::PreparedRun prepare_seeded(
-      const experiments::ExperimentSpec& spec);
-
-  void write_scenario_files(const experiments::ScenarioResult& result);
+  /// Run one dequeued request: control types here, job types through
+  /// serve::execute with an NDJSON event sink.
+  void handle(const Request& request);
 
   std::istream& in_;
   ServerOptions options_;
 
   JobQueue queue_;
-  SessionPool pool_;
-  /// Exact-signature (quantum 0) operating-point store shared by runs,
-  /// sweeps and optimise evaluations. Internally synchronised; populated by
-  /// the worker thread, read by sweep pool workers during a fan-out.
-  experiments::OperatingPointCache op_cache_;
 
   // Lock hierarchy (docs/concurrency.md): cancel_mutex_ and stats_mutex_
   // are bookkeeping locks acquired strictly before (never inside) the
   // out_mutex_ emission lock; no two server locks are ever held together.
-  // All three are leaves with respect to JobQueue/SessionPool internals.
+  // All three are leaves with respect to JobQueue internals.
   core::Mutex out_mutex_ EHSIM_ACQUIRED_AFTER(cancel_mutex_, stats_mutex_);
   std::ostream& out_ EHSIM_GUARDED_BY(out_mutex_);
 
@@ -156,18 +90,14 @@ class Server {
   core::Mutex cancel_mutex_;
   std::unordered_set<std::uint64_t> cancel_set_ EHSIM_GUARDED_BY(cancel_mutex_);
 
-  /// Request and cross-request cache counters. One mutex guards them all so
-  /// a `stats` snapshot is atomic with respect to both the reader thread
-  /// (received/errors) and the worker thread (everything else).
+  /// Request counters. One mutex guards them all so a `stats` snapshot is
+  /// atomic with respect to both the reader thread (received/errors) and
+  /// the worker thread (completed/cancelled).
   mutable core::Mutex stats_mutex_;
   std::size_t received_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t completed_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t errors_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
   std::size_t cancelled_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t op_seeded_runs_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t op_stored_points_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t optimise_cross_hits_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
-  std::size_t optimise_cross_stores_ EHSIM_GUARDED_BY(stats_mutex_) = 0;
 };
 
 }  // namespace ehsim::serve

@@ -17,8 +17,8 @@
 /// slot write happens-before latch.count_down(), which happens-before the
 /// caller's latch.wait() returning). The only mutex involved is the
 /// ThreadPool's own annotated queue mutex, a leaf in the lock hierarchy.
-/// Jobs that touch shared caches (e.g. OperatingPointCache reads during a
-/// warm-started fan-out) rely on those caches' internal mutexes instead.
+/// Jobs that touch shared caches (e.g. the diode-table cache) rely on those
+/// caches' internal mutexes instead.
 #pragma once
 
 #include <cstddef>

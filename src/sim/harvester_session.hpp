@@ -47,9 +47,6 @@ class HarvesterSession {
   }
   [[nodiscard]] core::ProbeHub& probes() { return session_.probes(); }
   [[nodiscard]] bool has_probes() const noexcept { return session_.has_probes(); }
-  bool seed_initial_terminals(std::span<const double> y) {
-    return session_.seed_initial_terminals(y);
-  }
   void initialise(double t0 = 0.0) { session_.initialise(t0); }
   void run_until(double t_end) { session_.run_until(t_end); }
   [[nodiscard]] double time() const { return session_.time(); }

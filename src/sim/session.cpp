@@ -72,13 +72,6 @@ void Session::on_initialised(EngineHook hook) {
   ready_hooks_.push_back(std::move(hook));
 }
 
-bool Session::seed_initial_terminals(std::span<const double> y) {
-  if (initialised_) {
-    throw ModelError("Session: seed_initial_terminals after initialise()");
-  }
-  return engine_->seed_initial_terminals(y);
-}
-
 void Session::initialise(double t0) {
   if (initialised_) {
     throw ModelError("Session: already initialised");

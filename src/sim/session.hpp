@@ -78,12 +78,6 @@ class Session {
   /// Register a hook run right after initialise().
   void on_initialised(EngineHook hook);
 
-  /// Seed the engine's next initialise() consistency iterations from a
-  /// previously converged terminal vector (cross-job warm start). Must be
-  /// called before initialise(); returns false when the engine rejects the
-  /// seed (e.g. size mismatch), in which case the run starts cold.
-  bool seed_initial_terminals(std::span<const double> y);
-
   /// Establish the operating point at \p t0 and run the ready hooks.
   void initialise(double t0 = 0.0);
   [[nodiscard]] bool initialised() const noexcept { return initialised_; }

@@ -15,6 +15,8 @@
 #include "common/error.hpp"
 #include "experiments/scenarios.hpp"
 #include "experiments/sweep.hpp"
+#include "io/json.hpp"
+#include "io/spec_json.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace {
@@ -27,7 +29,6 @@ using ehsim::experiments::EngineKind;
 using ehsim::experiments::ExperimentSpec;
 using ehsim::experiments::ProbeSpec;
 using ehsim::experiments::RandomWalkParams;
-using ehsim::experiments::RunOptions;
 using ehsim::experiments::ScenarioJob;
 using ehsim::experiments::ScenarioResult;
 using ehsim::experiments::SweepAxis;
@@ -89,8 +90,6 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.stats.step_rejections, b.stats.step_rejections);
   EXPECT_EQ(a.stats.last_step, b.stats.last_step);
   EXPECT_EQ(a.stats.min_step, b.stats.min_step);
-  EXPECT_EQ(a.warm_start, b.warm_start);
-  EXPECT_EQ(a.initial_terminals, b.initial_terminals);
   EXPECT_EQ(a.batch_kernel, b.batch_kernel);
   EXPECT_EQ(a.lockstep_groups, b.lockstep_groups);
   EXPECT_EQ(a.shared_factorisations, b.shared_factorisations);
@@ -135,19 +134,19 @@ void check_kill_resume(const ExperimentSpec& spec, double every, int abort_after
   CheckpointOptions full;
   full.every = every;
   full.dir = full_dir.str();
-  const auto uninterrupted = run_experiment_checkpointed(spec, RunOptions{}, full);
+  const auto uninterrupted = run_experiment_checkpointed(spec, full);
   ASSERT_TRUE(uninterrupted.has_value());
 
   CheckpointOptions kill = full;
   kill.dir = kill_dir.str();
   kill.abort_after = abort_after;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, RunOptions{}, kill).has_value());
+  ASSERT_FALSE(run_experiment_checkpointed(spec, kill).has_value());
 
   CheckpointOptions resume;
   resume.every = every;
   resume.dir = kill_dir.str();
   resume.resume = true;
-  const auto resumed = run_experiment_checkpointed(spec, RunOptions{}, resume);
+  const auto resumed = run_experiment_checkpointed(spec, resume);
   ASSERT_TRUE(resumed.has_value());
   expect_identical(*uninterrupted, *resumed);
 }
@@ -187,7 +186,7 @@ TEST(Checkpoint, KillResumeAtExactParameterEventBoundary) {
     options.every = 0.5;
     options.dir = dir.str();
     options.abort_after = 1;
-    ASSERT_FALSE(run_experiment_checkpointed(spec, RunOptions{}, options).has_value());
+    ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
     const ehsim::sim::Checkpoint checkpoint =
         ehsim::sim::Checkpoint::read_file(checkpoint_file_path(options, spec.name));
     const auto& payload = checkpoint.payload;
@@ -231,14 +230,50 @@ TEST(Checkpoint, ResumeRejectsDifferentSpec) {
   options.every = 0.5;
   options.dir = dir.str();
   options.abort_after = 1;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, RunOptions{}, options).has_value());
+  ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
 
   ExperimentSpec other = spec;
   other.excitation.events[0].frequency_hz = 72.0;  // same name, different physics
   CheckpointOptions resume;
   resume.dir = dir.str();
   resume.resume = true;
-  EXPECT_THROW((void)run_experiment_checkpointed(other, RunOptions{}, resume), ModelError);
+  EXPECT_THROW((void)run_experiment_checkpointed(other, resume), ModelError);
+}
+
+/// A checkpoint whose meta carries the operating-point key "warm_start" (as
+/// older writers produced) is refused, naming the key, instead of resumed
+/// with that field silently dropped.
+TEST(Checkpoint, ResumeRefusesWarmStartEraCheckpoints) {
+  ScratchDir dir("warm_era");
+  const ExperimentSpec spec = small_spec();
+  CheckpointOptions options;
+  options.every = 0.5;
+  options.dir = dir.str();
+  options.abort_after = 1;
+  ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+
+  // Turn the file into what older writers produced: the same document plus
+  // the operating-point meta key.
+  const std::string path = checkpoint_file_path(options, spec.name);
+  ehsim::io::JsonValue document = ehsim::io::JsonValue::parse(ehsim::io::read_file(path));
+  for (auto& [key, value] : document.as_object()) {
+    if (key == "meta") {
+      value.set("warm_start", "cold");
+    }
+  }
+  ehsim::io::write_file(path, document.dump(2));
+
+  CheckpointOptions resume;
+  resume.every = 0.5;
+  resume.dir = dir.str();
+  resume.resume = true;
+  try {
+    (void)run_experiment_checkpointed(spec, resume);
+    ADD_FAILURE() << "a checkpoint carrying warm_start was resumed";
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find("warm_start"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(Checkpoint, ResumeWithoutFilesStartsFresh) {
@@ -248,12 +283,12 @@ TEST(Checkpoint, ResumeWithoutFilesStartsFresh) {
   CheckpointOptions reference;
   reference.every = 0.5;
   reference.dir = ref_dir.str();
-  const auto straight = run_experiment_checkpointed(spec, RunOptions{}, reference);
+  const auto straight = run_experiment_checkpointed(spec, reference);
   CheckpointOptions resume;
   resume.every = 0.5;
   resume.dir = dir.str();
   resume.resume = true;  // nothing on disk: a plain start
-  const auto fresh = run_experiment_checkpointed(spec, RunOptions{}, resume);
+  const auto fresh = run_experiment_checkpointed(spec, resume);
   ASSERT_TRUE(straight.has_value());
   ASSERT_TRUE(fresh.has_value());
   expect_identical(*straight, *fresh);

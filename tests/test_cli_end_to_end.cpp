@@ -13,6 +13,7 @@
 #include <set>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "experiments/optimise_spec.hpp"
 #include "experiments/param_registry.hpp"
@@ -180,6 +181,91 @@ TEST(EhsimCli, UnknownCommandEmitsSingleLineJsonErrorAndNonzeroStatus) {
   EXPECT_NE(json.at("expected").as_string().find("serve"), std::string::npos);
 
   std::filesystem::remove(err_path);
+}
+
+/// Exit status and stderr of one `ehsim` invocation (stdin empty, stdout
+/// discarded).
+struct CliOutcome {
+  int status = 0;
+  std::string error;
+};
+
+CliOutcome run_cli(const std::string& arguments) {
+  const std::filesystem::path err_path =
+      std::filesystem::temp_directory_path() / "ehsim_cli_stderr.txt";
+  const std::string command = std::string("\"") + EHSIM_CLI_PATH + "\" " + arguments +
+                              " < /dev/null > /dev/null 2> \"" + err_path.string() + "\"";
+  CliOutcome outcome;
+  outcome.status = std::system(command.c_str());
+  outcome.error = ehsim::io::read_file(err_path.string());
+  std::filesystem::remove(err_path);
+  return outcome;
+}
+
+/// Expect `ehsim <arguments>` to fail with stderr mentioning every needle.
+void expect_rejected(const std::string& arguments, const std::vector<std::string>& needles) {
+  const CliOutcome outcome = run_cli(arguments);
+  EXPECT_NE(outcome.status, 0) << arguments;
+  for (const std::string& needle : needles) {
+    EXPECT_NE(outcome.error.find(needle), std::string::npos)
+        << arguments << ": stderr '" << outcome.error << "' does not mention '" << needle
+        << "'";
+  }
+}
+
+/// Numeric flags parse the whole token: a sign on an unsigned flag, a
+/// trailing junk character or a missing value is an error naming the flag
+/// and the value — never a wrapped thread count or a silently truncated
+/// cadence.
+TEST(EhsimCli, NumericFlagsRejectSignsJunkAndMissingValues) {
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "ehsim_cli_numeric_flags";
+  const std::string sink = " --out \"" + out.string() + "\" --quiet";
+  const std::string sweep = "sweep \"" + golden + "golden_serve_sweep.json\"" + sink;
+  expect_rejected(sweep + " --threads -1", {"--threads", "'-1'"});
+  expect_rejected(sweep + " --threads abc", {"--threads", "'abc'"});
+  expect_rejected(sweep + " --threads 2x", {"--threads", "'2x'"});
+  expect_rejected(sweep + " --threads +2", {"--threads", "'+2'"});
+  expect_rejected("run \"" + golden + "golden_charging.json\"" + sink +
+                      " --checkpoint-dir \"" + (out / "ckpt").string() +
+                      "\" --checkpoint-every 1e",
+                  {"--checkpoint-every", "'1e'"});
+  expect_rejected(sweep + " --threads", {"--threads needs a value"});
+  expect_rejected("compare a.json b.json --rtol", {"--rtol needs a value"});
+  expect_rejected("compare a.json b.json --atol 1e-9x", {"--atol", "'1e-9x'"});
+  expect_rejected("serve --queue -4", {"--queue", "'-4'"});
+  std::filesystem::remove_all(out);
+}
+
+/// A flag the verb does not use is an error naming the flag and the verb,
+/// and a spec of the wrong flavour names the invoked verb (from the verb ->
+/// flavour table serve shares). Removed flags are unknown options.
+TEST(EhsimCli, FlagsAVerbDoesNotUseAndWrongFlavoursAreRejected) {
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "ehsim_cli_unused_flags";
+  const std::string sink = " --out \"" + out.string() + "\" --quiet";
+  const std::string ckpt = " --checkpoint-dir \"" + (out / "ckpt").string() + "\"";
+  expect_rejected("optimise \"" + golden + "golden_optimise.json\"" + sink + ckpt +
+                      " --checkpoint-every 0.1 --batch-kernel lockstep",
+                  {"--checkpoint-dir", "optimise"});
+  expect_rejected("autotune \"" + golden + "golden_autotune.json\"" + sink +
+                      " --batch-kernel jobs",
+                  {"--batch-kernel", "autotune"});
+  expect_rejected("ensemble \"" + golden + "golden_ensemble.json\"" + sink + " --probes power",
+                  {"--probes", "ensemble"});
+  expect_rejected("run \"" + golden + "golden_charging.json\"" + sink + " --kernels jobs",
+                  {"--kernels", "run"});
+  expect_rejected("sweep \"" + golden + "golden_optimise.json\"" + sink,
+                  {"'sweep'", "'optimise'"});
+  expect_rejected("resume \"" + golden + "golden_optimise.json\"" + sink + ckpt,
+                  {"'resume'", "'optimise'"});
+  expect_rejected("run \"" + golden + "golden_charging.json\"" + sink + " --warm-start",
+                  {"--warm-start"});
+  expect_rejected("serve --pool 4", {"--pool"});
+  expect_rejected("serve --cold", {"--cold"});
+  std::filesystem::remove_all(out);
 }
 
 /// The serve daemon end to end through the binary: a malformed envelope gets

@@ -1,10 +1,10 @@
 /// \file test_concurrency_stress.cpp
 /// \brief Cross-thread stress for every shared structure in the repo: the
-/// serve JobQueue, the SessionPool, the process-wide diode-table cache, the
-/// OperatingPointCache and the ThreadPool itself.
+/// serve JobQueue, the process-wide diode-table cache and the ThreadPool
+/// itself.
 ///
 /// These tests assert *invariants under contention* (counters balance,
-/// first-store-wins, pointer identity per key), not timings. They are the
+/// pointer identity per key), not timings. They are the
 /// workload the TSan CI job runs: a data race anywhere in the annotated
 /// subsystems shows up here as a sanitizer report, a lost update or a hang.
 #include <gtest/gtest.h>
@@ -12,18 +12,14 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <set>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "experiments/scenarios.hpp"
-#include "experiments/warm_start.hpp"
 #include "pwl/table_cache.hpp"
 #include "serve/job_queue.hpp"
 #include "serve/protocol.hpp"
-#include "serve/session_pool.hpp"
 #include "sim/thread_pool.hpp"
 
 namespace {
@@ -141,42 +137,6 @@ TEST(ConcurrencyStress, JobQueueDestructorAfterDrainUnderContention) {
   }
 }
 
-// ---- SessionPool ------------------------------------------------------------
-
-TEST(ConcurrencyStress, SessionPoolTakePutEvictUnderContention) {
-  serve::SessionPool pool(2);  // tighter than the key set: constant eviction
-  const std::vector<std::string> keys = {"a", "b", "c"};
-
-  experiments::ExperimentSpec spec = experiments::charging_scenario(0.02);
-  spec.trace_interval = 0.01;
-
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&pool, &keys, &spec, t] {
-      for (int i = 0; i < 8; ++i) {
-        const std::string& key = keys[(t + static_cast<std::size_t>(i)) % keys.size()];
-        std::optional<experiments::PreparedRun> run = pool.take(key);
-        if (!run) {
-          // Preparation happens outside the pool's lock by design.
-          run = experiments::prepare_run(spec, {});
-        }
-        pool.put(key, std::move(*run));
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-
-  const serve::SessionPool::Stats stats = pool.stats();
-  EXPECT_LE(stats.entries, 2u);
-  EXPECT_EQ(stats.hits + stats.misses, kThreads * 8);
-  EXPECT_EQ(stats.inserts, kThreads * 8);
-  // Every insert beyond capacity displaced the FIFO head (replacements of a
-  // live key keep their slot, so eviction count is bounded by inserts).
-  EXPECT_GE(stats.inserts, stats.evictions);
-}
-
 // ---- process-wide diode-table cache ----------------------------------------
 
 TEST(ConcurrencyStress, DiodeTableCacheSharesOneInstancePerKey) {
@@ -216,39 +176,6 @@ TEST(ConcurrencyStress, DiodeTableCacheSharesOneInstancePerKey) {
   const pwl::TableCacheStats stats = pwl::diode_table_cache_stats();
   EXPECT_EQ(stats.entries, kKeys);
   EXPECT_GT(stats.hits, 0u);
-}
-
-// ---- OperatingPointCache ----------------------------------------------------
-
-TEST(ConcurrencyStress, OperatingPointCacheFirstStoreWinsUnderContention) {
-  experiments::OperatingPointCache cache;
-  constexpr std::uint64_t kSignature = 42;
-
-  std::vector<std::thread> threads;
-  for (std::size_t t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&cache, t] {
-      const std::vector<double> mine(4, static_cast<double>(t));
-      for (int i = 0; i < 50; ++i) {
-        cache.store(kSignature, mine);
-        const std::optional<std::vector<double>> seen = cache.find(kSignature);
-        ASSERT_TRUE(seen.has_value());
-        // First store wins: whatever is visible is some thread's complete
-        // vector, never a torn mix.
-        ASSERT_EQ(seen->size(), 4u);
-        EXPECT_EQ((*seen)[0], (*seen)[3]);
-      }
-    });
-  }
-  for (std::thread& thread : threads) {
-    thread.join();
-  }
-
-  EXPECT_EQ(cache.size(), 1u);
-  // Once every writer quiesced the winning value is frozen.
-  const std::optional<std::vector<double>> final_value = cache.find(kSignature);
-  ASSERT_TRUE(final_value.has_value());
-  cache.store(kSignature, std::vector<double>(4, 999.0));
-  EXPECT_EQ(*cache.find(kSignature), *final_value);
 }
 
 // ---- ThreadPool -------------------------------------------------------------

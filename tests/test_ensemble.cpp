@@ -204,7 +204,6 @@ TEST(EnsembleSpecTest, ExpandNamesReplicasAndReseedsEveryWalk) {
 TEST(EnsembleSpecTest, RoundTripsThroughJsonBothSeedForms) {
   EnsembleSpec explicit_seeds = small_ensemble();
   explicit_seeds.threads = 2;
-  explicit_seeds.warm_start = true;
   explicit_seeds.batch_kernel = BatchKernel::kLockstep;
   const JsonValue a = ehsim::io::to_json(explicit_seeds);
   EXPECT_EQ(a.at("type").as_string(), "ensemble");

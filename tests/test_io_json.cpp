@@ -145,15 +145,6 @@ TEST(SpecJson, SweepRoundTripsLosslessly) {
       SweepAxis{{}, {}, {EngineKind::kProposed, EngineKind::kPspice}});
   EXPECT_EQ(ehsim::io::sweep_from_json(JsonValue::parse(ehsim::io::to_json(engines).dump())),
             engines);
-
-  // warm_start round-trips, and — because it defaults off — is omitted from
-  // documents that never set it (existing spec files stay byte-identical).
-  sweep.warm_start = true;
-  const JsonValue warm_json = ehsim::io::to_json(sweep);
-  EXPECT_TRUE(warm_json.at("warm_start").as_bool());
-  EXPECT_EQ(ehsim::io::sweep_from_json(JsonValue::parse(warm_json.dump(2))), sweep);
-  sweep.warm_start = false;
-  EXPECT_FALSE(ehsim::io::to_json(sweep).contains("warm_start"));
 }
 
 TEST(SpecJson, OptimiseRoundTripsLosslessly) {
@@ -178,13 +169,6 @@ TEST(SpecJson, OptimiseRoundTripsLosslessly) {
   EXPECT_EQ((*file.get_if<ehsim::experiments::OptimiseSpec>()), spec);
   EXPECT_EQ(file.get_if<ehsim::experiments::ExperimentSpec>(), nullptr);
   EXPECT_EQ(file.get_if<ehsim::experiments::SweepSpec>(), nullptr);
-
-  // warm_start round-trips and is omitted while default-off.
-  EXPECT_FALSE(ehsim::io::to_json(spec).contains("warm_start"));
-  spec.warm_start = true;
-  EXPECT_EQ(ehsim::io::optimise_from_json(
-                JsonValue::parse(ehsim::io::to_json(spec).dump(2))),
-            spec);
 }
 
 TEST(SpecJson, OptimiseVariablesArrayRoundTripsLosslessly) {
@@ -314,6 +298,45 @@ TEST(SpecJson, StrictParsingRejectsUnknownKeysAndValues) {
       {"kind": "frequency_step", "time": 5, "frequency_hz": 72}
     ]}})")),
                ModelError);
+}
+
+/// "warm_start" is not a sweep, optimise or ensemble key: a document that
+/// carries it is refused with an error naming it.
+TEST(SpecJson, WarmStartKeyIsRejectedInEveryBatchFlavour) {
+  SweepSpec sweep;
+  sweep.base = charging_scenario(1.0);
+  sweep.axes.push_back(SweepAxis{"spec.pre_tuned_hz", {69.0, 70.0}, {}});
+
+  OptimiseSpec optimise;
+  optimise.base = charging_scenario(1.0);
+  optimise.base.probes.push_back(ProbeSpec{"E", ProbeSpec::Kind::kStoredEnergy});
+  optimise.variable = "spec.pre_tuned_hz";
+  optimise.lower = 66.0;
+  optimise.upper = 74.0;
+  optimise.objective = "E";
+
+  EnsembleSpec ensemble;
+  ensemble.base = charging_scenario(1.0);
+  RandomWalkParams walk;
+  walk.step_interval = 0.1;
+  walk.frequency_sigma = 0.3;
+  walk.min_frequency_hz = 60.0;
+  walk.max_frequency_hz = 80.0;
+  ensemble.base.excitation.random_walk(0.1, 0.5, walk);
+  ensemble.seeds = {1, 2};
+
+  for (JsonValue document :
+       {ehsim::io::to_json(sweep), ehsim::io::to_json(optimise), ehsim::io::to_json(ensemble)}) {
+    (void)ehsim::io::spec_from_json(document);  // valid without the key
+    document.set("warm_start", true);
+    try {
+      (void)ehsim::io::spec_from_json(document);
+      ADD_FAILURE() << "accepted: " << document.dump(-1);
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("'warm_start'"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 // ---- results --------------------------------------------------------------

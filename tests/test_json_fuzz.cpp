@@ -266,7 +266,6 @@ SweepSpec random_sweep(SplitMix64& rng) {
   sweep.base = random_experiment(rng);
   sweep.mode = rng.chance(0.5) ? SweepSpec::Mode::kGrid : SweepSpec::Mode::kZip;
   sweep.threads = rng.below(5);
-  sweep.warm_start = rng.chance(0.3);
   sweep.batch_kernel =
       std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[rng.below(2)];
   const std::size_t axes = 1 + rng.below(3);
@@ -314,7 +313,6 @@ OptimiseSpec random_optimise(SplitMix64& rng) {
     spec.statistic = statistics[rng.below(std::size(statistics))];
   }
   spec.maximise = rng.chance(0.7);
-  spec.warm_start = rng.chance(0.3);
   spec.max_evaluations = 5 + rng.below(40);
   spec.x_tolerance = rng.uniform(1e-4, 0.1);
   const std::size_t axes = 1 + rng.below(3);
@@ -370,7 +368,6 @@ EnsembleSpec random_ensemble(SplitMix64& rng) {
     ensemble.num_seeds = 2 + rng.below(5);
   }
   ensemble.threads = rng.below(5);
-  ensemble.warm_start = rng.chance(0.3);
   ensemble.batch_kernel =
       std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[rng.below(2)];
   return ensemble;
@@ -706,7 +703,7 @@ TEST(CheckpointFuzz, EveryMutatedCheckpointKeyIsRejected) {
   writing.every = 0.2;
   writing.dir = dir.string();
   writing.abort_after = 1;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, RunOptions{}, writing).has_value());
+  ASSERT_FALSE(run_experiment_checkpointed(spec, writing).has_value());
   const std::string path = checkpoint_file_path(writing, spec.name);
   const JsonValue document = JsonValue::parse(ehsim::io::read_file(path));
 
@@ -720,13 +717,13 @@ TEST(CheckpointFuzz, EveryMutatedCheckpointKeyIsRejected) {
     std::size_t cursor = key;
     ASSERT_TRUE(mutate_key(mutated, cursor));
     ehsim::io::write_file(path, mutated.dump(-1));
-    EXPECT_THROW((void)run_experiment_checkpointed(spec, RunOptions{}, resuming), ModelError)
+    EXPECT_THROW((void)run_experiment_checkpointed(spec, resuming), ModelError)
         << "checkpoint key " << key << " of " << keys;
   }
 
   // And the unmutated document still resumes — the harness itself is sound.
   ehsim::io::write_file(path, document.dump(-1));
-  EXPECT_TRUE(run_experiment_checkpointed(spec, RunOptions{}, resuming).has_value());
+  EXPECT_TRUE(run_experiment_checkpointed(spec, resuming).has_value());
   fs::remove_all(dir);
 }
 

@@ -260,31 +260,4 @@ TEST(ReferenceOracle, CheckpointingIsRefusedLoudly) {
                ModelError);
 }
 
-TEST(ReferenceOracle, SeededTerminalsAreAcceptedAndConsistent) {
-  ReferenceConfig config;
-  config.fixed_step = 1e-4;
-  // Converge one engine cold, seed a second with its terminals: both must
-  // advance to identical solutions (the warm-start contract).
-  RcOracle cold([](double) { return 1.0; }, 10.0, 0.05, 2.5, config);
-  std::vector<double> terminals(cold.engine->terminals().begin(),
-                                cold.engine->terminals().end());
-
-  SystemAssembler assembler;
-  const auto source = assembler.add_block(
-      std::make_unique<SourceResistorBlock>([](double) { return 1.0; }, 10.0));
-  const auto cap = assembler.add_block(std::make_unique<CapacitorBlock>(0.05, 2.5));
-  assembler.bind(source, 0, assembler.net("V"));
-  assembler.bind(source, 1, assembler.net("I"));
-  assembler.bind(cap, 0, assembler.net("V"));
-  assembler.bind(cap, 1, assembler.net("I"));
-  assembler.elaborate();
-  ReferenceEngine seeded(assembler, config);
-  EXPECT_TRUE(seeded.seed_initial_terminals(terminals));
-  seeded.initialise(0.0);
-
-  cold.engine->advance_to(0.05);
-  seeded.advance_to(0.05);
-  EXPECT_DOUBLE_EQ(seeded.state()[0], cold.vc());
-}
-
 }  // namespace

@@ -1,12 +1,11 @@
 /// \file test_serve.cpp
 /// \brief The `ehsim serve` subsystem: protocol envelopes, the bounded job
-/// queue, the prepared-session pool and the daemon driven in-process.
+/// queue and the daemon driven in-process.
 ///
-/// The load-bearing assertions are the determinism ones: every response a
-/// warm daemon streams must be bit-identical (rtol 0, atol 0) to a cold
-/// one-shot execution of the same spec, ignoring only the run-dependent
-/// keys cpu_seconds / warm_start / shared_diode_table — and a mutated spec
-/// must never be served from another spec's cached state.
+/// The load-bearing assertions are the determinism ones: every response the
+/// daemon streams must be bit-identical (rtol 0, atol 0) to a one-shot
+/// execution of the same spec, ignoring only the run-dependent keys
+/// cpu_seconds / shared_diode_table.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -32,7 +31,6 @@
 #include "serve/job_queue.hpp"
 #include "serve/protocol.hpp"
 #include "serve/server.hpp"
-#include "serve/session_pool.hpp"
 
 namespace {
 
@@ -96,7 +94,7 @@ void expect_identical(const JsonValue& expected, const JsonValue& actual) {
   io::CompareOptions options;
   options.rtol = 0.0;
   options.atol = 0.0;
-  options.ignore_keys = {"cpu_seconds", "warm_start", "shared_diode_table"};
+  options.ignore_keys = {"cpu_seconds", "shared_diode_table"};
   const std::vector<std::string> diffs = io::compare_json(expected, actual, options);
   for (const std::string& diff : diffs) {
     ADD_FAILURE() << diff;
@@ -272,46 +270,9 @@ TEST(ServeJobQueue, CloseTurnsAwayABlockedEnqueueWithoutLosingTheBacklog) {
   EXPECT_FALSE(queue.dequeue().has_value());
 }
 
-// ---- session pool -----------------------------------------------------------
-
-TEST(ServeSessionPool, EvictionIsDeterministicFifo) {
-  SessionPool pool(2);
-  EXPECT_FALSE(pool.take("a").has_value());  // miss on empty
-
-  pool.put("a", experiments::prepare_run(tiny_spec("a")));
-  pool.put("b", experiments::prepare_run(tiny_spec("b")));
-  pool.put("c", experiments::prepare_run(tiny_spec("c")));  // evicts "a", the oldest
-
-  EXPECT_FALSE(pool.take("a").has_value());
-  std::optional<experiments::PreparedRun> b = pool.take("b");
-  ASSERT_TRUE(b.has_value());
-  EXPECT_TRUE(b->valid());
-
-  const SessionPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.evictions, 1u);
-  EXPECT_EQ(stats.inserts, 3u);
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-  EXPECT_EQ(stats.entries, 1u);  // "c" remains; "b" was consumed by take
-}
-
-TEST(ServeSessionPool, PutReplacesSameKeyInPlaceAndZeroCapacityDisables) {
-  SessionPool pool(2);
-  pool.put("a", experiments::prepare_run(tiny_spec("a")));
-  pool.put("b", experiments::prepare_run(tiny_spec("b")));
-  pool.put("a", experiments::prepare_run(tiny_spec("a")));  // replace, no evict
-  EXPECT_EQ(pool.stats().evictions, 0u);
-  EXPECT_EQ(pool.stats().entries, 2u);
-
-  SessionPool disabled(0);
-  disabled.put("a", experiments::prepare_run(tiny_spec("a")));
-  EXPECT_EQ(disabled.stats().entries, 0u);
-  EXPECT_FALSE(disabled.take("a").has_value());
-}
-
 // ---- the daemon in-process --------------------------------------------------
 
-TEST(ServeServer, RepeatedRunIsBitIdenticalAndHitsTheSessionPool) {
+TEST(ServeServer, RepeatedRunIsBitIdenticalToOneShot) {
   const ExperimentSpec spec = tiny_spec("repeat");
   const std::string script = envelope(1, "run", io::to_json(spec)) + "\n" +
                              envelope(2, "run", io::to_json(spec)) + "\n" +
@@ -326,16 +287,16 @@ TEST(ServeServer, RepeatedRunIsBitIdenticalAndHitsTheSessionPool) {
 
   const std::vector<JsonValue> stats = events_of(events, "stats", 3);
   ASSERT_EQ(stats.size(), 1u);
-  EXPECT_GE(stats[0].at("session_pool").at("hits").as_number(), 1.0);
-  EXPECT_GE(stats[0].at("op_cache").at("entries").as_number(), 1.0);
+  EXPECT_EQ(stats[0].at("requests").at("completed").as_number(), 2.0);
+  EXPECT_EQ(stats[0].at("queue").at("dequeued").as_number(), 3.0);
+  EXPECT_TRUE(stats[0].at("diode_table").contains("hits"));
   ASSERT_EQ(events_of(events, "shutdown", 4).size(), 1u);
 }
 
-/// Signature-split regression: a request whose parameters differ from a
-/// cached one must never reuse the stale entry — the mutated spec's response
-/// has to be bit-identical to its own cold run, and observably different
-/// from the original's.
-TEST(ServeServer, MutatedSpecDoesNotReuseStaleCachedState) {
+/// A request whose parameters differ from an earlier one must answer with
+/// its own run — bit-identical to its one-shot run, and observably
+/// different from the original's.
+TEST(ServeServer, MutatedSpecIsAnsweredWithItsOwnRun) {
   const ExperimentSpec base = tiny_spec("split");
   ExperimentSpec mutated = base;
   mutated.overrides.push_back(
@@ -354,7 +315,7 @@ TEST(ServeServer, MutatedSpecDoesNotReuseStaleCachedState) {
   const JsonValue second = second_events[0].at("result");
   expect_identical(io::to_json(experiments::run_experiment(base)), first);
   expect_identical(io::to_json(experiments::run_experiment(mutated)), second);
-  // And the mutation is physically observable, so a stale reuse could not
+  // And the mutation is physically observable, so a reused answer could not
   // have produced the matching result by accident.
   EXPECT_NE(first.at("final_vc").as_number(), second.at("final_vc").as_number());
 }
@@ -387,7 +348,7 @@ TEST(ServeServer, SweepStreamsPerJobResultsBitIdenticalToOneShot) {
   EXPECT_EQ(events_of(events, "probes", 1).size(), 2u);
 }
 
-TEST(ServeServer, RepeatedOptimiseConsumesTheCrossRequestCache) {
+TEST(ServeServer, RepeatedOptimiseIsBitIdenticalToOneShot) {
   experiments::OptimiseSpec spec;
   spec.name = "serve-optimise";
   spec.base = tiny_spec("serve-optimise-point");
@@ -403,18 +364,12 @@ TEST(ServeServer, RepeatedOptimiseConsumesTheCrossRequestCache) {
 
   const std::string script = envelope(1, "optimise", io::to_json(spec)) + "\n" +
                              envelope(2, "optimise", io::to_json(spec)) + "\n" +
-                             control(3, "stats") + "\n" + control(4, "shutdown") + "\n";
+                             control(3, "shutdown") + "\n";
   const std::vector<JsonValue> events = serve_session(script);
 
   const JsonValue cold = io::to_json(experiments::run_optimise(spec));
   expect_identical(cold, events_of(events, "result", 1)[0].at("result"));
   expect_identical(cold, events_of(events, "result", 2)[0].at("result"));
-
-  const std::vector<JsonValue> stats = events_of(events, "stats", 3);
-  ASSERT_EQ(stats.size(), 1u);
-  // The second search re-evaluates the exact candidates of the first, so
-  // every one of its evaluations must be seeded from the cross cache.
-  EXPECT_GE(stats[0].at("optimise_cache").at("hits").as_number(), 4.0);
 }
 
 TEST(ServeServer, MalformedEnvelopeEmitsErrorEventAndKeepsServing) {
@@ -431,6 +386,30 @@ TEST(ServeServer, MalformedEnvelopeEmitsErrorEventAndKeepsServing) {
   const std::vector<JsonValue> stats = events_of(events, "stats", 3);
   ASSERT_EQ(stats.size(), 1u);
   EXPECT_EQ(stats[0].at("requests").at("errors").as_number(), 1.0);
+}
+
+/// An envelope whose id is out of range (beyond 2^53, or beyond uint64)
+/// gets an error event without an id: it must not be blamed on id 0.
+TEST(ServeServer, OutOfRangeIdErrorsCarryNoId) {
+  const std::string script = std::string(R"({"id": 1e300, "type": "run", "speck": {}})") +
+                             "\n" +
+                             R"({"id": 18446744073709551616, "type": "run", "speck": {}})" +
+                             "\n" + R"({"id": 9007199254740994, "type": "stats"})" + "\n" +
+                             R"({"id": 0, "type": "run", "speck": {}})" + "\n" +
+                             control(5, "shutdown") + "\n";
+  const std::vector<JsonValue> events = serve_session(script);
+
+  std::size_t anonymous = 0;
+  for (const JsonValue& event : events) {
+    if (event.at("event").as_string() == "error" && !event.contains("id")) {
+      ++anonymous;
+    }
+  }
+  EXPECT_EQ(anonymous, 3u);
+  // The one recoverable id is reported as itself.
+  const std::vector<JsonValue> zero = events_of(events, "error", 0);
+  ASSERT_EQ(zero.size(), 1u);
+  EXPECT_EQ(zero[0].at("key").as_string(), "speck");
 }
 
 TEST(ServeServer, CancelSkipsAQueuedJob) {
@@ -549,25 +528,6 @@ TEST(ServeServer, EndOfInputDrainsWithoutShutdownEvent) {
   for (const JsonValue& event : events) {
     EXPECT_NE(event.at("event").as_string(), "shutdown");
   }
-}
-
-TEST(ServeServer, ColdModeMatchesOneShotWithAllCachesDisabled) {
-  const ExperimentSpec spec = tiny_spec("cold");
-  ServerOptions options;
-  options.cross_request_caches = false;
-  const std::string script = envelope(1, "run", io::to_json(spec)) + "\n" +
-                             envelope(2, "run", io::to_json(spec)) + "\n" +
-                             control(3, "stats") + "\n" + control(4, "shutdown") + "\n";
-  const std::vector<JsonValue> events = serve_session(script, options);
-
-  const JsonValue cold = io::to_json(experiments::run_experiment(spec));
-  expect_identical(cold, events_of(events, "result", 1)[0].at("result"));
-  expect_identical(cold, events_of(events, "result", 2)[0].at("result"));
-  const std::vector<JsonValue> stats = events_of(events, "stats", 3);
-  ASSERT_EQ(stats.size(), 1u);
-  EXPECT_EQ(stats[0].at("session_pool").at("capacity").as_number(), 0.0);
-  EXPECT_EQ(stats[0].at("session_pool").at("hits").as_number(), 0.0);
-  EXPECT_EQ(stats[0].at("op_cache").at("entries").as_number(), 0.0);
 }
 
 // ---- checkpoint / resume / ensemble envelopes -------------------------------
@@ -719,7 +679,7 @@ TEST(ServeServer, CheckpointedRunStreamsCheckpointEventsAndMatchesDirect) {
   direct.every = 0.02;
   direct.dir = direct_dir.str();
   const auto cold =
-      run_experiment_checkpointed(spec, experiments::RunOptions{}, direct);
+      run_experiment_checkpointed(spec, direct);
   ASSERT_TRUE(cold.has_value());
   const std::vector<JsonValue> results = events_of(events, "result", 1);
   ASSERT_EQ(results.size(), 1u);
@@ -737,7 +697,7 @@ TEST(ServeServer, ResumeContinuesKilledRunBitIdentically) {
   kill.dir = kill_dir.str();
   kill.abort_after = 1;
   ASSERT_FALSE(
-      run_experiment_checkpointed(spec, experiments::RunOptions{}, kill).has_value());
+      run_experiment_checkpointed(spec, kill).has_value());
 
   // ...and let the daemon finish it from the files left on disk.
   const std::string script =
@@ -749,7 +709,7 @@ TEST(ServeServer, ResumeContinuesKilledRunBitIdentically) {
   full.every = 0.02;
   full.dir = full_dir.str();
   const auto uninterrupted =
-      run_experiment_checkpointed(spec, experiments::RunOptions{}, full);
+      run_experiment_checkpointed(spec, full);
   ASSERT_TRUE(uninterrupted.has_value());
   const std::vector<JsonValue> results = events_of(events, "result", 1);
   ASSERT_EQ(results.size(), 1u);

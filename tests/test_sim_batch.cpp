@@ -151,35 +151,6 @@ TEST(BatchRunner, JobsKernelReportsNoLockstepActivity) {
   }
 }
 
-/// Warm starts and the lockstep kernel compose: the seeds are computed the
-/// same way as in the per-job path, and a batch of identical jobs stays
-/// bit-identical to its per-job warm-started run.
-TEST(BatchRunner, WarmStartComposesWithLockstepKernel) {
-  using namespace ehsim::experiments;
-  std::vector<ScenarioJob> jobs(3, ScenarioJob{charging_scenario(0.6), std::nullopt});
-
-  BatchOptions warm_jobs;
-  warm_jobs.threads = 1;
-  warm_jobs.warm_start = true;
-  BatchStats jobs_stats;
-  const auto per_job = run_scenario_batch(jobs, warm_jobs, &jobs_stats);
-
-  BatchOptions warm_lockstep = warm_jobs;
-  warm_lockstep.batch_kernel = BatchKernel::kLockstep;
-  BatchStats lockstep_stats;
-  const auto lockstep = run_scenario_batch(jobs, warm_lockstep, &lockstep_stats);
-
-  ASSERT_EQ(per_job.size(), lockstep.size());
-  EXPECT_EQ(jobs_stats.warm_start_hits, lockstep_stats.warm_start_hits);
-  EXPECT_GT(lockstep_stats.shared_factorisations, 0u);
-  for (std::size_t i = 0; i < per_job.size(); ++i) {
-    EXPECT_EQ(per_job[i].stats.steps, lockstep[i].stats.steps) << "job " << i;
-    EXPECT_EQ(per_job[i].vc, lockstep[i].vc) << "job " << i;  // bit-identical
-    EXPECT_EQ(per_job[i].final_vc, lockstep[i].final_vc) << "job " << i;
-    EXPECT_EQ(lockstep[i].batch_kernel, BatchKernel::kLockstep) << "job " << i;
-  }
-}
-
 // ---- Session lifecycle ----------------------------------------------------
 
 struct RcModel {

@@ -3,45 +3,50 @@
 ///
 /// Scenarios are data, not code: a JSON spec file (docs/spec_format.md)
 /// describes the excitation timeline, engine, parameter overrides and sweep
-/// axes, and this driver executes it through the same run_experiment /
-/// BatchRunner path the C++ API uses.
+/// axes. Every job verb parses its arguments here and runs through
+/// serve::execute, the executor `ehsim serve` uses too.
 ///
-///   ehsim run spec.json [--threads N] [--warm-start] [--out DIR] [--probes LIST] [--quiet]
-///   ehsim sweep sweep.json [--threads N] [--warm-start] [--out DIR] [--probes LIST] [--quiet]
-///   ehsim optimise optimise.json [--warm-start] [--out DIR] [--quiet]
-///   ehsim ensemble ensemble.json [--threads N] [--out DIR] [--quiet]
-///   ehsim verify-accuracy spec.json [--kernels K1,K2] [--oracle-step H] [--out DIR]
+///   ehsim run spec.json [--threads N] [--batch-kernel K] [--out DIR] [--probes LIST] [--quiet]
+///   ehsim sweep sweep.json [--threads N] [--batch-kernel K] [--out DIR] [--probes LIST] [--quiet]
+///   ehsim optimise optimise.json [--out DIR] [--quiet]
+///   ehsim ensemble ensemble.json [--threads N] [--batch-kernel K] [--out DIR] [--quiet]
+///   ehsim verify-accuracy spec.json [--kernels K1,K2] [--oracle-step H] [--threads N] [--out DIR]
 ///   ehsim autotune autotune.json [--out DIR] [--quiet]
 ///   ehsim resume spec.json --checkpoint-dir DIR [--checkpoint-every S] [run flags]
-///   ehsim serve [--threads N] [--out DIR] [--script FILE] [--queue N] [--pool N] [--cold]
+///   ehsim serve [--threads N] [--out DIR] [--script FILE] [--queue N]
 ///   ehsim echo spec.json
 ///   ehsim compare expected actual [--rtol R] [--atol A] [--ignore k1,k2,...]
 ///   ehsim params
 ///
-/// `run` accepts experiment and sweep spec types; `sweep` insists on a sweep
-/// file; `optimise` insists on an optimise file and writes the search log +
-/// optimum as <name>.optimise.json; `ensemble` insists on an ensemble file
-/// and writes <name>.ensemble.json plus every replica's result files.
-/// Results land as <name>.result.json plus
-/// <name>.trace.csv per job under --out (default: current directory).
-/// `run`/`sweep` take --checkpoint-every S --checkpoint-dir D to write
-/// periodic per-job checkpoint files; `resume` continues a killed
-/// checkpointed run from those files, bit-identical to the uninterrupted
-/// run with the same cadence (docs/checkpoint_format.md).
-/// `--probes` appends quick probe shorthands (`net:Vm`, `state:supercap.Vi`,
-/// `power`, `harvested`, `energy`) to the spec before running. `compare`
-/// diffs two result files (tolerance-aware, .json or .csv by extension) and
-/// exits non-zero on mismatch — the golden-output CI tests are exactly
-/// `ehsim run`/`ehsim optimise` + `ehsim compare`. `echo` parses and
-/// re-serialises a spec (round-trip check / canonical formatting).
+/// `run` accepts experiment and sweep spec types; the other verbs insist on
+/// the flavours of the shared verb table (serve::expected_spec_types), and
+/// each rejects the flags it does not use. Results land as
+/// <name>.result.json plus <name>.trace.csv per job under --out (default:
+/// current directory); optimise, ensemble, verify-accuracy and autotune
+/// add their <name>.<verb>.json document. `run`/`sweep` take
+/// --checkpoint-every S --checkpoint-dir D to write periodic per-job
+/// checkpoint files; `resume` continues a killed checkpointed run from
+/// those files, bit-identical to the uninterrupted run with the same cadence
+/// (docs/checkpoint_format.md). `--probes` appends quick probe shorthands
+/// (`net:Vm`, `state:supercap.Vi`, `power`, `harvested`, `energy`) to the
+/// spec before running. `compare` diffs two result files (tolerance-aware,
+/// .json or .csv by extension) and exits non-zero on mismatch — the
+/// golden-output CI tests are exactly `ehsim run`/`ehsim optimise` +
+/// `ehsim compare`. `echo` parses and re-serialises a spec (round-trip
+/// check / canonical formatting).
+#include <algorithm>
+#include <charconv>
+#include <cmath>
 #include <cstdio>
 #include <exception>
-#include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <map>
 #include <optional>
-#include <sstream>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -52,25 +57,24 @@
 #include "io/compare.hpp"
 #include "io/json.hpp"
 #include "io/spec_json.hpp"
+#include "serve/execute.hpp"
 #include "serve/server.hpp"
 
 namespace {
 
 using namespace ehsim;
+using serve::RequestType;
 
 int usage(std::FILE* where = stderr) {
   std::fprintf(where,
                "usage: ehsim <command> [args]\n"
                "\n"
-               "  run <spec.json> [--threads N] [--warm-start] [--batch-kernel K]\n"
+               "  run <spec.json> [--threads N] [--batch-kernel K]\n"
                "      [--out DIR] [--probes LIST] [--quiet]\n"
                "      Execute an experiment or sweep spec; write per-job\n"
                "      <name>.result.json and <name>.trace.csv under --out (default .).\n"
                "      --probes appends quick probes (comma list of net:<name>,\n"
                "      state:<block.state>, power, harvested, energy) to the spec.\n"
-               "      --warm-start seeds each job's initial operating point from a\n"
-               "      structurally identical prior job (same results within solver\n"
-               "      tolerance, fewer consistency iterations; off by default).\n"
                "      --batch-kernel picks jobs | lockstep: lockstep marches the\n"
                "      whole batch on one clock sharing Jacobian factorisations\n"
                "      (proposed engine only; identical jobs stay bit-identical,\n"
@@ -79,7 +83,7 @@ int usage(std::FILE* where = stderr) {
                "      --checkpoint-every S --checkpoint-dir D write one checkpoint\n"
                "      file per job into D at every S simulated seconds (atomic\n"
                "      replace; see docs/checkpoint_format.md).\n"
-               "  sweep <sweep.json> [--threads N] [--warm-start] [--batch-kernel K]\n"
+               "  sweep <sweep.json> [--threads N] [--batch-kernel K]\n"
                "      [--out DIR] [--probes LIST] [--quiet]\n"
                "      Like run, but requires a sweep spec.\n"
                "  resume <spec.json> --checkpoint-dir D [--checkpoint-every S]\n"
@@ -88,12 +92,12 @@ int usage(std::FILE* where = stderr) {
                "      With the same --checkpoint-every the finished results are\n"
                "      bit-identical (modulo cpu_seconds) to the uninterrupted run;\n"
                "      jobs without a checkpoint file start from t=0.\n"
-               "  ensemble <ensemble.json> [--threads N] [--warm-start]\n"
-               "      [--batch-kernel K] [--out DIR] [--quiet]\n"
+               "  ensemble <ensemble.json> [--threads N] [--batch-kernel K]\n"
+               "      [--out DIR] [--quiet]\n"
                "      Run the K seed-varied replicas of an ensemble spec and write\n"
                "      <name>.ensemble.json (per-probe mean/stderr/min/max across\n"
                "      replicas) plus each replica's result/trace files.\n"
-               "  optimise <optimise.json> [--warm-start] [--out DIR] [--quiet]\n"
+               "  optimise <optimise.json> [--out DIR] [--quiet]\n"
                "      Run a declarative optimisation — golden section over one\n"
                "      variable, cyclic coordinate descent over a \"variables\"\n"
                "      array; write the search log + optimum as <name>.optimise.json\n"
@@ -113,18 +117,15 @@ int usage(std::FILE* where = stderr) {
                "      Writes the deterministic search record <name>.autotune.json\n"
                "      plus the chosen configuration's result/trace files.\n"
                "  serve [--threads N] [--out DIR] [--script FILE] [--queue N]\n"
-               "      [--pool N] [--cold]\n"
                "      Long-lived simulation service: read newline-delimited request\n"
                "      envelopes ({\"id\":..,\"type\":\"run|sweep|optimise|ensemble|resume|\n"
-               "      cancel|stats|shutdown\",\"spec\":{..}} or \"spec_path\") from stdin\n"
-               "      (or --script), with an optional \"checkpoint\" block on\n"
-               "      run/sweep/resume,\n"
-               "      stream JSON events to stdout, and keep diode tables, operating\n"
-               "      points and prepared sessions warm across requests. Responses are\n"
-               "      bit-identical to cold one-shot runs of the same specs (modulo\n"
-               "      cpu_seconds / warm_start / shared_diode_table). --cold disables\n"
-               "      the cross-request caches; docs/serve_protocol.md has the full\n"
-               "      protocol.\n"
+               "      accuracy|autotune|cancel|stats|shutdown\",\"spec\":{..}} or\n"
+               "      \"spec_path\") from stdin (or --script), with an optional\n"
+               "      \"checkpoint\" block on run/sweep/resume, and stream JSON events\n"
+               "      to stdout. Every job runs through the executor of the verbs\n"
+               "      above, so each response is the one-shot document of the same\n"
+               "      spec (modulo cpu_seconds / shared_diode_table);\n"
+               "      docs/serve_protocol.md has the full protocol.\n"
                "  echo <spec.json>\n"
                "      Parse a spec and print its canonical JSON to stdout.\n"
                "  compare <expected> <actual> [--rtol R] [--atol A] [--ignore k1,k2]\n"
@@ -136,56 +137,138 @@ int usage(std::FILE* where = stderr) {
   return where == stdout ? 0 : 1;
 }
 
-struct RunArgs {
-  std::string spec_path;
-  std::size_t threads = 0;
-  std::string out_dir = ".";
-  std::string probes;          ///< comma list of --probes shorthands (may be empty)
-  std::string batch_kernel;    ///< jobs | lockstep (empty: spec's choice)
-  std::string checkpoint_dir;  ///< empty: checkpointing off
-  double checkpoint_every = 0.0;
-  int abort_after = -1;  ///< test hook: stop after N checkpoints (exit 3)
-  bool warm_start = false;
-  bool quiet = false;
+// ---- argument parsing --------------------------------------------------------
+
+/// The value after the flag at args[i] (advancing i); throws when it is
+/// missing.
+const std::string& flag_value(const std::vector<std::string>& args, std::size_t& i) {
+  if (i + 1 >= args.size()) {
+    throw ModelError(args[i] + " needs a value");
+  }
+  return args[++i];
+}
+
+/// The whole of \p text as a non-negative integer: no sign, no trailing
+/// characters, in range.
+std::size_t parse_count(const std::string& flag, const std::string& text) {
+  std::size_t value = 0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end) {
+    throw ModelError(flag + " expects a non-negative integer, got '" + text + "'");
+  }
+  return value;
+}
+
+/// The whole of \p text as a finite number.
+double parse_real(const std::string& flag, const std::string& text) {
+  double value = 0.0;
+  const char* end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || !std::isfinite(value)) {
+    throw ModelError(flag + " expects a number, got '" + text + "'");
+  }
+  return value;
+}
+
+/// Split a comma list, dropping empty items.
+std::vector<std::string> split_list(const std::string& list) {
+  std::vector<std::string> items;
+  std::size_t start = 0;
+  while (start <= list.size()) {
+    const std::size_t comma = list.find(',', start);
+    std::string item = list.substr(start, comma - start);
+    if (!item.empty()) {
+      items.push_back(std::move(item));
+    }
+    if (comma == std::string::npos) {
+      break;
+    }
+    start = comma + 1;
+  }
+  return items;
+}
+
+/// A job verb: its command name, the executor verb and the flags it uses
+/// besides --out and --quiet.
+struct JobVerb {
+  std::string_view command;
+  RequestType type;
+  std::vector<std::string_view> flags;
 };
 
-std::optional<RunArgs> parse_run_args(const std::vector<std::string>& args) {
-  RunArgs run;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--threads" && i + 1 < args.size()) {
-      run.threads = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--out" && i + 1 < args.size()) {
-      run.out_dir = args[++i];
-    } else if (arg == "--probes" && i + 1 < args.size()) {
-      run.probes = args[++i];
-    } else if (arg == "--batch-kernel" && i + 1 < args.size()) {
-      run.batch_kernel = args[++i];
-    } else if (arg == "--checkpoint-dir" && i + 1 < args.size()) {
-      run.checkpoint_dir = args[++i];
-    } else if (arg == "--checkpoint-every" && i + 1 < args.size()) {
-      run.checkpoint_every = std::stod(args[++i]);
-    } else if (arg == "--abort-after-checkpoints" && i + 1 < args.size()) {
-      run.abort_after = std::stoi(args[++i]);
-    } else if (arg == "--warm-start") {
-      run.warm_start = true;
-    } else if (arg == "--quiet") {
-      run.quiet = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::fprintf(stderr, "ehsim: unknown option '%s'\n", arg.c_str());
-      return std::nullopt;
-    } else if (run.spec_path.empty()) {
-      run.spec_path = arg;
-    } else {
-      std::fprintf(stderr, "ehsim: unexpected argument '%s'\n", arg.c_str());
-      return std::nullopt;
+const std::vector<JobVerb>& job_verbs() {
+  static const std::vector<std::string_view> kRunFlags = {
+      "--threads",        "--probes",           "--batch-kernel",
+      "--checkpoint-dir", "--checkpoint-every", "--abort-after-checkpoints"};
+  static const std::vector<JobVerb> kVerbs = {
+      {"run", RequestType::kRun, kRunFlags},
+      {"sweep", RequestType::kSweep, kRunFlags},
+      {"resume", RequestType::kResume, kRunFlags},
+      {"ensemble", RequestType::kEnsemble, {"--threads", "--batch-kernel"}},
+      {"optimise", RequestType::kOptimise, {}},
+      {"optimize", RequestType::kOptimise, {}},
+      {"verify-accuracy", RequestType::kAccuracy, {"--threads", "--kernels", "--oracle-step"}},
+      {"autotune", RequestType::kAutotune, {}},
+  };
+  return kVerbs;
+}
+
+const JobVerb* find_job_verb(std::string_view command) {
+  for (const JobVerb& verb : job_verbs()) {
+    if (verb.command == command) {
+      return &verb;
     }
   }
-  if (run.spec_path.empty()) {
-    std::fprintf(stderr, "ehsim: missing spec file\n");
-    return std::nullopt;
+  return nullptr;
+}
+
+/// Whether \p flag is a value-taking job flag of any verb.
+bool is_job_flag(std::string_view flag) {
+  const std::vector<JobVerb>& verbs = job_verbs();
+  return flag == "--out" || std::any_of(verbs.begin(), verbs.end(), [flag](const JobVerb& verb) {
+           return std::find(verb.flags.begin(), verb.flags.end(), flag) != verb.flags.end();
+         });
+}
+
+/// The arguments of one job verb: the spec path and the value of each flag
+/// given.
+struct JobArgs {
+  std::string spec_path;
+  std::map<std::string, std::string, std::less<>> flags;
+  bool quiet = false;
+
+  [[nodiscard]] const std::string* find(std::string_view flag) const {
+    const auto it = flags.find(flag);
+    return it == flags.end() ? nullptr : &it->second;
   }
-  return run;
+};
+
+JobArgs parse_job_args(const JobVerb& verb, const std::vector<std::string>& args) {
+  JobArgs parsed;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& arg = args[i];
+    if (arg == "--quiet") {
+      parsed.quiet = true;
+    } else if (!arg.empty() && arg.front() == '-') {
+      if (!is_job_flag(arg)) {
+        throw ModelError("unknown option '" + arg + "'");
+      }
+      if (arg != "--out" && std::find(verb.flags.begin(), verb.flags.end(), arg) ==
+                                verb.flags.end()) {
+        throw ModelError(arg + " does not apply to `ehsim " + std::string(verb.command) + "`");
+      }
+      parsed.flags[arg] = flag_value(args, i);
+    } else if (parsed.spec_path.empty()) {
+      parsed.spec_path = arg;
+    } else {
+      throw ModelError("unexpected argument '" + arg + "'");
+    }
+  }
+  if (parsed.spec_path.empty()) {
+    throw ModelError("missing spec file");
+  }
+  return parsed;
 }
 
 /// Expand one --probes shorthand into a ProbeSpec: `net:<name>`,
@@ -226,257 +309,120 @@ experiments::ProbeSpec probe_from_shorthand(const std::string& item) {
 /// Append the --probes shorthands to an experiment spec (a sweep applies
 /// them to its base, so every expanded job carries them).
 void apply_probe_flag(experiments::ExperimentSpec& spec, const std::string& list) {
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string item = list.substr(start, comma - start);
-    if (!item.empty()) {
-      spec.probes.push_back(probe_from_shorthand(item));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
+  for (const std::string& item : split_list(list)) {
+    spec.probes.push_back(probe_from_shorthand(item));
   }
   spec.validate();  // catches duplicate labels against the spec's own probes
 }
 
-void write_results(const std::vector<experiments::ScenarioResult>& results,
-                   const RunArgs& args) {
-  for (const auto& result : results) {
-    // io::write_result_files is the single writer shared with the serve
-    // daemon — the serve determinism golden compares the files it produces.
-    const std::string stem = io::write_result_files(args.out_dir, result);
-    if (!args.quiet) {
-      std::printf("wrote %s.result.json (+ .trace.csv, %zu points)\n", stem.c_str(),
-                  result.time.size());
-    }
-  }
-}
-
-void print_summary(const std::vector<experiments::ScenarioResult>& results,
-                   const experiments::BatchStats* batch) {
-  experiments::TablePrinter table(
-      {"job", "engine", "CPU", "steps", "final Vc [V]", "final f0r [Hz]"});
-  for (const auto& result : results) {
-    table.add_row({result.scenario, result.engine,
-                   experiments::format_duration(result.cpu_seconds),
-                   std::to_string(result.stats.steps),
-                   experiments::format_double(result.final_vc, 4),
-                   experiments::format_double(result.final_resonance_hz, 3)});
-  }
-  table.print(std::cout);
-  if (batch != nullptr && batch->jobs > 1) {
-    std::printf("%zu jobs, %zu shared diode-table hits\n", batch->jobs,
-                batch->shared_table_hits);
-  }
-  if (batch != nullptr && (batch->warm_start_hits > 0 || batch->warm_start_rejects > 0)) {
-    std::printf("warm starts: %zu seeded, %zu rejected, %llu total consistency "
-                "iterations\n",
-                batch->warm_start_hits, batch->warm_start_rejects,
-                static_cast<unsigned long long>(batch->init_iterations));
-  }
-  if (batch != nullptr && (batch->lockstep_groups > 0 || batch->shared_factorisations > 0)) {
-    std::printf("lockstep: %llu shared groups, %llu shared factorisations\n",
-                static_cast<unsigned long long>(batch->lockstep_groups),
-                static_cast<unsigned long long>(batch->shared_factorisations));
-  }
-}
-
-/// Resolve the checkpoint flags into CheckpointOptions (empty optional:
-/// checkpointing off). --abort-after-checkpoints implies checkpointing.
-std::optional<experiments::CheckpointOptions> checkpoint_options(const RunArgs& run,
-                                                                 bool resume) {
-  if (run.checkpoint_dir.empty() && run.checkpoint_every <= 0.0 && !resume) {
+/// The checkpoint flags as CheckpointOptions (empty: checkpointing off;
+/// resume always needs the directory).
+std::optional<experiments::CheckpointOptions> checkpoint_options(const JobArgs& args,
+                                                                 RequestType verb) {
+  const std::string* dir = args.find("--checkpoint-dir");
+  const std::string* every = args.find("--checkpoint-every");
+  const std::string* abort_after = args.find("--abort-after-checkpoints");
+  if (dir == nullptr && every == nullptr && abort_after == nullptr &&
+      verb != RequestType::kResume) {
     return std::nullopt;
   }
-  if (run.checkpoint_dir.empty()) {
-    throw ehsim::ModelError("--checkpoint-every needs --checkpoint-dir");
+  if (dir == nullptr) {
+    throw ModelError(verb == RequestType::kResume
+                         ? "resume needs --checkpoint-dir"
+                         : "--checkpoint-every / --abort-after-checkpoints need --checkpoint-dir");
   }
   experiments::CheckpointOptions checkpointing;
-  checkpointing.every = run.checkpoint_every;
-  checkpointing.dir = run.checkpoint_dir;
-  checkpointing.resume = resume;
-  checkpointing.abort_after = run.abort_after;
+  checkpointing.dir = *dir;
+  if (every != nullptr) {
+    checkpointing.every = parse_real("--checkpoint-every", *every);
+    if (!(checkpointing.every > 0.0)) {
+      throw ModelError("--checkpoint-every expects a positive number of simulated seconds, "
+                       "got '" + *every + "'");
+    }
+  }
+  if (abort_after != nullptr) {
+    checkpointing.abort_after = static_cast<int>(std::min<std::size_t>(
+        parse_count("--abort-after-checkpoints", *abort_after),
+        static_cast<std::size_t>(std::numeric_limits<int>::max())));
+  }
   return checkpointing;
 }
 
-/// `ehsim run` / `ehsim sweep` / `ehsim resume` — one body, spec-dispatched.
-/// Exit codes: 0 done, 1 usage/model error, 3 stopped by
-/// --abort-after-checkpoints (the checkpoint files are on disk for resume).
-int cmd_run(const std::vector<std::string>& args, bool require_sweep, bool resume) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  const std::optional<experiments::CheckpointOptions> checkpointing =
-      checkpoint_options(*run, resume);
+// ---- printing ----------------------------------------------------------------
 
-  experiments::BatchStats batch;
-  experiments::BatchOptions options;
-  options.threads = run->threads;
-  options.warm_start = run->warm_start;
-  if (!run->batch_kernel.empty()) {
-    options.batch_kernel = experiments::parse_batch_kernel(run->batch_kernel);
+/// The job table plus the batch lines under it. Sharing counters are
+/// mirrored onto every result of a batch, so the last row carries them.
+class JobTable {
+ public:
+  void add(const experiments::ScenarioResult& result) {
+    table_.add_row({result.scenario, result.engine,
+                    experiments::format_duration(result.cpu_seconds),
+                    std::to_string(result.stats.steps),
+                    experiments::format_double(result.final_vc, 4),
+                    experiments::format_double(result.final_resonance_hz, 3)});
+    ++jobs_;
+    shared_tables_ += result.shared_diode_table ? 1 : 0;
+    lockstep_groups_ = result.lockstep_groups;
+    shared_factorisations_ = result.shared_factorisations;
   }
 
-  // The one type-switch of the command: every other branch below is plain
-  // option plumbing shared by all spec flavours.
-  std::optional<std::vector<experiments::ScenarioResult>> results;
-  const int wrong_spec = file.dispatch(io::overloaded{
-      [&](experiments::ExperimentSpec& spec) {
-        if (require_sweep) {
-          std::fprintf(stderr, "ehsim sweep: '%s' is not a sweep spec (use `ehsim run`)\n",
-                       run->spec_path.c_str());
-          return 1;
-        }
-        if (!run->probes.empty()) {
-          apply_probe_flag(spec, run->probes);
-        }
-        // Single experiments route through the batch layer too, so
-        // --warm-start and the counters behave uniformly (one job: the
-        // producer seeds it).
-        options.threads = 1;  // one job — run inline, never spin up a pool
-        const std::vector<experiments::ScenarioJob> jobs{
-            experiments::ScenarioJob{spec, std::nullopt}};
-        results = checkpointing
-                      ? experiments::run_scenario_batch_checkpointed(jobs, options,
-                                                                     *checkpointing, &batch)
-                      : std::optional(experiments::run_scenario_batch(jobs, options, &batch));
-        return 0;
-      },
-      [&](experiments::SweepSpec& sweep) {
-        if (!run->probes.empty()) {
-          apply_probe_flag(sweep.base, run->probes);
-        }
-        options.warm_start = options.warm_start || sweep.warm_start;
-        if (run->batch_kernel.empty()) {
-          options.batch_kernel = sweep.batch_kernel;
-        }
-        results = checkpointing
-                      ? experiments::run_sweep_checkpointed(sweep, options, *checkpointing,
-                                                            &batch)
-                      : std::optional(experiments::run_sweep(sweep, options, &batch));
-        return 0;
-      },
-      [&](experiments::OptimiseSpec&) {
-        std::fprintf(stderr, "ehsim run: '%s' is an optimise spec (use `ehsim optimise`)\n",
-                     run->spec_path.c_str());
-        return 1;
-      },
-      [&](experiments::EnsembleSpec&) {
-        std::fprintf(stderr, "ehsim run: '%s' is an ensemble spec (use `ehsim ensemble`)\n",
-                     run->spec_path.c_str());
-        return 1;
-      },
-      [&](experiments::AutotuneSpec&) {
-        std::fprintf(stderr, "ehsim run: '%s' is an autotune spec (use `ehsim autotune`)\n",
-                     run->spec_path.c_str());
-        return 1;
-      }});
-  if (wrong_spec != 0) {
-    return wrong_spec;
-  }
-  if (!results) {
-    // The --abort-after-checkpoints hook stopped the run mid-flight; the
-    // checkpoint files are committed, so `ehsim resume` can finish it.
-    if (!run->quiet) {
-      std::printf("stopped after %d checkpoint(s); resume with `ehsim resume %s "
-                  "--checkpoint-dir %s`\n",
-                  run->abort_after, run->spec_path.c_str(), run->checkpoint_dir.c_str());
+  void print() const {
+    if (jobs_ == 0) return;
+    table_.print(std::cout);
+    if (jobs_ > 1) {
+      std::printf("%zu jobs, %zu shared diode-table hits\n", jobs_, shared_tables_);
     }
-    return 3;
+    if (lockstep_groups_ > 0 || shared_factorisations_ > 0) {
+      std::printf("lockstep: %llu shared groups, %llu shared factorisations\n",
+                  static_cast<unsigned long long>(lockstep_groups_),
+                  static_cast<unsigned long long>(shared_factorisations_));
+    }
   }
-  write_results(*results, *run);
-  if (!run->quiet) {
-    print_summary(*results, &batch);
-  }
-  return 0;
-}
 
-int cmd_ensemble(const std::vector<std::string>& args) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
+ private:
+  experiments::TablePrinter table_{
+      {"job", "engine", "CPU", "steps", "final Vc [V]", "final f0r [Hz]"}};
+  std::size_t jobs_ = 0;
+  std::size_t shared_tables_ = 0;
+  std::uint64_t lockstep_groups_ = 0;
+  std::uint64_t shared_factorisations_ = 0;
+};
+
+/// Prints what execute() reports about \p spec as the CLI's summary lines.
+/// Scenario rows collect into one table printed after the run
+/// (print_jobs).
+class SummarySink final : public serve::ExecuteSink {
+ public:
+  SummarySink(const io::AnySpec& spec, std::string out_dir, bool quiet)
+      : spec_(spec), out_dir_(std::move(out_dir)), quiet_(quiet) {}
+
+  void result(const experiments::ScenarioResult& result, std::size_t, std::size_t) override {
+    wrote_run(result);
+    jobs_.add(result);
   }
-  if (!run->probes.empty()) {
-    std::fprintf(stderr,
-                 "ehsim ensemble: --probes is not supported (declare probes in the "
-                 "spec's base experiment)\n");
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  experiments::EnsembleSpec* spec = file.get_if<experiments::EnsembleSpec>();
-  if (spec == nullptr) {
-    std::fprintf(stderr, "ehsim ensemble: '%s' is not an ensemble spec (use `ehsim run`)\n",
-                 run->spec_path.c_str());
-    return 1;
-  }
-  experiments::BatchOptions options;
-  options.threads = run->threads;
-  options.warm_start = run->warm_start || spec->warm_start;
-  options.batch_kernel = run->batch_kernel.empty()
-                             ? spec->batch_kernel
-                             : experiments::parse_batch_kernel(run->batch_kernel);
-  experiments::BatchStats batch;
-  const experiments::EnsembleResult result = experiments::run_ensemble(*spec, options, &batch);
-  const std::string stem = io::write_ensemble_result_files(run->out_dir, result);
-  if (!run->quiet) {
-    std::printf("wrote %s.ensemble.json (%zu replicas)\n", stem.c_str(), result.runs.size());
-    print_summary(result.runs, &batch);
+
+  void result(const experiments::EnsembleResult& result) override {
+    if (quiet_) return;
+    std::printf("wrote %s.ensemble.json (%zu replicas)\n", stem(result.name).c_str(),
+                result.runs.size());
+    JobTable replicas;
+    for (const experiments::ScenarioResult& run : result.runs) {
+      replicas.add(run);
+    }
+    replicas.print();
     std::printf("ensemble final Vc [V]: mean %s +- %s stderr (min %s, max %s)\n",
                 experiments::format_double(result.final_vc.mean, 4).c_str(),
                 experiments::format_double(result.final_vc.stderr_mean, 4).c_str(),
                 experiments::format_double(result.final_vc.minimum, 4).c_str(),
                 experiments::format_double(result.final_vc.maximum, 4).c_str());
   }
-  return 0;
-}
 
-int cmd_optimise(const std::vector<std::string>& args) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  if (!run->probes.empty()) {
-    std::fprintf(stderr,
-                 "ehsim optimise: --probes is not supported (declare probes in the "
-                 "spec's base experiment)\n");
-    return 1;
-  }
-  if (run->threads != 0) {
-    std::fprintf(stderr,
-                 "ehsim optimise: --threads is not supported (every line-search "
-                 "probe depends on the previous bracket)\n");
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  experiments::OptimiseSpec* optimise = file.get_if<experiments::OptimiseSpec>();
-  if (optimise == nullptr) {
-    std::fprintf(stderr, "ehsim optimise: '%s' is not an optimise spec (use `ehsim run`)\n",
-                 run->spec_path.c_str());
-    return 1;
-  }
-  if (run->warm_start) {
-    optimise->warm_start = true;
-  }
-
-  const experiments::OptimiseResult result = experiments::run_optimise(*optimise);
-  std::filesystem::create_directories(run->out_dir);
-  const std::string stem =
-      (std::filesystem::path(run->out_dir) / io::safe_file_stem(result.name)).string();
-  io::write_file(stem + ".optimise.json", io::to_json(result).dump(2) + "\n");
-  write_results({result.best_run}, *run);
-  if (!run->quiet) {
-    std::printf("wrote %s.optimise.json (%zu evaluations)\n", stem.c_str(),
+  void result(const experiments::OptimiseResult& result) override {
+    wrote_run(result.best_run);
+    if (quiet_) return;
+    std::printf("wrote %s.optimise.json (%zu evaluations)\n", stem(result.name).c_str(),
                 result.evaluations.size());
-    if (result.warm_start) {
-      std::printf("warm starts: %zu seeded, %zu rejected, %llu total consistency "
-                  "iterations\n",
-                  result.warm_start_hits, result.warm_start_rejects,
-                  static_cast<unsigned long long>(result.init_iterations));
-    }
+    const std::string& objective = spec_.get_if<experiments::OptimiseSpec>()->objective;
     if (!result.variables.empty()) {
       // Multi-variable coordinate descent: one "path = value" per axis.
       std::string point;
@@ -492,7 +438,7 @@ int cmd_optimise(const std::vector<std::string>& args) {
                   result.statistic.c_str(),
                   experiments::format_double(result.best_nd.value, 6).c_str(),
                   point.c_str(), result.best_nd.sweeps, result.statistic.c_str(),
-                  optimise->objective.c_str());
+                  objective.c_str());
     } else {
       std::printf("%s %s: best %s = %s at %s (%s of probe '%s')\n",
                   result.maximise ? "maximised" : "minimised", result.name.c_str(),
@@ -500,98 +446,18 @@ int cmd_optimise(const std::vector<std::string>& args) {
                   experiments::format_double(result.best.value, 6).c_str(),
                   (result.variable + " = " + experiments::format_double(result.best.x, 6))
                       .c_str(),
-                  result.statistic.c_str(), optimise->objective.c_str());
+                  result.statistic.c_str(), objective.c_str());
     }
   }
-  return 0;
-}
 
-/// Parse a comma list of batch-kernel ids ("jobs,lockstep").
-std::vector<experiments::BatchKernel> parse_kernel_list(const std::string& list) {
-  std::vector<experiments::BatchKernel> kernels;
-  std::size_t start = 0;
-  while (start <= list.size()) {
-    const std::size_t comma = list.find(',', start);
-    const std::string item = list.substr(start, comma - start);
-    if (!item.empty()) {
-      kernels.push_back(experiments::parse_batch_kernel(item));
-    }
-    if (comma == std::string::npos) {
-      break;
-    }
-    start = comma + 1;
-  }
-  return kernels;
-}
-
-/// `ehsim verify-accuracy` — run a spec on the extended-precision reference
-/// oracle and on the fast path (once per batch kernel), write the measured
-/// error bounds as <name>.accuracy.json.
-int cmd_verify_accuracy(const std::vector<std::string>& args) {
-  std::string spec_path;
-  std::string kernels;
-  experiments::AccuracyOptions options;
-  std::string out_dir = ".";
-  bool quiet = false;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (arg == "--kernels" && i + 1 < args.size()) {
-      kernels = args[++i];
-    } else if (arg == "--oracle-step" && i + 1 < args.size()) {
-      options.oracle_step = std::stod(args[++i]);
-    } else if (arg == "--threads" && i + 1 < args.size()) {
-      options.threads = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--out" && i + 1 < args.size()) {
-      out_dir = args[++i];
-    } else if (arg == "--quiet") {
-      quiet = true;
-    } else if (!arg.empty() && arg.front() == '-') {
-      std::fprintf(stderr, "ehsim verify-accuracy: unknown option '%s'\n", arg.c_str());
-      return 1;
-    } else if (spec_path.empty()) {
-      spec_path = arg;
-    } else {
-      std::fprintf(stderr, "ehsim verify-accuracy: unexpected argument '%s'\n", arg.c_str());
-      return 1;
-    }
-  }
-  if (spec_path.empty()) {
-    std::fprintf(stderr, "ehsim verify-accuracy: missing spec file\n");
-    return 1;
-  }
-  if (!kernels.empty()) {
-    options.kernels = parse_kernel_list(kernels);
-  }
-  io::AnySpec file = io::load_spec_file(spec_path);
-  std::optional<experiments::AccuracyReport> report;
-  const int wrong_spec = file.dispatch(io::overloaded{
-      [&](const experiments::ExperimentSpec& spec) {
-        report = experiments::run_accuracy(spec, options);
-        return 0;
-      },
-      [&](const experiments::SweepSpec& sweep) {
-        report = experiments::run_accuracy(sweep, options);
-        return 0;
-      },
-      [&](const auto&) {
-        std::fprintf(stderr,
-                     "ehsim verify-accuracy: '%s' is not an experiment or sweep spec\n",
-                     spec_path.c_str());
-        return 1;
-      }});
-  if (wrong_spec != 0) {
-    return wrong_spec;
-  }
-  std::filesystem::create_directories(out_dir);
-  const std::string stem =
-      (std::filesystem::path(out_dir) / io::safe_file_stem(report->name)).string();
-  io::write_file(stem + ".accuracy.json", io::to_json(*report).dump(2) + "\n");
-  if (!quiet) {
-    std::printf("wrote %s.accuracy.json (oracle: %llu steps at h = %g s)\n", stem.c_str(),
-                static_cast<unsigned long long>(report->oracle_steps), report->oracle_step);
+  void result(const experiments::AccuracyReport& report) override {
+    if (quiet_) return;
+    std::printf("wrote %s.accuracy.json (oracle: %llu steps at h = %g s)\n",
+                stem(report.name).c_str(), static_cast<unsigned long long>(report.oracle_steps),
+                report.oracle_step);
     experiments::TablePrinter table(
         {"kernel", "jobs", "max |Vc| rel err", "final Vc rel err", "energy rel err"});
-    for (const experiments::KernelAccuracy& row : report->kernels) {
+    for (const experiments::KernelAccuracy& row : report.kernels) {
       table.add_row({row.kernel, std::to_string(row.jobs.size()),
                      experiments::format_double(row.bounds.vc_max_rel_error, 6),
                      experiments::format_double(row.bounds.final_vc_rel_error, 6),
@@ -599,40 +465,13 @@ int cmd_verify_accuracy(const std::vector<std::string>& args) {
     }
     table.print(std::cout);
   }
-  return 0;
-}
 
-/// `ehsim autotune` — run an autotune spec, write the deterministic search
-/// record as <name>.autotune.json plus the chosen configuration's result
-/// and trace files.
-int cmd_autotune(const std::vector<std::string>& args) {
-  const auto run = parse_run_args(args);
-  if (!run) {
-    return 1;
-  }
-  if (!run->probes.empty() || run->threads != 0) {
-    std::fprintf(stderr,
-                 "ehsim autotune: --probes/--threads are not supported (the search is "
-                 "sequential; declare probes in the spec's base experiment)\n");
-    return 1;
-  }
-  io::AnySpec file = io::load_spec_file(run->spec_path);
-  const experiments::AutotuneSpec* spec = file.get_if<experiments::AutotuneSpec>();
-  if (spec == nullptr) {
-    std::fprintf(stderr, "ehsim autotune: '%s' is not an autotune spec (use `ehsim run`)\n",
-                 run->spec_path.c_str());
-    return 1;
-  }
-  const experiments::AutotuneOutcome outcome = experiments::run_autotune(*spec);
-  const experiments::AutotuneResult& result = outcome.result;
-  std::filesystem::create_directories(run->out_dir);
-  const std::string stem =
-      (std::filesystem::path(run->out_dir) / io::safe_file_stem(result.name)).string();
-  io::write_file(stem + ".autotune.json", io::to_json(result).dump(2) + "\n");
-  write_results({outcome.best_run}, *run);
-  if (!run->quiet) {
-    std::printf("wrote %s.autotune.json (%llu evaluations, %llu sweeps)\n", stem.c_str(),
-                static_cast<unsigned long long>(result.evaluations),
+  void result(const experiments::AutotuneOutcome& outcome) override {
+    wrote_run(outcome.best_run);
+    if (quiet_) return;
+    const experiments::AutotuneResult& result = outcome.result;
+    std::printf("wrote %s.autotune.json (%llu evaluations, %llu sweeps)\n",
+                stem(result.name).c_str(), static_cast<unsigned long long>(result.evaluations),
                 static_cast<unsigned long long>(result.sweeps));
     std::string point;
     for (std::size_t i = 0; i < result.paths.size(); ++i) {
@@ -658,6 +497,80 @@ int cmd_autotune(const std::vector<std::string>& args) {
                   experiments::format_double(result.chosen_error, 6).c_str());
     }
   }
+
+  /// The run/sweep/resume job table.
+  void print_jobs() const {
+    if (!quiet_) jobs_.print();
+  }
+
+ private:
+  [[nodiscard]] std::string stem(const std::string& name) const {
+    return io::file_stem(out_dir_, name);
+  }
+
+  void wrote_run(const experiments::ScenarioResult& result) const {
+    if (quiet_) return;
+    std::printf("wrote %s.result.json (+ .trace.csv, %zu points)\n",
+                stem(result.scenario).c_str(), result.time.size());
+  }
+
+  const io::AnySpec& spec_;
+  std::string out_dir_;
+  bool quiet_;
+  JobTable jobs_;
+};
+
+// ---- commands ----------------------------------------------------------------
+
+/// Every job verb: parse argv, resolve the spec and options, execute.
+/// Exit codes: 0 done, 1 usage/model error, 3 stopped by
+/// --abort-after-checkpoints (the checkpoint files are on disk for resume).
+int cmd_job(const JobVerb& job, const std::vector<std::string>& argv) {
+  const JobArgs args = parse_job_args(job, argv);
+  io::AnySpec spec = io::load_spec_file(args.spec_path);
+  RequestType verb = job.type;
+  if (verb == RequestType::kRun && spec.get_if<experiments::SweepSpec>() != nullptr) {
+    verb = RequestType::kSweep;  // `ehsim run` also runs sweep files
+  }
+
+  serve::ExecuteOptions options;
+  options.out_dir = args.find("--out") != nullptr ? *args.find("--out") : ".";
+  if (const std::string* threads = args.find("--threads")) {
+    options.threads = parse_count("--threads", *threads);
+  }
+  if (const std::string* kernel = args.find("--batch-kernel")) {
+    options.batch_kernel = experiments::parse_batch_kernel(*kernel);
+  }
+  if (const std::string* kernels = args.find("--kernels")) {
+    for (const std::string& id : split_list(*kernels)) {
+      options.kernels.push_back(experiments::parse_batch_kernel(id));
+    }
+  }
+  if (const std::string* step = args.find("--oracle-step")) {
+    options.oracle_step = parse_real("--oracle-step", *step);
+  }
+  options.checkpoint = checkpoint_options(args, verb);
+  if (const std::string* probes = args.find("--probes")) {
+    if (auto* experiment = spec.get_if<experiments::ExperimentSpec>()) {
+      apply_probe_flag(*experiment, *probes);
+    } else if (auto* sweep = spec.get_if<experiments::SweepSpec>()) {
+      apply_probe_flag(sweep->base, *probes);
+    }
+  }
+
+  SummarySink sink(spec, options.out_dir, args.quiet);
+  if (!serve::execute(verb, spec, options, sink)) {
+    // The --abort-after-checkpoints hook stopped the run mid-flight; the
+    // checkpoint files are committed, so `ehsim resume` can finish it.
+    if (!args.quiet) {
+      std::printf("stopped after %d checkpoint(s); resume with `ehsim resume %s "
+                  "--checkpoint-dir %s`\n",
+                  options.checkpoint->abort_after, args.spec_path.c_str(),
+                  options.checkpoint->dir.c_str());
+    }
+    return 3;
+  }
+  sink.print_jobs();
   return 0;
 }
 
@@ -666,18 +579,14 @@ int cmd_serve(const std::vector<std::string>& args) {
   std::string script;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--threads" && i + 1 < args.size()) {
-      options.threads = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--out" && i + 1 < args.size()) {
-      options.out_dir = args[++i];
-    } else if (arg == "--script" && i + 1 < args.size()) {
-      script = args[++i];
-    } else if (arg == "--queue" && i + 1 < args.size()) {
-      options.queue_capacity = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--pool" && i + 1 < args.size()) {
-      options.pool_capacity = static_cast<std::size_t>(std::stoul(args[++i]));
-    } else if (arg == "--cold") {
-      options.cross_request_caches = false;
+    if (arg == "--threads") {
+      options.threads = parse_count(arg, flag_value(args, i));
+    } else if (arg == "--out") {
+      options.out_dir = flag_value(args, i);
+    } else if (arg == "--script") {
+      script = flag_value(args, i);
+    } else if (arg == "--queue") {
+      options.queue_capacity = parse_count(arg, flag_value(args, i));
     } else {
       std::fprintf(stderr, "ehsim serve: unknown option '%s'\n", arg.c_str());
       return 1;
@@ -713,23 +622,13 @@ int cmd_compare(const std::vector<std::string>& args) {
   io::CompareOptions options;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
-    if (arg == "--rtol" && i + 1 < args.size()) {
-      options.rtol = std::stod(args[++i]);
-    } else if (arg == "--atol" && i + 1 < args.size()) {
-      options.atol = std::stod(args[++i]);
-    } else if (arg == "--ignore" && i + 1 < args.size()) {
-      std::string list = args[++i];
-      std::size_t start = 0;
-      while (start <= list.size()) {
-        const std::size_t comma = list.find(',', start);
-        const std::string key = list.substr(start, comma - start);
-        if (!key.empty()) {
-          options.ignore_keys.push_back(key);
-        }
-        if (comma == std::string::npos) {
-          break;
-        }
-        start = comma + 1;
+    if (arg == "--rtol") {
+      options.rtol = parse_real(arg, flag_value(args, i));
+    } else if (arg == "--atol") {
+      options.atol = parse_real(arg, flag_value(args, i));
+    } else if (arg == "--ignore") {
+      for (std::string& key : split_list(flag_value(args, i))) {
+        options.ignore_keys.push_back(std::move(key));
       }
     } else if (!arg.empty() && arg.front() == '-') {
       std::fprintf(stderr, "ehsim compare: unknown option '%s'\n", arg.c_str());
@@ -811,26 +710,8 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   const std::vector<std::string> args(argv + 2, argv + argc);
   try {
-    if (command == "run") {
-      return cmd_run(args, /*require_sweep=*/false, /*resume=*/false);
-    }
-    if (command == "sweep") {
-      return cmd_run(args, /*require_sweep=*/true, /*resume=*/false);
-    }
-    if (command == "resume") {
-      return cmd_run(args, /*require_sweep=*/false, /*resume=*/true);
-    }
-    if (command == "ensemble") {
-      return cmd_ensemble(args);
-    }
-    if (command == "optimise" || command == "optimize") {
-      return cmd_optimise(args);
-    }
-    if (command == "verify-accuracy") {
-      return cmd_verify_accuracy(args);
-    }
-    if (command == "autotune") {
-      return cmd_autotune(args);
+    if (const JobVerb* job = find_job_verb(command)) {
+      return cmd_job(*job, args);
     }
     if (command == "serve") {
       return cmd_serve(args);
