@@ -8,39 +8,25 @@
 #include "common/error.hpp"
 #include "experiments/optimise.hpp"
 #include "experiments/sweep.hpp"
+#include "io/spec_json.hpp"
 
 namespace ehsim::experiments {
 
 namespace {
 
-/// Knob paths the autotuner may walk. Every entry is model-invariant: it
-/// changes how the proposed engine computes the trajectory, never the
-/// circuit, so one oracle run of the base spec judges every candidate.
-constexpr const char* kTunablePaths[] = {
-    "solver.h_max",           "solver.h_initial",     "solver.stability_safety",
-    "solver.lle_tolerance",   "solver.init_tolerance", "solver.fixed_step",
-    "multiplier.table_segments",
-};
-
-bool is_tunable_path(const std::string& path) {
-  for (const char* candidate : kTunablePaths) {
-    if (path == candidate) {
-      return true;
+/// Knob paths the autotuner may walk: the addressable solver rows plus the
+/// PWL table resolution. Every entry is model-invariant: it changes how the
+/// proposed engine computes the trajectory, never the circuit, so one oracle
+/// run of the base spec judges every candidate.
+std::vector<std::string> tunable_paths() {
+  std::vector<std::string> paths;
+  for (const std::string& path : io::spec_field_paths()) {
+    if (path.starts_with("solver.")) {
+      paths.push_back(path);
     }
   }
-  return false;
-}
-
-/// Current value of a knob path in \p spec (the search's start point).
-double current_value(const ExperimentSpec& spec, const std::string& path) {
-  if (path == "solver.h_max") return spec.solver.h_max;
-  if (path == "solver.h_initial") return spec.solver.h_initial;
-  if (path == "solver.stability_safety") return spec.solver.stability_safety;
-  if (path == "solver.lle_tolerance") return spec.solver.lle_tolerance;
-  if (path == "solver.init_tolerance") return spec.solver.init_tolerance;
-  if (path == "solver.fixed_step") return spec.solver.fixed_step;
-  // Device parameter (multiplier.table_segments): resolve overrides.
-  return get_param(experiment_params(spec), path);
+  paths.emplace_back("multiplier.table_segments");
+  return paths;
 }
 
 /// Deterministic work proxy ranking candidates — a fixed linear model over
@@ -77,14 +63,17 @@ void AutotuneSpec::validate() const {
   if (knobs.empty()) {
     throw ModelError("AutotuneSpec '" + name + "': need at least one knob");
   }
+  const std::vector<std::string> tunable = tunable_paths();
   for (std::size_t i = 0; i < knobs.size(); ++i) {
     const AutotuneKnob& knob = knobs[i];
-    if (!is_tunable_path(knob.path)) {
-      throw ModelError("AutotuneSpec '" + name + "': knob '" + knob.path +
-                       "' is not tunable (solver.{h_max,h_initial,stability_safety,"
-                       "lle_tolerance,init_tolerance,fixed_step} | "
-                       "multiplier.table_segments) — device parameters would change the "
-                       "true solution the oracle measures against");
+    if (std::find(tunable.begin(), tunable.end(), knob.path) == tunable.end()) {
+      std::string listing;
+      for (const std::string& path : tunable) {
+        listing += (listing.empty() ? "" : " | ") + path;
+      }
+      throw ModelError("AutotuneSpec '" + name + "': knob '" + knob.path + "' is not tunable (" +
+                       listing + ") — device parameters would change the true solution the "
+                       "oracle measures against");
     }
     for (std::size_t j = 0; j < i; ++j) {
       if (knobs[j].path == knob.path) {
@@ -184,7 +173,7 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
   // kernel. The cost_ratio is measured against this.
   std::vector<double> base_values;
   for (const AutotuneKnob& knob : spec.knobs) {
-    base_values.push_back(current_value(spec.base, knob.path));
+    base_values.push_back(get_spec_value(spec.base, knob.path));
   }
   const Evaluation baseline = evaluate(base_values, kernels.front());
   result.baseline_cost = baseline.cost;
@@ -209,7 +198,7 @@ AutotuneOutcome run_autotune(const AutotuneSpec& spec) {
     axis.knob = i;
     axis.size = knob.values.size();
     // Start at the ladder value closest to the base configuration.
-    const double current = current_value(spec.base, knob.path);
+    const double current = get_spec_value(spec.base, knob.path);
     double best_distance = std::abs(knob.values[0] - current);
     for (std::size_t v = 1; v < knob.values.size(); ++v) {
       const double distance = std::abs(knob.values[v] - current);

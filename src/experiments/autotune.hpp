@@ -37,7 +37,7 @@ namespace ehsim::experiments {
 /// rejects integer paths for golden-section search; the autotuner instead
 /// walks ladder *indices*, where rounding is exact.
 struct AutotuneKnob {
-  std::string path;  ///< "solver.*" (see spec_field_paths) or "multiplier.table_segments"
+  std::string path;  ///< "solver.*" (see io::spec_field_paths) or "multiplier.table_segments"
   std::vector<double> values{};
 
   [[nodiscard]] bool operator==(const AutotuneKnob&) const = default;

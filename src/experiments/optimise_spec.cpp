@@ -1,25 +1,15 @@
 #include "experiments/optimise_spec.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 #include <utility>
 
 #include "common/error.hpp"
+#include "io/spec_json.hpp"
 
 namespace ehsim::experiments {
 
 namespace {
-
-/// Shortest round-trip value text (same convention as sweep job names).
-std::string value_text(double value) {
-  char buffer[32];
-  const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
-  if (ec != std::errc{}) {
-    throw ModelError("optimise: value formatting failed");
-  }
-  return std::string(buffer, ptr);
-}
 
 const ProbeSpec& objective_probe(const OptimiseSpec& spec) {
   for (const ProbeSpec& probe : spec.base.probes) {
@@ -51,10 +41,8 @@ void validate_axis(const OptimiseSpec& spec, const OptimiseVariable& axis,
   // Golden-section line searches are continuous: over an integer-backed path
   // they would evaluate fractional candidates that set_param silently
   // rounds, turning the objective into a step function with spurious
-  // plateaus. (Spec fields are all continuous; a device-parameter variable
-  // is exactly one that set_spec_value recorded as an extra override.)
-  const bool is_device_param = scratch.overrides.size() > spec.base.overrides.size();
-  if (is_device_param && is_integer_param(axis.path)) {
+  // plateaus. (Spec-level fields are all continuous rows.)
+  if (!io::find_spec_field(scratch, axis.path) && is_integer_param(axis.path)) {
     throw ModelError("OptimiseSpec '" + spec.name + "': " + where + " '" + axis.path +
                      "' is integer-valued — golden section would evaluate fractional "
                      "values that set_param silently rounds; sweep it instead");
@@ -154,16 +142,6 @@ ExperimentSpec optimise_candidate(const OptimiseSpec& spec, const std::vector<do
   }
   candidate.name = spec.base.name + suffix;
   return candidate;
-}
-
-std::vector<std::string> optimise_spec_keys() {
-  return {"name",      "base",     "variable",   "variables",       "lower",
-          "upper",     "objective", "statistic", "maximise",        "max_evaluations",
-          "x_tolerance"};
-}
-
-std::vector<std::string> optimise_variable_keys() {
-  return {"path", "lower", "upper", "x_tolerance"};
 }
 
 OptimiseResult run_optimise(const OptimiseSpec& spec) {

@@ -9,7 +9,7 @@
 /// OptimiseSpec captures that whole loop declaratively: a base
 /// ExperimentSpec (with probes), one or more variables addressed by the same
 /// dotted paths sweeps use (device parameters or spec fields such as
-/// "spec.pre_tuned_hz"), per-variable brackets, and a probe-derived
+/// spec.pre_tuned_hz), per-variable brackets, and a probe-derived
 /// objective (probe label + statistic). run_optimise reproduces the
 /// hand-coded loops bit-identically — same evaluation sequence, same optimum
 /// — which is what the scenario-1 tuning ctests pin; `ehsim optimise` runs
@@ -30,7 +30,7 @@ namespace ehsim::experiments {
 struct OptimiseVariable {
   /// Sweepable path, resolved exactly like a sweep axis (set_spec_value):
   /// device parameters ("multiplier.stage_capacitance") or spec fields
-  /// ("spec.pre_tuned_hz", "excitation.event[0].frequency_hz", ...).
+  /// (spec.pre_tuned_hz, excitation.event[0].frequency_hz, ...).
   std::string path{};
   double lower = 0.0;  ///< per-axis bracket [lower, upper]; upper > lower
   double upper = 0.0;
@@ -124,15 +124,6 @@ struct OptimiseResult {
 /// is bit-identical to driving the C++ API directly. Throws ModelError on an
 /// invalid spec.
 [[nodiscard]] OptimiseResult run_optimise(const OptimiseSpec& spec);
-
-/// Top-level document keys of an optimise spec (besides "type"), in schema
-/// order — the io parser's allowed set and `ehsim params` both derive from
-/// this list.
-[[nodiscard]] std::vector<std::string> optimise_spec_keys();
-
-/// Keys of one `variables` array entry, in schema order — shared by the io
-/// parser's strict key check and `ehsim params` so the two cannot drift.
-[[nodiscard]] std::vector<std::string> optimise_variable_keys();
 
 /// The candidate experiment evaluated at \p x: base with the variable set
 /// and a unique "name/variable=value" job name. Exposed so tests (and the

@@ -2,122 +2,45 @@
 
 #include <charconv>
 #include <cmath>
-#include <cstdio>
 
 #include "common/error.hpp"
+#include "io/spec_json.hpp"
 
 namespace ehsim::experiments {
 
-namespace {
-
-/// Parse "excitation.event[K].field" into (K, field); empty field on
-/// mismatch.
-bool parse_event_path(const std::string& path, std::size_t& index, std::string& field) {
-  constexpr std::string_view prefix = "excitation.event[";
-  if (path.compare(0, prefix.size(), prefix) != 0) {
-    return false;
-  }
-  const std::size_t close = path.find(']', prefix.size());
-  if (close == std::string::npos || close + 1 >= path.size() || path[close + 1] != '.') {
-    return false;
-  }
-  const char* first = path.data() + prefix.size();
-  const char* last = path.data() + close;
-  const auto [ptr, ec] = std::from_chars(first, last, index);
-  if (ec != std::errc{} || ptr != last) {
-    return false;
-  }
-  field = path.substr(close + 2);
-  return true;
-}
-
-/// Value text for job names (sweep-name/path=value): std::to_chars shortest
-/// round-trip form, so distinct axis values always yield distinct names
-/// (job names double as output file stems — a collision would silently
-/// overwrite another job's results).
 std::string value_text(double value) {
   char buffer[32];
   const auto [ptr, ec] = std::to_chars(buffer, buffer + sizeof(buffer), value);
   if (ec != std::errc{}) {
-    throw ModelError("sweep: axis value formatting failed");
+    throw ModelError("value formatting failed");
   }
   return std::string(buffer, ptr);
 }
 
-}  // namespace
-
 void set_spec_value(ExperimentSpec& spec, const std::string& path, double value) {
-  if (path == "spec.duration") {
-    spec.duration = value;
-  } else if (path == "spec.pre_tuned_hz") {
-    spec.pre_tuned_hz = value;
-  } else if (path == "spec.trace_interval") {
-    spec.trace_interval = value;
-  } else if (path == "spec.power_bin_width") {
-    spec.power_bin_width = value;
-  } else if (path == "excitation.initial_frequency_hz") {
-    spec.excitation.initial_frequency_hz = value;
-  } else if (path == "excitation.initial_amplitude") {
-    spec.excitation.initial_amplitude = value;
-  } else if (path == "solver.h_max") {
-    spec.solver.h_max = value;
-  } else if (path == "solver.h_initial") {
-    spec.solver.h_initial = value;
-  } else if (path == "solver.stability_safety") {
-    spec.solver.stability_safety = value;
-  } else if (path == "solver.lle_tolerance") {
-    spec.solver.lle_tolerance = value;
-  } else if (path == "solver.init_tolerance") {
-    spec.solver.init_tolerance = value;
-  } else if (path == "solver.fixed_step") {
-    spec.solver.fixed_step = value;
-  } else {
-    std::size_t index = 0;
-    std::string field;
-    if (parse_event_path(path, index, field)) {
-      if (index >= spec.excitation.events.size()) {
-        throw ModelError("sweep path '" + path + "': spec '" + spec.name + "' has only " +
-                         std::to_string(spec.excitation.events.size()) +
-                         " excitation events");
-      }
-      ExcitationEvent& event = spec.excitation.events[index];
-      if (field == "time") {
-        event.time = value;
-      } else if (field == "duration") {
-        event.duration = value;
-      } else if (field == "frequency_hz") {
-        event.frequency_hz = value;
-      } else if (field == "amplitude") {
-        event.amplitude = value;
-      } else {
-        throw ModelError("sweep path '" + path +
-                         "': unknown event field (time | duration | frequency_hz | amplitude)");
-      }
-      return;
-    }
-    // Device parameter: validate the path eagerly so a bad sweep fails
-    // before any job runs, then record it as an override.
-    harvester::HarvesterParams scratch;
-    set_param(scratch, path, value);
-    spec.overrides.push_back(ParamOverride{path, value});
+  if (const std::optional<io::SpecField> field = io::find_spec_field(spec, path)) {
+    std::visit([value](auto* target) { *target = value; }, *field);
+    return;
   }
+  // Device parameter: validate the path eagerly so a bad sweep fails
+  // before any job runs, then record it as an override.
+  harvester::HarvesterParams scratch;
+  set_param(scratch, path, value);
+  spec.overrides.push_back(ParamOverride{path, value});
 }
 
-std::vector<std::string> spec_field_paths() {
-  // Keep in lock-step with set_spec_value above.
-  return {"spec.duration",
-          "spec.pre_tuned_hz",
-          "spec.trace_interval",
-          "spec.power_bin_width",
-          "excitation.initial_frequency_hz",
-          "excitation.initial_amplitude",
-          "excitation.event[K].{time,duration,frequency_hz,amplitude}",
-          "solver.h_max",
-          "solver.h_initial",
-          "solver.stability_safety",
-          "solver.lle_tolerance",
-          "solver.init_tolerance",
-          "solver.fixed_step"};
+double get_spec_value(const ExperimentSpec& spec, const std::string& path) {
+  ExperimentSpec scratch = spec;
+  const std::optional<io::SpecField> field = io::find_spec_field(scratch, path);
+  if (!field) {
+    return get_param(experiment_params(spec), path);
+  }
+  const std::optional<double> value =
+      std::visit([](auto* target) { return std::optional<double>(*target); }, *field);
+  if (!value) {
+    throw ModelError("spec '" + spec.name + "' leaves '" + path + "' unset");
+  }
+  return *value;
 }
 
 void SweepSpec::validate() const {

@@ -17,13 +17,10 @@
 namespace ehsim::experiments {
 
 struct SweepAxis {
-  /// Dotted parameter path. Device parameters resolve through the param
-  /// registry ("generator.proof_mass", ...); spec-level numeric fields are
-  /// addressable as "spec.duration", "spec.pre_tuned_hz",
-  /// "spec.trace_interval", "spec.power_bin_width",
-  /// "excitation.initial_frequency_hz", "excitation.initial_amplitude" and
-  /// "excitation.event[K].{time,duration,frequency_hz,amplitude}".
-  /// Empty when this is an engine axis.
+  /// Dotted parameter path: a device parameter of the param registry
+  /// ("generator.proof_mass", ...) or a spec-level field such as
+  /// spec.duration or excitation.event[K].frequency_hz (io::spec_field_paths
+  /// lists them). Empty when this is an engine axis.
   std::string param;
   std::vector<double> values;
   /// Non-empty: this axis sweeps the engine kind instead of a parameter.
@@ -63,15 +60,22 @@ struct SweepSpec {
   [[nodiscard]] bool operator==(const SweepSpec&) const = default;
 };
 
-/// Set a sweepable numeric value on a spec: spec-level paths are written
+/// Set a sweepable numeric value on a spec: spec-level paths (rows marked
+/// addressable in io/spec_json.cpp, see io::spec_field_paths) are written
 /// directly, device-parameter paths append an override (validated against
 /// the registry). Throws ModelError for unknown paths.
 void set_spec_value(ExperimentSpec& spec, const std::string& path, double value);
 
-/// The spec-level paths set_spec_value understands besides device
-/// parameters (CLI discoverability, docs). Event fields are listed in
-/// "excitation.event[K].{...}" placeholder form.
-[[nodiscard]] std::vector<std::string> spec_field_paths();
+/// The value \p path has in \p spec: the spec-level field, or the device
+/// parameter with the spec's overrides applied. Throws ModelError for
+/// unknown paths and unset optional fields.
+[[nodiscard]] double get_spec_value(const ExperimentSpec& spec, const std::string& path);
+
+/// Shortest round-trip text of \p value (std::to_chars) for job names
+/// ("name/path=value"): distinct values always yield distinct names, and job
+/// names double as output file stems, so a collision would silently
+/// overwrite another job's results.
+[[nodiscard]] std::string value_text(double value);
 
 /// Expand and execute a sweep through run_scenario_batch. \p threads
 /// overrides spec.threads when non-zero; the batch kernel follows

@@ -259,7 +259,16 @@ class Parser {
       if (peek() != '"') {
         fail("expected an object key string");
       }
+      const std::size_t key_pos = pos_;
       std::string key = parse_string();
+      // A repeated key would be silently shadowed by the first (find returns
+      // it), so strict documents refuse it outright.
+      for (const auto& member : object) {
+        if (member.first == key) {
+          pos_ = key_pos;
+          fail("duplicate object key '" + key + "'");
+        }
+      }
       skip_whitespace();
       expect(':');
       object.emplace_back(std::move(key), parse_value(depth + 1));

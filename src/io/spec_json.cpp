@@ -1,11 +1,12 @@
 #include "io/spec_json.hpp"
 
-#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <type_traits>
 
 #include "common/error.hpp"
 
@@ -41,60 +42,292 @@ using experiments::ScenarioResult;
 using experiments::SweepAxis;
 using experiments::SweepSpec;
 
-/// Strict-parse helper: reject keys outside the allowed set so typos fail
-/// loudly.
-void check_keys(const JsonValue& json, std::initializer_list<std::string_view> allowed,
-                const char* where) {
-  for (const auto& [key, value] : json.as_object()) {
-    bool known = false;
-    for (const std::string_view candidate : allowed) {
-      if (key == candidate) {
-        known = true;
-        break;
+// ---- field rows -------------------------------------------------------------
+//
+// Every spec struct is one list of rows, each binding a JSON key to a member.
+// to_json, the *_from_json parsers (defaults, required keys, the strict
+// unknown-key check), the sweep/optimise/autotune paths and the `ehsim
+// params` listings all walk these lists, so a new spec field is one row.
+// Row order is the emission order of the canonical document.
+
+/// Row flags: the emit rule (unflagged rows are always written; optional
+/// members only when set) plus the parse and path attributes.
+enum Rule : unsigned {
+  kAlways = 0,
+  kUnlessDefault = 1u << 0,  ///< omitted while equal to the default-constructed value
+  kIfPositive = 1u << 1,     ///< omitted while <= 0
+  kRequired = 1u << 2,       ///< parsing fails when the key is missing
+  kPath = 1u << 3,           ///< addressable as "<block>.<key>" (find_spec_field)
+  /// The scalar form of an either/or pair (optimise's variable/lower/upper
+  /// vs variables, ensemble's num_seeds vs seeds, a sweep axis's
+  /// param/values vs engines): written only while the array form is empty.
+  kAlias = 1u << 4,
+};
+
+/// A row whose value is structural — a nested block, an array or an enum —
+/// and is written and read by plain code. write returns nullopt to omit it.
+template <class S>
+struct Custom {
+  std::optional<JsonValue> (*write)(const S&);
+  void (*read)(S&, const JsonValue&);
+};
+
+template <class S>
+struct Field {
+  const char* key;
+  std::variant<double S::*, bool S::*, std::string S::*, std::optional<double> S::*,
+               std::size_t S::*, std::vector<double> S::*, Custom<S>>
+      member;
+  unsigned rules = kAlways;
+};
+
+template <class S>
+using Fields = std::span<const Field<S>>;
+
+template <class S>
+struct Table {
+  const char* where;  ///< the struct's name in error messages
+  Fields<S> fields;
+  bool document = false;  ///< a spec flavour: the "type" discriminator is accepted
+};
+
+constexpr const char* kTypeKey = "type";
+
+/// The bounded reader of every integer field: a non-integral value or one
+/// outside [0, 2^64) is rejected by name instead of overflowing the cast.
+std::uint64_t read_count(const JsonValue& json, std::string_view key, const std::string& where) {
+  const double value = json.as_number();
+  if (!(value >= 0.0 && value < 0x1p64) || value != std::floor(value)) {
+    throw ModelError(where + ": '" + std::string(key) + "' must be an integer in [0, 2^64)");
+  }
+  return static_cast<std::uint64_t>(value);
+}
+
+// One typed reader and writer per row kind (integers: read_count above).
+void read_value(double& target, const JsonValue& json) { target = json.as_number(); }
+void read_value(std::optional<double>& target, const JsonValue& json) { target = json.as_number(); }
+void read_value(bool& target, const JsonValue& json) { target = json.as_bool(); }
+void read_value(std::string& target, const JsonValue& json) { target = json.as_string(); }
+void read_value(std::vector<double>& target, const JsonValue& json) {
+  for (const JsonValue& item : json.as_array()) {
+    target.push_back(item.as_number());
+  }
+}
+
+template <class T>
+JsonValue to_value(const T& value) {
+  return JsonValue(value);
+}
+JsonValue to_value(const std::optional<double>& value) { return *value; }
+JsonValue to_value(const std::vector<double>& values) {
+  JsonValue array = JsonValue::make_array();
+  for (const double value : values) {
+    array.push_back(value);
+  }
+  return array;
+}
+
+/// The emit rule: is \p value left out of the document?
+template <class T>
+bool omitted(const T& value, const T& fallback, unsigned rules) {
+  return ((rules & kUnlessDefault) != 0 && value == fallback) ||
+         ((rules & kIfPositive) != 0 && !(value > T{}));
+}
+bool omitted(const std::optional<double>& value, const std::optional<double>&, unsigned) {
+  return !value;
+}
+
+template <class S>
+const S& defaults() {
+  static const S instance{};
+  return instance;
+}
+
+/// Append the rows of \p fields, skipping those flagged with any \p skip bit.
+template <class S>
+void write_rows(JsonValue& json, const S& s, Fields<S> fields, unsigned skip = 0) {
+  for (const Field<S>& field : fields) {
+    if ((field.rules & skip) != 0) {
+      continue;
+    }
+    std::optional<JsonValue> value = std::visit(
+        overloaded{[&s](const Custom<S>& custom) { return custom.write(s); },
+                   [&s, &field](auto member) -> std::optional<JsonValue> {
+                     if (omitted(s.*member, defaults<S>().*member, field.rules)) {
+                       return std::nullopt;
+                     }
+                     return to_value(s.*member);
+                   }},
+        field.member);
+    if (value) {
+      json.set(field.key, std::move(*value));
+    }
+  }
+}
+
+template <class S>
+void read_rows(S& s, const JsonValue& json, Fields<S> fields, const std::string& where) {
+  for (const Field<S>& field : fields) {
+    const JsonValue* value = json.find(field.key);
+    if (value == nullptr) {
+      if ((field.rules & kRequired) != 0) {
+        throw ModelError(where + ": missing key '" + field.key + "'");
       }
+      continue;
     }
-    if (!known) {
-      throw ModelError(std::string(where) + ": unknown key '" + key + "'");
-    }
+    std::visit(overloaded{[&](const Custom<S>& custom) { custom.read(s, *value); },
+                          [&](std::size_t S::*member) {
+                            s.*member = read_count(*value, field.key, where);
+                          },
+                          [&](auto member) -> void { read_value(s.*member, *value); }},
+               field.member);
   }
 }
 
-double number_or(const JsonValue& json, std::string_view key, double fallback) {
-  const JsonValue* value = json.find(key);
-  return value != nullptr ? value->as_number() : fallback;
-}
-
-bool bool_or(const JsonValue& json, std::string_view key, bool fallback) {
-  const JsonValue* value = json.find(key);
-  return value != nullptr ? value->as_bool() : fallback;
-}
-
-const char* event_kind_id(ExcitationEvent::Kind kind) {
-  switch (kind) {
-    case ExcitationEvent::Kind::kFrequencyStep:
-      return "frequency_step";
-    case ExcitationEvent::Kind::kFrequencyRamp:
-      return "frequency_ramp";
-    case ExcitationEvent::Kind::kAmplitudeStep:
-      return "amplitude_step";
-    case ExcitationEvent::Kind::kRandomWalk:
-      return "random_walk";
-  }
-  return "?";
-}
-
-ExcitationEvent::Kind event_kind_from(const std::string& id) {
-  for (const auto kind :
-       {ExcitationEvent::Kind::kFrequencyStep, ExcitationEvent::Kind::kFrequencyRamp,
-        ExcitationEvent::Kind::kAmplitudeStep, ExcitationEvent::Kind::kRandomWalk}) {
-    if (id == event_kind_id(kind)) {
-      return kind;
+template <class S>
+bool has_key(Fields<S> fields, std::string_view key) {
+  for (const Field<S>& field : fields) {
+    if (key == field.key) {
+      return true;
     }
   }
-  throw ModelError("excitation event: unknown kind '" + id +
-                   "' (expected frequency_step | frequency_ramp | amplitude_step | "
-                   "random_walk)");
+  return false;
 }
+
+/// Strict parsing: reject keys outside \p known so typos fail loudly.
+template <class Known>
+void reject_unknown(const JsonValue& json, const std::string& where, Known known) {
+  for (const auto& [key, value] : json.as_object()) {
+    if (!known(key)) {
+      throw ModelError(where + ": unknown key '" + key + "'");
+    }
+  }
+}
+
+template <class S>
+JsonValue to_object(const S& s, const Table<S>& table, unsigned skip = 0) {
+  JsonValue json = JsonValue::make_object();
+  write_rows(json, s, table.fields, skip);
+  return json;
+}
+
+template <class S>
+S from_object(const JsonValue& json, const Table<S>& table) {
+  reject_unknown(json, table.where, [&table](const std::string& key) {
+    return (table.document && key == kTypeKey) || has_key(table.fields, key);
+  });
+  S s{};
+  read_rows(s, json, table.fields, table.where);
+  return s;
+}
+
+/// Parse, then run the struct's own validation.
+template <class S>
+S validated(const JsonValue& json, const Table<S>& table) {
+  S s = from_object(json, table);
+  s.validate();
+  return s;
+}
+
+/// A top-level spec document: the "type" discriminator, then the rows.
+template <class S>
+JsonValue document(const S& spec, const Table<S>& table, unsigned skip = 0) {
+  JsonValue json = JsonValue::make_object();
+  json.set(kTypeKey, spec_type_id(spec));
+  write_rows(json, spec, table.fields, skip);
+  return json;
+}
+
+template <class S>
+JsonValue to_array(const std::vector<S>& items, const Table<S>& table) {
+  JsonValue array = JsonValue::make_array();
+  for (const S& item : items) {
+    array.push_back(to_object(item, table));
+  }
+  return array;
+}
+
+template <class S>
+std::vector<S> array_from(const JsonValue& json, const Table<S>& table) {
+  std::vector<S> items;
+  for (const JsonValue& entry : json.as_array()) {
+    items.push_back(from_object(entry, table));
+  }
+  return items;
+}
+
+template <class E>
+JsonValue id_array(const std::vector<E>& values, const char* (*id)(E)) {
+  JsonValue array = JsonValue::make_array();
+  for (const E value : values) {
+    array.push_back(id(value));
+  }
+  return array;
+}
+
+template <class E>
+std::vector<E> ids_from(const JsonValue& json, E (*parse)(std::string_view)) {
+  std::vector<E> values;
+  for (const JsonValue& id : json.as_array()) {
+    values.push_back(parse(id.as_string()));
+  }
+  return values;
+}
+
+/// Omit a list row while the list is empty.
+std::optional<JsonValue> unless_empty(JsonValue array) {
+  if (array.as_array().empty()) {
+    return std::nullopt;
+  }
+  return array;
+}
+
+// ---- solver, probes, excitation -------------------------------------------
+
+constexpr const char* kSolverKey = "solver";
+
+/// Only the fields that differ from the defaults are emitted, so specs and
+/// goldens that predate the block round-trip byte-identically.
+constexpr Field<core::SolverConfig> kSolverFields[] = {
+    {"max_ab_order", &core::SolverConfig::max_ab_order, kUnlessDefault},
+    {"h_min", &core::SolverConfig::h_min, kUnlessDefault},
+    {"h_max", &core::SolverConfig::h_max, kUnlessDefault | kPath},
+    {"h_initial", &core::SolverConfig::h_initial, kUnlessDefault | kPath},
+    {"stability_safety", &core::SolverConfig::stability_safety, kUnlessDefault | kPath},
+    {"stability_check_interval", &core::SolverConfig::stability_check_interval,
+     kUnlessDefault},
+    {"stability_drift_threshold", &core::SolverConfig::stability_drift_threshold,
+     kUnlessDefault},
+    {"enable_stability_cap", &core::SolverConfig::enable_stability_cap, kUnlessDefault},
+    {"lle_tolerance", &core::SolverConfig::lle_tolerance, kUnlessDefault | kPath},
+    {"enable_lle_control", &core::SolverConfig::enable_lle_control, kUnlessDefault},
+    {"fixed_step", &core::SolverConfig::fixed_step, kUnlessDefault | kPath},
+    {"enable_jacobian_reuse", &core::SolverConfig::enable_jacobian_reuse, kUnlessDefault},
+    {"max_init_iterations", &core::SolverConfig::max_init_iterations, kUnlessDefault},
+    {"init_tolerance", &core::SolverConfig::init_tolerance, kUnlessDefault | kPath},
+};
+constexpr Table<core::SolverConfig> kSolver{kSolverKey, kSolverFields};
+
+constexpr const char* kKindKey = "kind";
+
+constexpr Field<ProbeSpec> kProbeFields[] = {
+    {"label", &ProbeSpec::label, kRequired},
+    {kKindKey,
+     Custom<ProbeSpec>{
+         [](const ProbeSpec& p) -> std::optional<JsonValue> {
+           return experiments::probe_kind_id(p.kind);
+         },
+         [](ProbeSpec& p, const JsonValue& json) {
+           p.kind = experiments::probe_kind_from(json.as_string());
+         }},
+     kRequired},
+    {"target", &ProbeSpec::target, kUnlessDefault},
+    {"window_start", &ProbeSpec::window_start, kUnlessDefault},
+    {"window_end", &ProbeSpec::window_end, kIfPositive},
+    {"threshold", &ProbeSpec::threshold},
+    {"record", &ProbeSpec::record, kUnlessDefault},
+};
+constexpr Table<ProbeSpec> kProbe{"probe", kProbeFields};
 
 /// uint64 seeds may exceed the exactly-representable double range; such
 /// seeds serialise as decimal strings, everything else as plain numbers.
@@ -106,13 +339,11 @@ JsonValue seed_to_json(std::uint64_t seed) {
   return JsonValue(std::to_string(seed));
 }
 
+constexpr const char* kSeedKey = "seed";
+
 std::uint64_t seed_from_json(const JsonValue& json) {
   if (json.is_number()) {
-    const double value = json.as_number();
-    if (value < 0.0 || value != std::floor(value)) {
-      throw ModelError("random_walk seed must be a non-negative integer");
-    }
-    return static_cast<std::uint64_t>(value);
+    return read_count(json, kSeedKey, "random_walk event");
   }
   const std::string& text = json.as_string();
   std::uint64_t seed = 0;
@@ -123,641 +354,506 @@ std::uint64_t seed_from_json(const JsonValue& json) {
   return seed;
 }
 
-/// Solver block: only the fields that differ from the defaults are
-/// emitted (in declaration order), so pre-existing specs and goldens —
-/// which predate the block — round-trip byte-identically.
-JsonValue solver_to_json(const core::SolverConfig& solver) {
-  const core::SolverConfig defaults;
-  JsonValue json = JsonValue::make_object();
-  if (solver.max_ab_order != defaults.max_ab_order) {
-    json.set("max_ab_order", static_cast<double>(solver.max_ab_order));
-  }
-  if (solver.h_min != defaults.h_min) {
-    json.set("h_min", solver.h_min);
-  }
-  if (solver.h_max != defaults.h_max) {
-    json.set("h_max", solver.h_max);
-  }
-  if (solver.h_initial != defaults.h_initial) {
-    json.set("h_initial", solver.h_initial);
-  }
-  if (solver.stability_safety != defaults.stability_safety) {
-    json.set("stability_safety", solver.stability_safety);
-  }
-  if (solver.stability_check_interval != defaults.stability_check_interval) {
-    json.set("stability_check_interval",
-             static_cast<double>(solver.stability_check_interval));
-  }
-  if (solver.stability_drift_threshold != defaults.stability_drift_threshold) {
-    json.set("stability_drift_threshold", solver.stability_drift_threshold);
-  }
-  if (solver.enable_stability_cap != defaults.enable_stability_cap) {
-    json.set("enable_stability_cap", solver.enable_stability_cap);
-  }
-  if (solver.lle_tolerance != defaults.lle_tolerance) {
-    json.set("lle_tolerance", solver.lle_tolerance);
-  }
-  if (solver.enable_lle_control != defaults.enable_lle_control) {
-    json.set("enable_lle_control", solver.enable_lle_control);
-  }
-  if (solver.fixed_step != defaults.fixed_step) {
-    json.set("fixed_step", solver.fixed_step);
-  }
-  if (solver.enable_jacobian_reuse != defaults.enable_jacobian_reuse) {
-    json.set("enable_jacobian_reuse", solver.enable_jacobian_reuse);
-  }
-  if (solver.max_init_iterations != defaults.max_init_iterations) {
-    json.set("max_init_iterations", static_cast<double>(solver.max_init_iterations));
-  }
-  if (solver.init_tolerance != defaults.init_tolerance) {
-    json.set("init_tolerance", solver.init_tolerance);
-  }
-  return json;
-}
+constexpr Field<RandomWalkParams> kWalkFields[] = {
+    {"step_interval", &RandomWalkParams::step_interval},
+    {"frequency_sigma", &RandomWalkParams::frequency_sigma},
+    {"amplitude_sigma", &RandomWalkParams::amplitude_sigma},
+    {kSeedKey, Custom<RandomWalkParams>{
+                   [](const RandomWalkParams& walk) -> std::optional<JsonValue> {
+                     return seed_to_json(walk.seed);
+                   },
+                   [](RandomWalkParams& walk, const JsonValue& json) {
+                     walk.seed = seed_from_json(json);
+                   }}},
+    {"min_frequency_hz", &RandomWalkParams::min_frequency_hz},
+    {"max_frequency_hz", &RandomWalkParams::max_frequency_hz},
+    {"min_amplitude", &RandomWalkParams::min_amplitude},
+};
 
-core::SolverConfig solver_from_json(const JsonValue& json) {
-  check_keys(json,
-             {"max_ab_order", "h_min", "h_max", "h_initial", "stability_safety",
-              "stability_check_interval", "stability_drift_threshold",
-              "enable_stability_cap", "lle_tolerance", "enable_lle_control", "fixed_step",
-              "enable_jacobian_reuse", "max_init_iterations", "init_tolerance"},
-             "solver");
-  core::SolverConfig solver;
-  const auto size_or = [&json](std::string_view key, std::size_t fallback) {
-    const double value = number_or(json, key, static_cast<double>(fallback));
-    if (value < 0.0 || value != std::floor(value)) {
-      throw ModelError("solver: '" + std::string(key) + "' must be a non-negative integer");
+constexpr Fields<RandomWalkParams> kWalk = kWalkFields;
+
+constexpr Field<ExcitationEvent> kEventTime{"time", &ExcitationEvent::time, kRequired | kPath};
+constexpr Field<ExcitationEvent> kEventDuration{"duration", &ExcitationEvent::duration,
+                                                kRequired | kPath};
+constexpr Field<ExcitationEvent> kEventFrequency{"frequency_hz", &ExcitationEvent::frequency_hz,
+                                                 kRequired | kPath};
+constexpr Field<ExcitationEvent> kEventAmplitude{"amplitude", &ExcitationEvent::amplitude,
+                                                 kRequired | kPath};
+/// Every event row, in member order (the path listing).
+constexpr Field<ExcitationEvent> kEventFields[] = {kEventTime, kEventDuration, kEventFrequency,
+                                                  kEventAmplitude};
+constexpr Field<ExcitationEvent> kStepFields[] = {kEventTime, kEventFrequency};
+constexpr Field<ExcitationEvent> kRampFields[] = {kEventTime, kEventDuration, kEventFrequency};
+constexpr Field<ExcitationEvent> kAmplitudeStepFields[] = {kEventTime, kEventAmplitude};
+constexpr Field<ExcitationEvent> kWalkEventFields[] = {kEventTime, kEventDuration};
+
+/// The per-kind key set of an event: the kind id, the kind's event rows and, for
+/// random walks, the walk parameter rows. The parser, the writer and the
+/// event paths all use this one table.
+struct EventKind {
+  ExcitationEvent::Kind kind;
+  const char* id;
+  Fields<ExcitationEvent> fields;
+  bool walk = false;
+};
+
+constexpr EventKind kEventKinds[] = {
+    {ExcitationEvent::Kind::kFrequencyStep, "frequency_step", kStepFields},
+    {ExcitationEvent::Kind::kFrequencyRamp, "frequency_ramp", kRampFields},
+    {ExcitationEvent::Kind::kAmplitudeStep, "amplitude_step", kAmplitudeStepFields},
+    {ExcitationEvent::Kind::kRandomWalk, "random_walk", kWalkEventFields, true},
+};
+
+const EventKind& event_kind(ExcitationEvent::Kind kind) {
+  for (const EventKind& candidate : kEventKinds) {
+    if (candidate.kind == kind) {
+      return candidate;
     }
-    return static_cast<std::size_t>(value);
-  };
-  solver.max_ab_order = size_or("max_ab_order", solver.max_ab_order);
-  solver.h_min = number_or(json, "h_min", solver.h_min);
-  solver.h_max = number_or(json, "h_max", solver.h_max);
-  solver.h_initial = number_or(json, "h_initial", solver.h_initial);
-  solver.stability_safety = number_or(json, "stability_safety", solver.stability_safety);
-  solver.stability_check_interval =
-      size_or("stability_check_interval", solver.stability_check_interval);
-  solver.stability_drift_threshold =
-      number_or(json, "stability_drift_threshold", solver.stability_drift_threshold);
-  solver.enable_stability_cap =
-      bool_or(json, "enable_stability_cap", solver.enable_stability_cap);
-  solver.lle_tolerance = number_or(json, "lle_tolerance", solver.lle_tolerance);
-  solver.enable_lle_control = bool_or(json, "enable_lle_control", solver.enable_lle_control);
-  solver.fixed_step = number_or(json, "fixed_step", solver.fixed_step);
-  solver.enable_jacobian_reuse =
-      bool_or(json, "enable_jacobian_reuse", solver.enable_jacobian_reuse);
-  solver.max_init_iterations = size_or("max_init_iterations", solver.max_init_iterations);
-  solver.init_tolerance = number_or(json, "init_tolerance", solver.init_tolerance);
-  return solver;
+  }
+  throw ModelError("excitation event: invalid kind");
 }
 
 JsonValue event_to_json(const ExcitationEvent& event) {
+  const EventKind& kind = event_kind(event.kind);
   JsonValue json = JsonValue::make_object();
-  json.set("kind", event_kind_id(event.kind));
-  json.set("time", event.time);
-  switch (event.kind) {
-    case ExcitationEvent::Kind::kFrequencyStep:
-      json.set("frequency_hz", event.frequency_hz);
-      break;
-    case ExcitationEvent::Kind::kFrequencyRamp:
-      json.set("duration", event.duration);
-      json.set("frequency_hz", event.frequency_hz);
-      break;
-    case ExcitationEvent::Kind::kAmplitudeStep:
-      json.set("amplitude", event.amplitude);
-      break;
-    case ExcitationEvent::Kind::kRandomWalk: {
-      const RandomWalkParams& walk = event.walk;
-      json.set("duration", event.duration);
-      json.set("step_interval", walk.step_interval);
-      json.set("frequency_sigma", walk.frequency_sigma);
-      json.set("amplitude_sigma", walk.amplitude_sigma);
-      json.set("seed", seed_to_json(walk.seed));
-      json.set("min_frequency_hz", walk.min_frequency_hz);
-      json.set("max_frequency_hz", walk.max_frequency_hz);
-      json.set("min_amplitude", walk.min_amplitude);
-      break;
-    }
+  json.set(kKindKey, kind.id);
+  write_rows(json, event, kind.fields);
+  if (kind.walk) {
+    write_rows(json, event.walk, kWalk);
   }
   return json;
 }
 
 ExcitationEvent event_from_json(const JsonValue& json) {
-  ExcitationEvent event;
-  event.kind = event_kind_from(json.at("kind").as_string());
-  event.time = json.at("time").as_number();
-  switch (event.kind) {
-    case ExcitationEvent::Kind::kFrequencyStep:
-      check_keys(json, {"kind", "time", "frequency_hz"}, "frequency_step event");
-      event.frequency_hz = json.at("frequency_hz").as_number();
-      break;
-    case ExcitationEvent::Kind::kFrequencyRamp:
-      check_keys(json, {"kind", "time", "duration", "frequency_hz"}, "frequency_ramp event");
-      event.duration = json.at("duration").as_number();
-      event.frequency_hz = json.at("frequency_hz").as_number();
-      break;
-    case ExcitationEvent::Kind::kAmplitudeStep:
-      check_keys(json, {"kind", "time", "amplitude"}, "amplitude_step event");
-      event.amplitude = json.at("amplitude").as_number();
-      break;
-    case ExcitationEvent::Kind::kRandomWalk: {
-      check_keys(json,
-                 {"kind", "time", "duration", "step_interval", "frequency_sigma",
-                  "amplitude_sigma", "seed", "min_frequency_hz", "max_frequency_hz",
-                  "min_amplitude"},
-                 "random_walk event");
-      RandomWalkParams walk;
-      event.duration = json.at("duration").as_number();
-      walk.step_interval = number_or(json, "step_interval", walk.step_interval);
-      walk.frequency_sigma = number_or(json, "frequency_sigma", walk.frequency_sigma);
-      walk.amplitude_sigma = number_or(json, "amplitude_sigma", walk.amplitude_sigma);
-      if (const JsonValue* seed = json.find("seed")) {
-        walk.seed = seed_from_json(*seed);
-      }
-      walk.min_frequency_hz = number_or(json, "min_frequency_hz", walk.min_frequency_hz);
-      walk.max_frequency_hz = number_or(json, "max_frequency_hz", walk.max_frequency_hz);
-      walk.min_amplitude = number_or(json, "min_amplitude", walk.min_amplitude);
-      event.walk = walk;
+  const std::string& id = json.at(kKindKey).as_string();
+  const EventKind* kind = nullptr;
+  for (const EventKind& candidate : kEventKinds) {
+    if (id == candidate.id) {
+      kind = &candidate;
       break;
     }
+  }
+  if (kind == nullptr) {
+    throw ModelError("excitation event: unknown kind '" + id +
+                     "' (expected frequency_step | frequency_ramp | amplitude_step | "
+                     "random_walk)");
+  }
+  const std::string where = id + " event";
+  reject_unknown(json, where, [kind](const std::string& key) {
+    return key == kKindKey || has_key(kind->fields, key) ||
+           (kind->walk && has_key(kWalk, key));
+  });
+  ExcitationEvent event;
+  event.kind = kind->kind;
+  read_rows(event, json, kind->fields, where);
+  if (kind->walk) {
+    read_rows(event.walk, json, kWalk, where);
   }
   return event;
 }
 
+constexpr const char* kExcitationKey = "excitation";
+
+constexpr Field<ExcitationSchedule> kExcitationFields[] = {
+    {"initial_frequency_hz", &ExcitationSchedule::initial_frequency_hz, kPath},
+    {"initial_amplitude", &ExcitationSchedule::initial_amplitude, kPath},
+    {"events", Custom<ExcitationSchedule>{
+                   [](const ExcitationSchedule& schedule) -> std::optional<JsonValue> {
+                     JsonValue events = JsonValue::make_array();
+                     for (const ExcitationEvent& event : schedule.events) {
+                       events.push_back(event_to_json(event));
+                     }
+                     return events;
+                   },
+                   [](ExcitationSchedule& schedule, const JsonValue& json) {
+                     for (const JsonValue& event : json.as_array()) {
+                       schedule.events.push_back(event_from_json(event));
+                     }
+                   }}},
+};
+constexpr Table<ExcitationSchedule> kExcitation{kExcitationKey, kExcitationFields};
+
+// ---- spec flavours -----------------------------------------------------------
+
+constexpr Field<ParamOverride> kOverrideFields[] = {
+    {"param", &ParamOverride::path, kRequired},
+    {"value", &ParamOverride::value, kRequired},
+};
+constexpr Table<ParamOverride> kOverride{"override", kOverrideFields};
+
+/// Rows shared by several spec flavours (same key, member and rule).
+template <class S>
+constexpr Field<S> kNameRow{"name", &S::name};
+template <class S>
+constexpr Field<S> kThreadsRow{"threads", &S::threads};
+template <class S>
+constexpr Field<S> kMaxEvaluationsRow{"max_evaluations", &S::max_evaluations};
+template <class S>
+constexpr Field<S> kBatchKernelRow{
+    "batch_kernel",
+    Custom<S>{[](const S& s) -> std::optional<JsonValue> {
+                if (s.batch_kernel == experiments::BatchKernel::kJobs) {  // default omitted
+                  return std::nullopt;
+                }
+                return experiments::batch_kernel_id(s.batch_kernel);
+              },
+              [](S& s, const JsonValue& json) {
+                s.batch_kernel = experiments::parse_batch_kernel(json.as_string());
+              }}};
+
+constexpr const char* kSpecBlock = "spec";
+
+constexpr Field<ExperimentSpec> kExperimentFields[] = {
+    kNameRow<ExperimentSpec>,
+    {"duration", &ExperimentSpec::duration, kPath},
+    {"pre_tuned_hz", &ExperimentSpec::pre_tuned_hz, kPath},
+    {"with_mcu", &ExperimentSpec::with_mcu},
+    {"trace_interval", &ExperimentSpec::trace_interval, kPath},
+    {"power_bin_width", &ExperimentSpec::power_bin_width, kPath},
+    {"engine", Custom<ExperimentSpec>{
+                   [](const ExperimentSpec& s) -> std::optional<JsonValue> {
+                     return experiments::engine_kind_id(s.engine);
+                   },
+                   [](ExperimentSpec& s, const JsonValue& json) {
+                     s.engine = experiments::parse_engine_kind(json.as_string());
+                   }}},
+    {kSolverKey, Custom<ExperimentSpec>{
+                     [](const ExperimentSpec& s) -> std::optional<JsonValue> {
+                       if (s.solver == core::SolverConfig{}) {
+                         return std::nullopt;
+                       }
+                       return to_object(s.solver, kSolver);
+                     },
+                     [](ExperimentSpec& s, const JsonValue& json) {
+                       s.solver = from_object(json, kSolver);
+                     }}},
+    {kExcitationKey, Custom<ExperimentSpec>{
+                         [](const ExperimentSpec& s) -> std::optional<JsonValue> {
+                           return to_object(s.excitation, kExcitation);
+                         },
+                         [](ExperimentSpec& s, const JsonValue& json) {
+                           s.excitation = from_object(json, kExcitation);
+                         }}},
+    {"overrides", Custom<ExperimentSpec>{
+                      [](const ExperimentSpec& s) {
+                        return unless_empty(to_array(s.overrides, kOverride));
+                      },
+                      [](ExperimentSpec& s, const JsonValue& json) {
+                        s.overrides = array_from(json, kOverride);
+                      }}},
+    {"probes", Custom<ExperimentSpec>{
+                   [](const ExperimentSpec& s) {
+                     return unless_empty(to_array(s.probes, kProbe));
+                   },
+                   [](ExperimentSpec& s, const JsonValue& json) {
+                     for (const JsonValue& entry : json.as_array()) {
+                       s.probes.push_back(validated(entry, kProbe));
+                     }
+                   }}},
+};
+constexpr Table<ExperimentSpec> kExperiment{"experiment spec", kExperimentFields, true};
+
+/// The base experiment of a batch flavour, written without its "type".
+template <class S>
+constexpr Field<S> kBaseRow{"base",
+                            Custom<S>{[](const S& s) -> std::optional<JsonValue> {
+                                        return to_object(s.base, kExperiment);
+                                      },
+                                      [](S& s, const JsonValue& json) {
+                                        s.base = experiment_from_json(json);
+                                      }},
+                            kRequired};
+
+constexpr Field<SweepAxis> kAxisFields[] = {
+    {"param", &SweepAxis::param, kAlias},
+    {"values", &SweepAxis::values, kAlias},
+    {"engines", Custom<SweepAxis>{
+                    [](const SweepAxis& axis) {
+                      return unless_empty(id_array(axis.engines, experiments::engine_kind_id));
+                    },
+                    [](SweepAxis& axis, const JsonValue& json) {
+                      axis.engines = ids_from(json, experiments::parse_engine_kind);
+                    }}},
+};
+constexpr Table<SweepAxis> kAxis{"sweep axis", kAxisFields};
+
+constexpr Field<SweepSpec> kSweepFields[] = {
+    kBaseRow<SweepSpec>,
+    {"mode", Custom<SweepSpec>{
+                 [](const SweepSpec& s) -> std::optional<JsonValue> {
+                   return s.mode == SweepSpec::Mode::kGrid ? "grid" : "zip";
+                 },
+                 [](SweepSpec& s, const JsonValue& json) {
+                   const std::string& word = json.as_string();
+                   if (word == "grid") {
+                     s.mode = SweepSpec::Mode::kGrid;
+                   } else if (word == "zip") {
+                     s.mode = SweepSpec::Mode::kZip;
+                   } else {
+                     throw ModelError("sweep mode '" + word + "' is not grid | zip");
+                   }
+                 }}},
+    kThreadsRow<SweepSpec>,
+    kBatchKernelRow<SweepSpec>,
+    {"axes",
+     Custom<SweepSpec>{[](const SweepSpec& s) -> std::optional<JsonValue> {
+                         JsonValue axes = JsonValue::make_array();
+                         for (const SweepAxis& axis : s.axes) {
+                           axes.push_back(
+                               to_object(axis, kAxis, axis.is_engine_axis() ? kAlias : 0u));
+                         }
+                         return axes;
+                       },
+                       [](SweepSpec& s, const JsonValue& json) {
+                         s.axes = array_from(json, kAxis);
+                       }},
+     kRequired},
+};
+constexpr Table<SweepSpec> kSweep{"sweep spec", kSweepFields, true};
+
+constexpr Field<OptimiseVariable> kVariableFields[] = {
+    {"path", &OptimiseVariable::path, kRequired},
+    {"lower", &OptimiseVariable::lower, kRequired},
+    {"upper", &OptimiseVariable::upper, kRequired},
+    {"x_tolerance", &OptimiseVariable::x_tolerance},
+};
+constexpr Table<OptimiseVariable> kVariable{"optimise variable", kVariableFields};
+
+constexpr Field<OptimiseSpec> kOptimiseFields[] = {
+    kNameRow<OptimiseSpec>,
+    kBaseRow<OptimiseSpec>,
+    {"variable", &OptimiseSpec::variable, kAlias},
+    {"lower", &OptimiseSpec::lower, kAlias},
+    {"upper", &OptimiseSpec::upper, kAlias},
+    {"variables", Custom<OptimiseSpec>{
+                      [](const OptimiseSpec& s) {
+                        return unless_empty(to_array(s.variables, kVariable));
+                      },
+                      [](OptimiseSpec& s, const JsonValue& json) {
+                        s.variables = array_from(json, kVariable);
+                        if (s.variables.empty()) {
+                          throw ModelError("optimise spec: 'variables' must not be empty");
+                        }
+                      }}},
+    {"objective", &OptimiseSpec::objective, kRequired},
+    {"statistic", &OptimiseSpec::statistic},
+    {"maximise", &OptimiseSpec::maximise},
+    kMaxEvaluationsRow<OptimiseSpec>,
+    {"x_tolerance", &OptimiseSpec::x_tolerance},
+};
+constexpr Table<OptimiseSpec> kOptimise{"optimise spec", kOptimiseFields, true};
+
+constexpr Field<EnsembleSpec> kEnsembleFields[] = {
+    kBaseRow<EnsembleSpec>,
+    {"seeds", Custom<EnsembleSpec>{
+                  [](const EnsembleSpec& s) {
+                    JsonValue seeds = JsonValue::make_array();
+                    for (const std::uint64_t seed : s.seeds) {
+                      seeds.push_back(static_cast<double>(seed));
+                    }
+                    return unless_empty(std::move(seeds));
+                  },
+                  [](EnsembleSpec& s, const JsonValue& json) {
+                    for (const JsonValue& seed : json.as_array()) {
+                      const double value = seed.as_number();
+                      if (!(value >= 0.0) || value != std::floor(value) ||
+                          value > 9.007199254740992e15) {
+                        throw ModelError("ensemble seeds must be non-negative integers");
+                      }
+                      s.seeds.push_back(static_cast<std::uint64_t>(value));
+                    }
+                  }}},
+    {"num_seeds", &EnsembleSpec::num_seeds, kAlias},
+    kThreadsRow<EnsembleSpec>,
+    kBatchKernelRow<EnsembleSpec>,
+};
+constexpr Table<EnsembleSpec> kEnsemble{"ensemble spec", kEnsembleFields, true};
+
+constexpr Field<AutotuneKnob> kKnobFields[] = {
+    {"param", &AutotuneKnob::path, kRequired},
+    {"values", &AutotuneKnob::values, kRequired},
+};
+constexpr Table<AutotuneKnob> kKnob{"autotune knob", kKnobFields};
+
+constexpr Field<AutotuneSpec> kAutotuneFields[] = {
+    kNameRow<AutotuneSpec>,
+    kBaseRow<AutotuneSpec>,
+    {"knobs",
+     Custom<AutotuneSpec>{
+         [](const AutotuneSpec& s) -> std::optional<JsonValue> { return to_array(s.knobs, kKnob); },
+         [](AutotuneSpec& s, const JsonValue& json) { s.knobs = array_from(json, kKnob); }},
+     kRequired},
+    {"kernels", Custom<AutotuneSpec>{
+                    [](const AutotuneSpec& s) {
+                      return unless_empty(id_array(s.kernels, experiments::batch_kernel_id));
+                    },
+                    [](AutotuneSpec& s, const JsonValue& json) {
+                      s.kernels = ids_from(json, experiments::parse_batch_kernel);
+                    }}},
+    {"error_budget", &AutotuneSpec::error_budget},
+    {"oracle_step", &AutotuneSpec::oracle_step, kIfPositive},
+    kMaxEvaluationsRow<AutotuneSpec>,
+};
+constexpr Table<AutotuneSpec> kAutotune{"autotune spec", kAutotuneFields, true};
+
+// ---- spec-level paths ----------------------------------------------------------
+
+/// The row of \p fields marked addressable under \p key, as a pointer into
+/// \p s (addressable rows are plain or optional numbers).
+template <class S>
+std::optional<SpecField> addressable(S& s, Fields<S> fields, std::string_view key) {
+  for (const Field<S>& field : fields) {
+    if ((field.rules & kPath) != 0 && key == field.key) {
+      if (const auto* member = std::get_if<double S::*>(&field.member)) {
+        return &(s.**member);
+      }
+      return &(s.*std::get<std::optional<double> S::*>(field.member));
+    }
+  }
+  return std::nullopt;
+}
+
+std::string event_block_prefix() { return std::string(kExcitationKey) + ".event["; }
+
+/// "excitation.event[K]" -> K.
+bool parse_event_block(std::string_view block, std::size_t& index) {
+  const std::string prefix = event_block_prefix();
+  if (!block.starts_with(prefix) || !block.ends_with(']')) {
+    return false;
+  }
+  const char* first = block.data() + prefix.size();
+  const char* last = block.data() + block.size() - 1;
+  const auto [ptr, ec] = std::from_chars(first, last, index);
+  return ec == std::errc{} && ptr == last;
+}
+
+template <class S>
+std::vector<std::string> keys_of(Fields<S> fields) {
+  std::vector<std::string> keys;
+  for (const Field<S>& field : fields) {
+    keys.emplace_back(field.key);
+  }
+  return keys;
+}
+
 }  // namespace
 
-JsonValue to_json(const ProbeSpec& probe) {
-  JsonValue json = JsonValue::make_object();
-  json.set("label", probe.label);
-  json.set("kind", experiments::probe_kind_id(probe.kind));
-  if (!probe.target.empty()) {
-    json.set("target", probe.target);
+std::optional<SpecField> find_spec_field(ExperimentSpec& spec, const std::string& path) {
+  const std::size_t dot = path.rfind('.');
+  if (dot == std::string::npos) {
+    return std::nullopt;
   }
-  if (probe.window_start != 0.0) {
-    json.set("window_start", probe.window_start);
+  const std::string_view block(path.data(), dot);
+  const std::string_view key = std::string_view(path).substr(dot + 1);
+  if (block == kSpecBlock) {
+    return addressable(spec, kExperiment.fields, key);
   }
-  if (probe.window_end > 0.0) {
-    json.set("window_end", probe.window_end);
+  if (block == kSolverKey) {
+    return addressable(spec.solver, kSolver.fields, key);
   }
-  if (probe.threshold) {
-    json.set("threshold", *probe.threshold);
+  if (block == kExcitationKey) {
+    return addressable(spec.excitation, kExcitation.fields, key);
   }
-  if (!probe.record) {
-    json.set("record", false);
+  std::size_t index = 0;
+  if (!parse_event_block(block, index)) {
+    return std::nullopt;
   }
-  return json;
+  if (index >= spec.excitation.events.size()) {
+    throw ModelError("sweep path '" + path + "': spec '" + spec.name + "' has only " +
+                     std::to_string(spec.excitation.events.size()) + " excitation events");
+  }
+  ExcitationEvent& event = spec.excitation.events[index];
+  const EventKind& kind = event_kind(event.kind);
+  if (std::optional<SpecField> field = addressable(event, kind.fields, key)) {
+    return field;
+  }
+  std::string keys;
+  for (const std::string& name : keys_of(kind.fields)) {
+    keys += (keys.empty() ? "" : " | ") + name;
+  }
+  throw ModelError("sweep path '" + path + "': " + kind.id + " events have no field '" +
+                   std::string(key) + "' (" + keys + ")");
 }
 
-ProbeSpec probe_from_json(const JsonValue& json) {
-  check_keys(json,
-             {"label", "kind", "target", "window_start", "window_end", "threshold",
-              "record"},
-             "probe");
-  ProbeSpec probe;
-  probe.label = json.at("label").as_string();
-  probe.kind = experiments::probe_kind_from(json.at("kind").as_string());
-  if (const JsonValue* target = json.find("target")) {
-    probe.target = target->as_string();
+std::vector<std::string> spec_field_paths() {
+  std::vector<std::string> paths;
+  const auto add = [&paths](std::string_view block, const auto& fields) {
+    for (const auto& field : fields) {
+      if ((field.rules & kPath) != 0) {
+        paths.push_back(std::string(block) + "." + field.key);
+      }
+    }
+  };
+  add(kSpecBlock, kExperiment.fields);
+  add(kExcitationKey, kExcitation.fields);
+  std::string events;
+  for (const std::string& key : keys_of(Fields<ExcitationEvent>(kEventFields))) {
+    events += (events.empty() ? "" : ",") + key;
   }
-  probe.window_start = number_or(json, "window_start", probe.window_start);
-  probe.window_end = number_or(json, "window_end", probe.window_end);
-  if (const JsonValue* threshold = json.find("threshold")) {
-    probe.threshold = threshold->as_number();
-  }
-  probe.record = bool_or(json, "record", probe.record);
-  probe.validate();
-  return probe;
+  paths.push_back(event_block_prefix() + "K].{" + events + "}");
+  add(kSolverKey, kSolver.fields);
+  return paths;
 }
+
+std::vector<std::string> probe_keys() { return keys_of(kProbe.fields); }
+std::vector<std::string> optimise_keys() { return keys_of(kOptimise.fields); }
+std::vector<std::string> optimise_variable_keys() { return keys_of(kVariable.fields); }
+
+// ---- spec <-> JSON -------------------------------------------------------------
+
+JsonValue to_json(const ProbeSpec& probe) { return to_object(probe, kProbe); }
+
+ProbeSpec probe_from_json(const JsonValue& json) { return validated(json, kProbe); }
 
 JsonValue to_json(const ExcitationSchedule& schedule) {
-  JsonValue json = JsonValue::make_object();
-  json.set("initial_frequency_hz", schedule.initial_frequency_hz);
-  if (schedule.initial_amplitude) {
-    json.set("initial_amplitude", *schedule.initial_amplitude);
-  }
-  JsonValue events = JsonValue::make_array();
-  for (const ExcitationEvent& event : schedule.events) {
-    events.push_back(event_to_json(event));
-  }
-  json.set("events", std::move(events));
-  return json;
+  return to_object(schedule, kExcitation);
 }
 
 ExcitationSchedule schedule_from_json(const JsonValue& json) {
-  check_keys(json, {"initial_frequency_hz", "initial_amplitude", "events"}, "excitation");
-  ExcitationSchedule schedule;
-  schedule.initial_frequency_hz =
-      number_or(json, "initial_frequency_hz", schedule.initial_frequency_hz);
-  if (const JsonValue* amplitude = json.find("initial_amplitude")) {
-    schedule.initial_amplitude = amplitude->as_number();
-  }
-  if (const JsonValue* events = json.find("events")) {
-    for (const JsonValue& event : events->as_array()) {
-      schedule.events.push_back(event_from_json(event));
-    }
-  }
-  return schedule;
+  return from_object(json, kExcitation);
 }
 
-JsonValue to_json(const ExperimentSpec& spec) {
-  JsonValue json = JsonValue::make_object();
-  json.set("type", "experiment");
-  json.set("name", spec.name);
-  json.set("duration", spec.duration);
-  json.set("pre_tuned_hz", spec.pre_tuned_hz);
-  json.set("with_mcu", spec.with_mcu);
-  json.set("trace_interval", spec.trace_interval);
-  json.set("power_bin_width", spec.power_bin_width);
-  json.set("engine", experiments::engine_kind_id(spec.engine));
-  if (!(spec.solver == core::SolverConfig{})) {
-    json.set("solver", solver_to_json(spec.solver));
-  }
-  json.set("excitation", to_json(spec.excitation));
-  if (!spec.overrides.empty()) {
-    JsonValue overrides = JsonValue::make_array();
-    for (const ParamOverride& item : spec.overrides) {
-      JsonValue entry = JsonValue::make_object();
-      entry.set("param", item.path);
-      entry.set("value", item.value);
-      overrides.push_back(std::move(entry));
-    }
-    json.set("overrides", std::move(overrides));
-  }
-  if (!spec.probes.empty()) {
-    JsonValue probes = JsonValue::make_array();
-    for (const ProbeSpec& probe : spec.probes) {
-      probes.push_back(to_json(probe));
-    }
-    json.set("probes", std::move(probes));
-  }
-  return json;
-}
+JsonValue to_json(const ExperimentSpec& spec) { return document(spec, kExperiment); }
 
-ExperimentSpec experiment_from_json(const JsonValue& json) {
-  check_keys(json,
-             {"type", "name", "duration", "pre_tuned_hz", "with_mcu", "trace_interval",
-              "power_bin_width", "engine", "solver", "excitation", "overrides", "probes"},
-             "experiment spec");
-  ExperimentSpec spec;
-  if (const JsonValue* name = json.find("name")) {
-    spec.name = name->as_string();
-  }
-  spec.duration = number_or(json, "duration", spec.duration);
-  spec.pre_tuned_hz = number_or(json, "pre_tuned_hz", spec.pre_tuned_hz);
-  spec.with_mcu = bool_or(json, "with_mcu", spec.with_mcu);
-  spec.trace_interval = number_or(json, "trace_interval", spec.trace_interval);
-  spec.power_bin_width = number_or(json, "power_bin_width", spec.power_bin_width);
-  if (const JsonValue* engine = json.find("engine")) {
-    spec.engine = experiments::parse_engine_kind(engine->as_string());
-  }
-  if (const JsonValue* solver = json.find("solver")) {
-    spec.solver = solver_from_json(*solver);
-  }
-  if (const JsonValue* excitation = json.find("excitation")) {
-    spec.excitation = schedule_from_json(*excitation);
-  }
-  if (const JsonValue* overrides = json.find("overrides")) {
-    for (const JsonValue& entry : overrides->as_array()) {
-      check_keys(entry, {"param", "value"}, "override");
-      spec.overrides.push_back(
-          ParamOverride{entry.at("param").as_string(), entry.at("value").as_number()});
-    }
-  }
-  if (const JsonValue* probes = json.find("probes")) {
-    for (const JsonValue& entry : probes->as_array()) {
-      spec.probes.push_back(probe_from_json(entry));
-    }
-  }
-  spec.validate();
-  return spec;
-}
+ExperimentSpec experiment_from_json(const JsonValue& json) { return validated(json, kExperiment); }
 
-JsonValue to_json(const SweepSpec& sweep) {
-  JsonValue json = JsonValue::make_object();
-  json.set("type", "sweep");
-  JsonValue base = to_json(sweep.base);
-  auto& base_members = base.as_object();
-  for (auto it = base_members.begin(); it != base_members.end(); ++it) {
-    if (it->first == "type") {  // redundant inside a sweep document
-      base_members.erase(it);
-      break;
-    }
-  }
-  json.set("base", std::move(base));
-  json.set("mode", sweep.mode == SweepSpec::Mode::kGrid ? "grid" : "zip");
-  json.set("threads", static_cast<double>(sweep.threads));
-  if (sweep.batch_kernel != experiments::BatchKernel::kJobs) {  // default omitted
-    json.set("batch_kernel", experiments::batch_kernel_id(sweep.batch_kernel));
-  }
-  JsonValue axes = JsonValue::make_array();
-  for (const SweepAxis& axis : sweep.axes) {
-    JsonValue entry = JsonValue::make_object();
-    if (axis.is_engine_axis()) {
-      JsonValue engines = JsonValue::make_array();
-      for (const experiments::EngineKind kind : axis.engines) {
-        engines.push_back(experiments::engine_kind_id(kind));
-      }
-      entry.set("engines", std::move(engines));
-    } else {
-      entry.set("param", axis.param);
-      JsonValue values = JsonValue::make_array();
-      for (const double value : axis.values) {
-        values.push_back(value);
-      }
-      entry.set("values", std::move(values));
-    }
-    axes.push_back(std::move(entry));
-  }
-  json.set("axes", std::move(axes));
-  return json;
-}
+JsonValue to_json(const SweepSpec& sweep) { return document(sweep, kSweep); }
 
-SweepSpec sweep_from_json(const JsonValue& json) {
-  check_keys(json, {"type", "base", "mode", "threads", "batch_kernel", "axes"}, "sweep spec");
-  SweepSpec sweep;
-  sweep.base = experiment_from_json(json.at("base"));
-  if (const JsonValue* mode = json.find("mode")) {
-    const std::string& word = mode->as_string();
-    if (word == "grid") {
-      sweep.mode = SweepSpec::Mode::kGrid;
-    } else if (word == "zip") {
-      sweep.mode = SweepSpec::Mode::kZip;
-    } else {
-      throw ModelError("sweep mode '" + word + "' is not grid | zip");
-    }
-  }
-  const double threads = number_or(json, "threads", 0.0);
-  if (threads < 0.0 || threads != std::floor(threads)) {
-    throw ModelError("sweep threads must be a non-negative integer");
-  }
-  sweep.threads = static_cast<std::size_t>(threads);
-  if (const JsonValue* kernel = json.find("batch_kernel")) {
-    sweep.batch_kernel = experiments::parse_batch_kernel(kernel->as_string());
-  }
-  for (const JsonValue& entry : json.at("axes").as_array()) {
-    check_keys(entry, {"param", "values", "engines"}, "sweep axis");
-    SweepAxis axis;
-    if (const JsonValue* engines = entry.find("engines")) {
-      for (const JsonValue& kind : engines->as_array()) {
-        axis.engines.push_back(experiments::parse_engine_kind(kind.as_string()));
-      }
-    }
-    if (const JsonValue* param = entry.find("param")) {
-      axis.param = param->as_string();
-    }
-    if (const JsonValue* values = entry.find("values")) {
-      for (const JsonValue& value : values->as_array()) {
-        axis.values.push_back(value.as_number());
-      }
-    }
-    sweep.axes.push_back(std::move(axis));
-  }
-  sweep.validate();
-  return sweep;
-}
+SweepSpec sweep_from_json(const JsonValue& json) { return validated(json, kSweep); }
 
 JsonValue to_json(const OptimiseSpec& spec) {
-  JsonValue json = JsonValue::make_object();
-  json.set("type", "optimise");
-  json.set("name", spec.name);
-  JsonValue base = to_json(spec.base);
-  auto& base_members = base.as_object();
-  for (auto it = base_members.begin(); it != base_members.end(); ++it) {
-    if (it->first == "type") {  // redundant inside an optimise document
-      base_members.erase(it);
-      break;
-    }
-  }
-  json.set("base", std::move(base));
-  if (spec.variables.empty()) {
-    // Single-variable alias: the original schema, byte-identical for
-    // existing specs.
-    json.set("variable", spec.variable);
-    json.set("lower", spec.lower);
-    json.set("upper", spec.upper);
-  } else {
-    JsonValue variables = JsonValue::make_array();
-    for (const OptimiseVariable& axis : spec.variables) {
-      JsonValue entry = JsonValue::make_object();
-      entry.set("path", axis.path);
-      entry.set("lower", axis.lower);
-      entry.set("upper", axis.upper);
-      if (axis.x_tolerance) {
-        entry.set("x_tolerance", *axis.x_tolerance);
-      }
-      variables.push_back(std::move(entry));
-    }
-    json.set("variables", std::move(variables));
-  }
-  json.set("objective", spec.objective);
-  json.set("statistic", spec.statistic);
-  json.set("maximise", spec.maximise);
-  json.set("max_evaluations", static_cast<double>(spec.max_evaluations));
-  json.set("x_tolerance", spec.x_tolerance);
-  return json;
+  return document(spec, kOptimise, spec.variables.empty() ? 0u : kAlias);
 }
 
 OptimiseSpec optimise_from_json(const JsonValue& json) {
-  // The allowed keys are the schema itself (optimise_spec_keys) plus the
-  // document discriminator.
-  const auto allowed = experiments::optimise_spec_keys();
-  for (const auto& [key, value] : json.as_object()) {
-    if (key != "type" &&
-        std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
-      throw ModelError("optimise spec: unknown key '" + key + "'");
+  OptimiseSpec spec = from_object(json, kOptimise);
+  // The single-variable alias is required without the variables array and
+  // refused beside it.
+  const bool array_form = !spec.variables.empty();
+  for (const Field<OptimiseSpec>& field : kOptimiseFields) {
+    if ((field.rules & kAlias) != 0 && json.contains(field.key) == array_form) {
+      throw ModelError(array_form ? std::string("optimise spec: '") + field.key +
+                                        "' cannot be combined with the 'variables' array"
+                                  : std::string("optimise spec: missing key '") + field.key +
+                                        "'");
     }
   }
-  OptimiseSpec spec;
-  if (const JsonValue* name = json.find("name")) {
-    spec.name = name->as_string();
-  }
-  spec.base = experiment_from_json(json.at("base"));
-  if (const JsonValue* variables = json.find("variables")) {
-    for (const char* alias : {"variable", "lower", "upper"}) {
-      if (json.contains(alias)) {
-        throw ModelError(std::string("optimise spec: '") + alias +
-                         "' cannot be combined with the 'variables' array");
-      }
-    }
-    const auto variable_keys = experiments::optimise_variable_keys();
-    for (const JsonValue& entry : variables->as_array()) {
-      for (const auto& [key, value] : entry.as_object()) {
-        if (std::find(variable_keys.begin(), variable_keys.end(), key) ==
-            variable_keys.end()) {
-          throw ModelError("optimise variable: unknown key '" + key + "'");
-        }
-      }
-      OptimiseVariable axis;
-      axis.path = entry.at("path").as_string();
-      axis.lower = entry.at("lower").as_number();
-      axis.upper = entry.at("upper").as_number();
-      if (const JsonValue* tolerance = entry.find("x_tolerance")) {
-        axis.x_tolerance = tolerance->as_number();
-      }
-      spec.variables.push_back(std::move(axis));
-    }
-    if (spec.variables.empty()) {
-      throw ModelError("optimise spec: 'variables' must not be empty");
-    }
-  } else {
-    spec.variable = json.at("variable").as_string();
-    spec.lower = json.at("lower").as_number();
-    spec.upper = json.at("upper").as_number();
-  }
-  spec.objective = json.at("objective").as_string();
-  if (const JsonValue* statistic = json.find("statistic")) {
-    spec.statistic = statistic->as_string();
-  }
-  spec.maximise = bool_or(json, "maximise", spec.maximise);
-  const double budget = number_or(json, "max_evaluations",
-                                  static_cast<double>(spec.max_evaluations));
-  if (budget < 0.0 || budget != std::floor(budget)) {
-    throw ModelError("optimise max_evaluations must be a non-negative integer");
-  }
-  spec.max_evaluations = static_cast<std::size_t>(budget);
-  spec.x_tolerance = number_or(json, "x_tolerance", spec.x_tolerance);
   spec.validate();
   return spec;
 }
 
 JsonValue to_json(const EnsembleSpec& spec) {
-  JsonValue json = JsonValue::make_object();
-  json.set("type", "ensemble");
-  JsonValue base = to_json(spec.base);
-  auto& base_members = base.as_object();
-  for (auto it = base_members.begin(); it != base_members.end(); ++it) {
-    if (it->first == "type") {  // redundant inside an ensemble document
-      base_members.erase(it);
-      break;
-    }
-  }
-  json.set("base", std::move(base));
-  if (!spec.seeds.empty()) {
-    JsonValue seeds = JsonValue::make_array();
-    for (const std::uint64_t seed : spec.seeds) {
-      seeds.push_back(static_cast<double>(seed));
-    }
-    json.set("seeds", std::move(seeds));
-  } else {
-    json.set("num_seeds", static_cast<double>(spec.num_seeds));
-  }
-  json.set("threads", static_cast<double>(spec.threads));
-  if (spec.batch_kernel != experiments::BatchKernel::kJobs) {
-    json.set("batch_kernel", experiments::batch_kernel_id(spec.batch_kernel));
-  }
-  return json;
+  return document(spec, kEnsemble, spec.seeds.empty() ? 0u : kAlias);
 }
 
-EnsembleSpec ensemble_from_json(const JsonValue& json) {
-  check_keys(json,
-             {"type", "base", "seeds", "num_seeds", "threads", "batch_kernel"},
-             "ensemble spec");
-  EnsembleSpec spec;
-  spec.base = experiment_from_json(json.at("base"));
-  if (const JsonValue* seeds = json.find("seeds")) {
-    for (const JsonValue& seed : seeds->as_array()) {
-      const double value = seed.as_number();
-      if (!(value >= 0.0) || value != std::floor(value) || value > 9.007199254740992e15) {
-        throw ModelError("ensemble seeds must be non-negative integers");
-      }
-      spec.seeds.push_back(static_cast<std::uint64_t>(value));
-    }
-  }
-  const double count = number_or(json, "num_seeds", 0.0);
-  if (count < 0.0 || count != std::floor(count)) {
-    throw ModelError("ensemble num_seeds must be a non-negative integer");
-  }
-  spec.num_seeds = static_cast<std::size_t>(count);
-  const double threads = number_or(json, "threads", 0.0);
-  if (threads < 0.0 || threads != std::floor(threads)) {
-    throw ModelError("ensemble threads must be a non-negative integer");
-  }
-  spec.threads = static_cast<std::size_t>(threads);
-  if (const JsonValue* kernel = json.find("batch_kernel")) {
-    spec.batch_kernel = experiments::parse_batch_kernel(kernel->as_string());
-  }
-  spec.validate();
-  return spec;
-}
+EnsembleSpec ensemble_from_json(const JsonValue& json) { return validated(json, kEnsemble); }
 
-JsonValue to_json(const AutotuneSpec& spec) {
-  JsonValue json = JsonValue::make_object();
-  json.set("type", "autotune");
-  json.set("name", spec.name);
-  JsonValue base = to_json(spec.base);
-  auto& base_members = base.as_object();
-  for (auto it = base_members.begin(); it != base_members.end(); ++it) {
-    if (it->first == "type") {  // redundant inside an autotune document
-      base_members.erase(it);
-      break;
-    }
-  }
-  json.set("base", std::move(base));
-  JsonValue knobs = JsonValue::make_array();
-  for (const AutotuneKnob& knob : spec.knobs) {
-    JsonValue entry = JsonValue::make_object();
-    entry.set("param", knob.path);
-    JsonValue values = JsonValue::make_array();
-    for (const double value : knob.values) {
-      values.push_back(value);
-    }
-    entry.set("values", std::move(values));
-    knobs.push_back(std::move(entry));
-  }
-  json.set("knobs", std::move(knobs));
-  if (!spec.kernels.empty()) {
-    JsonValue kernels = JsonValue::make_array();
-    for (const experiments::BatchKernel kernel : spec.kernels) {
-      kernels.push_back(experiments::batch_kernel_id(kernel));
-    }
-    json.set("kernels", std::move(kernels));
-  }
-  json.set("error_budget", spec.error_budget);
-  if (spec.oracle_step > 0.0) {
-    json.set("oracle_step", spec.oracle_step);
-  }
-  json.set("max_evaluations", static_cast<double>(spec.max_evaluations));
-  return json;
-}
+JsonValue to_json(const AutotuneSpec& spec) { return document(spec, kAutotune); }
 
-AutotuneSpec autotune_from_json(const JsonValue& json) {
-  check_keys(json,
-             {"type", "name", "base", "knobs", "kernels", "error_budget", "oracle_step",
-              "max_evaluations"},
-             "autotune spec");
-  AutotuneSpec spec;
-  if (const JsonValue* name = json.find("name")) {
-    spec.name = name->as_string();
-  }
-  spec.base = experiment_from_json(json.at("base"));
-  for (const JsonValue& entry : json.at("knobs").as_array()) {
-    check_keys(entry, {"param", "values"}, "autotune knob");
-    AutotuneKnob knob;
-    knob.path = entry.at("param").as_string();
-    for (const JsonValue& value : entry.at("values").as_array()) {
-      knob.values.push_back(value.as_number());
-    }
-    spec.knobs.push_back(std::move(knob));
-  }
-  if (const JsonValue* kernels = json.find("kernels")) {
-    for (const JsonValue& kernel : kernels->as_array()) {
-      spec.kernels.push_back(experiments::parse_batch_kernel(kernel.as_string()));
-    }
-  }
-  spec.error_budget = number_or(json, "error_budget", spec.error_budget);
-  spec.oracle_step = number_or(json, "oracle_step", spec.oracle_step);
-  const double budget =
-      number_or(json, "max_evaluations", static_cast<double>(spec.max_evaluations));
-  if (budget < 0.0 || budget != std::floor(budget)) {
-    throw ModelError("autotune max_evaluations must be a non-negative integer");
-  }
-  spec.max_evaluations = static_cast<std::size_t>(budget);
-  spec.validate();
-  return spec;
-}
+AutotuneSpec autotune_from_json(const JsonValue& json) { return validated(json, kAutotune); }
 
 AnySpec spec_from_json(const JsonValue& json) {
-  const std::string& type = json.at("type").as_string();
+  const std::string& type = json.at(kTypeKey).as_string();
   if (type == "experiment") {
     return AnySpec(experiment_from_json(json));
   }
@@ -1013,29 +1109,6 @@ JsonValue metrics_to_json(const ErrorMetrics& metrics) {
   return json;
 }
 
-ErrorMetrics metrics_from_json(const JsonValue& json, const char* where) {
-  check_keys(json,
-             {"vc_max_rel_error", "vc_rms_rel_error", "final_vc_rel_error",
-              "energy_rel_error", "resonance_rel_error"},
-             where);
-  ErrorMetrics metrics;
-  metrics.vc_max_rel_error = number_or(json, "vc_max_rel_error", 0.0);
-  metrics.vc_rms_rel_error = number_or(json, "vc_rms_rel_error", 0.0);
-  metrics.final_vc_rel_error = number_or(json, "final_vc_rel_error", 0.0);
-  metrics.energy_rel_error = number_or(json, "energy_rel_error", 0.0);
-  metrics.resonance_rel_error = number_or(json, "resonance_rel_error", 0.0);
-  return metrics;
-}
-
-std::uint64_t count_from(const JsonValue& json, std::string_view key, const char* where) {
-  const double value = number_or(json, key, 0.0);
-  if (value < 0.0 || value != std::floor(value)) {
-    throw ModelError(std::string(where) + ": '" + std::string(key) +
-                     "' must be a non-negative integer");
-  }
-  return static_cast<std::uint64_t>(value);
-}
-
 }  // namespace
 
 JsonValue to_json(const AccuracyReport& report) {
@@ -1076,45 +1149,6 @@ JsonValue to_json(const AccuracyReport& report) {
   }
   json.set("kernels", std::move(kernels));
   return json;
-}
-
-AccuracyReport accuracy_report_from_json(const JsonValue& json) {
-  check_keys(json, {"accuracy", "engine", "oracle", "kernels"}, "accuracy report");
-  AccuracyReport report;
-  report.name = json.at("accuracy").as_string();
-  report.engine = json.at("engine").as_string();
-  const JsonValue& oracle = json.at("oracle");
-  check_keys(oracle, {"fixed_step", "steps", "cpu_seconds"}, "accuracy oracle");
-  report.oracle_step = number_or(oracle, "fixed_step", 0.0);
-  report.oracle_steps = count_from(oracle, "steps", "accuracy oracle");
-  report.oracle_cpu_seconds = number_or(oracle, "cpu_seconds", 0.0);
-  for (const JsonValue& entry : json.at("kernels").as_array()) {
-    check_keys(entry, {"kernel", "cpu_seconds", "steps", "bounds", "jobs"},
-               "accuracy kernel");
-    KernelAccuracy row;
-    row.kernel = entry.at("kernel").as_string();
-    row.cpu_seconds = number_or(entry, "cpu_seconds", 0.0);
-    row.steps = count_from(entry, "steps", "accuracy kernel");
-    row.bounds = metrics_from_json(entry.at("bounds"), "accuracy bounds");
-    for (const JsonValue& job_entry : entry.at("jobs").as_array()) {
-      check_keys(job_entry, {"job", "errors", "probes"}, "accuracy job");
-      JobAccuracy job;
-      job.job = job_entry.at("job").as_string();
-      job.errors = metrics_from_json(job_entry.at("errors"), "accuracy errors");
-      if (const JsonValue* probes = job_entry.find("probes")) {
-        for (const JsonValue& probe_entry : probes->as_array()) {
-          check_keys(probe_entry, {"label", "max_rel_error"}, "accuracy probe");
-          ProbeAccuracy probe;
-          probe.label = probe_entry.at("label").as_string();
-          probe.max_rel_error = number_or(probe_entry, "max_rel_error", 0.0);
-          job.probes.push_back(std::move(probe));
-        }
-      }
-      row.jobs.push_back(std::move(job));
-    }
-    report.kernels.push_back(std::move(row));
-  }
-  return report;
 }
 
 JsonValue to_json(const AutotuneResult& result) {
@@ -1164,52 +1198,6 @@ JsonValue to_json(const AutotuneResult& result) {
   }
   json.set("log", std::move(log));
   return json;
-}
-
-AutotuneResult autotune_result_from_json(const JsonValue& json) {
-  check_keys(json,
-             {"autotune", "error_budget", "oracle", "paths", "baseline", "chosen",
-              "cost_ratio", "feasible", "evaluations", "sweeps", "log"},
-             "autotune result");
-  AutotuneResult result;
-  result.name = json.at("autotune").as_string();
-  result.error_budget = number_or(json, "error_budget", 0.0);
-  const JsonValue& oracle = json.at("oracle");
-  check_keys(oracle, {"fixed_step", "steps"}, "autotune oracle");
-  result.oracle_step = number_or(oracle, "fixed_step", 0.0);
-  result.oracle_steps = count_from(oracle, "steps", "autotune oracle");
-  for (const JsonValue& path : json.at("paths").as_array()) {
-    result.paths.push_back(path.as_string());
-  }
-  const JsonValue& baseline = json.at("baseline");
-  check_keys(baseline, {"cost", "error"}, "autotune baseline");
-  result.baseline_cost = number_or(baseline, "cost", 0.0);
-  result.baseline_error = number_or(baseline, "error", 0.0);
-  const JsonValue& chosen = json.at("chosen");
-  check_keys(chosen, {"values", "kernel", "cost", "error"}, "autotune chosen");
-  for (const JsonValue& value : chosen.at("values").as_array()) {
-    result.chosen_values.push_back(value.as_number());
-  }
-  result.chosen_kernel = chosen.at("kernel").as_string();
-  result.chosen_cost = number_or(chosen, "cost", 0.0);
-  result.chosen_error = number_or(chosen, "error", 0.0);
-  result.cost_ratio = number_or(json, "cost_ratio", 0.0);
-  result.feasible = bool_or(json, "feasible", false);
-  result.evaluations = count_from(json, "evaluations", "autotune result");
-  result.sweeps = count_from(json, "sweeps", "autotune result");
-  for (const JsonValue& entry : json.at("log").as_array()) {
-    check_keys(entry, {"values", "kernel", "cost", "error", "feasible"}, "autotune log");
-    AutotuneEvaluation evaluation;
-    for (const JsonValue& value : entry.at("values").as_array()) {
-      evaluation.values.push_back(value.as_number());
-    }
-    evaluation.kernel = entry.at("kernel").as_string();
-    evaluation.cost = number_or(entry, "cost", 0.0);
-    evaluation.error = number_or(entry, "error", 0.0);
-    evaluation.feasible = bool_or(entry, "feasible", false);
-    result.log.push_back(std::move(evaluation));
-  }
-  return result;
 }
 
 void write_trace_csv(std::ostream& os, const ScenarioResult& result) {

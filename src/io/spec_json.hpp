@@ -1,12 +1,15 @@
 /// \file spec_json.hpp
 /// \brief JSON bindings for the declarative experiment layer.
 ///
-/// Scenarios are data: an ExperimentSpec or SweepSpec round-trips through
-/// JSON losslessly (spec == from_json(to_json(spec))), which is what the
-/// `ehsim` CLI and the checked-in examples/specs/*.json files ride on.
-/// Parsing is strict — unknown keys are rejected with the offending name —
-/// so spec typos fail loudly instead of silently running defaults. The
-/// schema is documented with worked examples in docs/spec_format.md.
+/// Scenarios are data: every spec flavour round-trips through JSON
+/// losslessly (spec == from_json(to_json(spec))), which is what the `ehsim`
+/// CLI, the serve daemon and the checked-in examples/specs/*.json files ride
+/// on. Each spec struct's schema is one list of field rows in spec_json.cpp:
+/// the writer, the parser (defaults, required keys, strict rejection of
+/// unknown keys so typos fail loudly), the spec-level sweep paths and the
+/// `ehsim params` listings are all derived from it. Integer fields must be
+/// integers in [0, 2^64). The schema is documented with worked examples in
+/// docs/spec_format.md.
 #pragma once
 
 #include <iosfwd>
@@ -14,6 +17,7 @@
 #include <string>
 #include <utility>
 #include <variant>
+#include <vector>
 
 #include "experiments/accuracy.hpp"
 #include "experiments/autotune.hpp"
@@ -124,6 +128,29 @@ class AnySpec {
 [[nodiscard]] AnySpec spec_from_json(const JsonValue& json);
 [[nodiscard]] AnySpec load_spec_file(const std::string& path);
 
+// ---- spec-level paths and key listings -------------------------------------
+
+/// A spec-level number that a sweep axis, optimise variable or autotune knob
+/// addresses.
+using SpecField = std::variant<double*, std::optional<double>*>;
+
+/// The field \p path addresses in \p spec: "<block>.<key>" of a row marked
+/// addressable, with block "spec", "excitation", "excitation.event[K]" or
+/// "solver". nullopt when \p path is not spec-level (device parameters
+/// resolve through the param registry). Throws ModelError for an event index
+/// past the schedule or an event key that the event's kind does not use.
+[[nodiscard]] std::optional<SpecField> find_spec_field(experiments::ExperimentSpec& spec,
+                                                       const std::string& path);
+
+/// Every spec-level path, the event keys in "excitation.event[K].{...}" form.
+[[nodiscard]] std::vector<std::string> spec_field_paths();
+
+/// JSON keys of a probe entry, an optimise spec (besides "type") and an
+/// optimise `variables` entry, in schema order.
+[[nodiscard]] std::vector<std::string> probe_keys();
+[[nodiscard]] std::vector<std::string> optimise_keys();
+[[nodiscard]] std::vector<std::string> optimise_variable_keys();
+
 // ---- results --------------------------------------------------------------
 
 /// Full result document: run summary, solver statistics, MCU events,
@@ -141,16 +168,13 @@ class AnySpec {
 [[nodiscard]] JsonValue to_json(const experiments::EnsembleResult& result);
 
 /// Accuracy report document: oracle run summary plus per-kernel error
-/// bounds and per-job measurements. Round-trips losslessly (the regression
-/// matrix test pins exact numbers through this path).
+/// bounds and per-job measurements.
 [[nodiscard]] JsonValue to_json(const experiments::AccuracyReport& report);
-[[nodiscard]] experiments::AccuracyReport accuracy_report_from_json(const JsonValue& json);
 
 /// Autotune document: the deterministic search record (no wall-clock
 /// fields — same spec, byte-identical JSON). The chosen configuration's
 /// best run is written separately via write_result_files.
 [[nodiscard]] JsonValue to_json(const experiments::AutotuneResult& result);
-[[nodiscard]] experiments::AutotuneResult autotune_result_from_json(const JsonValue& json);
 
 /// "time,Vc[,probe...]" CSV: the decimated supercapacitor trace plus one
 /// column per recorded probe, all at full (to_chars) precision.

@@ -152,11 +152,11 @@ TEST(EhsimCli, ParamsListsEverySpecKeySourceOfTruth) {
     }
   };
   expect_listed(param_paths(), "device parameter");
-  expect_listed(spec_field_paths(), "spec field");
+  expect_listed(ehsim::io::spec_field_paths(), "spec field");
   expect_listed(probe_kind_ids(), "probe kind");
   expect_listed(probe_statistic_ids(), "probe statistic");
-  expect_listed(optimise_spec_keys(), "optimise spec key");
-  expect_listed(optimise_variable_keys(), "optimise variables-entry key");
+  expect_listed(ehsim::io::optimise_keys(), "optimise spec key");
+  expect_listed(ehsim::io::optimise_variable_keys(), "optimise variables-entry key");
 
   std::filesystem::remove(out_path);
 }

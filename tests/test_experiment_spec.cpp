@@ -164,6 +164,18 @@ TEST(SweepSpec, EngineAndEventAxesResolve) {
   bad.axes[0].param = "excitation.event[5].frequency_hz";
   EXPECT_THROW(bad.expand(), ModelError);
 
+  // scenario1's event is a frequency_step: it has no amplitude, and writing
+  // one would make every job identical. The error names the path and kind.
+  bad.axes[0].param = "excitation.event[0].amplitude";
+  try {
+    (void)bad.expand();
+    ADD_FAILURE() << "an amplitude axis on a frequency_step event was accepted";
+  } catch (const ModelError& error) {
+    const std::string what = error.what();
+    EXPECT_NE(what.find("excitation.event[0].amplitude"), std::string::npos) << what;
+    EXPECT_NE(what.find("frequency_step"), std::string::npos) << what;
+  }
+
   // An engine axis with a stale parameter path is a spec bug, not a silent
   // engine-only sweep.
   SweepSpec mixed = sweep;

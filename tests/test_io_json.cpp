@@ -60,6 +60,18 @@ TEST(Json, ParseErrorsCarryLineAndColumn) {
   EXPECT_THROW((void)JsonValue::parse("[1, 2] trailing"), ModelError);
   EXPECT_THROW((void)JsonValue::parse(R"({"a": 01x})"), ModelError);
   EXPECT_THROW((void)JsonValue::parse(R"("\q")"), ModelError);
+  // A repeated key would be shadowed by its first copy; it is refused by name,
+  // at any depth.
+  for (const char* text : {R"({"type":"sweep","threads":1,"threads":7})",
+                           R"({"base":{"name":"a","duration":1,"name":"b"}})"}) {
+    try {
+      (void)JsonValue::parse(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("duplicate object key"), std::string::npos)
+          << error.what();
+    }
+  }
 }
 
 TEST(Json, ObjectHelpersPreserveInsertionOrder) {
@@ -298,6 +310,46 @@ TEST(SpecJson, StrictParsingRejectsUnknownKeysAndValues) {
       {"kind": "frequency_step", "time": 5, "frequency_hz": 72}
     ]}})")),
                ModelError);
+
+  // Every integer field reads through one bounded reader: a value outside
+  // [0, 2^64), which the cast would turn into an arbitrary count or seed, is
+  // refused with an error naming the key.
+  const auto rejects = [](const char* file, const std::string& from, const std::string& to,
+                          const char* key) {
+    std::string text =
+        ehsim::io::read_file(std::string(EHSIM_SOURCE_DIR) + "/examples/specs/" + file);
+    (void)ehsim::io::spec_from_json(JsonValue::parse(text));
+    const std::size_t at = text.find(from);
+    ASSERT_NE(at, std::string::npos) << file << " has no " << from;
+    text.replace(at, from.size(), to);
+    try {
+      (void)ehsim::io::spec_from_json(JsonValue::parse(text));
+      ADD_FAILURE() << file << " accepted " << to;
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find(key), std::string::npos) << error.what();
+    }
+  };
+  for (const std::string huge : {"1e300", "18446744073709551616"}) {
+    rejects("stage_count_sweep.json", R"("threads": 0)", R"("threads": )" + huge, "'threads'");
+    rejects("drift_ensemble.json", R"("seed": 42)", R"("seed": )" + huge, "'seed'");
+    rejects("drift_ensemble.json", R"("num_seeds": 8)", R"("num_seeds": )" + huge,
+            "'num_seeds'");
+    rejects("scenario1_tuning.json", R"("max_evaluations": 12)",
+            R"("max_evaluations": )" + huge, "'max_evaluations'");
+    rejects("stage_count_sweep.json", R"("engine": "proposed",)",
+            R"("engine": "proposed", "solver": {"max_ab_order": )" + huge + "},",
+            "'max_ab_order'");
+  }
+
+  // Seeds the writer emits as numbers still parse back, up to the largest
+  // double below 2^64.
+  ExperimentSpec spec = charging_scenario(1.0);
+  RandomWalkParams walk;
+  walk.seed = 0xFFFFFFFFFFFFF800ull;
+  spec.excitation.random_walk(0.5, 0.2, walk);
+  const JsonValue json = ehsim::io::to_json(spec);
+  ASSERT_TRUE(json.at("excitation").at("events").as_array()[0].at("seed").is_number());
+  EXPECT_EQ(ehsim::io::experiment_from_json(JsonValue::parse(json.dump())), spec);
 }
 
 /// "warm_start" is not a sweep, optimise or ensemble key: a document that

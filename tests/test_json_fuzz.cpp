@@ -28,7 +28,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "experiments/accuracy.hpp"
 #include "experiments/autotune.hpp"
 #include "experiments/ensemble.hpp"
 #include "experiments/optimise_spec.hpp"
@@ -428,81 +427,6 @@ AutotuneSpec random_autotune(SplitMix64& rng) {
   return spec;
 }
 
-ErrorMetrics random_error_metrics(SplitMix64& rng) {
-  ErrorMetrics metrics;
-  metrics.vc_max_rel_error = rng.uniform(0.0, 1e-2);
-  metrics.vc_rms_rel_error = rng.uniform(0.0, 1e-3);
-  metrics.final_vc_rel_error = rng.uniform(0.0, 1e-4);
-  metrics.energy_rel_error = rng.uniform(0.0, 0.1);
-  metrics.resonance_rel_error = rng.uniform(0.0, 1e-2);
-  return metrics;
-}
-
-AccuracyReport random_accuracy_report(SplitMix64& rng) {
-  AccuracyReport report;
-  report.name = "fuzz-report-" + std::to_string(rng.below(1000000));
-  report.engine = "proposed";
-  report.oracle_step = rng.uniform(1e-6, 1e-4);
-  report.oracle_steps = rng.next() >> 24;
-  report.oracle_cpu_seconds = rng.uniform(0.0, 10.0);
-  const std::size_t kernels = 1 + rng.below(2);
-  for (std::size_t k = 0; k < kernels; ++k) {
-    KernelAccuracy kernel;
-    kernel.kernel =
-        batch_kernel_id(std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[k]);
-    kernel.cpu_seconds = rng.uniform(0.0, 1.0);
-    kernel.steps = rng.next() >> 24;
-    kernel.bounds = random_error_metrics(rng);
-    const std::size_t jobs = 1 + rng.below(3);
-    for (std::size_t j = 0; j < jobs; ++j) {
-      JobAccuracy job;
-      job.job = "job-" + std::to_string(j);
-      job.errors = random_error_metrics(rng);
-      const std::size_t probes = rng.below(3);
-      for (std::size_t p = 0; p < probes; ++p) {
-        // Built by append — operator+(const char*, string&&) trips a GCC 12
-        // -Wrestrict false positive (PR105329) under -Werror.
-        std::string label = "p";
-        label += std::to_string(p);
-        job.probes.push_back(ProbeAccuracy{std::move(label), rng.uniform(0.0, 1e-3)});
-      }
-      kernel.jobs.push_back(std::move(job));
-    }
-    report.kernels.push_back(std::move(kernel));
-  }
-  return report;
-}
-
-AutotuneResult random_autotune_result(SplitMix64& rng) {
-  AutotuneResult result;
-  result.name = "fuzz-tune-" + std::to_string(rng.below(1000000));
-  result.error_budget = rng.uniform(1e-4, 0.1);
-  result.oracle_step = rng.uniform(1e-6, 1e-4);
-  result.oracle_steps = rng.next() >> 24;
-  result.paths = {"solver.h_max", "multiplier.table_segments"};
-  result.baseline_cost = rng.uniform(1e3, 1e6);
-  result.baseline_error = rng.uniform(0.0, 0.1);
-  result.chosen_values = {rng.uniform(5e-4, 4e-3), std::floor(rng.uniform(256.0, 4096.0))};
-  result.chosen_kernel = "lockstep";
-  result.chosen_cost = rng.uniform(1e3, 1e6);
-  result.chosen_error = rng.uniform(0.0, 0.1);
-  result.cost_ratio = result.chosen_cost / result.baseline_cost;
-  result.feasible = rng.chance(0.8);
-  result.evaluations = 1 + rng.below(60);
-  result.sweeps = 1 + rng.below(5);
-  const std::size_t entries = 1 + rng.below(6);
-  for (std::size_t i = 0; i < entries; ++i) {
-    AutotuneEvaluation entry;
-    entry.values = {rng.uniform(5e-4, 4e-3), std::floor(rng.uniform(256.0, 4096.0))};
-    entry.kernel = rng.chance(0.5) ? "jobs" : "lockstep";
-    entry.cost = rng.uniform(1e3, 1e6);
-    entry.error = rng.uniform(0.0, 0.1);
-    entry.feasible = entry.error <= result.error_budget;
-    result.log.push_back(std::move(entry));
-  }
-  return result;
-}
-
 TEST(SpecFuzz, RandomExperimentSpecsRoundTripLosslessly) {
   SplitMix64 rng(0x5EED01ull);
   for (int i = 0; i < 120; ++i) {
@@ -556,26 +480,6 @@ TEST(SpecFuzz, RandomAutotuneSpecsRoundTripLosslessly) {
     const AutotuneSpec* held = any.get_if<AutotuneSpec>();
     ASSERT_NE(held, nullptr) << "case " << i;
     EXPECT_EQ(*held, spec) << "case " << i;
-  }
-}
-
-TEST(SpecFuzz, RandomAccuracyReportsRoundTripLosslessly) {
-  SplitMix64 rng(0x5EED09ull);
-  for (int i = 0; i < 80; ++i) {
-    const AccuracyReport report = random_accuracy_report(rng);
-    const std::string text = ehsim::io::to_json(report).dump(2);
-    EXPECT_EQ(ehsim::io::accuracy_report_from_json(JsonValue::parse(text)), report)
-        << "case " << i;
-  }
-}
-
-TEST(SpecFuzz, RandomAutotuneResultsRoundTripLosslessly) {
-  SplitMix64 rng(0x5EED0Aull);
-  for (int i = 0; i < 80; ++i) {
-    const AutotuneResult result = random_autotune_result(rng);
-    const std::string text = ehsim::io::to_json(result).dump(2);
-    EXPECT_EQ(ehsim::io::autotune_result_from_json(JsonValue::parse(text)), result)
-        << "case " << i;
   }
 }
 
@@ -650,33 +554,6 @@ TEST(SpecFuzz, EveryMutatedKeyIsRejected) {
       // both must throw, never silently parse.
       EXPECT_THROW((void)ehsim::io::spec_from_json(mutated), ModelError)
           << "case " << i << ", key " << key << ": " << mutated.dump();
-    }
-  }
-}
-
-/// The result documents of the accuracy layer are strict-keyed too — a
-/// hand-edited or version-skewed report must fail loudly when read back
-/// (the regression matrix and golden tests parse these files).
-TEST(SpecFuzz, EveryMutatedAccuracyDocumentKeyIsRejected) {
-  SplitMix64 rng(0x5EED0Bull);
-  for (int i = 0; i < 6; ++i) {
-    const bool autotune = (i % 2) != 0;
-    const JsonValue document = autotune
-                                   ? ehsim::io::to_json(random_autotune_result(rng))
-                                   : ehsim::io::to_json(random_accuracy_report(rng));
-    const std::size_t keys = count_object_keys(document);
-    ASSERT_GT(keys, 0u);
-    for (std::size_t key = 0; key < keys; ++key) {
-      JsonValue mutated = document;
-      std::size_t cursor = key;
-      ASSERT_TRUE(mutate_key(mutated, cursor));
-      if (autotune) {
-        EXPECT_THROW((void)ehsim::io::autotune_result_from_json(mutated), ModelError)
-            << "case " << i << ", key " << key << ": " << mutated.dump();
-      } else {
-        EXPECT_THROW((void)ehsim::io::accuracy_report_from_json(mutated), ModelError)
-            << "case " << i << ", key " << key << ": " << mutated.dump();
-      }
     }
   }
 }

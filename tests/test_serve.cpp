@@ -136,6 +136,8 @@ TEST(ServeProtocol, RejectionsNameTheOffendingKey) {
   EXPECT_EQ(key_of(R"({"id": 1})"), "type");
   EXPECT_EQ(key_of(R"({"id": 1, "type": "launch"})"), "type");
   EXPECT_EQ(key_of(R"({"id": 1, "type": "stats", "specc": 1})"), "specc");
+  // A repeated key is malformed JSON, not "first copy wins".
+  EXPECT_EQ(key_of(R"({"id": 1, "id": 2, "type": "stats"})"), "");
   EXPECT_EQ(key_of(R"({"id": 1, "type": "run"})"), "spec");
   EXPECT_EQ(key_of(R"({"id": 1, "type": "run", "spec": {}, "spec_path": "x"})"), "spec");
   EXPECT_EQ(key_of(R"({"id": 1, "type": "stats", "spec": {}})"), "spec");

@@ -676,11 +676,14 @@ int cmd_params() {
     std::printf("  %s\n", path.c_str());
   }
   std::printf("\nspec fields (sweep axes, optimise variables):\n");
-  for (const std::string& path : experiments::spec_field_paths()) {
+  for (const std::string& path : io::spec_field_paths()) {
     std::printf("  %s\n", path.c_str());
   }
-  std::printf("\nprobe kinds (spec \"probes\" entries; keys: label, kind, target,\n"
-              "window_start, window_end, threshold, record):\n");
+  std::string probe_keys;
+  for (const std::string& key : io::probe_keys()) {
+    probe_keys += (probe_keys.empty() ? "" : ", ") + key;
+  }
+  std::printf("\nprobe kinds (spec \"probes\" entries; keys: %s):\n", probe_keys.c_str());
   for (const std::string& kind : experiments::probe_kind_ids()) {
     std::printf("  %s\n", kind.c_str());
   }
@@ -691,11 +694,11 @@ int cmd_params() {
   }
   std::printf("\noptimise spec keys (type \"optimise\"; one variable via\n"
               "variable/lower/upper, or several via the \"variables\" array):\n");
-  for (const std::string& key : experiments::optimise_spec_keys()) {
+  for (const std::string& key : io::optimise_keys()) {
     std::printf("  %s\n", key.c_str());
   }
   std::printf("\noptimise \"variables\" entry keys (per search axis):\n");
-  for (const std::string& key : experiments::optimise_variable_keys()) {
+  for (const std::string& key : io::optimise_variable_keys()) {
     std::printf("  %s\n", key.c_str());
   }
   return 0;
