@@ -1,5 +1,5 @@
 /// \file bench_ablation_jacobian_cache.cpp
-/// \brief Ablation A6: Jacobian-reuse signatures.
+/// \brief Ablation A6: Jacobian reuse through signatures and the linearisation cache.
 ///
 /// The paper saves computation by retrieving linearised device values from
 /// look-up tables instead of evaluating physical equations (§III-B). This
@@ -7,18 +7,27 @@
 /// model's Jacobians are piecewise *constant*, so blocks certify unchanged
 /// linearisations through cheap signatures (diode conductance bands,
 /// quantised operating points) and the engine skips Jacobian assembly, the
-/// LLE update and the Jyy factorisation entirely between segment crossings.
-/// This bench measures what that is worth on the full harvester model, and
-/// asserts the LLE-drift contract: the step controller observes the same
-/// signature-driven drift sequence whether reuse is on or off (explicit
-/// zero-drift observations on signature-stable refreshes), so both arms
-/// march through the *same* steps and land on the same state bits.
+/// LLE update and the Jyy factorisation entirely between segment crossings;
+/// at a crossing into a piece it has linearised before, the solver's
+/// signature-keyed cache hands back that piece's Jacobians, Jyy LU and Eq. 7
+/// cap. This bench measures what that is worth on the full harvester model
+/// and asserts the A6 contract:
+///
+///  * the reuse-off arm never touches the cache (no reuses of any kind);
+///  * both arms take the same number of steps: the step controller observes
+///    the same signature-driven drift sequence in both;
+///  * the reuse-on arm's final Vc stays within the 1e-3 bound documented for
+///    adopting a same-signature linearisation (the cache returns a
+///    signature's first-visit Jacobians, so step times and states differ in
+///    the last digits);
+///  * the reuse-on arm does at most a tenth of the reuse-off arm's builds.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <iostream>
 
+#include "core/linearised_solver.hpp"
 #include "experiments/scenarios.hpp"
 #include "experiments/table_printer.hpp"
 #include "sim/harvester_session.hpp"
@@ -30,10 +39,10 @@ struct Outcome {
   std::uint64_t steps = 0;
   std::uint64_t builds = 0;
   std::uint64_t reuses = 0;
-  double min_step = 0.0;
-  double max_step = 0.0;
-  std::uint64_t step_time_hash = 0;  ///< FNV over the accepted-step time bits
-  double v5 = 0.0;
+  std::uint64_t cap_evaluations = 0;
+  std::uint64_t cap_reuses = 0;
+  std::size_t cache_entries = 0;
+  double vc = 0.0;
 };
 
 Outcome run(bool reuse, double span) {
@@ -42,23 +51,17 @@ Outcome run(bool reuse, double span) {
   sim::HarvesterSession::Options options;
   options.solver.enable_jacobian_reuse = reuse;
   sim::HarvesterSession session(params, options);
-  std::uint64_t hash = 1469598103934665603ull;
-  session.add_observer([&hash](double t, std::span<const double>, std::span<const double>) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &t, sizeof bits);
-    hash ^= bits;
-    hash *= 1099511628211ull;
-  });
   session.run_until(span);
+  const auto& solver = dynamic_cast<const core::LinearisedSolver&>(session.engine());
   Outcome out;
-  out.step_time_hash = hash;
   out.cpu = session.cpu_seconds();
   out.steps = session.stats().steps;
   out.builds = session.stats().jacobian_builds;
   out.reuses = session.stats().jacobian_reuses;
-  out.min_step = session.stats().min_step;
-  out.max_step = session.stats().max_step;
-  out.v5 = session.state()[session.system().assembler().state_index({1}, 4)];
+  out.cap_evaluations = session.stats().stability_recomputes;
+  out.cap_reuses = session.stats().stability_reuses;
+  out.cache_entries = solver.linearisation_cache().size();
+  out.vc = session.terminals()[session.system().vc_index()];
   return out;
 }
 
@@ -70,46 +73,44 @@ int main() {
   const bool full = std::getenv("EHSIM_BENCH_FULL") != nullptr;
   const double span = full ? 30.0 : 8.0;
 
-  std::printf("=== Ablation A6: Jacobian-reuse signatures (extension of paper sec. III-B) ===\n");
+  std::printf("=== Ablation A6: Jacobian reuse and the linearisation cache (paper sec. III-B) ===\n");
   std::printf("supercap charging, %.0f s simulated span\n\n", span);
 
   const Outcome on = run(true, span);
   const Outcome off = run(false, span);
 
-  TablePrinter table({"configuration", "CPU", "steps", "Jacobian rebuilds", "cache hits",
-                      "V5 [V]"});
-  table.add_row({"signatures on (default)", format_duration(on.cpu), std::to_string(on.steps),
+  TablePrinter table({"configuration", "CPU", "steps", "Jacobian builds", "reuses",
+                      "Eq. 7 evaluations", "cap reuses", "Vc [V]"});
+  table.add_row({"reuse on (default)", format_duration(on.cpu), std::to_string(on.steps),
                  std::to_string(on.builds), std::to_string(on.reuses),
-                 format_double(on.v5, 5)});
-  table.add_row({"signatures off (rebuild every step)", format_duration(off.cpu),
+                 std::to_string(on.cap_evaluations), std::to_string(on.cap_reuses),
+                 format_double(on.vc, 6)});
+  table.add_row({"reuse off (rebuild every step)", format_duration(off.cpu),
                  std::to_string(off.steps), std::to_string(off.builds),
-                 std::to_string(off.reuses), format_double(off.v5, 5)});
+                 std::to_string(off.reuses), std::to_string(off.cap_evaluations),
+                 std::to_string(off.cap_reuses), format_double(off.vc, 6)});
   table.print(std::cout);
 
-  std::printf("\nreuse skips %.0f%% of rebuilds (%.2fx end-to-end on this 11-state model;\n"
-              "assembly+LU is what the skip saves, so the margin grows with model size).\n",
+  std::printf("\nreuse skips %.1f%% of builds and %.1f%% of Eq. 7 evaluations (%.2fx end-to-end\n"
+              "on this 11-state model; the cache holds %zu linearisations).\n",
               100.0 * (1.0 - static_cast<double>(on.builds) / static_cast<double>(off.builds)),
-              off.cpu / on.cpu);
+              100.0 * (1.0 - static_cast<double>(on.cap_evaluations) /
+                                 static_cast<double>(off.cap_evaluations)),
+              off.cpu / on.cpu, on.cache_entries);
 
-  // LLE-drift contract: the controller observes signature-driven drift
-  // (explicit zero on stable refreshes) in both arms, so the accepted-step
-  // time sequences must be bit-identical. State bits may differ in the last
-  // ulps — the reuse arm eliminates with the cached within-band Jacobians —
-  // but the physics must agree far inside the PWL model tolerance.
-  const bool step_identical = on.steps == off.steps && on.min_step == off.min_step &&
-                              on.max_step == off.max_step &&
-                              on.step_time_hash == off.step_time_hash;
-  const double v5_rel_diff =
-      std::abs(on.v5 - off.v5) / std::max({std::abs(on.v5), std::abs(off.v5), 1e-30});
-  std::printf("reuse-on and reuse-off arms step-identical: %s "
-              "(step-time hash %016llx, V5 rel. diff %.1e)\n",
-              step_identical ? "YES" : "NO",
-              static_cast<unsigned long long>(on.step_time_hash), v5_rel_diff);
-  if (!step_identical || v5_rel_diff > 1e-9) {
-    std::printf("MISMATCH: steps %llu vs %llu, V5 %.17g vs %.17g\n",
-                static_cast<unsigned long long>(on.steps),
-                static_cast<unsigned long long>(off.steps), on.v5, off.v5);
-    return EXIT_FAILURE;
-  }
-  return EXIT_SUCCESS;
+  const bool off_untouched = off.reuses == 0 && off.cap_reuses == 0 && off.cache_entries == 0;
+  const bool same_steps = on.steps == off.steps;
+  const double vc_error = std::abs(on.vc - off.vc) / std::max(1.0, std::abs(off.vc));
+  const bool within_bound = vc_error <= 1e-3;
+  const bool few_builds = on.builds * 10 <= off.builds;
+  std::printf("reuse-off arm never touches the cache: %s\n", off_untouched ? "YES" : "NO");
+  std::printf("both arms take the same steps: %s (%llu vs %llu)\n", same_steps ? "YES" : "NO",
+              static_cast<unsigned long long>(on.steps),
+              static_cast<unsigned long long>(off.steps));
+  std::printf("final Vc within the 1e-3 adoption bound: %s (%.1e)\n",
+              within_bound ? "YES" : "NO", vc_error);
+  std::printf("reuse-on builds at most 1/10 of reuse-off: %s (%llu vs %llu)\n",
+              few_builds ? "YES" : "NO", static_cast<unsigned long long>(on.builds),
+              static_cast<unsigned long long>(off.builds));
+  return off_untouched && same_steps && within_bound && few_builds ? EXIT_SUCCESS : EXIT_FAILURE;
 }

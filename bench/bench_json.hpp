@@ -9,10 +9,12 @@
 /// trajectory is recorded per push).
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
 
+#include "experiments/cpu_timer.hpp"
 #include "io/json.hpp"
 #include "io/spec_json.hpp"
 
@@ -30,6 +32,21 @@ inline BenchSpan bench_span() {
     return BenchSpan::kFull;
   }
   return BenchSpan::kDefault;
+}
+
+/// Runs per arm of a wall-clock gate, alternating the arms. Other tenants
+/// of a shared host only ever slow a run down, so the fastest repetition
+/// tracks the program's own cost where a single shot can land in a burst.
+inline constexpr int kGateRepeats = 3;
+
+/// Run \p body once and fold its wall time into \p best (the fastest so
+/// far); returns what \p body returns.
+template <typename Body>
+auto timed_min(double& best, Body&& body) {
+  const experiments::WallTimer timer;
+  auto result = body();
+  best = std::min(best, timer.elapsed_seconds());
+  return result;
 }
 
 /// Write \p document to $EHSIM_BENCH_JSON when set; no-op otherwise.

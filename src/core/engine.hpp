@@ -58,6 +58,10 @@ class AnalogEngine {
   /// Inverse of checkpoint_state(). The model (blocks, epochs, parameters)
   /// must already be restored; throws ModelError on any mismatch.
   virtual void restore_checkpoint_state(const io::JsonValue& state) = 0;
+  /// A checkpoint was cut at the current point: drop every cache the
+  /// document does not carry, so the run continues exactly like one restored
+  /// from it. Session::save_checkpoint calls it after checkpoint_state().
+  virtual void checkpoint_cut() {}
 };
 
 }  // namespace ehsim::core

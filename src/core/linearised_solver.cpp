@@ -70,7 +70,9 @@ void LinearisedSolver::initialise(double t0) {
 
   // Consistency iterations for the initial operating point only; the
   // march-in-time process itself never iterates (paper §II).
-  Linearisation& lin = linearisation_;
+  cache_.clear();
+  lin_ = &own_;
+  Linearisation& lin = own_;
   bool converged = false;
   std::uint64_t init_iterations = 0;
   for (std::size_t it = 0; it < config_.max_init_iterations; ++it) {
@@ -94,6 +96,7 @@ void LinearisedSolver::initialise(double t0) {
     throw SolverError("LinearisedSolver: initial operating point did not converge");
   }
 
+  lin.stability_cap.reset();
   history_.clear();
   lle_.reset();
   controller_.set_step(config_.h_initial);
@@ -141,12 +144,14 @@ bool LinearisedSolver::evaluate() {
   // the blocks' jacobians()/eval().
   system_->eval(t_, x_.span(), y_.span(), fx_.span(), fy_.span());
   // The LLE observation sequence is driven by the *signature*, not by
-  // whether the cached Jacobians are reused: a stable signature certifies an
-  // (essentially) unchanged linearisation, which the step controller
+  // whether the current Jacobians are reused: a stable signature certifies
+  // an (essentially) unchanged linearisation, which the step controller
   // observes as an explicit zero-drift step. With reuse disabled (ablation
   // A6) the Jacobians are still rebuilt and refactorised every refresh, but
-  // the controller sees the identical observation sequence — so the
-  // reuse-on and reuse-off ablation arms march through the same steps.
+  // the controller observes drift at the same refreshes, so the reuse-on
+  // and reuse-off ablation arms take the same number of steps (a cache
+  // hit's first-visit Jacobians move the drift values, and with them the
+  // step times, only in the last digits).
   if (!config_.enable_jacobian_reuse && !config_.enable_lle_control) {
     return false;
   }
@@ -156,22 +161,37 @@ bool LinearisedSolver::evaluate() {
   return signature_stable;
 }
 
+bool LinearisedSolver::cache_enabled() const noexcept {
+  return config_.enable_jacobian_reuse && LinearisationCache::cacheable(jacobian_signature_);
+}
+
 bool LinearisedSolver::reuse_linearisation(bool signature_stable) {
   // A piecewise-linear model's Jacobians are piecewise *constant*, so the
   // rebuild (and the Jyy factorisation) is skipped whenever the blocks
   // certify an unchanged linearisation through their signatures — the
-  // table-lookup economy of paper §III-B.
-  if (!config_.enable_jacobian_reuse || !signature_stable) {
+  // table-lookup economy of paper §III-B — and whenever the new signature
+  // names a piece this solver has linearised before.
+  if (!config_.enable_jacobian_reuse) {
     return false;
+  }
+  if (!signature_stable) {
+    Linearisation* hit = cache_enabled() ? cache_.find(jacobian_signature_) : nullptr;
+    if (hit == nullptr) {
+      return false;
+    }
+    lin_ = hit;
+    jacobians_valid_ = true;
   }
   ++stats_.jacobian_reuses;
   return true;
 }
 
 void LinearisedSolver::relinearise() {
-  Linearisation& lin = linearisation_;
+  lin_ = cache_enabled() ? &cache_.insert(jacobian_signature_) : &own_;
+  Linearisation& lin = *lin_;
   jacobians_valid_ = true;
   system_->jacobians(t_, x_.span(), y_.span(), lin.jxx, lin.jxy, lin.jyx, lin.jyy);
+  lin.stability_cap.reset();
   ++stats_.jacobian_builds;
   if (y_.size() > 0 && !lin.jyy_lu.factor(lin.jyy)) {
     throw SolverError("LinearisedSolver: singular algebraic system (Jyy) at t=" +
@@ -181,12 +201,13 @@ void LinearisedSolver::relinearise() {
 
 void LinearisedSolver::adopt_linearisation(const Linearisation& donor) {
   jacobians_valid_ = true;
-  linearisation_ = donor;
+  own_ = donor;
+  lin_ = &own_;
   ++stats_.jacobian_reuses;
 }
 
 void LinearisedSolver::observe_drift(bool signature_stable) {
-  const Linearisation& lin = linearisation_;
+  const Linearisation& lin = *lin_;
   if (config_.enable_lle_control && config_.fixed_step <= 0.0) {
     // Feed-forward LLE control (Eq. 3): the drift ratio shrinks or grows
     // the *next* step; an explicit march cannot backtrack, so there is no
@@ -213,7 +234,7 @@ void LinearisedSolver::eliminate() {
     for (std::size_t i = 0; i < dy_.size(); ++i) {
       dy_[i] = -fy_[i];
     }
-    linearisation_.jyy_lu.solve_inplace(dy_.span());
+    lin_->jyy_lu.solve_inplace(dy_.span());
   }
   apply_elimination();
 }
@@ -234,7 +255,7 @@ void LinearisedSolver::apply_elimination() {
     f_step_[i] = fx_[i];
   }
   if (y_.size() > 0) {
-    linearisation_.jxy.matvec_acc(1.0, dy_.span(), f_step_.span());
+    lin_->jxy.matvec_acc(1.0, dy_.span(), f_step_.span());
   }
   record_sample();
 }
@@ -259,19 +280,16 @@ void LinearisedSolver::refresh() {
   eliminate();
 }
 
-void LinearisedSolver::recompute_stability_cap() {
-  if (!config_.enable_stability_cap) {
-    h_stability_ = std::numeric_limits<double>::infinity();
-    return;
-  }
-  // Eliminated system A = Jxx - Jxy Jyy^-1 Jyx (the paper's point total-step
-  // matrix is I + hA, Eq. 6).
-  const Linearisation& lin = linearisation_;
-  const std::size_t n = x_.size();
-  const std::size_t m = y_.size();
+namespace {
+
+/// Eliminated system A = Jxx - Jxy Jyy^-1 Jyx of \p lin (the paper's point
+/// total-step matrix is I + hA, Eq. 6), with \p z as the Jyy^-1 Jyx scratch.
+void form_eliminated_matrix(const Linearisation& lin, linalg::Matrix& z, linalg::Matrix& a) {
+  const std::size_t n = lin.jxx.rows();
+  const std::size_t m = lin.jyy.rows();
   if (m > 0) {
-    lin.jyy_lu.solve_matrix(lin.jyx, z_elim_);
-    a_eliminated_ = lin.jxx;
+    lin.jyy_lu.solve_matrix(lin.jyx, z);
+    a = lin.jxx;
     for (std::size_t r = 0; r < n; ++r) {
       for (std::size_t k = 0; k < m; ++k) {
         const double jxy_rk = lin.jxy(r, k);
@@ -279,40 +297,67 @@ void LinearisedSolver::recompute_stability_cap() {
           continue;
         }
         for (std::size_t c = 0; c < n; ++c) {
-          a_eliminated_(r, c) -= jxy_rk * z_elim_(k, c);
+          a(r, c) -= jxy_rk * z(k, c);
         }
       }
     }
   } else {
-    a_eliminated_ = lin.jxx;
+    a = lin.jxx;
   }
+}
+
+}  // namespace
+
+linalg::Matrix LinearisedSolver::eliminated_matrix() const {
+  linalg::Matrix z;
+  linalg::Matrix a;
+  form_eliminated_matrix(*lin_, z, a);
+  return a;
+}
+
+bool LinearisedSolver::reuse_stability_cap() {
+  if (!config_.enable_jacobian_reuse || !lin_->stability_cap) {
+    return false;
+  }
+  set_stability_cap(*lin_->stability_cap);
+  ++stats_.stability_reuses;
+  return true;
+}
+
+void LinearisedSolver::recompute_stability_cap() {
+  if (!config_.enable_stability_cap) {
+    h_stability_ = std::numeric_limits<double>::infinity();
+    return;
+  }
+  form_eliminated_matrix(*lin_, z_elim_, a_elim_);
   // Heuristic Eq. 7 cap (diagonal dominance / spectral estimate), then a
   // rigorous refinement through the multistep companion-matrix test: the
   // heuristic is exact for real spectra but optimistic for lightly-damped
   // oscillatory modes such as the mechanical resonator.
-  const auto limit = ode::max_stable_step(a_eliminated_, config_.max_ab_order, 1.0);
+  const auto limit = ode::max_stable_step(a_elim_, config_.max_ab_order, 1.0);
   // The refinement search only needs an upper bound slightly beyond any step
   // the engine could take (accuracy ceiling or explicit fixed step).
   const double h_request_max = 10.0 * std::max(config_.h_max, config_.fixed_step);
   double candidate = std::min(limit.h_max, h_request_max);
   if (std::isfinite(candidate) && candidate > 0.0) {
-    candidate = ode::refine_stable_step(a_eliminated_, config_.max_ab_order, candidate,
+    candidate = ode::refine_stable_step(a_elim_, config_.max_ab_order, candidate,
                                         config_.h_min);
     if (candidate <= 0.0) {
       candidate = config_.h_min;
     }
   }
-  set_stability_cap(candidate * config_.stability_safety);
+  lin_->stability_cap = candidate * config_.stability_safety;
+  set_stability_cap(*lin_->stability_cap);
+  ++stats_.stability_recomputes;
 }
 
 void LinearisedSolver::adopt_stability_cap(const LinearisedSolver& donor) {
-  a_eliminated_ = donor.a_eliminated_;
   set_stability_cap(donor.h_stability_);
+  ++stats_.stability_reuses;
 }
 
 void LinearisedSolver::set_stability_cap(double h) {
   h_stability_ = h;
-  ++stats_.stability_recomputes;
   steps_since_stability_ = 0;
   drift_since_stability_ = 0.0;
   stability_due_ = false;
@@ -363,7 +408,7 @@ void LinearisedSolver::commit_step(double h) {
   }
 }
 
-void LinearisedSolver::follow(const LinearisedSolver& leader, bool leader_relinearised) {
+void LinearisedSolver::follow(const LinearisedSolver& leader) {
   // The leader marched exactly as its per-job self; replaying identical
   // arithmetic on the copied data keeps the follower bit-for-bit its per-job
   // self while the clone relation holds.
@@ -384,23 +429,26 @@ void LinearisedSolver::follow(const LinearisedSolver& leader, bool leader_reline
   drift_since_stability_ = leader.drift_since_stability_;
   // last_epoch_ is NOT copied: epoch counters belong to each member's own
   // assembler and the follower's check_for_discontinuity manages its own.
-  if (leader_relinearised) {
-    linearisation_ = leader.linearisation_;
-    lle_ = leader.lle_;
-  }
   record_sample();
 }
 
+void LinearisedSolver::follow_linearisation(const LinearisedSolver& leader) {
+  own_ = *leader.lin_;
+  lin_ = &own_;
+  lle_ = leader.lle_;
+}
+
 void LinearisedSolver::follow_stability(const LinearisedSolver& leader) {
-  // follow() copied the leader's stats, so its recompute count has moved
-  // exactly when it recomputed *or adopted* a cap since. Either way the
-  // follower must mirror it: a stale cap would enter the batch-wide step.
-  if (leader.stats_.stability_recomputes == stats_.stability_recomputes) {
+  // follow() copied the leader's stats, so its cap counts have moved
+  // exactly when it recomputed, reused *or adopted* a cap since. Either way
+  // the follower must mirror it: a stale cap would enter the batch-wide step.
+  if (leader.stats_.stability_recomputes == stats_.stability_recomputes &&
+      leader.stats_.stability_reuses == stats_.stability_reuses) {
     return;
   }
-  a_eliminated_ = leader.a_eliminated_;
   h_stability_ = leader.h_stability_;
   stats_.stability_recomputes = leader.stats_.stability_recomputes;
+  stats_.stability_reuses = leader.stats_.stability_reuses;
   steps_since_stability_ = leader.steps_since_stability_;
   drift_since_stability_ = leader.drift_since_stability_;
   stability_due_ = leader.stability_due_;
@@ -427,7 +475,7 @@ io::JsonValue LinearisedSolver::checkpoint_state() const {
   state.set("y", io::reals_to_json(y_.span()));
   state.set("jacobians_valid", io::JsonValue(jacobians_valid_));
   if (jacobians_valid_) {
-    const Linearisation& lin = linearisation_;
+    const Linearisation& lin = *lin_;
     state.set("jxx", io::matrix_to_json(lin.jxx));
     state.set("jxy", io::matrix_to_json(lin.jxy));
     state.set("jyx", io::matrix_to_json(lin.jyx));
@@ -475,6 +523,7 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
   io::reals_into(io::require_key(state, what, "y"), y_.span(), what + ".y");
   jacobians_valid_ = io::bool_from_json(io::require_key(state, what, "jacobians_valid"),
                                         what + ".jacobians_valid");
+  checkpoint_cut();  // a restored solver starts from what a cut leaves
   if (jacobians_valid_) {
     Linearisation lin;
     lin.jxx = io::matrix_from_json(io::require_key(state, what, "jxx"), what + ".jxx");
@@ -493,7 +542,7 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
     if (y_.size() > 0 && !lin.jyy_lu.factor(lin.jyy)) {
       throw ModelError(what + ": restored Jyy is singular");
     }
-    linearisation_ = std::move(lin);
+    own_ = std::move(lin);
   }
   jacobian_signature_ = io::u64_from_json(io::require_key(state, what, "jacobian_signature"),
                                           what + ".jacobian_signature");
@@ -544,6 +593,18 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
   }
 }
 
+void LinearisedSolver::checkpoint_cut() {
+  // The document carries the current linearisation's Jacobians, from which
+  // a restore refactorises the identical LU, but neither the cache nor any
+  // cap: a run that continues past the cut must march like a restored one.
+  if (lin_ != &own_) {
+    own_ = *lin_;
+    lin_ = &own_;
+  }
+  own_.stability_cap.reset();
+  cache_.clear();
+}
+
 void LinearisedSolver::advance_to(double t_end) {
   require_advance(t_end);
   while (true) {
@@ -554,7 +615,7 @@ void LinearisedSolver::advance_to(double t_end) {
     if (remaining <= 0.0) {
       break;
     }
-    if (stability_due()) {
+    if (stability_due() && !reuse_stability_cap()) {
       recompute_stability_cap();
     }
     if (snap_sliver(t_end)) {

@@ -22,24 +22,33 @@
 ///
 ///   check_for_discontinuity     epoch change -> multistep restart
 ///   evaluate                    residuals at (t, x, y) + signature verdict
-///   reuse_linearisation         keep the cached Linearisation, else
+///   reuse_linearisation         keep the current Linearisation, or point at
+///                               the cache's entry for a new signature, else
 ///   relinearise                 assemble the Jacobians + factorise Jyy, or
 ///   adopt_linearisation         take a peer's at a coinciding signature
 ///   observe_drift               LLE drift (Eq. 3) + step-controller update
 ///   eliminate                   terminal update (Eq. 4) + derivative sample
 ///   stability_due               Eq. 7 cap trigger, then
-///   recompute_stability_cap     recompute the cap, or
-///   adopt_stability_cap         take a peer's freshly recomputed one
+///   reuse_stability_cap         the current linearisation's own cap, else
+///   recompute_stability_cap     evaluate Eq. 7, or
+///   adopt_stability_cap         take a peer's cap at a coinciding signature
 ///   snap_sliver                 jump across a remainder below h_min
 ///   propose_step                h selection (fixed / LLE / h_max / Eq. 7)
 ///   commit_step                 one explicit AB step (Eq. 5)
-///   follow / follow_stability   clone-follower sync
+///   follow / follow_linearisation / follow_stability   clone-follower sync
 ///
 /// advance_to() composes them for one solver (refresh() is its evaluate ->
 /// eliminate half). sim::LockstepBatch composes the same functions across a
 /// batch, interleaving the members between phases to share linearisations;
 /// both callers run the identical phase bodies, so a lockstep member that
 /// never adopts marches bit-for-bit like its per-job self.
+///
+/// Linearisations live in a signature-keyed LinearisationCache owned by the
+/// solver (core/linearisation_cache.hpp): a signature change that revisits a
+/// known piece of the model points at its entry, Jacobians, Jyy LU and Eq. 7
+/// cap included, instead of rebuilding them. Uncertified signatures, runs
+/// with enable_jacobian_reuse off, adopted and followed linearisations
+/// bypass it. A checkpoint cut empties it (checkpoint_cut()).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +57,7 @@
 #include <vector>
 
 #include "core/engine.hpp"
+#include "core/linearisation_cache.hpp"
 #include "core/lle_monitor.hpp"
 #include "linalg/lu.hpp"
 #include "ode/explicit_integrators.hpp"
@@ -56,18 +66,13 @@
 
 namespace ehsim::core {
 
-/// One linearisation point (Eq. 2): the Jacobian blocks of the assembled
-/// system and the LU factorisation of Jyy the elimination (Eq. 4) solves
-/// with.
-struct Linearisation {
-  linalg::Matrix jxx, jxy, jyx, jyy;
-  linalg::LuFactorization jyy_lu;
-};
-
 class LinearisedSolver final : public AnalogEngine {
  public:
   /// \param system elaborated assembler; must outlive the solver
   LinearisedSolver(SystemAssembler& system, SolverConfig config = {});
+  // The current linearisation is a pointer into this object.
+  LinearisedSolver(const LinearisedSolver&) = delete;
+  LinearisedSolver& operator=(const LinearisedSolver&) = delete;
 
   void initialise(double t0) override;
   void advance_to(double t_end) override;
@@ -82,6 +87,9 @@ class LinearisedSolver final : public AnalogEngine {
 
   io::JsonValue checkpoint_state() const override;
   void restore_checkpoint_state(const io::JsonValue& state) override;
+  /// Empties the linearisation cache and forgets the current
+  /// linearisation's cap: neither is in the checkpoint document.
+  void checkpoint_cut() override;
 
   [[nodiscard]] const SolverConfig& config() const noexcept { return config_; }
 
@@ -89,9 +97,10 @@ class LinearisedSolver final : public AnalogEngine {
   [[nodiscard]] double stability_step_cap() const noexcept { return h_stability_; }
   /// Last drift reported by the LLE monitor.
   [[nodiscard]] double last_lle_drift() const noexcept { return lle_.last_drift(); }
-  /// Eliminated-system matrix A = Jxx - Jxy Jyy^-1 Jyx of the most recent
-  /// stability evaluation (diagnostics; empty before the first evaluation).
-  [[nodiscard]] const linalg::Matrix& eliminated_matrix() const noexcept { return a_eliminated_; }
+  /// Eliminated-system matrix A = Jxx - Jxy Jyy^-1 Jyx of the current
+  /// linearisation, formed on demand (diagnostics; the step pipeline keeps
+  /// only its Eq. 7 cap).
+  [[nodiscard]] linalg::Matrix eliminated_matrix() const;
 
   // ---- step pipeline (see the file header for the composition) ----------
 
@@ -100,21 +109,26 @@ class LinearisedSolver final : public AnalogEngine {
   /// Restart the multistep history when a block epoch changed.
   void check_for_discontinuity();
   /// Evaluate the residuals at (t, x, y) and refresh the linearisation
-  /// signature. Returns true when the signature held: the cached
+  /// signature. Returns true when the signature held: the current
   /// linearisation is certified unchanged.
   [[nodiscard]] bool evaluate();
-  /// Keep the cached linearisation when reuse is enabled and
-  /// \p signature_stable; false means the caller must relinearise() or
-  /// adopt_linearisation() instead.
+  /// With reuse enabled, keep the current linearisation when
+  /// \p signature_stable, or point at the cache's entry for the new
+  /// signature; either counts as a reuse. False means the caller must
+  /// relinearise() or adopt_linearisation() instead.
   [[nodiscard]] bool reuse_linearisation(bool signature_stable);
-  /// Assemble the Jacobians at (t, x, y) and factorise Jyy.
+  /// Assemble the Jacobians at (t, x, y) and factorise Jyy, straight into
+  /// the cache slot for the current signature (evicting the least recently
+  /// used entry at capacity), or into the solver's own storage when the
+  /// cache is bypassed.
   void relinearise();
-  /// Take a peer's linearisation instead of assembling one. Only valid at a
-  /// coinciding signature on the bounded-error path; counts as a reuse.
+  /// Take a peer's linearisation, cap included, instead of assembling one.
+  /// Only valid at a coinciding signature on the bounded-error path; counts
+  /// as a reuse. The copy bypasses the cache.
   void adopt_linearisation(const Linearisation& donor);
   /// LLE drift observation and step-controller update, driven by the
   /// signature verdict of evaluate() — not by the rebuild decision, so
-  /// reuse-on and reuse-off runs observe the same sequence.
+  /// reuse-on and reuse-off runs observe drift at the same refreshes.
   void observe_drift(bool signature_stable);
   /// Eliminate the terminals with this solver's own Jyy LU and record the
   /// derivative sample: the point becomes fresh.
@@ -127,10 +141,16 @@ class LinearisedSolver final : public AnalogEngine {
     return stability_due_ || steps_since_stability_ >= config_.stability_check_interval ||
            drift_since_stability_ > config_.stability_drift_threshold;
   }
-  /// Recompute the Eq. 7 stability cap on the eliminated system.
+  /// Install the current linearisation's own Eq. 7 cap when reuse is
+  /// enabled and the cap was evaluated before; counts as a stability reuse.
+  /// Exact: the cap is a pure function of that linearisation. False means
+  /// the caller must recompute_stability_cap() or adopt_stability_cap().
+  [[nodiscard]] bool reuse_stability_cap();
+  /// Evaluate the Eq. 7 stability cap on the eliminated system and keep it
+  /// with the current linearisation.
   void recompute_stability_cap();
-  /// Take a peer's freshly recomputed cap (same signature, so the
-  /// eliminated systems agree to the signature quantum).
+  /// Take a peer's cap (same signature, so the eliminated systems agree to
+  /// the signature quantum); counts as a stability reuse.
   void adopt_stability_cap(const LinearisedSolver& donor);
   /// When \p t_end lies within h_min of the current time, jump straight to
   /// it without a step and return true.
@@ -143,19 +163,25 @@ class LinearisedSolver final : public AnalogEngine {
   void commit_step(double h);
   /// Clone-follower sync: copy the post-refresh point of \p leader, whose
   /// spec is identical to this one's up to a known divergence time, and
-  /// push this solver's own history sample. The heavy objects (Jacobians,
-  /// LU, LLE monitor) only change when the leader relinearised or adopted
-  /// (\p leader_relinearised), so they are copied only then.
-  void follow(const LinearisedSolver& leader, bool leader_relinearised);
+  /// push this solver's own history sample. A follower never touches its
+  /// linearisation or LLE monitor, so those are left to
+  /// follow_linearisation().
+  void follow(const LinearisedSolver& leader);
+  /// End of a clone relation: copy the leader's current linearisation (into
+  /// this solver's own storage) and LLE monitor, which follow() leaves
+  /// behind. Call it before either solver's next phase, so both are still
+  /// the state of the last follow().
+  void follow_linearisation(const LinearisedSolver& leader);
   /// Clone-follower sync of the stability phase: mirror every cap change of
-  /// \p leader, recomputed or adopted.
+  /// \p leader, recomputed or reused.
   void follow_stability(const LinearisedSolver& leader);
   /// Invoke the observers at the current point (once per time point).
   void notify_observers();
 
   [[nodiscard]] bool fresh() const noexcept { return fresh_; }
   [[nodiscard]] std::uint64_t jacobian_signature() const noexcept { return jacobian_signature_; }
-  [[nodiscard]] const Linearisation& linearisation() const noexcept { return linearisation_; }
+  [[nodiscard]] const Linearisation& linearisation() const noexcept { return *lin_; }
+  [[nodiscard]] const LinearisationCache& linearisation_cache() const noexcept { return cache_; }
   /// Algebraic residual fy at the last evaluate(); the elimination solves
   /// Jyy dy = -fy.
   [[nodiscard]] std::span<const double> algebraic_residual() const noexcept {
@@ -173,6 +199,8 @@ class LinearisedSolver final : public AnalogEngine {
   void record_sample();
   /// Install \p h as the Eq. 7 cap and reset the recompute triggers.
   void set_stability_cap(double h);
+  /// Whether the current signature may use the linearisation cache.
+  [[nodiscard]] bool cache_enabled() const noexcept;
 
   SystemAssembler* system_;
   SolverConfig config_;
@@ -186,9 +214,11 @@ class LinearisedSolver final : public AnalogEngine {
   linalg::Vector dy_;      // scratch: terminal update
   linalg::Vector f_step_;  // derivative sample pushed into the AB history
 
-  Linearisation linearisation_;
-  linalg::Matrix z_elim_;        // scratch: Jyy^-1 Jyx
-  linalg::Matrix a_eliminated_;  // Jxx - Jxy Jyy^-1 Jyx
+  LinearisationCache cache_;
+  Linearisation own_;           // linearisations that bypass the cache
+  Linearisation* lin_ = &own_;  // the current linearisation: own_ or an entry of cache_
+  linalg::Matrix z_elim_;       // scratch: Jyy^-1 Jyx
+  linalg::Matrix a_elim_;       // scratch: Jxx - Jxy Jyy^-1 Jyx
 
   ode::AbHistory history_;
   ode::StepController controller_;
@@ -201,12 +231,11 @@ class LinearisedSolver final : public AnalogEngine {
 
   std::uint64_t last_epoch_ = 0;
   std::uint64_t jacobian_signature_ = 0;
-  // Cached linearisation usable. Invalidated by initialise(), by a
-  // block-epoch change (discontinuity restart) and by a signature mismatch
-  // (PWL segment crossing / operating-point quantum change); while valid
-  // and the signature holds, refresh() skips assembly and the factorisation
+  // Current linearisation usable. Invalidated by initialise() and by a
+  // block-epoch change (discontinuity restart); while valid and the
+  // signature holds, refresh() skips assembly and the factorisation
   // entirely, and the LLE step controller observes an explicit zero-drift
-  // step (so reuse-on/off runs march identically).
+  // step.
   bool jacobians_valid_ = false;
   bool fresh_ = false;  // (t_, x_, y_) already refreshed at this time point
   double last_history_time_ = -std::numeric_limits<double>::infinity();

@@ -525,10 +525,10 @@ std::optional<std::vector<ScenarioResult>> run_lockstep_batch(
 
   // March in chunks. Without checkpointing this is a single chunk over the
   // full horizon — exactly the one-batch behaviour. With a checkpoint period
-  // every chunk ends on an absolute boundary k * every; a fresh LockstepBatch
-  // per chunk resets the cross-time linearisation pool there,
-  // which is what makes a resumed batch (whose caches start empty)
-  // bit-identical to an uninterrupted checkpointed one.
+  // every chunk ends on an absolute boundary k * every, with a fresh
+  // LockstepBatch per chunk; writing the checkpoints empties every member's
+  // linearisation cache there, which is what makes a resumed batch (whose
+  // caches start empty) bit-identical to an uninterrupted checkpointed one.
   double horizon = 0.0;
   for (const ScenarioJob& job : jobs) {
     horizon = std::max(horizon, job.spec.duration);

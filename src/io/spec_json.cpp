@@ -893,6 +893,7 @@ JsonValue to_json(const ScenarioResult& result) {
   stats.set("newton_iterations", result.stats.newton_iterations);
   stats.set("lu_factorisations", result.stats.lu_factorisations);
   stats.set("stability_recomputes", result.stats.stability_recomputes);
+  stats.set("stability_reuses", result.stats.stability_reuses);
   stats.set("history_resets", result.stats.history_resets);
   stats.set("step_rejections", result.stats.step_rejections);
   stats.set("min_step", result.stats.min_step);

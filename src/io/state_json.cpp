@@ -147,6 +147,7 @@ JsonValue solver_stats_to_json(const core::SolverStats& stats) {
   object.set("newton_iterations", u64_to_json(stats.newton_iterations));
   object.set("lu_factorisations", u64_to_json(stats.lu_factorisations));
   object.set("stability_recomputes", u64_to_json(stats.stability_recomputes));
+  object.set("stability_reuses", u64_to_json(stats.stability_reuses));
   object.set("history_resets", u64_to_json(stats.history_resets));
   object.set("step_rejections", u64_to_json(stats.step_rejections));
   object.set("last_step", real_to_json(stats.last_step));
@@ -162,8 +163,8 @@ core::SolverStats solver_stats_from_json(const JsonValue& value, const std::stri
   check_state_keys(value, what,
                    {"steps", "init_iterations", "jacobian_builds", "jacobian_reuses",
                     "algebraic_solves", "newton_iterations", "lu_factorisations",
-                    "stability_recomputes", "history_resets", "step_rejections", "last_step",
-                    "min_step", "max_step"});
+                    "stability_recomputes", "stability_reuses", "history_resets",
+                    "step_rejections", "last_step", "min_step", "max_step"});
   core::SolverStats stats;
   stats.steps = u64_from_json(require_key(value, what, "steps"), what + ".steps");
   stats.init_iterations =
@@ -180,6 +181,10 @@ core::SolverStats solver_stats_from_json(const JsonValue& value, const std::stri
       u64_from_json(require_key(value, what, "lu_factorisations"), what + ".lu_factorisations");
   stats.stability_recomputes = u64_from_json(require_key(value, what, "stability_recomputes"),
                                              what + ".stability_recomputes");
+  // Written since the linearisation cache; older checkpoints lack it and are
+  // refused here, naming the key.
+  stats.stability_reuses =
+      u64_from_json(require_key(value, what, "stability_reuses"), what + ".stability_reuses");
   stats.history_resets =
       u64_from_json(require_key(value, what, "history_resets"), what + ".history_resets");
   stats.step_rejections =

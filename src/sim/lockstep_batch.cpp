@@ -12,16 +12,12 @@ namespace ehsim::sim {
 namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
-// Cross-time linearisation pool cap; small enough that the linear lookup is
-// cheap, large enough to hold the diode-band combinations a batch cycles
-// through in steady state.
-constexpr std::size_t kPoolCapacity = 64;
 
-/// Cacheable signatures carry the assembler's FNV marker bit; uncacheable
-/// ones are unique per refresh (and per assembler!) so they must never be
-/// matched across members.
+/// Certified signatures carry the assembler's marker bit; the others are
+/// unique per refresh (and per assembler!) so they must never be matched
+/// across members.
 [[nodiscard]] bool signature_shareable(std::uint64_t signature) {
-  return (signature >> 63) != 0;
+  return core::LinearisationCache::cacheable(signature);
 }
 
 }  // namespace
@@ -71,6 +67,7 @@ void LockstepBatch::run() {
   for (std::size_t i = 0; i < members_.size(); ++i) {
     live.push_back(i);
   }
+  following_.assign(members_.size(), 0);
 
   while (!live.empty()) {
     // Barrier: the earliest digital event or member horizon. Mirrors the
@@ -96,12 +93,34 @@ void LockstepBatch::run() {
         members_[i].kernel->run_until(target);
       }
     }
+    // A finished follower leaves with its leader's linearisation, so every
+    // solver holds its complete state (a checkpoint may be cut next).
+    for (std::size_t i : live) {
+      if (target >= members_[i].t_end) {
+        stop_following(i);
+      }
+    }
     std::erase_if(live, [&](std::size_t i) { return target >= members_[i].t_end; });
+  }
+}
+
+void LockstepBatch::stop_following(std::size_t i) {
+  if (following_[i] != 0) {
+    members_[i].solver->follow_linearisation(*members_[members_[i].clone_leader].solver);
+    following_[i] = 0;
   }
 }
 
 void LockstepBatch::advance_to_barrier(const std::vector<std::size_t>& live, double target) {
   while (true) {
+    // A follower whose clone relation ends at this clock takes its leader's
+    // linearisation and LLE monitor before either solver moves on (the
+    // discontinuity check below may reset a monitor).
+    for (std::size_t i : live) {
+      if (clock_ >= members_[i].diverges_at) {
+        stop_following(i);
+      }
+    }
     for (std::size_t i : live) {
       members_[i].solver->check_for_discontinuity();
     }
@@ -139,27 +158,17 @@ void LockstepBatch::advance_to_barrier(const std::vector<std::size_t>& live, dou
   }
 }
 
-LockstepBatch::PoolEntry* LockstepBatch::find_pooled(std::size_t param_class,
-                                                     std::uint64_t signature) {
-  for (PoolEntry& entry : pool_) {
-    if (entry.param_class == param_class && entry.signature == signature) {
-      return &entry;
-    }
-  }
-  return nullptr;
-}
-
 void LockstepBatch::refresh_all(const std::vector<std::size_t>& live) {
-  // One shared linearisation per (param class, signature) per step; the
-  // first member to need it builds (or pulls it from the cross-time pool),
-  // later members adopt and join its elimination group.
+  // One shared linearisation per (param class, signature) per step: the
+  // first member whose linearisation changes to it (built, or found in its
+  // own cache) opens the group; later members that miss their own cache
+  // adopt it and join the group's elimination.
   struct StepBuild {
     std::size_t param_class;
     std::uint64_t signature;
     std::vector<std::size_t> group;  // builder first, then adopters
   };
   std::vector<StepBuild> builds;
-  std::vector<char> relinearised(members_.size(), 0);
   std::vector<char> eliminated(members_.size(), 0);
   std::vector<char> leader_consumed(members_.size(), 0);
   std::vector<std::size_t> followers;
@@ -177,59 +186,39 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live) {
       // elimination has completed, so followers sync in a dedicated pass
       // after the elimination below.
       followers.push_back(i);
+      following_[i] = 1;
       eliminated[i] = 1;
       continue;
     }
 
     const bool stable = s.evaluate();
-    // A reused linearisation eliminates solo below, with its own cached LU.
-    if (!s.reuse_linearisation(stable)) {
+    // Signature held, or the member's own cache had the new one. A kept
+    // linearisation eliminates solo below, with its own LU.
+    const bool kept = s.reuse_linearisation(stable);
+    if (!kept || !stable) {
       const std::uint64_t signature = s.jacobian_signature();
       const bool shareable = signature_shareable(signature);
       StepBuild* group = nullptr;
-      const core::Linearisation* donor = nullptr;
-      if (clock_ >= m.share_after && shareable && !stable) {
+      if (shareable) {
         for (StepBuild& build : builds) {
           if (build.param_class == m.param_class && build.signature == signature) {
             group = &build;
-            donor = &members_[build.group.front()].solver->linearisation();
             break;
           }
         }
-        if (donor == nullptr) {
-          if (const PoolEntry* entry = find_pooled(m.param_class, signature)) {
-            donor = &entry->linearisation;
-          }
-        }
       }
-      if (donor != nullptr) {
-        s.adopt_linearisation(*donor);
+      if (!kept && !stable && group != nullptr && clock_ >= m.share_after) {
+        s.adopt_linearisation(members_[group->group.front()].solver->linearisation());
         ++counters_.shared_factorisations;
-      } else {
-        s.relinearise();
-      }
-      if (group != nullptr) {
         group->group.push_back(i);
-      } else if (shareable) {
-        // A fresh build — or a pool adoption — opens this step's group;
-        // later members adopt from this member directly.
-        builds.push_back(StepBuild{m.param_class, signature, {i}});
-        if (donor == nullptr) {
-          PoolEntry* slot = find_pooled(m.param_class, signature);
-          if (slot == nullptr) {
-            if (pool_.size() < kPoolCapacity) {
-              slot = &pool_.emplace_back();
-            } else {
-              slot = &pool_[pool_cursor_ % pool_.size()];
-              ++pool_cursor_;
-            }
-            slot->param_class = m.param_class;
-            slot->signature = signature;
-          }
-          slot->linearisation = s.linearisation();
+      } else {
+        if (!kept) {
+          s.relinearise();
+        }
+        if (shareable && group == nullptr) {
+          builds.push_back(StepBuild{m.param_class, signature, {i}});
         }
       }
-      relinearised[i] = 1;
     }
     s.observe_drift(stable);
   }
@@ -275,7 +264,7 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live) {
   // Clone followers copy their (now fully refreshed) leader.
   for (std::size_t i : followers) {
     const LockstepMember& m = members_[i];
-    m.solver->follow(*members_[m.clone_leader].solver, relinearised[m.clone_leader] != 0);
+    m.solver->follow(*members_[m.clone_leader].solver);
     leader_consumed[m.clone_leader] = 1;
     ++counters_.shared_factorisations;
   }
@@ -288,9 +277,10 @@ void LockstepBatch::refresh_all(const std::vector<std::size_t>& live) {
 }
 
 void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
-  // Step-local registry of freshly recomputed stability caps, keyed like the
-  // linearisation groups; recomputes after a batch-wide discontinuity all
-  // land on the same step, which is exactly when sharing pays.
+  // Step-local registry of the caps installed this step, keyed like the
+  // linearisation groups; cap updates after a batch-wide discontinuity all
+  // land on the same step, which is exactly when sharing pays. A member's
+  // own cached cap comes first: it is exact.
   struct StepCap {
     std::size_t param_class;
     std::uint64_t signature;
@@ -311,16 +301,18 @@ void LockstepBatch::stability_all(const std::vector<std::size_t>& live) {
     }
     const std::uint64_t signature = s.jacobian_signature();
     const bool shareable = signature_shareable(signature);
-    if (clock_ >= m.share_after && shareable) {
-      const auto cap = std::find_if(caps.begin(), caps.end(), [&](const StepCap& c) {
-        return c.param_class == m.param_class && c.signature == signature;
-      });
-      if (cap != caps.end()) {
-        s.adopt_stability_cap(*members_[cap->owner].solver);
-        continue;
+    if (!s.reuse_stability_cap()) {
+      if (clock_ >= m.share_after && shareable) {
+        const auto cap = std::find_if(caps.begin(), caps.end(), [&](const StepCap& c) {
+          return c.param_class == m.param_class && c.signature == signature;
+        });
+        if (cap != caps.end()) {
+          s.adopt_stability_cap(*members_[cap->owner].solver);
+          continue;
+        }
       }
+      s.recompute_stability_cap();
     }
-    s.recompute_stability_cap();
     if (shareable) {
       caps.push_back(StepCap{m.param_class, signature, i});
     }

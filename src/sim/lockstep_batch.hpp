@@ -2,24 +2,31 @@
 /// \brief Lockstep SoA batch kernel: one clock, shared linearisations.
 ///
 /// A parameter sweep runs N nearly-identical ~11-state harvester models.
-/// The per-job path re-derives the same Jacobian assembly and Jyy LU
-/// factorisation in every job; within one run the solver already skips ~half
-/// of the rebuilds through its linearisation signatures, but across jobs all
-/// of that work is repeated N times. This kernel advances the whole batch in
+/// Within one run each solver serves most signature changes from its own
+/// linearisation cache, but across jobs the remaining Jacobian assemblies
+/// and Jyy LU factorisations — and the whole march of jobs that share a
+/// prefix — are repeated N times. This kernel advances the whole batch in
 /// lockstep on a single global clock instead:
 ///
 ///  * members are grouped at every step by their linearisation signature;
-///    one member of each group assembles + factorises, the rest adopt, and
-///    the terminal elimination back-substitutes across the whole group
-///    through one structure-of-arrays multi-RHS solve
+///    a member that finds the signature in its own cache uses that entry,
+///    the first one to change to it opens a group, later members that miss
+///    their own cache adopt the group's linearisation, and the terminal
+///    elimination back-substitutes across the whole group through one
+///    structure-of-arrays multi-RHS solve
 ///    (linalg::LuFactorization::solve_multi_inplace);
 ///  * members whose spec is identical up to a known divergence time (sweep
 ///    points sharing the pre-event prefix) follow a clone leader outright:
 ///    the leader marches exactly as the per-job path would and followers
 ///    copy its refresh and its stability cap, so a batch of pure duplicates
-///    is bit-for-bit the per-job result. Followers peel off at their
-///    divergence time and re-merge into signature groups whenever
+///    is bit-for-bit the per-job result. Followers take the leader's
+///    linearisation only when they peel off at their divergence time (or
+///    leave the batch), then re-merge into signature groups whenever
 ///    signatures coincide again.
+///
+/// Across time steps the members' own linearisation caches are the only
+/// memory: adopted linearisations bypass them, so a member's cache holds
+/// nothing but its own builds.
 ///
 /// Every member runs through the public step pipeline of
 /// core::LinearisedSolver — the same phase functions its advance_to()
@@ -73,8 +80,8 @@ struct LockstepCounters {
   /// group) whose assembly + factorisation was consumed by at least one
   /// other member in the same step.
   std::uint64_t lockstep_groups = 0;
-  /// Member-refreshes served without their own Jacobian assembly +
-  /// factorisation: clone-follower syncs plus signature-group/pool adoptions.
+  /// Member-refreshes served by another member's Jacobian assembly +
+  /// factorisation: clone-follower syncs plus signature-group adoptions.
   std::uint64_t shared_factorisations = 0;
 };
 
@@ -93,26 +100,20 @@ class LockstepBatch {
   [[nodiscard]] const LockstepCounters& counters() const noexcept { return counters_; }
 
  private:
-  /// Cross-time cache of one assembled + factorised linearisation.
-  struct PoolEntry {
-    std::size_t param_class = 0;
-    std::uint64_t signature = 0;
-    core::Linearisation linearisation;
-  };
-
   /// March every live member to the barrier time \p target.
   void advance_to_barrier(const std::vector<std::size_t>& live, double target);
   /// Refresh phase across \p live members.
   void refresh_all(const std::vector<std::size_t>& live);
   /// Stability phase across \p live members.
   void stability_all(const std::vector<std::size_t>& live);
-  /// The pooled linearisation for (\p param_class, \p signature), or null.
-  [[nodiscard]] PoolEntry* find_pooled(std::size_t param_class, std::uint64_t signature);
+  /// End member \p i's clone relation if it followed its leader since the
+  /// last call: hand it the leader's linearisation
+  /// (core::LinearisedSolver::follow_linearisation).
+  void stop_following(std::size_t i);
 
   std::vector<LockstepMember> members_;
   LockstepCounters counters_;
-  std::vector<PoolEntry> pool_;
-  std::size_t pool_cursor_ = 0;  ///< round-robin replacement at capacity
+  std::vector<char> following_;  ///< member followed its leader since its last sync
   double clock_ = 0.0;
 };
 

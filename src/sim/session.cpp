@@ -146,6 +146,7 @@ Checkpoint Session::save_checkpoint(io::JsonValue meta) {
   }
   payload.set("sections", std::move(sections));
   payload.set("engine", engine_->checkpoint_state());
+  engine_->checkpoint_cut();
   payload.set("trace", trace_ ? trace_->checkpoint_state() : io::JsonValue(nullptr));
   payload.set("probes", probes_ ? probes_->checkpoint_state() : io::JsonValue(nullptr));
   payload.set("sync_points", io::u64_to_json(sync_points()));

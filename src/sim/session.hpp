@@ -114,7 +114,10 @@ class Session {
   /// the sections that own them), every registered section, the engine, the
   /// trace recorder and probe channels when present, sync-point counter and
   /// accumulated cpu_seconds. \p meta is carried verbatim for the workload
-  /// layer. Requires an initialised session.
+  /// layer. Requires an initialised session. Saving is a cut: the engine
+  /// then drops the caches the snapshot does not carry
+  /// (AnalogEngine::checkpoint_cut), so the run continues bit for bit like
+  /// one restored from it.
   [[nodiscard]] Checkpoint save_checkpoint(io::JsonValue meta = io::JsonValue(nullptr));
 
   /// Restore a snapshot into this freshly initialised session (same spec,

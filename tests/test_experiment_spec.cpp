@@ -5,9 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cstring>
+#include <cmath>
 
 #include "common/error.hpp"
+#include "core/linearised_solver.hpp"
 #include "experiments/scenarios.hpp"
 #include "experiments/sweep.hpp"
 #include "harvester/dickson_multiplier.hpp"
@@ -276,30 +277,40 @@ TEST(RunScenarioBatch, EmptyJobVectorReturnsEmptyWithoutThreadPool) {
   EXPECT_EQ(stats.shared_table_hits, 0u);
 }
 
-// ---- solver step-identity (LLE zero-drift on cache hits) ------------------
+// ---- Jacobian reuse: the A6 ablation contract --------------------------------
 
-TEST(JacobianReuse, ReuseArmsAreStepIdentical) {
-  std::uint64_t hashes[2];
+/// Both A6 arms on the Table I model. Reuse off rebuilds every refresh and
+/// never touches the linearisation cache; reuse on keeps a linearisation
+/// while its signature holds and serves revisited signatures from the
+/// cache. Both observe the same signature-driven LLE drift sequence, so
+/// they take the same number of steps; the cache hands back the
+/// linearisation of a signature's first visit, so the step times and states
+/// differ in the last digits, within the 1e-3 final-Vc bound documented for
+/// adopting a same-signature linearisation.
+TEST(JacobianReuse, ReuseArmsTakeTheSameStepsWithinTheAdoptionBound) {
   std::uint64_t steps[2];
+  std::uint64_t builds[2];
+  double vc[2];
   for (int arm = 0; arm < 2; ++arm) {
     const auto params = experiment_params(charging_scenario(0.5));
     ehsim::sim::HarvesterSession::Options options;
     options.solver.enable_jacobian_reuse = arm == 0;
     ehsim::sim::HarvesterSession session(params, options);
-    std::uint64_t hash = 1469598103934665603ull;
-    session.add_observer(
-        [&hash](double t, std::span<const double>, std::span<const double>) {
-          std::uint64_t bits;
-          std::memcpy(&bits, &t, sizeof bits);
-          hash ^= bits;
-          hash *= 1099511628211ull;
-        });
     session.run_until(0.5);
-    hashes[arm] = hash;
+    const auto& solver =
+        dynamic_cast<const ehsim::core::LinearisedSolver&>(session.engine());
+    if (arm == 1) {
+      EXPECT_EQ(solver.linearisation_cache().size(), 0u);
+      EXPECT_EQ(session.stats().jacobian_reuses, 0u);
+      EXPECT_EQ(session.stats().stability_reuses, 0u);
+    }
     steps[arm] = session.stats().steps;
+    builds[arm] = session.stats().jacobian_builds;
+    vc[arm] = session.terminals()[session.system().vc_index()];
   }
   EXPECT_EQ(steps[0], steps[1]);
-  EXPECT_EQ(hashes[0], hashes[1]);  // every accepted step time, bit for bit
+  EXPECT_LE(std::abs(vc[0] - vc[1]) / std::max(1.0, std::abs(vc[1])), 1e-3);
+  EXPECT_LE(builds[0] * 10, builds[1]);
 }
 
 }  // namespace

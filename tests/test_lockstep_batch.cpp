@@ -5,7 +5,8 @@
 ///  * a batch of bitwise-identical jobs marches bit-for-bit like the per-job
 ///    path, and so does the shared prefix of sweep points that differ only
 ///    in excitation events after t = 0;
-///  * a clone follower is passive: adding one never changes another member;
+///  * a clone follower is passive: adding one never changes another member,
+///    and when it peels off it continues from its leader's linearisation;
 ///  * once members diverge, shared linearisations keep every result within
 ///    the documented io::compare tolerances of its per-job reference;
 ///  * the march is serial, so results are identical for any thread count.
@@ -14,6 +15,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/error.hpp"
@@ -278,6 +280,66 @@ TEST(LockstepBatch, AddingACloneFollowerNeverChangesAnyOtherMembersBits) {
   const auto follower = triple[2]->state();
   for (std::size_t k = 0; k < follower.size(); ++k) {
     EXPECT_EQ(leader[k], follower[k]) << "follower state " << k;
+  }
+}
+
+TEST(LockstepBatch, APeelingFollowerContinuesLikeItsLeaderCutAtThePeel) {
+  // A clone follower copies only its leader's point while it follows; the
+  // leader's linearisation and LLE monitor are handed over once, when the
+  // clone relation ends. Here the relation ends where the leader's horizon
+  // does, so the follower then marches alone, and must march exactly like
+  // its per-job self after a checkpoint cut at the last followed point:
+  // same linearisation and monitor, empty linearisation cache.
+  const auto params = experiment_params(charging_scenario(0.6));
+  ehsim::sim::HarvesterSession::Options options;
+  options.with_mcu = false;
+  constexpr double kPeel = 0.3;
+  constexpr double kEnd = 0.6;
+
+  double last_followed = 0.0;
+  {
+    ehsim::sim::HarvesterSession per_job(params, options);
+    per_job.add_observer([&](double t, std::span<const double>, std::span<const double>) {
+      if (t < kPeel) {
+        last_followed = t;
+      }
+    });
+    per_job.run_until(kPeel);
+  }
+  ehsim::sim::HarvesterSession cut(params, options);
+  cut.add_observer([&](double t, std::span<const double>, std::span<const double>) {
+    if (t == last_followed) {
+      cut.engine().checkpoint_cut();
+    }
+  });
+  cut.run_until(kPeel);
+  cut.run_until(kEnd);
+
+  ehsim::sim::HarvesterSession leader(params, options);
+  ehsim::sim::HarvesterSession follower(params, options);
+  leader.initialise();
+  follower.initialise();
+  std::vector<ehsim::sim::LockstepMember> members(2);
+  members[0].solver = dynamic_cast<ehsim::core::LinearisedSolver*>(&leader.engine());
+  members[0].t_end = kPeel;
+  members[1].solver = dynamic_cast<ehsim::core::LinearisedSolver*>(&follower.engine());
+  members[1].t_end = kEnd;
+  members[1].clone_leader = 0;
+  members[1].diverges_at = kPeel;
+  for (ehsim::sim::LockstepMember& member : members) {
+    member.share_after = std::numeric_limits<double>::infinity();
+  }
+  ehsim::sim::LockstepBatch batch(std::move(members));
+  batch.run();
+
+  EXPECT_EQ(cut.stats().steps, follower.stats().steps);
+  EXPECT_EQ(cut.stats().jacobian_builds, follower.stats().jacobian_builds);
+  EXPECT_EQ(cut.stats().jacobian_reuses, follower.stats().jacobian_reuses);
+  const auto expected = cut.state();
+  const auto actual = follower.state();
+  ASSERT_EQ(expected.size(), actual.size());
+  for (std::size_t k = 0; k < actual.size(); ++k) {
+    EXPECT_EQ(expected[k], actual[k]) << "state " << k;  // bit-identical
   }
 }
 

@@ -471,29 +471,86 @@ class PacedScript : public std::streambuf {
   char current_ = 0;
 };
 
+/// The daemon's output stream as the test sees it: the worker writes event
+/// lines from its own thread while the test waits for a particular one.
+class WatchedOutput : public std::streambuf {
+ public:
+  /// Wait up to \p limit for a complete line for which \p match holds;
+  /// false on timeout.
+  template <typename Match>
+  bool wait_for_line(Match match, std::chrono::seconds limit) {
+    std::unique_lock<std::mutex> lock(mutex_);
+    return ready_.wait_for(lock, limit, [&] {
+      for (std::size_t end; (end = text_.find('\n', scanned_)) != std::string::npos;) {
+        const std::string line = text_.substr(scanned_, end - scanned_);
+        scanned_ = end + 1;
+        if (match(line)) {
+          matched_ = true;
+        }
+      }
+      return matched_;
+    });
+  }
+
+  [[nodiscard]] std::string text() {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    return text_;
+  }
+
+ protected:
+  int_type overflow(int_type ch) override {
+    if (!traits_type::eq_int_type(ch, traits_type::eof())) {
+      const char c = traits_type::to_char_type(ch);
+      xsputn(&c, 1);
+    }
+    return traits_type::not_eof(ch);
+  }
+
+  std::streamsize xsputn(const char* data, std::streamsize count) override {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      text_.append(data, static_cast<std::size_t>(count));
+    }
+    ready_.notify_all();
+    return count;
+  }
+
+ private:
+  std::mutex mutex_;
+  std::condition_variable ready_;
+  std::string text_;
+  std::size_t scanned_ = 0;
+  bool matched_ = false;
+};
+
 TEST(ServeServer, CancelOfARunningJobDoesNotLeakOntoALaterSameIdRequest) {
   // Regression: a cancel envelope that arrives while its id is already
   // *executing* used to stay in the cancel set forever, spuriously
-  // cancelling the next request that reused the id. The paced script feeds
-  // the cancel only after job 1 is (with overwhelming likelihood) running:
-  // the first job simulates ~2s of model time, the cancel is fed ~a few ms
-  // after the worker dequeued it.
+  // cancelling the next request that reused the id. The cancel is fed only
+  // once job 1 has emitted its `started` event, so it lands while job 1
+  // runs, whatever the engine's speed: job 1 simulates 20 s of model time,
+  // far longer than the cancel takes to reach the reader.
   ExperimentSpec slow = tiny_spec("stale-cancel-first");
-  slow.duration = 2.0;
+  slow.duration = 20.0;
   const ExperimentSpec second = tiny_spec("stale-cancel-second");
 
   PacedScript script;
   std::istream in(&script);
-  std::ostringstream out;
+  WatchedOutput watched;
+  std::ostream out(&watched);
   ServerOptions options;
   Server server(in, out, options);
 
-  std::thread feeder([&script, &slow, &second] {
+  bool saw_started = false;
+  std::thread feeder([&script, &watched, &slow, &second, &saw_started] {
     script.feed(envelope(1, "run", io::to_json(slow)) + "\n");
-    // Give the worker time to dequeue job 1 and start stepping. If the
-    // machine stalls past the whole first job, the test degrades to the
-    // already-covered cancel-of-queued case — it never false-fails.
-    std::this_thread::sleep_for(std::chrono::milliseconds(30));
+    saw_started = watched.wait_for_line(
+        [](const std::string& line) {
+          const JsonValue event = JsonValue::parse(line);
+          return event.at("event").as_string() == "started" && event.contains("id") &&
+                 event.at("id").as_number() == 1.0;
+        },
+        std::chrono::seconds(120));
     script.feed(control(1, "cancel") + "\n" +
                 envelope(1, "run", io::to_json(second)) + "\n" +
                 control(9, "shutdown") + "\n");
@@ -501,9 +558,10 @@ TEST(ServeServer, CancelOfARunningJobDoesNotLeakOntoALaterSameIdRequest) {
   });
   EXPECT_EQ(server.run(), 0);
   feeder.join();
+  ASSERT_TRUE(saw_started) << "job 1 never reported started";
 
   std::vector<JsonValue> events;
-  std::istringstream lines(out.str());
+  std::istringstream lines(watched.text());
   std::string line;
   while (std::getline(lines, line)) {
     events.push_back(JsonValue::parse(line));

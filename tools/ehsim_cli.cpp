@@ -361,6 +361,10 @@ class JobTable {
                     experiments::format_double(result.final_vc, 4),
                     experiments::format_double(result.final_resonance_hz, 3)});
     ++jobs_;
+    builds_ += result.stats.jacobian_builds;
+    reuses_ += result.stats.jacobian_reuses;
+    cap_evaluations_ += result.stats.stability_recomputes;
+    cap_reuses_ += result.stats.stability_reuses;
     shared_tables_ += result.shared_diode_table ? 1 : 0;
     lockstep_groups_ = result.lockstep_groups;
     shared_factorisations_ = result.shared_factorisations;
@@ -369,6 +373,14 @@ class JobTable {
   void print() const {
     if (jobs_ == 0) return;
     table_.print(std::cout);
+    if (builds_ + reuses_ > 0) {
+      std::printf("linearisations: %llu built, %llu reused; Eq. 7 caps: %llu evaluated, "
+                  "%llu reused\n",
+                  static_cast<unsigned long long>(builds_),
+                  static_cast<unsigned long long>(reuses_),
+                  static_cast<unsigned long long>(cap_evaluations_),
+                  static_cast<unsigned long long>(cap_reuses_));
+    }
     if (jobs_ > 1) {
       std::printf("%zu jobs, %zu shared diode-table hits\n", jobs_, shared_tables_);
     }
@@ -383,6 +395,10 @@ class JobTable {
   experiments::TablePrinter table_{
       {"job", "engine", "CPU", "steps", "final Vc [V]", "final f0r [Hz]"}};
   std::size_t jobs_ = 0;
+  std::uint64_t builds_ = 0;
+  std::uint64_t reuses_ = 0;
+  std::uint64_t cap_evaluations_ = 0;
+  std::uint64_t cap_reuses_ = 0;
   std::size_t shared_tables_ = 0;
   std::uint64_t lockstep_groups_ = 0;
   std::uint64_t shared_factorisations_ = 0;
