@@ -5,14 +5,22 @@
 /// comparison: the dense LU factorisation the Newton-Raphson baseline pays
 /// at every iteration (cubic in the model size), the Eq. 4 elimination
 /// solve, the Adams-Bashforth update, table lookups, and the full-system
-/// eval/jacobian assembly of the 11-state harvester model.
+/// eval/jacobian assembly of the 11-state harvester model, and the Eq. 3
+/// LLE drift update over every Jacobian entry against the solver's scan of
+/// the declared varying ones.
 #include <benchmark/benchmark.h>
 
+#include <array>
 #include <random>
+#include <span>
+#include <vector>
 
 #include "core/assembler.hpp"
+#include "core/linearised_solver.hpp"
+#include "core/lle_monitor.hpp"
 #include "experiments/scenarios.hpp"
 #include "harvester/harvester_system.hpp"
+#include "sim/harvester_session.hpp"
 #include "linalg/eigen.hpp"
 #include "linalg/lu.hpp"
 #include "ode/ab_coefficients.hpp"
@@ -113,6 +121,68 @@ void BM_JacobianSignature(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_JacobianSignature);
+
+/// The linearisations the Table I run (1 s, 70 Hz, no MCU) feeds its LLE
+/// monitor — one per signature change, in march order — and the model's
+/// declared varying entries.
+struct LleSequence {
+  std::vector<std::array<ehsim::linalg::Matrix, 4>> jacobians;
+  ehsim::core::JacobianPattern varying;
+  std::size_t entries = 0;
+};
+
+const LleSequence& table1_lle_sequence() {
+  static const LleSequence sequence = [] {
+    using namespace ehsim;
+    LleSequence out;
+    sim::HarvesterSession session(experiments::experiment_params(
+        experiments::charging_scenario(1.0)));
+    auto& solver = dynamic_cast<core::LinearisedSolver&>(session.engine());
+    // No MCU, so no discontinuity: every signature change reaches an
+    // observer, with the linearisation the monitor was just fed.
+    bool first = true;
+    std::uint64_t signature = 0;
+    session.add_observer([&](double, std::span<const double>, std::span<const double>) {
+      if (first || solver.jacobian_signature() != signature) {
+        const core::Linearisation& lin = solver.linearisation();
+        out.jacobians.push_back({lin.jxx, lin.jxy, lin.jyx, lin.jyy});
+      }
+      first = false;
+      signature = solver.jacobian_signature();
+    });
+    session.initialise(0.0);
+    session.run_until(1.0);
+    const core::SystemAssembler& system = session.session().engine().system();
+    out.varying = system.varying_jacobian_entries();
+    out.entries = (system.num_states() + system.num_nets()) *
+                  (system.num_states() + system.num_nets());
+    return out;
+  }();
+  return sequence;
+}
+
+/// LleMonitor::update per signature change of the Table I run: Arg 0 scans
+/// every entry (a default-constructed monitor), Arg 1 only the declared
+/// varying ones, as the solver does. Both report identical drifts.
+void BM_LleUpdate(benchmark::State& state) {
+  const bool sparse = state.range(0) == 1;
+  const LleSequence& sequence = table1_lle_sequence();
+  for (auto _ : state) {
+    ehsim::core::LleMonitor monitor;
+    for (const auto& j : sequence.jacobians) {
+      benchmark::DoNotOptimize(
+          monitor.update(j[0], j[1], j[2], j[3], sparse ? &sequence.varying : nullptr));
+    }
+  }
+  const auto updates = static_cast<double>(sequence.jacobians.size());
+  state.counters["updates"] = updates;
+  state.counters["per_update"] = benchmark::Counter(
+      updates, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(sparse ? std::to_string(sequence.varying.size()) + " of " +
+                              std::to_string(sequence.entries) + " entries"
+                        : "every entry");
+}
+BENCHMARK(BM_LleUpdate)->Arg(0)->Arg(1);
 
 /// QR eigenvalues of the 11x11 eliminated system — the Eq. 7 stability
 /// recomputation (amortised over hundreds of steps).

@@ -97,6 +97,29 @@ void SystemAssembler::elaborate() {
                      std::to_string(nets_.size()) + " nets — the Eq. 4 elimination needs "
                      "exactly one constraint per terminal variable");
   }
+  // Map each block's varying entries, in place, the way jacobians() scatters
+  // its local matrices: state rows/columns by offset, terminal columns onto
+  // their nets.
+  std::vector<JacobianEntry> varying;
+  varying.reserve(4 * (total_states_ + nets_.size()));  // one allocation for sparse declarations
+  for (const auto& record : blocks_) {
+    const AnalogBlock& block = *record.block;
+    const std::size_t first = varying.size();
+    block.varying_jacobian_entries(varying);
+    for (std::size_t i = first; i < varying.size(); ++i) {
+      JacobianEntry& e = varying[i];
+      const bool state_row = e.block == JacobianBlock::kXX || e.block == JacobianBlock::kXY;
+      const bool state_col = e.block == JacobianBlock::kXX || e.block == JacobianBlock::kYX;
+      if (e.row >= (state_row ? block.num_states() : block.num_algebraic()) ||
+          e.col >= (state_col ? block.num_states() : block.num_terminals())) {
+        throw ModelError("SystemAssembler: block '" + block.name() +
+                         "' declares a varying Jacobian entry outside its local block");
+      }
+      e.row += state_row ? record.state_offset : record.algebraic_offset;
+      e.col = state_col ? record.state_offset + e.col : record.terminal_net[e.col];
+    }
+  }
+  varying_entries_ = JacobianPattern(total_states_, nets_.size(), std::move(varying));
   elaborated_ = true;
 }
 

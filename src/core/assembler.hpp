@@ -22,6 +22,7 @@
 
 #include "common/error.hpp"
 #include "core/block.hpp"
+#include "core/jacobian_pattern.hpp"
 #include "linalg/matrix.hpp"
 
 namespace ehsim::core {
@@ -97,6 +98,12 @@ class SystemAssembler {
   [[nodiscard]] std::uint64_t jacobian_signature(double t, std::span<const double> x,
                                                  std::span<const double> y) const;
 
+  /// The global Jacobian entries that may change within an epoch: every
+  /// block's AnalogBlock::varying_jacobian_entries, mapped at elaborate().
+  [[nodiscard]] const JacobianPattern& varying_jacobian_entries() const noexcept {
+    return varying_entries_;
+  }
+
   // ---- Global evaluation (valid after elaborate()) --------------------------
   /// Gather initial states from all blocks into \p x (size num_states()).
   void initial_state(std::span<double> x) const;
@@ -129,6 +136,7 @@ class SystemAssembler {
 
   std::vector<BlockRecord> blocks_;
   std::vector<std::string> nets_;
+  JacobianPattern varying_entries_;
   mutable std::uint64_t fresh_signature_counter_ = 0;
   std::size_t total_states_ = 0;
   std::size_t total_algebraic_ = 0;

@@ -26,6 +26,18 @@ std::uint64_t AnalogBlock::jacobian_signature(double /*t*/, std::span<const doub
   return kAlwaysRebuild;
 }
 
+void AnalogBlock::varying_jacobian_entries(std::vector<JacobianEntry>& entries) const {
+  const std::size_t rows[] = {num_states_, num_states_, num_algebraic_, num_algebraic_};
+  const std::size_t cols[] = {num_states_, num_terminals_, num_states_, num_terminals_};
+  for (std::size_t b = 0; b < 4; ++b) {
+    for (std::size_t r = 0; r < rows[b]; ++r) {
+      for (std::size_t c = 0; c < cols[b]; ++c) {
+        entries.push_back(JacobianEntry{static_cast<JacobianBlock>(b), r, c});
+      }
+    }
+  }
+}
+
 std::string AnalogBlock::state_name(std::size_t i) const {
   std::string name("x");
   name += std::to_string(i);

@@ -23,7 +23,9 @@
 #include <cstdint>
 #include <span>
 #include <string>
+#include <vector>
 
+#include "core/jacobian_pattern.hpp"
 #include "linalg/matrix.hpp"
 
 namespace ehsim::core {
@@ -65,6 +67,14 @@ class AnalogBlock {
   virtual void jacobians(double t, std::span<const double> x, std::span<const double> y,
                          linalg::Matrix& jxx, linalg::Matrix& jxy, linalg::Matrix& jyx,
                          linalg::Matrix& jyy) const = 0;
+
+  /// Append to \p entries every local entry of jacobians() that may change
+  /// between two linearisation points of one epoch. The LLE monitor (Eq. 3)
+  /// scans only these: an undeclared entry must be bit-identical at every
+  /// (t, x, y) of an epoch, and a parameter change that moves one must bump
+  /// the epoch. Repeats are harmless. Default: every entry, which is always
+  /// correct.
+  virtual void varying_jacobian_entries(std::vector<JacobianEntry>& entries) const;
 
   /// Human-readable local state name (default "x<i>").
   [[nodiscard]] virtual std::string state_name(std::size_t i) const;

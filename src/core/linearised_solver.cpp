@@ -203,26 +203,26 @@ void LinearisedSolver::adopt_linearisation(const Linearisation& donor) {
   jacobians_valid_ = true;
   own_ = donor;
   lin_ = &own_;
+  lle_.expect_foreign_linearisation();
   ++stats_.jacobian_reuses;
 }
 
 void LinearisedSolver::observe_drift(bool signature_stable) {
-  const Linearisation& lin = *lin_;
+  // Signature-stable refreshes observe zero drift; signature changes
+  // observe the drift against the Jacobians of the last signature change,
+  // scanning only the entries the blocks declare varying.
+  double drift = 0.0;
+  if (!signature_stable) {
+    const Linearisation& lin = *lin_;
+    drift = lle_.update(lin.jxx, lin.jxy, lin.jyx, lin.jyy,
+                        &system_->varying_jacobian_entries());
+    drift_since_stability_ = std::max(drift_since_stability_, drift);
+  }
   if (config_.enable_lle_control && config_.fixed_step <= 0.0) {
     // Feed-forward LLE control (Eq. 3): the drift ratio shrinks or grows
     // the *next* step; an explicit march cannot backtrack, so there is no
-    // rejection path here. Signature-stable refreshes observe zero drift;
-    // signature changes observe the drift against the Jacobians of the last
-    // signature change.
-    double drift = 0.0;
-    if (!signature_stable) {
-      drift = lle_.update(lin.jxx, lin.jxy, lin.jyx, lin.jyy);
-      drift_since_stability_ = std::max(drift_since_stability_, drift);
-    }
+    // rejection path here.
     controller_.update(drift / std::max(config_.lle_tolerance, 1e-12));
-  } else if (!signature_stable) {
-    drift_since_stability_ =
-        std::max(drift_since_stability_, lle_.update(lin.jxx, lin.jxy, lin.jyx, lin.jyy));
   }
 }
 
@@ -436,6 +436,7 @@ void LinearisedSolver::follow_linearisation(const LinearisedSolver& leader) {
   own_ = *leader.lin_;
   lin_ = &own_;
   lle_ = leader.lle_;
+  lle_.expect_foreign_linearisation();
 }
 
 void LinearisedSolver::follow_stability(const LinearisedSolver& leader) {
@@ -548,7 +549,7 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
                                           what + ".jacobian_signature");
   history_.restore_checkpoint_state(io::require_key(state, what, "history"));
   controller_.restore_checkpoint_state(io::require_key(state, what, "controller"));
-  lle_.restore_checkpoint_state(io::require_key(state, what, "lle"));
+  lle_.restore_checkpoint_state(io::require_key(state, what, "lle"), x_.size(), y_.size());
   h_stability_ =
       io::real_from_json(io::require_key(state, what, "h_stability"), what + ".h_stability");
   steps_since_stability_ = io::index_from_json(

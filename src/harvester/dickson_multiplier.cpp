@@ -160,6 +160,37 @@ void DicksonMultiplier::jacobians(double /*t*/, std::span<const double> x,
   jyy(1, kVc) = g_out;
 }
 
+void DicksonMultiplier::varying_jacobian_entries(
+    std::vector<core::JacobianEntry>& entries) const {
+  // Mirrors jacobians(): every entry below carries a diode conductance; the
+  // 1/Cf and port entries are constant.
+  using core::JacobianBlock;
+  const std::size_t n = params_.stages;
+  auto diode_row = [&](std::size_t r, std::size_t i) {  // Id_i - Id_{i+1} into row r
+    if (i >= 2) {
+      entries.push_back({JacobianBlock::kXX, r, i - 2});
+    }
+    entries.push_back({JacobianBlock::kXX, r, i - 1});
+    if (i + 1 <= n) {
+      entries.push_back({JacobianBlock::kXX, r, i});
+    } else {
+      entries.push_back({JacobianBlock::kXY, r, kVc});
+    }
+    entries.push_back({JacobianBlock::kXX, r, n});
+  };
+  for (std::size_t i = 1; i <= n; ++i) {
+    diode_row(i - 1, i);
+  }
+  for (std::size_t i = 1; i <= n; i += 2) {
+    diode_row(n, i);
+  }
+  entries.push_back({JacobianBlock::kYX, 1, n - 1});
+  if (pump_phase(n) != 0.0) {
+    entries.push_back({JacobianBlock::kYX, 1, n});  // -g_out * dvd_{n+1}/dVf
+  }
+  entries.push_back({JacobianBlock::kYY, 1, kVc});
+}
+
 std::uint64_t DicksonMultiplier::jacobian_signature(double /*t*/, std::span<const double> x,
                                                      std::span<const double> y) const {
   if (mode_ != DeviceEvalMode::kPwlTable) {

@@ -52,6 +52,11 @@ class DicksonMultiplier final : public core::AnalogBlock {
   void jacobians(double t, std::span<const double> x, std::span<const double> y,
                  linalg::Matrix& jxx, linalg::Matrix& jxy, linalg::Matrix& jyx,
                  linalg::Matrix& jyy) const override;
+  /// The entries jacobians() writes from diode conductances: each stage
+  /// row's band and Vf column, the filter row and the output diode's
+  /// couplings — about five per stage, so the LLE scan grows linearly with
+  /// the stage count.
+  void varying_jacobian_entries(std::vector<core::JacobianEntry>& entries) const override;
 
   [[nodiscard]] std::string state_name(std::size_t i) const override;
   [[nodiscard]] std::string terminal_name(std::size_t i) const override;

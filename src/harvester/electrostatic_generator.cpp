@@ -71,6 +71,13 @@ void ElectrostaticGenerator::jacobians(double /*t*/, std::span<const double> x,
   jyy(0, kIm) = params_.series_resistance;
 }
 
+void ElectrostaticGenerator::varying_jacobian_entries(
+    std::vector<core::JacobianEntry>& entries) const {
+  entries.push_back({core::JacobianBlock::kXX, kVel, kQ});
+  entries.push_back({core::JacobianBlock::kYX, 0, kZ});
+  entries.push_back({core::JacobianBlock::kYX, 0, kQ});
+}
+
 std::string ElectrostaticGenerator::state_name(std::size_t i) const {
   switch (i) {
     case kZ:

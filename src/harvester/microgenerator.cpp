@@ -105,6 +105,10 @@ void Microgenerator::jacobians(double t, std::span<const double> /*x*/,
   }
 }
 
+void Microgenerator::varying_jacobian_entries(std::vector<core::JacobianEntry>& entries) const {
+  entries.push_back({core::JacobianBlock::kXX, kVel, kZ});
+}
+
 std::uint64_t Microgenerator::jacobian_signature(double t, std::span<const double> /*x*/,
                                                  std::span<const double> /*y*/) const {
   if (actuator_->moving(t)) {

@@ -52,6 +52,9 @@ void PiezoGenerator::jacobians(double /*t*/, std::span<const double> /*x*/,
   jyy(0, kIm) = params_.series_resistance;
 }
 
+void PiezoGenerator::varying_jacobian_entries(
+    std::vector<core::JacobianEntry>& /*entries*/) const {}
+
 std::uint64_t PiezoGenerator::jacobian_signature(double /*t*/, std::span<const double> /*x*/,
                                                  std::span<const double> /*y*/) const {
   return 1;  // constant-coefficient linear block

@@ -48,6 +48,8 @@ class PiezoGenerator final : public core::AnalogBlock {
   void jacobians(double t, std::span<const double> x, std::span<const double> y,
                  linalg::Matrix& jxx, linalg::Matrix& jxy, linalg::Matrix& jyx,
                  linalg::Matrix& jyy) const override;
+  /// None: the Jacobians are constant.
+  void varying_jacobian_entries(std::vector<core::JacobianEntry>& entries) const override;
   [[nodiscard]] std::string state_name(std::size_t i) const override;
   [[nodiscard]] std::string terminal_name(std::size_t i) const override;
   /// Constant-coefficient block: the Jacobians never change.

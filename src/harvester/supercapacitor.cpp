@@ -119,16 +119,24 @@ void Supercapacitor::jacobians(double /*t*/, std::span<const double> x,
   jyy(0, kIc) = 1.0;
 }
 
+void Supercapacitor::varying_jacobian_entries(std::vector<core::JacobianEntry>& entries) const {
+  entries.push_back({core::JacobianBlock::kXX, kVi, kVi});
+  entries.push_back({core::JacobianBlock::kXY, kVi, kVc});
+}
+
 std::uint64_t Supercapacitor::jacobian_signature(double /*t*/, std::span<const double> x,
                                                  std::span<const double> y) const {
   // 1 mV quantisation of the two quantities entering the non-linear
-  // immediate-branch Jacobian entries.
+  // immediate-branch Jacobian entries, and the load mode, whose 1/Req
+  // enters Jyy: equal epochs do not imply equal modes across systems.
   const auto q_vi = static_cast<std::int64_t>(x[kVi] * 1000.0);
   const auto q_dv = static_cast<std::int64_t>((y[kVc] - x[kVi]) * 1000.0);
   std::uint64_t hash = 1469598103934665603ull;
   hash ^= static_cast<std::uint64_t>(q_vi + (1ll << 32));
   hash *= 1099511628211ull;
   hash ^= static_cast<std::uint64_t>(q_dv + (1ll << 32));
+  hash *= 1099511628211ull;
+  hash ^= static_cast<std::uint64_t>(mode_);
   hash *= 1099511628211ull;
   return hash;
 }

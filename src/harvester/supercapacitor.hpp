@@ -44,13 +44,16 @@ class Supercapacitor final : public core::AnalogBlock {
   void jacobians(double t, std::span<const double> x, std::span<const double> y,
                  linalg::Matrix& jxx, linalg::Matrix& jxy, linalg::Matrix& jyx,
                  linalg::Matrix& jyy) const override;
+  /// The two entries carrying Ci(Vi); the load conductance only changes
+  /// with the load mode, which bumps the epoch.
+  void varying_jacobian_entries(std::vector<core::JacobianEntry>& entries) const override;
 
   [[nodiscard]] std::string state_name(std::size_t i) const override;
   [[nodiscard]] std::string terminal_name(std::size_t i) const override;
 
   /// Jacobians vary only through the voltage-dependent immediate-branch
-  /// capacitance; quantising the operating point to 1 mV certifies reuse
-  /// with a relative Jacobian staleness below 1e-4.
+  /// capacitance and the load mode; quantising the operating point to 1 mV
+  /// certifies reuse with a relative Jacobian staleness below 1e-4.
   [[nodiscard]] std::uint64_t jacobian_signature(double t, std::span<const double> x,
                                                  std::span<const double> y) const override;
 

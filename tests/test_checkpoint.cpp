@@ -17,6 +17,8 @@
 #include "experiments/sweep.hpp"
 #include "io/json.hpp"
 #include "io/spec_json.hpp"
+#include "io/state_json.hpp"
+#include "linalg/matrix.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace {
@@ -273,6 +275,56 @@ TEST(Checkpoint, ResumeRefusesWarmStartEraCheckpoints) {
   } catch (const ModelError& error) {
     EXPECT_NE(std::string(error.what()).find("warm_start"), std::string::npos)
         << error.what();
+  }
+}
+
+/// The member \p key of JSON object \p object.
+ehsim::io::JsonValue& member(ehsim::io::JsonValue& object, const std::string& key) {
+  for (auto& [name, value] : object.as_object()) {
+    if (name == key) {
+      return value;
+    }
+  }
+  throw ModelError("test: no member '" + key + "'");
+}
+
+/// A checkpoint whose LLE section does not fit the model is refused at
+/// restore, naming the key: the drift scan indexes the restored matrices
+/// and row scales by the model's shape.
+TEST(Checkpoint, ResumeRefusesLleSectionsOfTheWrongShape) {
+  using ehsim::io::JsonValue;
+  const ExperimentSpec spec = small_spec();
+  const std::vector<std::pair<std::string, JsonValue>> cases = {
+      {"prev_jxx", ehsim::io::matrix_to_json(ehsim::linalg::Matrix(2, 2))},
+      {"prev_jyx", ehsim::io::matrix_to_json(ehsim::linalg::Matrix(4, 10))},
+      {"scale_xy", ehsim::io::reals_to_json(std::vector<double>(3, 1.0))},
+      {"scale_yy", ehsim::io::reals_to_json(std::vector<double>(11, 1.0))},
+  };
+  for (const auto& [key, replacement] : cases) {
+    ScratchDir dir("lle_shape_" + key);
+    CheckpointOptions options;
+    options.every = 0.5;
+    options.dir = dir.str();
+    options.abort_after = 1;
+    ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+
+    const std::string path = checkpoint_file_path(options, spec.name);
+    JsonValue document = JsonValue::parse(ehsim::io::read_file(path));
+    JsonValue& lle = member(member(member(document, "payload"), "engine"), "lle");
+    ASSERT_TRUE(member(lle, "has_previous").as_bool());
+    lle.set(key, replacement);
+    ehsim::io::write_file(path, document.dump(2));
+
+    CheckpointOptions resume = options;
+    resume.abort_after = -1;
+    resume.resume = true;
+    try {
+      (void)run_experiment_checkpointed(spec, resume);
+      ADD_FAILURE() << "a checkpoint with a malformed lle." << key << " was resumed";
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("checkpoint.lle." + key), std::string::npos)
+          << error.what();
+    }
   }
 }
 

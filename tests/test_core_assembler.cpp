@@ -2,7 +2,10 @@
 /// \brief System assembly and global Jacobian stacking tests (paper §III-E).
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "core/assembler.hpp"
@@ -100,6 +103,73 @@ TEST(Assembler, MutationAfterElaborationRejected) {
   EXPECT_THROW(rc.assembler.add_block(std::make_unique<CapacitorBlock>(1.0, 0.0)),
                ModelError);
   EXPECT_THROW(rc.assembler.net("new"), ModelError);
+}
+
+TEST(Assembler, UndeclaredBlocksScanEveryEntry) {
+  // The test blocks keep AnalogBlock's default declaration: every entry
+  // either block writes, i.e. all 9 global entries but Jyx(0, 0) (the
+  // source's algebraic row has no state to couple to).
+  RcFixture rc;
+  EXPECT_EQ(rc.assembler.varying_jacobian_entries().size(), 8u);
+}
+
+/// A grounded unit capacitor (dvc/dt = I, V = vc) declaring \p declared.
+class DeclaringCapacitor final : public ehsim::core::AnalogBlock {
+ public:
+  explicit DeclaringCapacitor(std::vector<ehsim::core::JacobianEntry> declared)
+      : AnalogBlock("declaring", 1, 2, 1), declared_(std::move(declared)) {}
+  void eval(double, std::span<const double> x, std::span<const double> y,
+            std::span<double> fx, std::span<double> fy) const override {
+    fx[0] = y[1];
+    fy[0] = y[0] - x[0];
+  }
+  void jacobians(double, std::span<const double>, std::span<const double>, Matrix&,
+                 Matrix& jxy, Matrix& jyx, Matrix& jyy) const override {
+    jxy(0, 1) = 1.0;
+    jyx(0, 0) = -1.0;
+    jyy(0, 0) = 1.0;
+  }
+  void varying_jacobian_entries(std::vector<ehsim::core::JacobianEntry>& entries) const override {
+    entries.insert(entries.end(), declared_.begin(), declared_.end());
+  }
+
+ private:
+  std::vector<ehsim::core::JacobianEntry> declared_;
+};
+
+TEST(Assembler, VaryingEntriesLandWhereJacobiansScatterThem) {
+  using ehsim::core::JacobianBlock;
+  SystemAssembler assembler;
+  const auto source = assembler.add_block(
+      std::make_unique<SourceResistorBlock>([](double) { return 1.0; }, 10.0));
+  const auto cap = assembler.add_block(std::make_unique<DeclaringCapacitor>(
+      std::vector<ehsim::core::JacobianEntry>{{JacobianBlock::kXY, 0, 1},
+                                              {JacobianBlock::kYY, 0, 0}}));
+  const auto v = assembler.net("V");
+  const auto i = assembler.net("I");
+  assembler.bind(source, 0, v);
+  assembler.bind(source, 1, i);
+  assembler.bind(cap, 0, i);  // terminals bound in swapped order
+  assembler.bind(cap, 1, v);
+  assembler.elaborate();
+  // Source (every entry): Jyy row 0, both nets. Capacitor (algebraic row
+  // 1): local Jxy(0, 1) lands on V's column, local Jyy(0, 0) on I's.
+  const auto& pattern = assembler.varying_jacobian_entries();
+  EXPECT_EQ(pattern.size(JacobianBlock::kXY), 1u);
+  EXPECT_EQ(pattern.size(JacobianBlock::kYY), 3u);
+  EXPECT_EQ(pattern.indices(), (std::vector<std::uint32_t>{0, 0, 1, 3}));
+
+  // A declaration outside the block's own 1 x 1 Jxx is refused.
+  SystemAssembler bad;
+  const auto bad_source = bad.add_block(
+      std::make_unique<SourceResistorBlock>([](double) { return 1.0; }, 10.0));
+  const auto bad_cap = bad.add_block(std::make_unique<DeclaringCapacitor>(
+      std::vector<ehsim::core::JacobianEntry>{{JacobianBlock::kXX, 1, 0}}));
+  for (const auto block : {bad_source, bad_cap}) {
+    bad.bind(block, 0, bad.net("V"));
+    bad.bind(block, 1, bad.net("I"));
+  }
+  EXPECT_THROW(bad.elaborate(), ModelError);
 }
 
 TEST(Assembler, InitialStateGathersFromBlocks) {

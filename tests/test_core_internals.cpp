@@ -2,9 +2,17 @@
 /// \brief LLE monitor, trace CSV, and Jacobian-reuse signature tests.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
 #include <memory>
 #include <sstream>
+#include <string>
+#include <vector>
 
+#include "common/error.hpp"
+#include "core/jacobian_pattern.hpp"
 #include "core/linearised_solver.hpp"
 #include "core/lle_monitor.hpp"
 #include "core/mixed_signal.hpp"
@@ -64,6 +72,140 @@ TEST(LleMonitor, ResetForgetsPrevious) {
   monitor.reset();
   EXPECT_FALSE(monitor.has_previous());
   EXPECT_EQ(monitor.update(j, e, e, e), 0.0);
+}
+
+TEST(JacobianPattern, GroupsEntriesByBlockAndRow) {
+  using ehsim::core::JacobianBlock;
+  using ehsim::core::JacobianPattern;
+  // Two states, one net; entries in any order, one repeated.
+  const JacobianPattern pattern(2, 1,
+                                {{JacobianBlock::kYY, 0, 0},
+                                 {JacobianBlock::kXX, 1, 0},
+                                 {JacobianBlock::kXX, 0, 1},
+                                 {JacobianBlock::kXX, 1, 1},
+                                 {JacobianBlock::kXX, 1, 0}});
+  EXPECT_EQ(pattern.size(), 4u);
+  EXPECT_EQ(pattern.size(JacobianBlock::kXX), 3u);
+  EXPECT_EQ(pattern.size(JacobianBlock::kXY), 0u);
+  EXPECT_EQ(pattern.size(JacobianBlock::kYY), 1u);
+  ASSERT_EQ(pattern.rows().size(), 3u);
+  EXPECT_EQ(pattern.first_row(0), 0u);
+  EXPECT_EQ(pattern.first_row(1), 2u);
+  EXPECT_EQ(pattern.first_row(2), 2u);
+  EXPECT_EQ(pattern.first_row(3), 2u);
+  EXPECT_EQ(pattern.first_row(4), 3u);
+  EXPECT_EQ(pattern.rows()[0].row, 0u);
+  EXPECT_EQ(pattern.rows()[0].end, 1u);
+  EXPECT_EQ(pattern.rows()[1].row, 1u);
+  EXPECT_EQ(pattern.rows()[1].end, 3u);
+  EXPECT_EQ(pattern.indices(), (std::vector<std::uint32_t>{1, 2, 3, 0}));
+
+  EXPECT_EQ(JacobianPattern::every_entry(11, 4).size(), 225u);
+  EXPECT_THROW((void)JacobianPattern(2, 1, {{JacobianBlock::kXY, 0, 1}}), ehsim::ModelError);
+}
+
+/// Jacobians whose Jxx(0, 0) varies while every other entry holds the
+/// constants of one epoch (\p constant).
+std::array<Matrix, 4> epoch_jacobians(double varying, double constant) {
+  return {Matrix{{varying, constant}, {0.5, -constant}}, Matrix{{1.0}, {constant}},
+          Matrix{{-constant, 2.0}}, Matrix{{3.0}}};
+}
+
+/// Scans only Jxx(0, 0) (two states, one net).
+ehsim::core::JacobianPattern only_jxx00() {
+  return ehsim::core::JacobianPattern(2, 1, {{ehsim::core::JacobianBlock::kXX, 0, 0}});
+}
+
+/// Feed \p j to both monitors and require the sparse one to report the
+/// dense one's drift and to hold its state, bit for bit.
+double expect_same_update(LleMonitor& sparse, LleMonitor& dense,
+                          const ehsim::core::JacobianPattern& pattern,
+                          const std::array<Matrix, 4>& j) {
+  const double expected = dense.update(j[0], j[1], j[2], j[3]);
+  const double got = sparse.update(j[0], j[1], j[2], j[3], &pattern);
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got), std::bit_cast<std::uint64_t>(expected));
+  EXPECT_EQ(sparse.checkpoint_state().dump(), dense.checkpoint_state().dump());
+  return expected;
+}
+
+TEST(LleMonitor, ScanningTheVaryingEntriesIsExactWithinAnEpoch) {
+  const auto pattern = only_jxx00();
+  LleMonitor sparse;
+  LleMonitor dense;
+  double max_drift = 0.0;
+  for (int k = 0; k < 20; ++k) {
+    const double varying = std::sin(0.7 * k) * std::pow(10.0, k % 5);
+    max_drift = std::max(max_drift, expect_same_update(sparse, dense, pattern,
+                                                       epoch_jacobians(varying, 7.0)));
+  }
+  EXPECT_GT(max_drift, 0.5);
+}
+
+TEST(LleMonitor, TheFirstDriftAfterResetScansEveryEntry) {
+  // The new epoch's constant Jxx(0, 1) = 100 outgrows the row scale: a scan
+  // of Jxx(0, 0) alone would divide the next change by 3 instead of 100.
+  const auto pattern = only_jxx00();
+  LleMonitor sparse;
+  LleMonitor dense;
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 1.0));
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(2.0, 1.0));
+  sparse.reset();
+  dense.reset();
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(2.0, 100.0));
+  EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(3.0, 100.0)), 0.01);
+}
+
+TEST(LleMonitor, AForeignLinearisationIsScannedDenselyOnAndAfterIt) {
+  // A peer's linearisation disagrees in a constant entry (sign flipped):
+  // the drift must see it on arrival and against the next own linearisation.
+  const auto pattern = only_jxx00();
+  LleMonitor sparse;
+  LleMonitor dense;
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 4.0));
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.5, 4.0));
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.25, 4.0));
+  sparse.expect_foreign_linearisation();
+  EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(1.25, -4.0)), 2.0);
+  EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(1.25, 4.0)), 2.0);
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 4.0));
+}
+
+TEST(LleMonitor, ARestoredMonitorScansEveryEntryFirst) {
+  // The restored previous Jacobians disagree with the model's constants:
+  // the first drift after the restore must see the disagreement, also in a
+  // monitor that had already settled into scanning the pattern.
+  const auto pattern = only_jxx00();
+  LleMonitor source;
+  const auto foreign = epoch_jacobians(1.0, -4.0);
+  source.update(foreign[0], foreign[1], foreign[2], foreign[3]);
+  const ehsim::io::JsonValue state = source.checkpoint_state();
+  LleMonitor sparse;
+  LleMonitor dense;
+  for (const double varying : {1.0, 2.0, 3.0}) {
+    expect_same_update(sparse, dense, pattern, epoch_jacobians(varying, 4.0));
+  }
+  sparse.restore_checkpoint_state(state, 2, 1);
+  dense.restore_checkpoint_state(state, 2, 1);
+  EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 4.0)), 2.0);
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(2.0, 4.0));
+  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 4.0));
+}
+
+TEST(LleMonitor, RestoreRefusesShapesThatDoNotFitTheModel) {
+  LleMonitor source;
+  const auto j = epoch_jacobians(1.0, 2.0);
+  source.update(j[0], j[1], j[2], j[3]);
+  source.update(j[0], j[1], j[2], j[3]);
+  const ehsim::io::JsonValue state = source.checkpoint_state();
+  LleMonitor target;
+  target.restore_checkpoint_state(state, 2, 1);
+  try {
+    target.restore_checkpoint_state(state, 3, 1);
+    ADD_FAILURE() << "a 2-state lle section was restored into a 3-state model";
+  } catch (const ehsim::ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find("checkpoint.lle.prev_jxx"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(TraceRecorder, CsvRoundTrip) {

@@ -6,6 +6,8 @@
 #include <memory>
 
 #include "core/linearised_solver.hpp"
+#include "experiments/scenarios.hpp"
+#include "harvester/harvester_system.hpp"
 #include "harvester/supercapacitor.hpp"
 #include "linalg/matrix.hpp"
 
@@ -83,6 +85,37 @@ TEST(Supercap, JacobiansMatchFiniteDifferences) {
     }
     EXPECT_NEAR(jyy(0, j), (fy1[0] - fy0[0]) / eps, 1e-5);
   }
+}
+
+/// Equal signatures promise bit-identical Jacobians (AnalogBlock::
+/// jacobian_signature), and lockstep adoption across systems relies on it.
+/// Two systems whose supercapacitors reached different load modes after one
+/// switch each share every epoch count, so the mode itself must enter the
+/// signature: 1/Req is part of Jyy.
+TEST(Supercap, SignatureDistinguishesLoadModesAtEqualEpochs) {
+  const auto params = ehsim::experiments::experiment_params(
+      ehsim::experiments::charging_scenario(1.0));
+  ehsim::harvester::HarvesterSystem awake(params, ehsim::harvester::DeviceEvalMode::kPwlTable,
+                                          false);
+  ehsim::harvester::HarvesterSystem tuning(params, ehsim::harvester::DeviceEvalMode::kPwlTable,
+                                           false);
+  awake.supercap().set_load_mode(LoadMode::kAwake);
+  tuning.supercap().set_load_mode(LoadMode::kTuning);
+  const SystemAssembler& a = awake.assembler();
+  const SystemAssembler& b = tuning.assembler();
+  ASSERT_EQ(a.total_epoch(), 1u);
+  ASSERT_EQ(b.total_epoch(), 1u);
+
+  Vector x(a.num_states());
+  a.initial_state(x.span());
+  Vector y(a.num_nets());
+  y[awake.vc_index()] = 3.0;
+  Matrix jxx, jxy, jyx, jyy_awake, jyy_tuning;
+  a.jacobians(0.0, x.span(), y.span(), jxx, jxy, jyx, jyy_awake);
+  b.jacobians(0.0, x.span(), y.span(), jxx, jxy, jyx, jyy_tuning);
+  ASSERT_NE(jyy_awake, jyy_tuning);
+  EXPECT_NE(a.jacobian_signature(0.0, x.span(), y.span()),
+            b.jacobian_signature(0.0, x.span(), y.span()));
 }
 
 TEST(Supercap, VoltageDependentCapacitanceEntersJacobian) {
