@@ -16,10 +16,9 @@
 ///  * the reuse-off arm never touches the cache (no reuses of any kind);
 ///  * both arms take the same number of steps: the step controller observes
 ///    the same signature-driven drift sequence in both;
-///  * the reuse-on arm's final Vc stays within the 1e-3 bound documented for
-///    adopting a same-signature linearisation (the cache returns a
-///    signature's first-visit Jacobians, so step times and states differ in
-///    the last digits);
+///  * the reuse-on arm's final Vc stays within 1e-3 of the reuse-off arm's
+///    (the cache returns a signature's first-visit Jacobians, so step times
+///    and states differ in the last digits);
 ///  * the reuse-on arm does at most a tenth of the reuse-off arm's builds.
 #include <algorithm>
 #include <cmath>

@@ -3,14 +3,14 @@
 /// kernels.
 ///
 /// An EnsembleSpec's replicas differ only in their random-walk drift
-/// realisation — structurally they are clones, which is exactly the case
-/// the lockstep SoA kernel exists for. This bench runs one K-replica
-/// drifting-ambient ensemble through the jobs kernel (independent sessions
-/// on a thread pool) and through the lockstep kernel (one shared clock,
-/// shared Jacobian factorisations), and fails unless the lockstep march
-/// actually shared work across the seed clones (groups formed, factorisations
-/// shared) and reproduced its own ensemble statistics bit for bit on a
-/// second execution.
+/// realisation, and share everything before the walk starts — exactly the
+/// case the lockstep kernel's prefix forks exist for. This bench runs one
+/// K-replica drifting-ambient ensemble through the jobs kernel (independent
+/// sessions on a thread pool) and through the lockstep kernel (the span
+/// before the walk marched once, then forked), and fails unless the lockstep
+/// kernel actually forked the seed replicas (a snapshot taken, replicas
+/// restored from it) and reproduced the jobs kernel's ensemble statistics
+/// bit for bit, twice.
 #include <cstdio>
 #include <cstdlib>
 
@@ -62,30 +62,31 @@ int main() {
   std::printf("jobs kernel:     %.2f s wall, mean final Vc %.6f V (stderr %.2e)\n",
               jobs_wall, jobs.final_vc.mean, jobs.final_vc.stderr_mean);
   std::printf("lockstep kernel: %.2f s wall, mean final Vc %.6f V (stderr %.2e), "
-              "%zu groups, %zu shared factorisations\n",
+              "%zu snapshots, %zu replicas forked\n",
               lockstep_wall, lockstep.final_vc.mean, lockstep.final_vc.stderr_mean,
               lockstep_stats.lockstep_groups, lockstep_stats.shared_factorisations);
 
-  // Clone-sharing: the lockstep march must have grouped the seed replicas
-  // and shared factorisations, not degenerated into isolated sessions.
+  // Forking: the lockstep kernel must have snapshotted a leader and
+  // restored seed replicas from it, not degenerated into isolated sessions.
   const bool shared = lockstep_stats.jobs == replicas &&
                       lockstep_stats.lockstep_groups > 0 &&
                       lockstep_stats.shared_factorisations > 0;
 
-  // Determinism: a second lockstep execution reproduces the statistics
-  // bit for bit.
+  // Exactness: the lockstep statistics are the jobs kernel's, and a second
+  // lockstep execution reproduces them bit for bit.
   const EnsembleResult again = run_ensemble(ensemble, lockstep_options, nullptr);
-  const bool deterministic = again.final_vc.mean == lockstep.final_vc.mean &&
-                             again.final_vc.stderr_mean == lockstep.final_vc.stderr_mean &&
-                             again.final_vc.minimum == lockstep.final_vc.minimum &&
-                             again.final_vc.maximum == lockstep.final_vc.maximum;
+  const auto same = [](const EnsembleResult& a, const EnsembleResult& b) {
+    return a.final_vc.mean == b.final_vc.mean && a.final_vc.stderr_mean == b.final_vc.stderr_mean &&
+           a.final_vc.minimum == b.final_vc.minimum && a.final_vc.maximum == b.final_vc.maximum;
+  };
+  const bool deterministic = same(lockstep, jobs) && same(again, lockstep);
 
   // And the ensemble is not vacuous: the seeds produced distinct outcomes.
   const bool varied = jobs.final_vc.maximum > jobs.final_vc.minimum &&
                       jobs.final_vc.stderr_mean > 0.0;
 
   const bool ok = shared && deterministic && varied;
-  std::printf("\nlockstep shares work across seed clones deterministically: %s\n",
+  std::printf("\nlockstep forks the seed replicas and matches the jobs kernel: %s\n",
               ok ? "YES" : "NO");
 
   io::JsonValue doc = io::JsonValue::make_object();
@@ -94,9 +95,8 @@ int main() {
   doc.set("sim_seconds", duration);
   doc.set("jobs_wall_seconds", jobs_wall);
   doc.set("lockstep_wall_seconds", lockstep_wall);
-  doc.set("lockstep_groups", static_cast<double>(lockstep_stats.lockstep_groups));
-  doc.set("shared_factorisations",
-          static_cast<double>(lockstep_stats.shared_factorisations));
+  doc.set("lockstep_snapshots", static_cast<double>(lockstep_stats.lockstep_groups));
+  doc.set("lockstep_forked_jobs", static_cast<double>(lockstep_stats.shared_factorisations));
   doc.set("final_vc_mean", jobs.final_vc.mean);
   doc.set("final_vc_stderr", jobs.final_vc.stderr_mean);
   doc.set("lockstep_deterministic", deterministic);

@@ -6,8 +6,6 @@
 /// presents a more challenging simulation case due to the wider frequency
 /// range. Yet there is close correlation between simulation and
 /// experimental waveforms."
-#include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <limits>
@@ -27,19 +25,18 @@ namespace {
 /// Wide-tuning design sweep: the scenario-2 retune repeated for a fan of
 /// target frequencies, expressed as a declarative SweepSpec over the shift
 /// event's target frequency and executed serially, across a 4-thread
-/// BatchRunner pool and on the lockstep kernel. Parallel results must be
-/// bit-identical to serial.
+/// BatchRunner pool and on the lockstep kernel. Parallel and lockstep
+/// results must be bit-identical to serial.
 void run_batch_sweep() {
   using namespace ehsim::experiments;
 
   SweepSpec sweep;
   sweep.base = scenario2();
   sweep.base.name = "wide-tuning";
-  // CI smoke keeps the sweep seconds-scale; the counters (steps, shared
-  // factorisations) stay deterministic at any span. The shift
-  // sits at 3/4 of the span: until then every job is a clone of job 0, which
-  // is the regime the lockstep kernel amortises (one integration drives the
-  // whole batch).
+  // CI smoke keeps the sweep seconds-scale; the counters (steps, forks)
+  // stay deterministic at any span. The shift sits at 3/4 of the span: until
+  // then every job repeats job 0, which is the span the lockstep kernel
+  // marches once and forks.
   sweep.base.duration =
       ehsim::benchio::bench_span() == ehsim::benchio::BenchSpan::kSmoke ? 40.0 : 120.0;
   sweep.base.excitation.events.front().time = 0.75 * sweep.base.duration;
@@ -50,10 +47,10 @@ void run_batch_sweep() {
   std::printf("\n=== wide-tuning SweepSpec through sim::BatchRunner (%zu jobs) ===\n",
               jobs.size());
 
-  // The lockstep arm runs the same sweep serially on one global clock; the
-  // pre-shift clone prefix costs one integration instead of six. Bounded
-  // error vs the per-job reference once the jobs diverge. The two arms of
-  // the speed-up gate alternate, best of kGateRepeats each.
+  // The lockstep arm runs the same sweep on one thread: the pre-shift
+  // prefix costs one integration instead of six, and the results stay those
+  // of the per-job reference. The two arms of the speed-up gate alternate,
+  // best of kGateRepeats each.
   double serial_wall = std::numeric_limits<double>::infinity();
   double lockstep_wall = std::numeric_limits<double>::infinity();
   std::vector<ScenarioResult> serial;
@@ -73,10 +70,10 @@ void run_batch_sweep() {
   const auto parallel = run_sweep(sweep, BatchOptions{.threads = 4}, &batch);
   const double parallel_wall = parallel_timer.elapsed_seconds();
 
-  bool lockstep_bounded = lockstep.size() == serial.size();
-  for (std::size_t i = 0; lockstep_bounded && i < serial.size(); ++i) {
-    const double scale = std::max(1.0, std::abs(serial[i].final_vc));
-    lockstep_bounded = std::abs(lockstep[i].final_vc - serial[i].final_vc) <= 1e-3 * scale;
+  bool lockstep_exact = lockstep.size() == serial.size();
+  for (std::size_t i = 0; lockstep_exact && i < serial.size(); ++i) {
+    lockstep_exact = lockstep[i].final_vc == serial[i].final_vc &&
+                     lockstep[i].time == serial[i].time && lockstep[i].vc == serial[i].vc;
   }
 
   bool identical = serial.size() == parallel.size();
@@ -103,25 +100,25 @@ void run_batch_sweep() {
   const double lockstep_speedup = serial_wall / lockstep_wall;
   std::printf("\nlockstep (1 thread): %.2f s wall  (%.2fx vs per-job serial, best of %d)\n",
               lockstep_wall, lockstep_speedup, ehsim::benchio::kGateRepeats);
-  std::printf("  %llu shared groups, %llu shared factorisations\n",
+  std::printf("  %llu leader snapshots, %llu jobs forked\n",
               static_cast<unsigned long long>(lockstep_batch.lockstep_groups),
               static_cast<unsigned long long>(lockstep_batch.shared_factorisations));
-  std::printf("lockstep finals within 1e-3 of per-job serial: %s\n",
-              lockstep_bounded ? "YES" : "NO");
+  std::printf("lockstep traces bit-identical to per-job serial: %s\n",
+              lockstep_exact ? "YES" : "NO");
   if (!identical) {
     std::exit(EXIT_FAILURE);
   }
-  // The lockstep kernel earns its keep or the bench fails: the clone-prefix
+  // The lockstep kernel earns its keep or the bench fails: the shared-prefix
   // sweep must run at least 2x faster than the per-job serial reference,
-  // with real sharing and bounded error.
-  if (!lockstep_bounded || lockstep_batch.shared_factorisations == 0 ||
+  // with real forks and exact results.
+  if (!lockstep_exact || lockstep_batch.shared_factorisations == 0 ||
       lockstep_speedup < 2.0) {
-    std::printf("FAIL: lockstep speedup %.2fx < 2x (or unbounded error / no sharing)\n",
+    std::printf("FAIL: lockstep speedup %.2fx < 2x (or results not exact / no forks)\n",
                 lockstep_speedup);
     std::exit(EXIT_FAILURE);
   }
 
-  // CI perf artifact: the sharing counters ride the BENCH_*.json trajectory
+  // CI perf artifact: the fork counters ride the BENCH_*.json trajectory
   // next to the wall-clock numbers.
   namespace io = ehsim::io;
   io::JsonValue doc = io::JsonValue::make_object();
@@ -133,8 +130,8 @@ void run_batch_sweep() {
   io::JsonValue lockstep_json = io::JsonValue::make_object();
   lockstep_json.set("wall_seconds", lockstep_wall);
   lockstep_json.set("speedup_vs_serial", lockstep_speedup);
-  lockstep_json.set("groups", lockstep_batch.lockstep_groups);
-  lockstep_json.set("shared_factorisations", lockstep_batch.shared_factorisations);
+  lockstep_json.set("snapshots", lockstep_batch.lockstep_groups);
+  lockstep_json.set("forked_jobs", lockstep_batch.shared_factorisations);
   doc.set("lockstep", std::move(lockstep_json));
   ehsim::benchio::maybe_write_bench_json(doc);
 }

@@ -87,8 +87,8 @@ int main() {
               "count is stability-immune — the paper's stiff-system caveat, quantified.\n");
 
   // (c) Batch-size scaling of the lockstep kernel: N identical jobs cost one
-  // integration plus N-1 state copies, so the speedup over the per-job serial
-  // reference approaches N. Identical members stay bit-identical.
+  // integration plus N-1 restores of its final snapshot, so the speedup over
+  // the per-job serial reference approaches N. Results stay bit-identical.
   std::printf("\n--- (c) lockstep batch-size scaling: N identical jobs, 1 thread, best of %d ---\n",
               ehsim::benchio::kGateRepeats);
   TablePrinter lockstep_table(
@@ -133,7 +133,7 @@ int main() {
     row.set("serial_wall_seconds", serial_wall);
     row.set("lockstep_wall_seconds", lockstep_wall);
     row.set("speedup_vs_serial", speedup);
-    row.set("shared_factorisations", lockstep_stats.shared_factorisations);
+    row.set("forked_jobs", lockstep_stats.shared_factorisations);
     rows.push_back(std::move(row));
   }
   lockstep_table.print(std::cout);

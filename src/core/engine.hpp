@@ -30,7 +30,8 @@ class AnalogEngine {
   /// the blocks, algebraic variables solved).
   virtual void initialise(double t0) = 0;
 
-  /// Advance the transient solution to exactly \p t_end (>= time()).
+  /// Advance the transient solution to exactly \p t_end (>= time()), or
+  /// less when the engine was asked to pause (LinearisedSolver::pause_before).
   virtual void advance_to(double t_end) = 0;
 
   [[nodiscard]] virtual double time() const = 0;

@@ -4,6 +4,24 @@
 
 namespace ehsim::core {
 
+LinearisationCache::LinearisationCache(const LinearisationCache& other) { *this = other; }
+
+LinearisationCache& LinearisationCache::operator=(const LinearisationCache& other) {
+  if (this == &other) {
+    return *this;
+  }
+  if (!other.entries_.empty()) {
+    // A plain vector copy would allocate only size() headers, and the next
+    // insert would then move every entry.
+    entries_.reserve(kCapacity);
+  }
+  entries_.assign(other.entries_.begin(), other.entries_.end());
+  index_ = other.index_;
+  newest_ = other.newest_;
+  oldest_ = other.oldest_;
+  return *this;
+}
+
 Linearisation* LinearisationCache::find(std::uint64_t signature) {
   const auto it = index_.find(signature);
   if (it == index_.end()) {

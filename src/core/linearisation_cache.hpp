@@ -19,10 +19,12 @@
 ///
 /// Each core::LinearisedSolver owns one cache; nothing is shared across jobs
 /// or threads. The cache is bounded (kCapacity entries; the entry headers are
-/// reserved on the first insert so entries never move, their matrices are
-/// allocated as entries fill), replaces its least recently used entry, and
-/// is a pure function of the sequence of lookups, so runs stay
-/// deterministic.
+/// reserved on the first insert, and by a copy of a non-empty cache, so
+/// entries never move; their matrices are allocated as entries fill),
+/// replaces its least recently used entry, and is a pure function of the
+/// sequence of lookups, so runs stay deterministic. A copy is an exact
+/// replica, recency order included (the batch kernel's prefix forks hand a
+/// leader's cache to its followers this way).
 #pragma once
 
 #include <cstddef>
@@ -60,6 +62,16 @@ class LinearisationCache {
   [[nodiscard]] static bool cacheable(std::uint64_t signature) noexcept {
     return (signature >> 63) != 0;
   }
+
+  LinearisationCache() = default;
+  /// Entries, recency order and slots of \p other, with the entry headers
+  /// reserved as the first insert reserves them: a reference into the copy
+  /// stays valid while later inserts fill it.
+  LinearisationCache(const LinearisationCache& other);
+  LinearisationCache& operator=(const LinearisationCache& other);
+  LinearisationCache(LinearisationCache&&) noexcept = default;
+  LinearisationCache& operator=(LinearisationCache&&) noexcept = default;
+  ~LinearisationCache() = default;
 
   /// The entry for \p signature, now the most recently used; null on a miss.
   [[nodiscard]] Linearisation* find(std::uint64_t signature);

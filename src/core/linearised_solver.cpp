@@ -199,14 +199,6 @@ void LinearisedSolver::relinearise() {
   }
 }
 
-void LinearisedSolver::adopt_linearisation(const Linearisation& donor) {
-  jacobians_valid_ = true;
-  own_ = donor;
-  lin_ = &own_;
-  lle_.expect_foreign_linearisation();
-  ++stats_.jacobian_reuses;
-}
-
 void LinearisedSolver::observe_drift(bool signature_stable) {
   // Signature-stable refreshes observe zero drift; signature changes
   // observe the drift against the Jacobians of the last signature change,
@@ -235,32 +227,18 @@ void LinearisedSolver::eliminate() {
       dy_[i] = -fy_[i];
     }
     lin_->jyy_lu.solve_inplace(dy_.span());
-  }
-  apply_elimination();
-}
-
-void LinearisedSolver::eliminate(std::span<const double> dy) {
-  std::copy(dy.begin(), dy.end(), dy_.span().begin());
-  apply_elimination();
-}
-
-void LinearisedSolver::apply_elimination() {
-  if (y_.size() > 0) {
     ++stats_.algebraic_solves;
     y_.axpy(1.0, dy_);
   }
   // Derivative sample at the new consistent point, via the linearisation:
-  // f = fx(P) + Jxy (y_new - y_prev).
+  // f = fx(P) + Jxy (y_new - y_prev), pushed into the AB history once per
+  // time point.
   for (std::size_t i = 0; i < f_step_.size(); ++i) {
     f_step_[i] = fx_[i];
   }
   if (y_.size() > 0) {
     lin_->jxy.matvec_acc(1.0, dy_.span(), f_step_.span());
   }
-  record_sample();
-}
-
-void LinearisedSolver::record_sample() {
   if (t_ > last_history_time_) {
     history_.push(t_, f_step_.span());
     last_history_time_ = t_;
@@ -351,11 +329,6 @@ void LinearisedSolver::recompute_stability_cap() {
   ++stats_.stability_recomputes;
 }
 
-void LinearisedSolver::adopt_stability_cap(const LinearisedSolver& donor) {
-  set_stability_cap(donor.h_stability_);
-  ++stats_.stability_reuses;
-}
-
 void LinearisedSolver::set_stability_cap(double h) {
   h_stability_ = h;
   steps_since_stability_ = 0;
@@ -406,53 +379,6 @@ void LinearisedSolver::commit_step(double h) {
     throw SolverError("LinearisedSolver: state diverged (non-finite) at t=" +
                       std::to_string(t_) + " — check the Eq. 7 stability cap configuration");
   }
-}
-
-void LinearisedSolver::follow(const LinearisedSolver& leader) {
-  // The leader marched exactly as its per-job self; replaying identical
-  // arithmetic on the copied data keeps the follower bit-for-bit its per-job
-  // self while the clone relation holds.
-  t_ = leader.t_;
-  x_ = leader.x_;
-  y_ = leader.y_;
-  fx_ = leader.fx_;
-  fy_ = leader.fy_;
-  dy_ = leader.dy_;
-  f_step_ = leader.f_step_;
-  controller_ = leader.controller_;
-  stats_ = leader.stats_;
-  jacobian_signature_ = leader.jacobian_signature_;
-  jacobians_valid_ = leader.jacobians_valid_;
-  h_stability_ = leader.h_stability_;
-  stability_due_ = leader.stability_due_;
-  steps_since_stability_ = leader.steps_since_stability_;
-  drift_since_stability_ = leader.drift_since_stability_;
-  // last_epoch_ is NOT copied: epoch counters belong to each member's own
-  // assembler and the follower's check_for_discontinuity manages its own.
-  record_sample();
-}
-
-void LinearisedSolver::follow_linearisation(const LinearisedSolver& leader) {
-  own_ = *leader.lin_;
-  lin_ = &own_;
-  lle_ = leader.lle_;
-  lle_.expect_foreign_linearisation();
-}
-
-void LinearisedSolver::follow_stability(const LinearisedSolver& leader) {
-  // follow() copied the leader's stats, so its cap counts have moved
-  // exactly when it recomputed, reused *or adopted* a cap since. Either way
-  // the follower must mirror it: a stale cap would enter the batch-wide step.
-  if (leader.stats_.stability_recomputes == stats_.stability_recomputes &&
-      leader.stats_.stability_reuses == stats_.stability_reuses) {
-    return;
-  }
-  h_stability_ = leader.h_stability_;
-  stats_.stability_recomputes = leader.stats_.stability_recomputes;
-  stats_.stability_reuses = leader.stats_.stability_reuses;
-  steps_since_stability_ = leader.steps_since_stability_;
-  drift_since_stability_ = leader.drift_since_stability_;
-  stability_due_ = leader.stability_due_;
 }
 
 void LinearisedSolver::notify_observers() {
@@ -606,6 +532,23 @@ void LinearisedSolver::checkpoint_cut() {
   cache_.clear();
 }
 
+LinearisedSolver::LinearisationTransplant LinearisedSolver::linearisation_transplant() const {
+  return LinearisationTransplant{cache_, lin_ != &own_, lin_->stability_cap};
+}
+
+void LinearisedSolver::transplant(const LinearisationTransplant& from) {
+  cache_ = from.cache;
+  // The current entry is the most recently used one (every signature change
+  // makes its entry the newest), so this lookup keeps the order.
+  Linearisation* current = from.current_cached ? cache_.find(jacobian_signature_) : &own_;
+  if (current == nullptr) {
+    throw ModelError("LinearisedSolver: transplanted cache has no entry for the current "
+                     "signature — it was taken from another snapshot");
+  }
+  lin_ = current;
+  lin_->stability_cap = from.current_cap;
+}
+
 void LinearisedSolver::advance_to(double t_end) {
   require_advance(t_end);
   while (true) {
@@ -619,10 +562,16 @@ void LinearisedSolver::advance_to(double t_end) {
     if (stability_due() && !reuse_stability_cap()) {
       recompute_stability_cap();
     }
+    // Everything above is a no-op when repeated at one point, so a pause
+    // here resumes exactly.
+    const double h = std::max(propose_step(remaining), config_.h_min);
+    if ((remaining <= config_.h_min ? t_end : t_ + h) >= pause_before_) {
+      return;
+    }
     if (snap_sliver(t_end)) {
       continue;
     }
-    commit_step(propose_step(remaining));
+    commit_step(h);
   }
 }
 

@@ -24,35 +24,38 @@
 ///   evaluate                    residuals at (t, x, y) + signature verdict
 ///   reuse_linearisation         keep the current Linearisation, or point at
 ///                               the cache's entry for a new signature, else
-///   relinearise                 assemble the Jacobians + factorise Jyy, or
-///   adopt_linearisation         take a peer's at a coinciding signature
+///   relinearise                 assemble the Jacobians + factorise Jyy
 ///   observe_drift               LLE drift (Eq. 3) + step-controller update
 ///   eliminate                   terminal update (Eq. 4) + derivative sample
 ///   stability_due               Eq. 7 cap trigger, then
 ///   reuse_stability_cap         the current linearisation's own cap, else
-///   recompute_stability_cap     evaluate Eq. 7, or
-///   adopt_stability_cap         take a peer's cap at a coinciding signature
+///   recompute_stability_cap     evaluate Eq. 7
 ///   snap_sliver                 jump across a remainder below h_min
 ///   propose_step                h selection (fixed / LLE / h_max / Eq. 7)
 ///   commit_step                 one explicit AB step (Eq. 5)
-///   follow / follow_linearisation / follow_stability   clone-follower sync
 ///
-/// advance_to() composes them for one solver (refresh() is its evaluate ->
-/// eliminate half). sim::LockstepBatch composes the same functions across a
-/// batch, interleaving the members between phases to share linearisations;
-/// both callers run the identical phase bodies, so a lockstep member that
-/// never adopts marches bit-for-bit like its per-job self.
+/// advance_to() is the only composer of the phases (refresh() is its
+/// evaluate -> eliminate half); they are public so tests can replay the
+/// composition and observe one phase at a time.
+///
+/// advance_to() can pause before a given time (pause_before()): it stops at
+/// the last accepted point whose next step would reach that time, without
+/// shortening or adding a step, and a later advance_to() resumes exactly
+/// where the uninterrupted loop was. The batch kernel's prefix forks use it
+/// to snapshot a leader at the end of the span its followers share.
 ///
 /// Linearisations live in a signature-keyed LinearisationCache owned by the
 /// solver (core/linearisation_cache.hpp): a signature change that revisits a
 /// known piece of the model points at its entry, Jacobians, Jyy LU and Eq. 7
-/// cap included, instead of rebuilding them. Uncertified signatures, runs
-/// with enable_jacobian_reuse off, adopted and followed linearisations
-/// bypass it. A checkpoint cut empties it (checkpoint_cut()).
+/// cap included, instead of rebuilding them. Uncertified signatures and runs
+/// with enable_jacobian_reuse off bypass it. A checkpoint cut empties it
+/// (checkpoint_cut()); a snapshot taken without a cut hands it on through
+/// linearisation_transplant() / transplant().
 #pragma once
 
 #include <cstdint>
 #include <limits>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -115,17 +118,13 @@ class LinearisedSolver final : public AnalogEngine {
   /// With reuse enabled, keep the current linearisation when
   /// \p signature_stable, or point at the cache's entry for the new
   /// signature; either counts as a reuse. False means the caller must
-  /// relinearise() or adopt_linearisation() instead.
+  /// relinearise() instead.
   [[nodiscard]] bool reuse_linearisation(bool signature_stable);
   /// Assemble the Jacobians at (t, x, y) and factorise Jyy, straight into
   /// the cache slot for the current signature (evicting the least recently
   /// used entry at capacity), or into the solver's own storage when the
   /// cache is bypassed.
   void relinearise();
-  /// Take a peer's linearisation, cap included, instead of assembling one.
-  /// Only valid at a coinciding signature on the bounded-error path; counts
-  /// as a reuse. The copy bypasses the cache.
-  void adopt_linearisation(const Linearisation& donor);
   /// LLE drift observation and step-controller update, driven by the
   /// signature verdict of evaluate() — not by the rebuild decision, so
   /// reuse-on and reuse-off runs observe drift at the same refreshes.
@@ -133,9 +132,6 @@ class LinearisedSolver final : public AnalogEngine {
   /// Eliminate the terminals with this solver's own Jyy LU and record the
   /// derivative sample: the point becomes fresh.
   void eliminate();
-  /// Same, with the terminal update \p dy = -Jyy^-1 fy already solved by
-  /// the caller (a lockstep group's shared multi-RHS back-substitution).
-  void eliminate(std::span<const double> dy);
   /// Whether the Eq. 7 cap must be re-derived before the next step.
   [[nodiscard]] bool stability_due() const noexcept {
     return stability_due_ || steps_since_stability_ >= config_.stability_check_interval ||
@@ -144,14 +140,11 @@ class LinearisedSolver final : public AnalogEngine {
   /// Install the current linearisation's own Eq. 7 cap when reuse is
   /// enabled and the cap was evaluated before; counts as a stability reuse.
   /// Exact: the cap is a pure function of that linearisation. False means
-  /// the caller must recompute_stability_cap() or adopt_stability_cap().
+  /// the caller must recompute_stability_cap().
   [[nodiscard]] bool reuse_stability_cap();
   /// Evaluate the Eq. 7 stability cap on the eliminated system and keep it
   /// with the current linearisation.
   void recompute_stability_cap();
-  /// Take a peer's cap (same signature, so the eliminated systems agree to
-  /// the signature quantum); counts as a stability reuse.
-  void adopt_stability_cap(const LinearisedSolver& donor);
   /// When \p t_end lies within h_min of the current time, jump straight to
   /// it without a step and return true.
   [[nodiscard]] bool snap_sliver(double t_end);
@@ -161,20 +154,6 @@ class LinearisedSolver final : public AnalogEngine {
   /// Commit one explicit Adams-Bashforth step (Eq. 5) of max(h, h_min);
   /// throws SolverError when the state turns non-finite.
   void commit_step(double h);
-  /// Clone-follower sync: copy the post-refresh point of \p leader, whose
-  /// spec is identical to this one's up to a known divergence time, and
-  /// push this solver's own history sample. A follower never touches its
-  /// linearisation or LLE monitor, so those are left to
-  /// follow_linearisation().
-  void follow(const LinearisedSolver& leader);
-  /// End of a clone relation: copy the leader's current linearisation (into
-  /// this solver's own storage) and LLE monitor, which follow() leaves
-  /// behind. Call it before either solver's next phase, so both are still
-  /// the state of the last follow().
-  void follow_linearisation(const LinearisedSolver& leader);
-  /// Clone-follower sync of the stability phase: mirror every cap change of
-  /// \p leader, recomputed or reused.
-  void follow_stability(const LinearisedSolver& leader);
   /// Invoke the observers at the current point (once per time point).
   void notify_observers();
 
@@ -182,21 +161,39 @@ class LinearisedSolver final : public AnalogEngine {
   [[nodiscard]] std::uint64_t jacobian_signature() const noexcept { return jacobian_signature_; }
   [[nodiscard]] const Linearisation& linearisation() const noexcept { return *lin_; }
   [[nodiscard]] const LinearisationCache& linearisation_cache() const noexcept { return cache_; }
-  /// Algebraic residual fy at the last evaluate(); the elimination solves
-  /// Jyy dy = -fy.
-  [[nodiscard]] std::span<const double> algebraic_residual() const noexcept {
-    return fy_.span();
-  }
+
+  // ---- pause and linearisation transplant --------------------------------
+
+  /// Make advance_to() stop at the last accepted point before \p t whose
+  /// next step (or sliver snap) would reach \p t, instead of taking that
+  /// step; time() then lies below the horizon. The point is complete
+  /// (refreshed, observed, Eq. 7 cap settled), and calling advance_to()
+  /// again replays nothing and takes exactly the step the uninterrupted
+  /// loop would have taken. Infinity (the default) never pauses.
+  void pause_before(double t) noexcept { pause_before_ = t; }
+
+  /// What a checkpoint document leaves out of this solver: the
+  /// linearisation cache, whether the current linearisation is one of its
+  /// entries (else it is the solver's own, bypassed storage) and the current
+  /// linearisation's Eq. 7 cap.
+  struct LinearisationTransplant {
+    LinearisationCache cache;
+    bool current_cached = false;
+    std::optional<double> current_cap;
+  };
+  /// Copy of the state above, taken together with a checkpoint_state() that
+  /// was not followed by a cut.
+  [[nodiscard]] LinearisationTransplant linearisation_transplant() const;
+  /// Install \p from, taken from the solver whose checkpoint_state() this
+  /// one was just restored from: the restore left what a cut leaves (an
+  /// empty cache, no cap on the current linearisation), and this puts back
+  /// what the snapshot's own solver still holds, so both march on alike.
+  void transplant(const LinearisationTransplant& from);
 
  private:
   /// Make (t_, x_, y_) a consistent linearised solution point: evaluate,
   /// re-linearise, eliminate y (Eq. 4) and record the derivative sample.
   void refresh();
-  /// Elimination tail shared by both eliminate() forms: apply dy_, form the
-  /// derivative sample and push it into the AB history.
-  void apply_elimination();
-  /// Push the derivative sample at t_ (once per time point); marks fresh.
-  void record_sample();
   /// Install \p h as the Eq. 7 cap and reset the recompute triggers.
   void set_stability_cap(double h);
   /// Whether the current signature may use the linearisation cache.
@@ -241,6 +238,7 @@ class LinearisedSolver final : public AnalogEngine {
   double last_history_time_ = -std::numeric_limits<double>::infinity();
   double last_notify_time_ = -std::numeric_limits<double>::infinity();
   bool initialised_ = false;
+  double pause_before_ = std::numeric_limits<double>::infinity();
 
   std::vector<SolutionObserver> observers_;
 };

@@ -25,10 +25,7 @@
 /// every entry (the same routine, over the full pattern) on the first two
 /// updates after construction, reset() (the first copies, the second folds
 /// the epoch's constant entries into the scales) and
-/// restore_checkpoint_state(), and on the update fed a linearisation from
-/// outside the solver's own builds and cache, plus the next one
-/// (expect_foreign_linearisation()): such a linearisation may disagree with
-/// this model's constant entries.
+/// restore_checkpoint_state().
 #pragma once
 
 #include <array>
@@ -58,11 +55,6 @@ class LleMonitor {
   double update(const linalg::Matrix& jxx, const linalg::Matrix& jxy,
                 const linalg::Matrix& jyx, const linalg::Matrix& jyy,
                 const JacobianPattern* varying = nullptr);
-
-  /// The next update() is fed a linearisation the caller neither built nor
-  /// took from its own cache (a lockstep peer's, a clone leader's): scan
-  /// every entry on it and on the update after.
-  void expect_foreign_linearisation() noexcept { dense_updates_ = 2; }
 
   [[nodiscard]] bool has_previous() const noexcept { return has_previous_; }
   /// Drift reported by the most recent update().

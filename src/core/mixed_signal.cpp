@@ -19,6 +19,9 @@ void MixedSignalSimulator::run_until(double t_end) {
         next_event ? std::min(*next_event, t_end) : t_end;
     if (target > engine_->time()) {
       engine_->advance_to(target);
+      if (engine_->time() < target) {
+        return;  // the engine paused: the digital side waits for the resume
+      }
     }
     // Execute the digital activity at the synchronisation point; handlers
     // see the consistent analogue solution the engine just produced.

@@ -12,6 +12,11 @@
 /// handlers observe a *consistent* analogue solution at the event time and
 /// may change block parameters; the resulting epoch bump makes the analogue
 /// engine restart its multistep history after the event.
+///
+/// An engine that returns short of its target paused
+/// (LinearisedSolver::pause_before): run_until() then returns at once,
+/// without running the digital kernel, and the next call picks up the same
+/// target, so a paused run continues exactly like an uninterrupted one.
 #pragma once
 
 #include "core/engine.hpp"

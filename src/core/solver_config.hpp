@@ -63,15 +63,14 @@ struct SolverStats {
   /// Consistency iterations spent establishing the initial operating point.
   std::uint64_t init_iterations = 0;
   std::uint64_t jacobian_builds = 0;
-  /// Refreshes served without assembly: signature held, cache hit, or a
-  /// lockstep adoption / clone sync.
+  /// Refreshes served without assembly: signature held or cache hit.
   std::uint64_t jacobian_reuses = 0;
   std::uint64_t algebraic_solves = 0;       ///< Eq. 4 eliminations (proposed)
   std::uint64_t newton_iterations = 0;      ///< total NR iterations (baseline)
   std::uint64_t lu_factorisations = 0;      ///< full-system LU count (baseline)
   std::uint64_t stability_recomputes = 0;   ///< Eq. 7 cap evaluations
   /// Eq. 7 caps installed without an evaluation: a linearisation's own
-  /// cached cap, or a lockstep peer's.
+  /// cached cap.
   std::uint64_t stability_reuses = 0;
   std::uint64_t history_resets = 0;         ///< discontinuity restarts
   std::uint64_t step_rejections = 0;        ///< baseline NR non-convergence retries

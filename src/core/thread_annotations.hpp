@@ -1,7 +1,7 @@
 /// \file thread_annotations.hpp
 /// \brief Clang thread-safety capability wrappers for every lock in ehsim.
 ///
-/// The repo's headline contract — every parallel batch, lockstep march,
+/// The repo's headline contract — every parallel batch, forked batch,
 /// serve response and resumed checkpoint is bit-identical to a serial cold
 /// run — rests on data-race freedom in a handful of locked subsystems
 /// (ThreadPool, JobQueue, Server, the diode-table cache). This header makes

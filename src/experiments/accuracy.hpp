@@ -30,8 +30,8 @@ namespace ehsim::experiments {
 /// Execution options of one run_accuracy call.
 struct AccuracyOptions {
   /// Batch kernels to measure. Empty: all kernels the spec's engine supports
-  /// (jobs + both lockstep kernels for the proposed engine; jobs only for
-  /// the NR baselines, which the lockstep march cannot drive).
+  /// (jobs + lockstep for the proposed engine; jobs only for the NR
+  /// baselines, which the lockstep kernel does not run).
   std::vector<BatchKernel> kernels{};
   /// Oracle step [s]; <= 0 uses the ref::ReferenceConfig default. The
   /// oracle cost is duration / step dense LU solves — size it to the spec.
@@ -116,8 +116,7 @@ struct AccuracyReport {
                                           const AccuracyOptions& options = {});
 
 /// Sweep form: every expanded job is measured; kernel bounds are maxima
-/// over all jobs (this is what pins the lockstep sharing claims — the jobs
-/// that diverge mid-sweep are exactly the interesting ones).
+/// over all jobs.
 [[nodiscard]] AccuracyReport run_accuracy(const SweepSpec& sweep,
                                           const AccuracyOptions& options = {});
 

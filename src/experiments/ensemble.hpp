@@ -7,9 +7,10 @@
 /// different walk seeds and reduces the per-replica scalars to ensemble
 /// statistics (mean, standard error of the mean, min, max) per probe and
 /// for the built-in summary figures. Replicas ride the ordinary
-/// run_scenario_batch fan-out — lockstep kernels and the shared diode-table
-/// cache both apply — and the reduction accumulates in
-/// job order, so the statistics are bit-identical for any worker count.
+/// run_scenario_batch fan-out — the lockstep kernel's prefix forks (replicas
+/// share everything before the walk starts) and the shared diode-table
+/// cache both apply — and the reduction accumulates in job order, so the
+/// statistics are bit-identical for any worker count and either kernel.
 #pragma once
 
 #include <cstdint>

@@ -45,16 +45,13 @@ enum class BatchKernel {
   /// Independent jobs over the thread pool (the default; bit-identical to a
   /// serial run of the same jobs).
   kJobs,
-  /// Lockstep SoA march (sim/lockstep_batch.hpp): every job advances on one
-  /// global clock and jobs with coinciding linearisation signatures share
-  /// one Jacobian assembly + LU factorisation per step. Requires
-  /// EngineKind::kProposed on every job. Batches of identical jobs (and the
-  /// identical prefix of sweep points that differ only in later excitation
-  /// events) reproduce the per-job trajectories bit for bit; once members
-  /// diverge, shared linearisations keep results within the documented
-  /// io::compare tolerances of the per-job reference. The march is serial —
-  /// BatchOptions::threads is ignored, and results are identical for any
-  /// requested thread count.
+  /// Prefix forks: jobs whose specs differ only in name and in excitation
+  /// events from some time d > 0 on (and whose device parameters are equal)
+  /// march their shared span once. The first such job leads; it stops at its
+  /// last accepted point before d, a snapshot of it is restored into each
+  /// follower, and every job continues on its own. Results are bit-identical
+  /// to kJobs at any thread count (cpu_seconds aside). Requires
+  /// EngineKind::kProposed on every job.
   kLockstep,
 };
 
@@ -72,14 +69,6 @@ struct ScenarioResult {
   /// This job's PWL diode table came out of the process-wide shared-table
   /// cache (see pwl/table_cache.hpp) instead of being built privately.
   bool shared_diode_table = false;
-  /// Batch kernel that produced this result, plus the batch-wide lockstep
-  /// work-sharing counters mirrored onto every result of the batch (see
-  /// sim/lockstep_batch.hpp). Serialised as an optional "batch" block only
-  /// when the lockstep kernel ran, so kJobs results are byte-identical to the
-  /// pre-lockstep output.
-  BatchKernel batch_kernel = BatchKernel::kJobs;
-  std::uint64_t lockstep_groups = 0;
-  std::uint64_t shared_factorisations = 0;
 
   std::vector<double> time;  ///< decimated trace times
   std::vector<double> vc;    ///< supercapacitor voltage trace
@@ -171,9 +160,11 @@ struct BatchStats {
   /// cache rather than rebuilt (ROADMAP hot-path item: identical model
   /// structure across a sweep pays for one table build).
   std::size_t shared_table_hits = 0;
-  /// Lockstep work-sharing counters (all 0 under BatchKernel::kJobs); exact
-  /// semantics in sim/lockstep_batch.hpp (LockstepCounters).
+  /// Prefix forks of BatchKernel::kLockstep, both 0 under kJobs and in
+  /// checkpointed batches (the names stay for the benchmarks that read
+  /// them): leader snapshots taken, one per distinct fork time of a leader.
   std::uint64_t lockstep_groups = 0;
+  /// Jobs restored from a leader's snapshot.
   std::uint64_t shared_factorisations = 0;
 };
 
@@ -182,9 +173,9 @@ struct BatchOptions {
   /// Worker count: 0 picks the hardware concurrency, 1 runs serially.
   std::size_t threads = 0;
   /// Batch execution kernel. The lockstep kernel requires every job to run
-  /// EngineKind::kProposed (ModelError otherwise) and marches serially; the
-  /// shared march wall-clock is attributed evenly across the jobs'
-  /// ScenarioResult::cpu_seconds.
+  /// EngineKind::kProposed (ModelError otherwise). A forked job's
+  /// ScenarioResult::cpu_seconds counts its march from the fork on; the
+  /// shared prefix counts once, in its leader's.
   BatchKernel batch_kernel = BatchKernel::kJobs;
 };
 
@@ -218,7 +209,7 @@ struct CheckpointOptions {
   int abort_after = -1;
   /// Invoked after each checkpoint file write (the serve daemon's NDJSON
   /// `checkpoint` events): (path, job name, simulated time). May be empty.
-  /// Called from worker threads under BatchKernel::kJobs.
+  /// Called from the batch's worker threads.
   std::function<void(const std::string& path, const std::string& job, double sim_time)>
       on_checkpoint;
 };
@@ -235,14 +226,11 @@ struct CheckpointOptions {
     const ExperimentSpec& spec, const CheckpointOptions& checkpointing,
     const harvester::HarvesterParams* params_override = nullptr);
 
-/// run_scenario_batch with per-job checkpoint files. Under kJobs every job
-/// checkpoints at its own absolute boundaries on the worker threads; under
-/// the lockstep kernel the batch marches in global chunks of `every`
-/// simulated seconds with a fresh lockstep march per chunk (work-sharing
-/// caches reset at each boundary — part of the deterministic-chunking
-/// contract) and all jobs checkpoint together at each boundary, with the
-/// accumulated work-sharing counters carried in each file. Returns
-/// std::nullopt when abort_after stopped any job.
+/// run_scenario_batch with per-job checkpoint files: every job checkpoints
+/// at its own absolute boundaries on the worker threads. Both kernel ids
+/// run this path without forks (their results are identical, so files
+/// written under one resume under the other). Returns std::nullopt when
+/// abort_after stopped any job.
 [[nodiscard]] std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
     const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
     const CheckpointOptions& checkpointing, BatchStats* stats = nullptr);

@@ -44,7 +44,7 @@ struct SweepSpec {
   std::size_t threads = 0;
   /// Batch execution kernel for the expanded jobs (see
   /// BatchOptions::batch_kernel). The default runs independent jobs; the
-  /// lockstep kernels require the proposed engine on every job.
+  /// lockstep kernel requires the proposed engine on every job.
   BatchKernel batch_kernel = BatchKernel::kJobs;
 
   /// Throws ModelError on empty/inconsistent axes or unknown paths.

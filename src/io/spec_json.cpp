@@ -900,17 +900,6 @@ JsonValue to_json(const ScenarioResult& result) {
   stats.set("max_step", result.stats.max_step);
   json.set("stats", std::move(stats));
 
-  // Lockstep batches record their kernel and batch-wide sharing counters;
-  // plain per-job batches omit the block so their documents stay
-  // byte-identical to the pre-lockstep output.
-  if (result.batch_kernel != experiments::BatchKernel::kJobs) {
-    JsonValue batch = JsonValue::make_object();
-    batch.set("kernel", experiments::batch_kernel_id(result.batch_kernel));
-    batch.set("lockstep_groups", result.lockstep_groups);
-    batch.set("shared_factorisations", result.shared_factorisations);
-    json.set("batch", std::move(batch));
-  }
-
   // Measured quantities are null-encoded when non-finite: a pathological
   // run (diverged probe expression, empty reduction) must still produce a
   // parseable result document instead of crashing the writer after the

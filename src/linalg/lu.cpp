@@ -117,54 +117,6 @@ void LuFactorization::solve_matrix(const Matrix& b, Matrix& x) const {
   }
 }
 
-void LuFactorization::solve_multi_inplace(std::span<double> b, std::size_t k) const {
-  EHSIM_ASSERT(ok_, "solve on a singular/unfactored LU");
-  EHSIM_ASSERT(b.size() == n_ * k, "LU solve_multi dimension mismatch");
-  if (k == 0) {
-    return;
-  }
-  // Apply the row permutation to whole member rows.
-  for (std::size_t i = 0; i < n_; ++i) {
-    if (pivot_[i] != i) {
-      double* a = b.data() + i * k;
-      double* c = b.data() + pivot_[i] * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        std::swap(a[j], c[j]);
-      }
-    }
-  }
-  // Forward substitution with unit-diagonal L; the c-ascending update order
-  // per member matches solve_inplace exactly (no zero-skip) so grouped and
-  // solo solves round identically.
-  for (std::size_t r = 1; r < n_; ++r) {
-    const double* row = lu_.data() + r * n_;
-    double* dst = b.data() + r * k;
-    for (std::size_t c = 0; c < r; ++c) {
-      const double factor = row[c];
-      const double* src = b.data() + c * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        dst[j] -= factor * src[j];
-      }
-    }
-  }
-  // Back substitution with U.
-  for (std::size_t ri = n_; ri-- > 0;) {
-    const double* row = lu_.data() + ri * n_;
-    double* dst = b.data() + ri * k;
-    for (std::size_t c = ri + 1; c < n_; ++c) {
-      const double factor = row[c];
-      const double* src = b.data() + c * k;
-      for (std::size_t j = 0; j < k; ++j) {
-        dst[j] -= factor * src[j];
-      }
-    }
-    const double diag = row[ri];
-    for (std::size_t j = 0; j < k; ++j) {
-      dst[j] /= diag;
-    }
-  }
-}
-
 double LuFactorization::determinant() const {
   if (!ok_) {
     return 0.0;

@@ -49,16 +49,6 @@ class LuFactorization {
   /// Solve A X = B column-by-column, B/X stored as Matrix. Requires ok().
   void solve_matrix(const Matrix& b, Matrix& x) const;
 
-  /// Solve A X = B for \p k right-hand sides at once, in place. \p b is an
-  /// n x k block in row-major member-contiguous layout (b[r * k + j] holds
-  /// equation r of right-hand side j) — the structure-of-arrays gather the
-  /// lockstep batch kernel produces, so each LU coefficient is loaded once
-  /// and swept across all k members in a contiguous inner loop. The
-  /// per-member arithmetic (operation order and rounding) is identical to
-  /// solve_inplace, so a grouped solve is bit-for-bit the same as k solo
-  /// solves. Requires ok().
-  void solve_multi_inplace(std::span<double> b, std::size_t k) const;
-
   /// Determinant of the factored matrix (product of pivots with sign).
   [[nodiscard]] double determinant() const;
   /// Magnitude of the smallest pivot; a cheap conditioning indicator used by

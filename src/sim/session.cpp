@@ -126,6 +126,12 @@ void Session::register_checkpoint_section(std::string name, StateSaver saver,
 }
 
 Checkpoint Session::save_checkpoint(io::JsonValue meta) {
+  Checkpoint checkpoint = snapshot(std::move(meta));
+  engine_->checkpoint_cut();
+  return checkpoint;
+}
+
+Checkpoint Session::snapshot(io::JsonValue meta) const {
   if (!initialised_) {
     throw ModelError("Session: cannot checkpoint before initialise()");
   }
@@ -146,7 +152,6 @@ Checkpoint Session::save_checkpoint(io::JsonValue meta) {
   }
   payload.set("sections", std::move(sections));
   payload.set("engine", engine_->checkpoint_state());
-  engine_->checkpoint_cut();
   payload.set("trace", trace_ ? trace_->checkpoint_state() : io::JsonValue(nullptr));
   payload.set("probes", probes_ ? probes_->checkpoint_state() : io::JsonValue(nullptr));
   payload.set("sync_points", io::u64_to_json(sync_points()));

@@ -84,7 +84,9 @@ class Session {
 
   /// Advance to \p t_end — through the mixed-signal scheduler when a kernel
   /// is attached, directly on the engine otherwise. Auto-initialises at 0
-  /// on first use. Wall-clock cost accumulates into cpu_seconds().
+  /// on first use. Wall-clock cost accumulates into cpu_seconds(). Returns
+  /// early, with time() < t_end, when the engine paused
+  /// (core::LinearisedSolver::pause_before); calling it again resumes.
   void run_until(double t_end);
 
   [[nodiscard]] double time() const { return engine_->time(); }
@@ -114,10 +116,13 @@ class Session {
   /// the sections that own them), every registered section, the engine, the
   /// trace recorder and probe channels when present, sync-point counter and
   /// accumulated cpu_seconds. \p meta is carried verbatim for the workload
-  /// layer. Requires an initialised session. Saving is a cut: the engine
-  /// then drops the caches the snapshot does not carry
-  /// (AnalogEngine::checkpoint_cut), so the run continues bit for bit like
-  /// one restored from it.
+  /// layer. Requires an initialised session. The run itself is untouched:
+  /// it keeps the engine caches the snapshot does not carry.
+  [[nodiscard]] Checkpoint snapshot(io::JsonValue meta = io::JsonValue(nullptr)) const;
+
+  /// snapshot(), then a cut: the engine drops the caches the snapshot does
+  /// not carry (AnalogEngine::checkpoint_cut), so the run continues bit for
+  /// bit like one restored from it.
   [[nodiscard]] Checkpoint save_checkpoint(io::JsonValue meta = io::JsonValue(nullptr));
 
   /// Restore a snapshot into this freshly initialised session (same spec,

@@ -1,8 +1,8 @@
 /// \file test_checkpoint.cpp
 /// \brief Checkpoint/restart contract: a killed run resumed from its last
 /// checkpoint file is bit-identical (modulo cpu_seconds) to an uninterrupted
-/// run with the same checkpoint options — across both engine families, all
-/// three batch kernels, mid-multistep-history boundaries, mid-PWL-segment
+/// run with the same checkpoint options — across both engine families, both
+/// batch kernel ids, mid-multistep-history boundaries, mid-PWL-segment
 /// excitation and seeded random-walk drift.
 #include <gtest/gtest.h>
 
@@ -10,6 +10,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -92,9 +93,6 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.stats.step_rejections, b.stats.step_rejections);
   EXPECT_EQ(a.stats.last_step, b.stats.last_step);
   EXPECT_EQ(a.stats.min_step, b.stats.min_step);
-  EXPECT_EQ(a.batch_kernel, b.batch_kernel);
-  EXPECT_EQ(a.lockstep_groups, b.lockstep_groups);
-  EXPECT_EQ(a.shared_factorisations, b.shared_factorisations);
   EXPECT_EQ(a.time, b.time);
   EXPECT_EQ(a.vc, b.vc);
   EXPECT_EQ(a.power_time, b.power_time);
@@ -399,25 +397,80 @@ TEST(Checkpoint, SweepKillResumeLockstep) {
   check_sweep_kill_resume(BatchKernel::kLockstep, "lockstep");
 }
 
-TEST(Checkpoint, LockstepCheckpointRefusesJobsResume) {
-  const SweepSpec sweep = small_sweep(BatchKernel::kLockstep);
-  BatchOptions lockstep;
-  lockstep.threads = 1;
-  lockstep.batch_kernel = BatchKernel::kLockstep;
-  ScratchDir dir("kernel_mismatch");
+TEST(Checkpoint, ASweepCheckpointedUnderOneKernelResumesUnderTheOther) {
+  // Both kernel ids checkpoint job by job with identical results, so the
+  // files are interchangeable.
+  const SweepSpec sweep = small_sweep(BatchKernel::kJobs);
+  for (const auto& [writer, reader] : {std::pair{BatchKernel::kJobs, BatchKernel::kLockstep},
+                                       std::pair{BatchKernel::kLockstep, BatchKernel::kJobs}}) {
+    BatchOptions write_options;
+    write_options.threads = 2;
+    write_options.batch_kernel = writer;
+    BatchOptions read_options = write_options;
+    read_options.batch_kernel = reader;
+
+    ScratchDir full_dir("cross_full");
+    CheckpointOptions full;
+    full.every = 0.6;
+    full.dir = full_dir.str();
+    const auto uninterrupted = run_sweep_checkpointed(sweep, read_options, full);
+    ASSERT_TRUE(uninterrupted.has_value());
+
+    ScratchDir kill_dir("cross_kill");
+    CheckpointOptions kill = full;
+    kill.dir = kill_dir.str();
+    kill.abort_after = 1;
+    ASSERT_FALSE(run_sweep_checkpointed(sweep, write_options, kill).has_value());
+
+    CheckpointOptions resume = full;
+    resume.dir = kill_dir.str();
+    resume.resume = true;
+    const auto resumed = run_sweep_checkpointed(sweep, read_options, resume);
+    ASSERT_TRUE(resumed.has_value());
+    ASSERT_EQ(uninterrupted->size(), resumed->size());
+    for (std::size_t i = 0; i < uninterrupted->size(); ++i) {
+      expect_identical((*uninterrupted)[i], (*resumed)[i]);
+    }
+  }
+}
+
+TEST(Checkpoint, ALockstepMarchDocumentIsRefusedByName) {
+  // The retired lockstep march wrote its bounded-error state with a non-null
+  // meta.batch; per-job documents carried "batch": null and still resume.
+  const ExperimentSpec spec = small_spec();
+  ScratchDir dir("lockstep_era");
   CheckpointOptions options;
-  options.every = 0.6;
+  options.every = 0.5;
   options.dir = dir.str();
   options.abort_after = 1;
-  ASSERT_FALSE(run_sweep_checkpointed(sweep, lockstep, options).has_value());
+  ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+  const std::string path = ehsim::experiments::checkpoint_file_path(options, spec.name);
+  ehsim::sim::Checkpoint written = ehsim::sim::Checkpoint::read_file(path);
+  EXPECT_EQ(written.meta.find("batch"), nullptr);  // writers no longer emit it
 
-  BatchOptions jobs;
-  jobs.threads = 1;
-  jobs.batch_kernel = BatchKernel::kJobs;
   CheckpointOptions resume;
+  resume.every = 0.5;
   resume.dir = dir.str();
   resume.resume = true;
-  EXPECT_THROW((void)run_sweep_checkpointed(sweep, jobs, resume), ModelError);
+  {
+    ehsim::sim::Checkpoint per_job = written;
+    per_job.meta.set("batch", ehsim::io::JsonValue(nullptr));
+    per_job.write_file(path);
+    EXPECT_TRUE(run_experiment_checkpointed(spec, resume).has_value());
+  }
+  ehsim::io::JsonValue batch = ehsim::io::JsonValue::make_object();
+  batch.set("kernel", "lockstep");
+  batch.set("lockstep_groups", 12.0);
+  batch.set("shared_factorisations", 34.0);
+  ehsim::sim::Checkpoint lockstep_era = written;
+  lockstep_era.meta.set("batch", batch);
+  lockstep_era.write_file(path);
+  try {
+    (void)run_experiment_checkpointed(spec, resume);
+    ADD_FAILURE() << "a lockstep-era checkpoint resumed";
+  } catch (const ModelError& error) {
+    EXPECT_NE(std::string(error.what()).find(".batch"), std::string::npos) << error.what();
+  }
 }
 
 // ---- document strictness --------------------------------------------------

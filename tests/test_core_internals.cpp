@@ -155,21 +155,6 @@ TEST(LleMonitor, TheFirstDriftAfterResetScansEveryEntry) {
   EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(3.0, 100.0)), 0.01);
 }
 
-TEST(LleMonitor, AForeignLinearisationIsScannedDenselyOnAndAfterIt) {
-  // A peer's linearisation disagrees in a constant entry (sign flipped):
-  // the drift must see it on arrival and against the next own linearisation.
-  const auto pattern = only_jxx00();
-  LleMonitor sparse;
-  LleMonitor dense;
-  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 4.0));
-  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.5, 4.0));
-  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.25, 4.0));
-  sparse.expect_foreign_linearisation();
-  EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(1.25, -4.0)), 2.0);
-  EXPECT_EQ(expect_same_update(sparse, dense, pattern, epoch_jacobians(1.25, 4.0)), 2.0);
-  expect_same_update(sparse, dense, pattern, epoch_jacobians(1.0, 4.0));
-}
-
 TEST(LleMonitor, ARestoredMonitorScansEveryEntryFirst) {
   // The restored previous Jacobians disagree with the model's constants:
   // the first drift after the restore must see the disagreement, also in a

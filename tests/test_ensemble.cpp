@@ -300,16 +300,18 @@ TEST(EnsembleRun, LockstepKernelSharesWorkAcrossReplicas) {
   const EnsembleResult result = ehsim::experiments::run_ensemble(ensemble, &stats);
   EXPECT_EQ(stats.jobs, 3u);
   // Seed replicas differ only in their drift realisation, so the lockstep
-  // kernel must group them and share factorisations instead of running
-  // three isolated sessions.
-  EXPECT_GT(stats.lockstep_groups, 0u);
-  EXPECT_GT(stats.shared_factorisations, 0u);
+  // kernel marches the span before the walk once and forks the other two
+  // replicas from a snapshot of the first.
+  EXPECT_EQ(stats.lockstep_groups, 1u);
+  EXPECT_EQ(stats.shared_factorisations, 2u);
 
-  // Sharing is an implementation detail of the lockstep march, not a
-  // licence for nondeterminism: a second lockstep execution reproduces the
-  // ensemble statistics bit for bit.
+  // Forking is an implementation detail, not a licence for nondeterminism:
+  // a second lockstep execution and the jobs kernel reproduce the ensemble
+  // statistics bit for bit.
   const EnsembleResult again = ehsim::experiments::run_ensemble(ensemble);
   expect_stats_identical(result, again);
+  ensemble.batch_kernel = BatchKernel::kJobs;
+  expect_stats_identical(result, ehsim::experiments::run_ensemble(ensemble));
 }
 
 }  // namespace

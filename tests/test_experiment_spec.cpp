@@ -285,8 +285,7 @@ TEST(RunScenarioBatch, EmptyJobVectorReturnsEmptyWithoutThreadPool) {
 /// cache. Both observe the same signature-driven LLE drift sequence, so
 /// they take the same number of steps; the cache hands back the
 /// linearisation of a signature's first visit, so the step times and states
-/// differ in the last digits, within the 1e-3 final-Vc bound documented for
-/// adopting a same-signature linearisation.
+/// differ in the last digits, within a 1e-3 final-Vc bound.
 TEST(JacobianReuse, ReuseArmsTakeTheSameStepsWithinTheAdoptionBound) {
   std::uint64_t steps[2];
   std::uint64_t builds[2];

@@ -88,7 +88,7 @@ TEST(Supercap, JacobiansMatchFiniteDifferences) {
 }
 
 /// Equal signatures promise bit-identical Jacobians (AnalogBlock::
-/// jacobian_signature), and lockstep adoption across systems relies on it.
+/// jacobian_signature), and the linearisation cache relies on it.
 /// Two systems whose supercapacitors reached different load modes after one
 /// switch each share every epoch count, so the mode itself must enter the
 /// signature: 1/Req is part of Jyy.

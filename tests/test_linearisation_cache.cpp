@@ -92,6 +92,47 @@ TEST(LinearisationCache, AnEvictedSlotForgetsItsCap) {
   EXPECT_FALSE(reused.stability_cap.has_value());
 }
 
+TEST(LinearisationCache, ACopyKeepsItsEntriesInPlaceWhileItFills) {
+  // A prefix fork copies a leader's partly filled cache into a follower,
+  // whose current linearisation then points into the copy. Filling the copy
+  // past its copied size must not move that entry (the ASan build reads it
+  // after every insert).
+  LinearisationCache leader;
+  for (std::uint64_t k = 0; k < 10; ++k) {
+    Linearisation& entry = leader.insert(kMarker | k);
+    entry.jxx = ehsim::linalg::Matrix(3, 3);
+    entry.jxx(2, 2) = static_cast<double>(k);
+    entry.stability_cap = 1e-6 * static_cast<double>(k + 1);
+  }
+  LinearisationCache copy = leader;
+  LinearisationCache assigned;
+  (void)assigned.insert(kMarker | 500);
+  assigned = leader;
+  for (LinearisationCache* cache : {&copy, &assigned}) {
+    ASSERT_EQ(cache->size(), leader.size());
+    Linearisation* current = cache->find(kMarker | 9);
+    ASSERT_NE(current, nullptr);
+    EXPECT_EQ(current->stability_cap, 1e-6 * 10.0);
+    for (std::uint64_t k = 10; k < LinearisationCache::kCapacity; ++k) {
+      (void)cache->insert(kMarker | k);
+      ASSERT_EQ(current->jxx(2, 2), 9.0) << "after insert " << k;
+    }
+    EXPECT_EQ(cache->find(kMarker | 9), current);
+    EXPECT_EQ(cache->size(), LinearisationCache::kCapacity);
+  }
+  // The copy replicates the recency order: both evict signature 0 next.
+  LinearisationCache twin = leader;
+  (void)leader.find(kMarker | 9);
+  (void)twin.find(kMarker | 9);
+  for (std::uint64_t k = 10; k <= LinearisationCache::kCapacity; ++k) {
+    (void)leader.insert(kMarker | k);
+    (void)twin.insert(kMarker | k);
+  }
+  EXPECT_EQ(leader.find(kMarker | 0), nullptr);
+  EXPECT_EQ(twin.find(kMarker | 0), nullptr);
+  EXPECT_NE(twin.find(kMarker | 1), nullptr);
+}
+
 TEST(LinearisationCache, OnlyCertifiedSignaturesAreCacheable) {
   EXPECT_TRUE(LinearisationCache::cacheable(kMarker | 42));
   EXPECT_FALSE(LinearisationCache::cacheable(42));  // the assembler's one-off counter range

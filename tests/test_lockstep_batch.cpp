@@ -1,360 +1,315 @@
 /// \file test_lockstep_batch.cpp
-/// \brief Lockstep SoA batch kernel: exactness and divergence bounds.
+/// \brief The lockstep batch kernel's prefix forks: exact, at any thread
+/// count.
 ///
-/// The contract under test (sim/lockstep_batch.hpp, docs/spec_format.md):
-///  * a batch of bitwise-identical jobs marches bit-for-bit like the per-job
-///    path, and so does the shared prefix of sweep points that differ only
-///    in excitation events after t = 0;
-///  * a clone follower is passive: adding one never changes another member,
-///    and when it peels off it continues from its leader's linearisation;
-///  * once members diverge, shared linearisations keep every result within
-///    the documented io::compare tolerances of its per-job reference;
-///  * the march is serial, so results are identical for any thread count.
+/// The contract under test (experiments/scenarios.hpp, docs/spec_format.md):
+///  * jobs whose specs differ only in name and in excitation events from a
+///    time d on march their shared span once, in a leader that stops at its
+///    last accepted point before d; the leader's snapshot and linearisation
+///    cache are restored into each follower;
+///  * every result equals the `jobs` kernel's on every ScenarioResult field
+///    except cpu_seconds, at 1 and at 4 threads — the leader's included, so
+///    the snapshot never perturbs the run it is taken from;
+///  * jobs that cannot fork (other device parameters, other solver or
+///    observer settings, excitation differing from t = 0) run on their own.
 #include <gtest/gtest.h>
 
-#include <cmath>
+#include <algorithm>
 #include <limits>
-#include <memory>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
+#include "core/linearisation_cache.hpp"
 #include "core/linearised_solver.hpp"
+#include "experiments/ensemble.hpp"
 #include "experiments/scenarios.hpp"
+#include "experiments/sweep.hpp"
 #include "sim/harvester_session.hpp"
-#include "sim/lockstep_batch.hpp"
 
 namespace {
 
 using namespace ehsim::experiments;
 using ehsim::ModelError;
+using ehsim::core::LinearisedSolver;
 
-ExperimentSpec lockstep_spec(double duration) {
-  ExperimentSpec spec;
-  spec.name = "lockstep-test";
-  spec.duration = duration;
-  spec.pre_tuned_hz = 70.0;
-  spec.excitation.initial_frequency_hz = 70.0;
-  spec.with_mcu = true;
+/// The paper's Fig. 9 retune, cut to 0.5 s: scenario 2 with the MCU waking
+/// every 0.15 s and the frequency step at 0.375 s, between two wake-ups.
+ExperimentSpec fig9_spec(double target_hz) {
+  ExperimentSpec spec = scenario2();
+  spec.name = "fig9-" + std::to_string(target_hz);
+  spec.duration = 0.5;
   spec.trace_interval = 0.05;
   spec.power_bin_width = 0.5;
+  spec.excitation.events.front().time = 0.375;
+  spec.excitation.events.front().frequency_hz = target_hz;
+  spec.overrides.push_back(ParamOverride{"mcu.watchdog_period", 0.15});
   return spec;
 }
 
-std::vector<ScenarioResult> run_with_kernel(const std::vector<ScenarioJob>& jobs,
-                                            BatchKernel kernel, BatchStats* stats = nullptr,
-                                            std::size_t threads = 1) {
+std::vector<ScenarioJob> jobs_of(const std::vector<ExperimentSpec>& specs) {
+  std::vector<ScenarioJob> jobs;
+  for (const ExperimentSpec& spec : specs) {
+    jobs.push_back(ScenarioJob{spec, std::nullopt});
+  }
+  return jobs;
+}
+
+std::vector<ScenarioResult> run_with(const std::vector<ScenarioJob>& jobs, BatchKernel kernel,
+                                     std::size_t threads, BatchStats* stats = nullptr) {
   BatchOptions options;
   options.threads = threads;
   options.batch_kernel = kernel;
   return run_scenario_batch(jobs, options, stats);
 }
 
-/// Largest |a-b| / max(1, |a|, |b|) over two traces of (nearly) equal
-/// length; differing step sequences may decimate one extra sample.
-double max_rel_error(const std::vector<double>& a, const std::vector<double>& b) {
-  EXPECT_LE(a.size() > b.size() ? a.size() - b.size() : b.size() - a.size(), 1u);
-  double worst = 0.0;
-  for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-    const double scale = std::max({1.0, std::abs(a[i]), std::abs(b[i])});
-    worst = std::max(worst, std::abs(a[i] - b[i]) / scale);
+/// Every field of a result except cpu_seconds (wall clock).
+void expect_identical(const ScenarioResult& a, const ScenarioResult& b, const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(a.scenario, b.scenario);
+  EXPECT_EQ(a.engine, b.engine);
+  EXPECT_EQ(a.sim_seconds, b.sim_seconds);
+  EXPECT_EQ(a.shared_diode_table, b.shared_diode_table);
+  EXPECT_EQ(a.stats.steps, b.stats.steps);
+  EXPECT_EQ(a.stats.init_iterations, b.stats.init_iterations);
+  EXPECT_EQ(a.stats.jacobian_builds, b.stats.jacobian_builds);
+  EXPECT_EQ(a.stats.jacobian_reuses, b.stats.jacobian_reuses);
+  EXPECT_EQ(a.stats.algebraic_solves, b.stats.algebraic_solves);
+  EXPECT_EQ(a.stats.newton_iterations, b.stats.newton_iterations);
+  EXPECT_EQ(a.stats.lu_factorisations, b.stats.lu_factorisations);
+  EXPECT_EQ(a.stats.stability_recomputes, b.stats.stability_recomputes);
+  EXPECT_EQ(a.stats.stability_reuses, b.stats.stability_reuses);
+  EXPECT_EQ(a.stats.history_resets, b.stats.history_resets);
+  EXPECT_EQ(a.stats.step_rejections, b.stats.step_rejections);
+  EXPECT_EQ(a.stats.last_step, b.stats.last_step);
+  EXPECT_EQ(a.stats.min_step, b.stats.min_step);
+  EXPECT_EQ(a.stats.max_step, b.stats.max_step);
+  EXPECT_EQ(a.time, b.time);
+  EXPECT_EQ(a.vc, b.vc);
+  EXPECT_EQ(a.power_time, b.power_time);
+  EXPECT_EQ(a.power_mean, b.power_mean);
+  EXPECT_EQ(a.power_rms, b.power_rms);
+  ASSERT_EQ(a.probes.size(), b.probes.size());
+  for (std::size_t i = 0; i < a.probes.size(); ++i) {
+    EXPECT_EQ(a.probes[i].label, b.probes[i].label);
+    EXPECT_EQ(a.probes[i].samples, b.probes[i].samples);
+    EXPECT_EQ(a.probes[i].covered_time, b.probes[i].covered_time);
+    EXPECT_EQ(a.probes[i].final_value, b.probes[i].final_value);
+    EXPECT_EQ(a.probes[i].minimum, b.probes[i].minimum);
+    EXPECT_EQ(a.probes[i].maximum, b.probes[i].maximum);
+    EXPECT_EQ(a.probes[i].mean, b.probes[i].mean);
+    EXPECT_EQ(a.probes[i].rms, b.probes[i].rms);
+    EXPECT_EQ(a.probes[i].duty_cycle, b.probes[i].duty_cycle);
+    EXPECT_EQ(a.probes[i].crossings, b.probes[i].crossings);
+    EXPECT_EQ(a.probes[i].recorded, b.probes[i].recorded);
+    EXPECT_EQ(a.probes[i].trace, b.probes[i].trace);
   }
-  return worst;
+  ASSERT_EQ(a.mcu_events.size(), b.mcu_events.size());
+  for (std::size_t i = 0; i < a.mcu_events.size(); ++i) {
+    EXPECT_EQ(a.mcu_events[i].time, b.mcu_events[i].time);
+    EXPECT_EQ(a.mcu_events[i].type, b.mcu_events[i].type);
+    EXPECT_EQ(a.mcu_events[i].value, b.mcu_events[i].value);
+  }
+  EXPECT_EQ(a.final_resonance_hz, b.final_resonance_hz);
+  EXPECT_EQ(a.final_vc, b.final_vc);
+  EXPECT_EQ(a.rms_power_before, b.rms_power_before);
+  EXPECT_EQ(a.rms_power_after, b.rms_power_after);
 }
 
-TEST(LockstepBatch, DuplicateBatchBitIdenticalToPerJob) {
-  std::vector<ScenarioJob> jobs(4);
-  for (auto& job : jobs) {
-    job.spec = lockstep_spec(1.5);
-    job.spec.excitation.step_frequency(0.75, 72.0);
-  }
+class PrefixForks : public ::testing::Test {
+ protected:
+  // Every job here shares the default diode table; with it cached up front
+  // no job's shared_diode_table depends on which job ran first.
+  static void SetUpTestSuite() { (void)run_experiment(charging_scenario(0.01)); }
 
-  BatchStats lockstep_stats;
-  const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
-  const auto lockstep = run_with_kernel(jobs, BatchKernel::kLockstep, &lockstep_stats);
-
-  ASSERT_EQ(per_job.size(), jobs.size());
-  ASSERT_EQ(lockstep.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(per_job[i].stats.steps, lockstep[i].stats.steps) << "job " << i;
-    EXPECT_EQ(per_job[i].time, lockstep[i].time) << "job " << i;
-    EXPECT_EQ(per_job[i].vc, lockstep[i].vc) << "job " << i;  // bit-identical
-    EXPECT_EQ(per_job[i].final_vc, lockstep[i].final_vc) << "job " << i;
-    EXPECT_EQ(per_job[i].power_mean, lockstep[i].power_mean) << "job " << i;
-    EXPECT_EQ(per_job[i].mcu_events.size(), lockstep[i].mcu_events.size()) << "job " << i;
-  }
-  // Followers rode the leader's refreshes instead of assembling their own.
-  EXPECT_GT(lockstep_stats.shared_factorisations, 0u);
-}
-
-TEST(LockstepBatch, SingleJobBitIdenticalToPerJob) {
-  std::vector<ScenarioJob> jobs(1);
-  jobs[0].spec = lockstep_spec(1.0);
-
-  const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
-  const auto lockstep = run_with_kernel(jobs, BatchKernel::kLockstep);
-  ASSERT_EQ(lockstep.size(), 1u);
-  EXPECT_EQ(per_job[0].stats.steps, lockstep[0].stats.steps);
-  EXPECT_EQ(per_job[0].vc, lockstep[0].vc);
-  EXPECT_EQ(per_job[0].final_vc, lockstep[0].final_vc);
-}
-
-TEST(LockstepBatch, SplitAndRemergeAcrossSegmentCrossing) {
-  // Sweep points share the prefix [0, 1.0) and then step to different
-  // frequencies: clones follow the leader exactly, peel off at t = 1.0 and
-  // re-merge into signature groups afterwards.
-  std::vector<ScenarioJob> jobs;
-  for (const double hz : {69.0, 71.0, 73.0}) {
-    ScenarioJob job;
-    job.spec = lockstep_spec(2.0);
-    job.spec.excitation.step_frequency(1.0, hz);
-    jobs.push_back(std::move(job));
-  }
-
-  BatchStats stats;
-  const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
-  const auto lockstep = run_with_kernel(jobs, BatchKernel::kLockstep, &stats);
-
-  ASSERT_EQ(lockstep.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // Identical prefix: before the divergence time every member still steps
-    // exactly like its per-job self, so the decimated trace is bit-for-bit
-    // equal there. Past the split the global step agreement changes the
-    // step sequence, so only bounded error is promised.
-    const std::size_t common = std::min(per_job[i].time.size(), lockstep[i].time.size());
-    for (std::size_t k = 0; k < common; ++k) {
-      if (per_job[i].time[k] >= 1.0 || lockstep[i].time[k] >= 1.0) {
-        break;
+  /// Runs \p jobs under `jobs` at 1 thread and under `lockstep` at 1 and 4
+  /// threads; every result must be identical. Returns the lockstep stats.
+  static BatchStats expect_forks_exact(const std::vector<ScenarioJob>& jobs) {
+    const std::vector<ScenarioResult> reference = run_with(jobs, BatchKernel::kJobs, 1);
+    BatchStats stats;
+    for (const std::size_t threads : {1u, 4u}) {
+      BatchStats run_stats;
+      const std::vector<ScenarioResult> forked =
+          run_with(jobs, BatchKernel::kLockstep, threads, &run_stats);
+      EXPECT_EQ(run_stats.jobs, jobs.size());
+      if (threads == 1) {
+        stats = run_stats;
+      } else {
+        // The plan does not depend on the thread count.
+        EXPECT_EQ(run_stats.lockstep_groups, stats.lockstep_groups);
+        EXPECT_EQ(run_stats.shared_factorisations, stats.shared_factorisations);
       }
-      EXPECT_EQ(per_job[i].time[k], lockstep[i].time[k]) << "job " << i << " sample " << k;
-      EXPECT_EQ(per_job[i].vc[k], lockstep[i].vc[k]) << "job " << i << " t=" << per_job[i].time[k];
+      EXPECT_EQ(forked.size(), reference.size());
+      for (std::size_t i = 0; i < std::min(forked.size(), reference.size()); ++i) {
+        expect_identical(reference[i], forked[i],
+                         jobs[i].spec.name + " at " + std::to_string(threads) + " threads");
+      }
     }
-    // After the split: bounded error against the per-job reference (the
-    // documented compare tolerance for diverged lockstep batches). Vc is
-    // slow, so comparing per decimated sample is meaningful even though the
-    // sample times differ in their low bits.
-    EXPECT_LT(max_rel_error(per_job[i].vc, lockstep[i].vc), 1e-3) << "job " << i;
-    EXPECT_NEAR(per_job[i].final_vc, lockstep[i].final_vc,
-                1e-3 * std::max(1.0, std::abs(per_job[i].final_vc)))
-        << "job " << i;
+    return stats;
   }
-  EXPECT_GT(stats.shared_factorisations, 0u);
+};
+
+TEST_F(PrefixForks, Fig9RetuneSweepForksBetweenDigitalEvents) {
+  // The step at 0.375 s falls between the wake-ups at 0.3 s and 0.45 s.
+  const BatchStats stats =
+      expect_forks_exact(jobs_of({fig9_spec(66.0), fig9_spec(70.0), fig9_spec(74.0),
+                                  fig9_spec(78.0)}));
+  EXPECT_EQ(stats.lockstep_groups, 1u);
+  EXPECT_EQ(stats.shared_factorisations, 3u);
 }
 
-TEST(LockstepBatch, DeterministicAcrossThreadCounts) {
-  // The lockstep march is serial by construction; the threads option must
-  // not change a single bit.
-  std::vector<ScenarioJob> jobs;
-  for (const double hz : {70.0, 74.0}) {
-    ScenarioJob job;
-    job.spec = lockstep_spec(1.0);
-    job.spec.excitation.step_frequency(0.5, hz);
-    jobs.push_back(std::move(job));
-  }
-
-  const auto t1 = run_with_kernel(jobs, BatchKernel::kLockstep, nullptr, 1);
-  const auto t2 = run_with_kernel(jobs, BatchKernel::kLockstep, nullptr, 2);
-  const auto t8 = run_with_kernel(jobs, BatchKernel::kLockstep, nullptr, 8);
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    EXPECT_EQ(t1[i].vc, t2[i].vc) << "job " << i;
-    EXPECT_EQ(t1[i].vc, t8[i].vc) << "job " << i;
-    EXPECT_EQ(t1[i].stats.steps, t8[i].stats.steps) << "job " << i;
-  }
+TEST_F(PrefixForks, RandomWalkEnsembleReplicasForkWhereTheWalkStarts) {
+  EnsembleSpec ensemble;
+  ensemble.base = charging_scenario(1.0);
+  ensemble.base.name = "walk";
+  RandomWalkParams walk;
+  walk.step_interval = 0.05;
+  walk.frequency_sigma = 0.4;
+  walk.min_frequency_hz = 60.0;
+  walk.max_frequency_hz = 80.0;
+  ensemble.base.excitation.random_walk(0.3, 0.6, walk);
+  ensemble.base.probes.push_back(ProbeSpec{"P_gen", ProbeSpec::Kind::kGeneratorPower});
+  ensemble.num_seeds = 4;
+  const BatchStats stats = expect_forks_exact(jobs_of(ensemble.expand()));
+  EXPECT_EQ(stats.lockstep_groups, 1u);
+  EXPECT_EQ(stats.shared_factorisations, 3u);
 }
 
-TEST(LockstepBatch, MixedDurationBatchTerminatesAndStaysBounded) {
-  // Regression: a spec.duration sweep axis retires the front member from the
-  // live set first; the barrier clock must then advance from a member that is
-  // still live, or the march freezes at the finished member's horizon and
-  // never reaches the later horizons.
-  std::vector<ScenarioJob> jobs;
-  for (const double duration : {0.6, 1.0, 1.4}) {
-    ScenarioJob job;
-    job.spec = lockstep_spec(duration);
-    jobs.push_back(std::move(job));
+TEST_F(PrefixForks, IdenticalJobsForkTheFinishedLeader) {
+  ExperimentSpec spec = fig9_spec(78.0);
+  std::vector<ExperimentSpec> specs;
+  for (const char* name : {"a", "b", "c"}) {
+    spec.name = name;
+    specs.push_back(spec);
   }
-
-  const auto per_job = run_with_kernel(jobs, BatchKernel::kJobs);
-  const auto lockstep = run_with_kernel(jobs, BatchKernel::kLockstep);
-
-  ASSERT_EQ(lockstep.size(), jobs.size());
-  for (std::size_t i = 0; i < jobs.size(); ++i) {
-    // Durations differ, so members are not clones: only the documented
-    // bounded error vs the per-job reference is promised.
-    EXPECT_LT(max_rel_error(per_job[i].vc, lockstep[i].vc), 1e-3) << "job " << i;
-    EXPECT_NEAR(per_job[i].final_vc, lockstep[i].final_vc,
-                1e-3 * std::max(1.0, std::abs(per_job[i].final_vc)))
-        << "job " << i;
-  }
+  const BatchStats stats = expect_forks_exact(jobs_of(specs));
+  EXPECT_EQ(stats.lockstep_groups, 1u);
+  EXPECT_EQ(stats.shared_factorisations, 2u);
 }
 
-TEST(LockstepBatch, ReuseDisabledArmStepIdenticalToPerJob) {
-  // Ablation A6 (enable_jacobian_reuse = false, LLE control on): a
-  // signature-stable refresh still rebuilds the Jacobians, but must observe
-  // zero drift exactly like the per-job refresh() — the drift observation
-  // follows the signature verdict, not the rebuild decision. Regression for
-  // the lockstep rebuild path hard-coding an unstable-signature observation.
-  const auto params = experiment_params(charging_scenario(0.5));
-  ehsim::sim::HarvesterSession::Options options;
-  options.solver.enable_jacobian_reuse = false;
-
-  ehsim::sim::HarvesterSession reference(params, options);
-  reference.run_until(0.4);
-
-  ehsim::sim::HarvesterSession a(params, options);
-  ehsim::sim::HarvesterSession b(params, options);
-  a.initialise();
-  b.initialise();
-  ehsim::sim::HarvesterSession* sessions[2] = {&a, &b};
-  std::vector<ehsim::sim::LockstepMember> members(2);
-  for (std::size_t i = 0; i < 2; ++i) {
-    members[i].solver =
-        dynamic_cast<ehsim::core::LinearisedSolver*>(&sessions[i]->engine());
-    ASSERT_NE(members[i].solver, nullptr);
-    members[i].t_end = 0.4;
-    // Forbid all sharing (distinct classes, never adopt — the configuration
-    // run_lockstep_batch derives for sole-class members): isolates the solo
-    // rebuild path, which must stay exact.
-    members[i].param_class = i;
-    members[i].share_after = std::numeric_limits<double>::infinity();
-  }
-  ehsim::sim::LockstepBatch batch(std::move(members));
-  batch.run();
-
-  for (ehsim::sim::HarvesterSession* session : sessions) {
-    EXPECT_EQ(reference.stats().steps, session->stats().steps);
-    const auto expect_state = reference.state();
-    const auto state = session->state();
-    ASSERT_EQ(expect_state.size(), state.size());
-    for (std::size_t k = 0; k < state.size(); ++k) {
-      EXPECT_EQ(expect_state[k], state[k]) << "state " << k;  // bit-identical
-    }
-  }
-}
-
-TEST(LockstepBatch, AddingACloneFollowerNeverChangesAnyOtherMembersBits) {
-  // Two identical charging members that may share from t = 0: member 1
-  // adopts member 0's linearisations and stability caps (the bounded-error
-  // path). A third member following member 1 must be passive: it mirrors
-  // member 1, cap adoptions included, so the batch-wide step and every
-  // other member's bits stay exactly those of the pair. Regression: the
-  // follower kept a stale cap whenever its leader adopted a cap instead of
-  // recomputing one, and that stale cap entered the global step.
-  const auto params = experiment_params(charging_scenario(0.2));
-  ehsim::sim::HarvesterSession::Options options;
-  options.with_mcu = false;
-  const auto march = [&](std::size_t n) {
-    std::vector<std::unique_ptr<ehsim::sim::HarvesterSession>> sessions;
-    std::vector<ehsim::sim::LockstepMember> members(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      sessions.push_back(std::make_unique<ehsim::sim::HarvesterSession>(params, options));
-      sessions[i]->initialise();
-      members[i].solver =
-          dynamic_cast<ehsim::core::LinearisedSolver*>(&sessions[i]->engine());
-      members[i].t_end = 0.2;
-      members[i].param_class = 0;
-      members[i].share_after = 0.0;
-    }
-    if (n > 2) {
-      members[2].clone_leader = 1;
-      members[2].diverges_at = std::numeric_limits<double>::infinity();
-    }
-    ehsim::sim::LockstepBatch batch(std::move(members));
-    batch.run();
-    return sessions;
-  };
-  const auto pair = march(2);
-  const auto triple = march(3);
-
-  for (std::size_t i = 0; i < 2; ++i) {
-    EXPECT_EQ(pair[i]->stats().steps, triple[i]->stats().steps) << "member " << i;
-    const auto expected = pair[i]->state();
-    const auto actual = triple[i]->state();
-    ASSERT_EQ(expected.size(), actual.size());
-    for (std::size_t k = 0; k < actual.size(); ++k) {
-      EXPECT_EQ(expected[k], actual[k]) << "member " << i << " state " << k;
-    }
-  }
-  EXPECT_EQ(triple[1]->stats().steps, triple[2]->stats().steps);
-  const auto leader = triple[1]->state();
-  const auto follower = triple[2]->state();
-  for (std::size_t k = 0; k < follower.size(); ++k) {
-    EXPECT_EQ(leader[k], follower[k]) << "follower state " << k;
-  }
-}
-
-TEST(LockstepBatch, APeelingFollowerContinuesLikeItsLeaderCutAtThePeel) {
-  // A clone follower copies only its leader's point while it follows; the
-  // leader's linearisation and LLE monitor are handed over once, when the
-  // clone relation ends. Here the relation ends where the leader's horizon
-  // does, so the follower then marches alone, and must march exactly like
-  // its per-job self after a checkpoint cut at the last followed point:
-  // same linearisation and monitor, empty linearisation cache.
-  const auto params = experiment_params(charging_scenario(0.6));
-  ehsim::sim::HarvesterSession::Options options;
-  options.with_mcu = false;
-  constexpr double kPeel = 0.3;
-  constexpr double kEnd = 0.6;
-
-  double last_followed = 0.0;
+TEST_F(PrefixForks, AForkWhileTheActuatorMovesLeavesTheCurrentLinearisationOutsideTheCache) {
+  // Scenario 1 with its retune brought forward: the MCU starts moving the
+  // actuator after the 0.5 s step, and a moving actuator makes every
+  // signature uncacheable. Find such a stretch on the per-job run, then
+  // sweep an amplitude step placed inside it: the fork point, the last
+  // accepted point before the step, lies inside the stretch too.
+  ExperimentSpec base = scenario1();
+  base.duration = 2.0;
+  base.excitation.events.front().time = 0.5;
+  base.overrides.push_back(ParamOverride{"mcu.watchdog_period", 0.25});
+  std::vector<double> times;
+  std::vector<bool> moving;
   {
-    ehsim::sim::HarvesterSession per_job(params, options);
-    per_job.add_observer([&](double t, std::span<const double>, std::span<const double>) {
-      if (t < kPeel) {
-        last_followed = t;
-      }
+    ehsim::sim::HarvesterSession session = make_experiment_session(base);
+    const auto& solver = dynamic_cast<const LinearisedSolver&>(session.engine());
+    session.add_observer([&](double t, std::span<const double>, std::span<const double>) {
+      times.push_back(t);
+      moving.push_back(!ehsim::core::LinearisationCache::cacheable(solver.jacobian_signature()));
     });
-    per_job.run_until(kPeel);
+    session.run_until(base.duration);
   }
-  ehsim::sim::HarvesterSession cut(params, options);
-  cut.add_observer([&](double t, std::span<const double>, std::span<const double>) {
-    if (t == last_followed) {
-      cut.engine().checkpoint_cut();
-    }
+  const auto first = std::find(moving.begin(), moving.end(), true);
+  ASSERT_NE(first, moving.end());
+  const auto last = std::find(first, moving.end(), false) - 1;
+  const double moving_from = times[static_cast<std::size_t>(first - moving.begin())];
+  const double moving_to = times[static_cast<std::size_t>(last - moving.begin())];
+  ASSERT_GT(moving_from, 0.5);
+  ASSERT_GT(moving_to - moving_from, 0.02) << "no stretch of actuator motion to fork in";
+  const double fork_at = 0.5 * (moving_from + moving_to);
+
+  std::vector<ExperimentSpec> specs;
+  for (const double amplitude : {0.55, 0.6, 0.65}) {
+    ExperimentSpec spec = base;
+    spec.name = "amplitude-" + std::to_string(amplitude);
+    spec.excitation.step_amplitude(fork_at, amplitude);
+    specs.push_back(spec);
+  }
+  const BatchStats stats = expect_forks_exact(jobs_of(specs));
+  EXPECT_EQ(stats.lockstep_groups, 1u);
+  EXPECT_EQ(stats.shared_factorisations, 2u);
+}
+
+TEST_F(PrefixForks, AMixedBatchForksOnlyTheJobsThatShareAPrefix) {
+  ExperimentSpec other_plant = fig9_spec(70.0);
+  other_plant.name = "other-plant";
+  other_plant.pre_tuned_hz = 65.0;  // other device parameters
+  ExperimentSpec other_trace = fig9_spec(70.0);
+  other_trace.name = "trace-a";
+  other_trace.trace_interval = 0.02;  // other observer settings
+  ExperimentSpec other_trace_b = other_trace;
+  other_trace_b.name = "trace-b";
+  other_trace_b.excitation.events.front().frequency_hz = 74.0;
+  ExperimentSpec from_zero = fig9_spec(70.0);
+  from_zero.name = "from-zero";
+  from_zero.excitation.initial_frequency_hz = 65.0;  // differs from t = 0
+  ExperimentSpec longer = fig9_spec(74.0);
+  longer.name = "longer";
+  longer.duration = 0.55;
+  const BatchStats stats = expect_forks_exact(jobs_of(
+      {fig9_spec(66.0), other_plant, other_trace, fig9_spec(78.0), from_zero, longer,
+       other_trace_b}));
+  // fig9(78) forks from fig9(66), trace-b from other_trace.
+  EXPECT_EQ(stats.lockstep_groups, 2u);
+  EXPECT_EQ(stats.shared_factorisations, 2u);
+}
+
+TEST_F(PrefixForks, ASolverSweepRunsUnforked) {
+  // A sweep over a solver.* key: the lockstep kernel used to refuse it
+  // ("members must share one SolverConfig").
+  SweepSpec sweep;
+  sweep.base = scenario2();
+  sweep.base.name = "lle";
+  sweep.base.duration = 0.2;
+  sweep.axes.push_back(SweepAxis{"solver.lle_tolerance", {0.05, 0.1}, {}});
+  const BatchStats stats = expect_forks_exact(jobs_of(sweep.expand()));
+  EXPECT_EQ(stats.lockstep_groups, 0u);
+  EXPECT_EQ(stats.shared_factorisations, 0u);
+}
+
+TEST_F(PrefixForks, APauseStopsBeforeTheCrossingStepAndResumesExactly) {
+  const ExperimentSpec spec = fig9_spec(78.0);
+  const double fork_at = spec.excitation.events.front().time;
+  std::vector<double> accepted;
+  ehsim::sim::HarvesterSession straight = make_experiment_session(spec);
+  straight.add_observer([&](double t, std::span<const double>, std::span<const double>) {
+    accepted.push_back(t);
   });
-  cut.run_until(kPeel);
-  cut.run_until(kEnd);
+  straight.run_until(spec.duration);
 
-  ehsim::sim::HarvesterSession leader(params, options);
-  ehsim::sim::HarvesterSession follower(params, options);
-  leader.initialise();
-  follower.initialise();
-  std::vector<ehsim::sim::LockstepMember> members(2);
-  members[0].solver = dynamic_cast<ehsim::core::LinearisedSolver*>(&leader.engine());
-  members[0].t_end = kPeel;
-  members[1].solver = dynamic_cast<ehsim::core::LinearisedSolver*>(&follower.engine());
-  members[1].t_end = kEnd;
-  members[1].clone_leader = 0;
-  members[1].diverges_at = kPeel;
-  for (ehsim::sim::LockstepMember& member : members) {
-    member.share_after = std::numeric_limits<double>::infinity();
-  }
-  ehsim::sim::LockstepBatch batch(std::move(members));
-  batch.run();
+  ehsim::sim::HarvesterSession paused = make_experiment_session(spec);
+  auto& solver = dynamic_cast<LinearisedSolver&>(paused.engine());
+  solver.pause_before(fork_at);
+  paused.run_until(spec.duration);
+  const double stop = paused.time();
+  ASSERT_LT(stop, fork_at);
+  // The last accepted point before the fork time: the next one reaches it.
+  const auto at = std::find(accepted.begin(), accepted.end(), stop);
+  ASSERT_NE(at, accepted.end());
+  ASSERT_NE(at + 1, accepted.end());
+  EXPECT_GE(*(at + 1), fork_at);
+  // Pausing again at the same time does not move.
+  paused.run_until(spec.duration);
+  EXPECT_EQ(paused.time(), stop);
 
-  EXPECT_EQ(cut.stats().steps, follower.stats().steps);
-  EXPECT_EQ(cut.stats().jacobian_builds, follower.stats().jacobian_builds);
-  EXPECT_EQ(cut.stats().jacobian_reuses, follower.stats().jacobian_reuses);
-  const auto expected = cut.state();
-  const auto actual = follower.state();
-  ASSERT_EQ(expected.size(), actual.size());
-  for (std::size_t k = 0; k < actual.size(); ++k) {
-    EXPECT_EQ(expected[k], actual[k]) << "state " << k;  // bit-identical
-  }
+  solver.pause_before(std::numeric_limits<double>::infinity());
+  paused.run_until(spec.duration);
+  EXPECT_EQ(paused.stats().steps, straight.stats().steps);
+  EXPECT_EQ(paused.stats().jacobian_builds, straight.stats().jacobian_builds);
+  EXPECT_EQ(paused.session().sync_points(), straight.session().sync_points());
+  const auto expected = straight.state();
+  const auto actual = paused.state();
+  EXPECT_TRUE(std::equal(expected.begin(), expected.end(), actual.begin(), actual.end()));
+  EXPECT_EQ(paused.session().trace().column("Vc"), straight.session().trace().column("Vc"));
 }
 
-TEST(LockstepBatch, BaselineEngineJobRejected) {
-  std::vector<ScenarioJob> jobs(2);
-  jobs[0].spec = lockstep_spec(0.5);
-  jobs[1].spec = lockstep_spec(0.5);
+TEST_F(PrefixForks, BaselineEngineJobRejected) {
+  std::vector<ScenarioJob> jobs = jobs_of({fig9_spec(70.0), fig9_spec(74.0)});
   jobs[1].spec.engine = EngineKind::kPspice;
-
-  BatchOptions options;
-  options.batch_kernel = BatchKernel::kLockstep;
-  EXPECT_THROW((void)run_scenario_batch(jobs, options, nullptr), ModelError);
+  EXPECT_THROW((void)run_with(jobs, BatchKernel::kLockstep, 1), ModelError);
 }
 
-TEST(LockstepBatch, KernelIdsRoundTrip) {
+TEST_F(PrefixForks, KernelIdsRoundTrip) {
   for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
     EXPECT_EQ(parse_batch_kernel(batch_kernel_id(kernel)), kernel);
   }

@@ -2,8 +2,9 @@
 /// \brief The LLE monitor's sparse scan (Eq. 3): each harvester block
 /// declares exactly the local Jacobian entries that change within an epoch,
 /// and on the real march the solver's drift equals a dense monitor's bit for
-/// bit — on every checked-in spec, under both batch kernels, across a
-/// checkpoint cut, and around linearisations the solver did not build.
+/// bit — on every checked-in spec, through MCU epochs, across a checkpoint
+/// cut and across a prefix fork, and after a restore that disagrees with
+/// the model.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -37,7 +38,6 @@
 #include "io/state_json.hpp"
 #include "sim/checkpoint.hpp"
 #include "sim/harvester_session.hpp"
-#include "sim/lockstep_batch.hpp"
 
 namespace {
 
@@ -442,80 +442,50 @@ TEST(SparseLle, DriftMatchesADenseMonitorAcrossACheckpointCut) {
   EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
 }
 
-/// A dense twin of a lockstep member, fed from a solution observer:
-/// LockstepBatch composes the pipeline itself.
-struct ObservedTwin : DenseTwin {
-  bool seen = false;
-  std::uint64_t signature = 0;
+TEST(SparseLle, DriftMatchesADenseMonitorAcrossAFork) {
+  // The batch kernel's prefix fork: a snapshot without a cut, restored into
+  // a fresh session together with the leader's cache. The follower's
+  // monitor starts from the document and scans every entry first; its drift
+  // must still equal the leader's, update for update.
+  const ExperimentSpec spec = eventful_scenario1();
+  HarvesterSession leader = ehsim::experiments::make_experiment_session(spec);
+  leader.initialise(0.0);
+  DenseTwin leader_twin;
+  cosimulate(leader, 0.55, leader_twin);  // mid-retune
+  const ehsim::sim::Checkpoint snapshot = leader.session().snapshot();
+  const LinearisedSolver::LinearisationTransplant carried =
+      solver_of(leader).linearisation_transplant();
+  ASSERT_GT(carried.cache.size(), 0u);
+  const std::size_t before_fork = leader_twin.drifts.size();
 
-  void observe(const LinearisedSolver& s) {
-    if (s.stats().history_resets != resets) {
-      // The refresh right after a discontinuity falls on an already-notified
-      // time, so no observer sees it: continue from the solver's own monitor
-      // state and check again from the next update.
-      resets = s.stats().history_resets;
-      monitor.restore_checkpoint_state(s.checkpoint_state().at("lle"), s.state().size(),
-                                       s.terminals().size());
-    } else if (!seen || s.jacobian_signature() != signature) {
-      check(s);
-    }
-    seen = true;
-    signature = s.jacobian_signature();
-  }
-};
+  HarvesterSession follower = ehsim::experiments::make_experiment_session(spec);
+  follower.initialise(0.0);
+  follower.restore_checkpoint(snapshot);
+  LinearisedSolver& s = solver_of(follower);
+  s.transplant(carried);
+  DenseTwin follower_twin;
+  follower_twin.monitor.restore_checkpoint_state(snapshot.payload.at("engine").at("lle"),
+                                                 s.state().size(), s.terminals().size());
+  follower_twin.resets = s.stats().history_resets;
 
-TEST(SparseLle, DriftMatchesADenseMonitorUnderTheLockstepKernel) {
-  // Members of one parameter class may adopt each other's linearisations
-  // from the first step (share_after 0) and none follows a clone leader,
-  // so every member refreshes itself and adopts wherever signatures meet.
-  std::vector<SpecJobs> specs = checked_in_specs();
-  specs.push_back(SpecJobs{"eventful scenario1", {eventful_scenario1(71.0),
-                                                  eventful_scenario1(72.0)}});
-  std::uint64_t adoptions = 0;
-  for (const SpecJobs& spec : specs) {
-    std::vector<std::unique_ptr<HarvesterSession>> sessions;
-    std::vector<std::unique_ptr<ObservedTwin>> twins;
-    std::vector<HarvesterParams> params;
-    std::vector<ehsim::sim::LockstepMember> members;
-    for (const ExperimentSpec& job : spec.jobs) {
-      sessions.push_back(std::make_unique<HarvesterSession>(
-          ehsim::experiments::make_experiment_session(job)));
-      twins.push_back(std::make_unique<ObservedTwin>());
-      LinearisedSolver& s = solver_of(*sessions.back());
-      sessions.back()->add_observer(
-          [&s, twin = twins.back().get()](double, std::span<const double>,
-                                          std::span<const double>) { twin->observe(s); });
-      sessions.back()->initialise(0.0);
-      params.push_back(ehsim::experiments::experiment_params(job));
-      ehsim::sim::LockstepMember member;
-      member.solver = &s;
-      member.kernel = sessions.back()->session().kernel();
-      member.t_end = std::min(job.duration, spec.file == "eventful scenario1" ? job.duration
-                                                                               : kHorizon);
-      member.param_class = static_cast<std::size_t>(
-          std::find(params.begin(), params.end(), params.back()) - params.begin());
-      member.share_after = 0.0;
-      members.push_back(member);
-    }
-    if (members.empty()) {
-      continue;
-    }
-    ehsim::sim::LockstepBatch batch(std::move(members));
-    batch.run();
-    adoptions += batch.counters().shared_factorisations;
-    for (std::size_t i = 0; i < twins.size(); ++i) {
-      EXPECT_EQ(twins[i]->mismatches, 0u) << spec.file << ": " << spec.jobs[i].name;
-      EXPECT_GT(twins[i]->drifts.size(), 1000u) << spec.file << ": " << spec.jobs[i].name;
-    }
-  }
-  EXPECT_GT(adoptions, 1000u);
+  cosimulate(leader, spec.duration, leader_twin);
+  cosimulate(follower, spec.duration, follower_twin);
+  EXPECT_EQ(leader_twin.mismatches, 0u);
+  EXPECT_EQ(follower_twin.mismatches, 0u);
+  ASSERT_EQ(follower_twin.drifts.size(), leader_twin.drifts.size() - before_fork);
+  EXPECT_TRUE(std::equal(follower_twin.drifts.begin(), follower_twin.drifts.end(),
+                         leader_twin.drifts.begin() + static_cast<std::ptrdiff_t>(before_fork)));
+  const auto a = leader.state();
+  const auto b = follower.state();
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()));
+  EXPECT_EQ(solver_of(leader).stats().jacobian_builds, s.stats().jacobian_builds);
 }
 
-// ---- linearisations from outside the solver's own builds -------------------
+// ---- a restore that disagrees with the model ----------------------------------
 
 /// Flip the sign of every entry of \p m (the \p block of the Jacobians)
 /// that \p pattern does not declare varying: the result disagrees with the
-/// model's constants, as a foreign linearisation may.
+/// model's constants.
 void flip_undeclared(Matrix& m, const JacobianPattern& pattern, JacobianBlock block) {
   const auto b = static_cast<std::size_t>(block);
   std::set<std::uint32_t> declared;
@@ -541,49 +511,6 @@ HarvesterSession charging_session(const HarvesterParams& params) {
 
 HarvesterParams charging_params() {
   return ehsim::experiments::experiment_params(ehsim::experiments::charging_scenario(1.0));
-}
-
-TEST(SparseLle, AnAdoptedLinearisationIsScannedDenselyOnAndAfterIt) {
-  HarvesterSession session = charging_session(charging_params());
-  const JacobianPattern& pattern = session.system().assembler().varying_jacobian_entries();
-  DenseTwin twin;
-  std::size_t changes = 0;
-  std::size_t adopted_at = 0;
-  cosimulate(session, 0.2, twin, [&](LinearisedSolver& s, bool stable) {
-    own_linearisation(s, stable);
-    if (!stable && ++changes == 500) {
-      Linearisation donor = s.linearisation();
-      flip_undeclared(donor.jyx, pattern, JacobianBlock::kYX);
-      s.adopt_linearisation(donor);
-      adopted_at = twin.drifts.size();
-    }
-  });
-  EXPECT_EQ(twin.mismatches, 0u);
-  ASSERT_GT(twin.drifts.size(), adopted_at + 1);
-  // A sign flip is a drift of exactly 2, on arrival and against the next
-  // own linearisation.
-  EXPECT_EQ(twin.drifts[adopted_at], 2.0);
-  EXPECT_EQ(twin.drifts[adopted_at + 1], 2.0);
-}
-
-TEST(SparseLle, AClonesMonitorIsScannedDenselyAfterTheHandOver) {
-  // A leader with a reversed coil: every -Phi coupling flips sign.
-  HarvesterParams reversed = charging_params();
-  reversed.generator.flux_linkage = -reversed.generator.flux_linkage;
-  HarvesterSession leader = charging_session(reversed);
-  HarvesterSession follower = charging_session(charging_params());
-  DenseTwin leader_twin;
-  DenseTwin follower_twin;
-  cosimulate(leader, 0.1, leader_twin);
-  cosimulate(follower, 0.1, follower_twin);
-  solver_of(follower).follow_linearisation(solver_of(leader));
-  follower_twin.monitor = leader_twin.monitor;
-  const std::size_t handed_over = follower_twin.drifts.size();
-  cosimulate(follower, 0.2, follower_twin);
-  EXPECT_EQ(leader_twin.mismatches, 0u);
-  EXPECT_EQ(follower_twin.mismatches, 0u);
-  ASSERT_GT(follower_twin.drifts.size(), handed_over);
-  EXPECT_EQ(follower_twin.drifts[handed_over], 2.0);
 }
 
 /// The member \p key of JSON object \p object.

@@ -75,11 +75,10 @@ int usage(std::FILE* where = stderr) {
                "      <name>.result.json and <name>.trace.csv under --out (default .).\n"
                "      --probes appends quick probes (comma list of net:<name>,\n"
                "      state:<block.state>, power, harvested, energy) to the spec.\n"
-               "      --batch-kernel picks jobs | lockstep: lockstep marches the\n"
-               "      whole batch on one clock sharing Jacobian factorisations\n"
-               "      (proposed engine only; identical jobs stay bit-identical,\n"
-               "      diverged ones within compare tolerances). Overrides the\n"
-               "      sweep spec's batch_kernel.\n"
+               "      --batch-kernel picks jobs | lockstep: lockstep marches once\n"
+               "      the span that jobs share until their excitation differs,\n"
+               "      then forks it (proposed engine only; results bit-identical\n"
+               "      to jobs). Overrides the sweep spec's batch_kernel.\n"
                "      --checkpoint-every S --checkpoint-dir D write one checkpoint\n"
                "      file per job into D at every S simulated seconds (atomic\n"
                "      replace; see docs/checkpoint_format.md).\n"
@@ -366,8 +365,6 @@ class JobTable {
     cap_evaluations_ += result.stats.stability_recomputes;
     cap_reuses_ += result.stats.stability_reuses;
     shared_tables_ += result.shared_diode_table ? 1 : 0;
-    lockstep_groups_ = result.lockstep_groups;
-    shared_factorisations_ = result.shared_factorisations;
   }
 
   void print() const {
@@ -384,11 +381,6 @@ class JobTable {
     if (jobs_ > 1) {
       std::printf("%zu jobs, %zu shared diode-table hits\n", jobs_, shared_tables_);
     }
-    if (lockstep_groups_ > 0 || shared_factorisations_ > 0) {
-      std::printf("lockstep: %llu shared groups, %llu shared factorisations\n",
-                  static_cast<unsigned long long>(lockstep_groups_),
-                  static_cast<unsigned long long>(shared_factorisations_));
-    }
   }
 
  private:
@@ -400,8 +392,6 @@ class JobTable {
   std::uint64_t cap_evaluations_ = 0;
   std::uint64_t cap_reuses_ = 0;
   std::size_t shared_tables_ = 0;
-  std::uint64_t lockstep_groups_ = 0;
-  std::uint64_t shared_factorisations_ = 0;
 };
 
 /// Prints what execute() reports about \p spec as the CLI's summary lines.
