@@ -3,12 +3,12 @@
 ///
 /// Two halves, both judged against the extended-precision reference oracle
 /// (src/ref):
-///   1. verify-accuracy over both batch kernels of a charging scenario
-///      with a mid-run retune — the measured Vc / energy error bounds land
-///      in BENCH_accuracy.json so the per-push artifacts record the
-///      accuracy trajectory next to the speed one.
-///   2. an autotune run over a stability_safety x lle_tolerance ladder with
-///      a kernel axis. The step is stability-capped, so the Eq. 7 safety
+///   1. verify-accuracy of a charging scenario with a mid-run retune — the
+///      measured Vc / energy error bounds land in BENCH_accuracy.json so the
+///      per-push artifacts record the accuracy trajectory next to the speed
+///      one.
+///   2. an autotune run over a stability_safety x lle_tolerance ladder. The
+///      step is stability-capped, so the Eq. 7 safety
 ///      factor is the knob that moves cost; the 0.06 budget sits above the
 ///      defaults' own ~0.050 error on this spec. The bench exits non-zero
 ///      unless the tuner (a) declares a
@@ -49,23 +49,18 @@ int main() {
               duration, oracle_step);
 
   AccuracyOptions options;
-  options.kernels = {BatchKernel::kJobs, BatchKernel::kLockstep};
   options.oracle_step = oracle_step;
   const AccuracyReport report = run_accuracy(spec, options);
 
-  std::printf("%-14s %12s %12s %12s\n", "kernel", "Vc max rel", "final Vc", "energy");
-  for (const KernelAccuracy& row : report.kernels) {
-    std::printf("%-14s %12.3e %12.3e %12.3e\n", row.kernel.c_str(),
-                row.bounds.vc_max_rel_error, row.bounds.final_vc_rel_error,
-                row.bounds.energy_rel_error);
-  }
+  std::printf("%12s %12s %12s\n", "Vc max rel", "final Vc", "energy");
+  std::printf("%12.3e %12.3e %12.3e\n", report.bounds.vc_max_rel_error,
+              report.bounds.final_vc_rel_error, report.bounds.energy_rel_error);
 
   AutotuneSpec tune;
   tune.name = "bench-autotune";
   tune.base = spec;
   tune.knobs.push_back({"solver.stability_safety", {0.75, 0.85, 0.95}});
   tune.knobs.push_back({"solver.lle_tolerance", {0.25, 0.5}});
-  tune.kernels = {BatchKernel::kJobs, BatchKernel::kLockstep};
   tune.error_budget = 0.06;
   tune.oracle_step = oracle_step;
   tune.max_evaluations = 40;
@@ -75,10 +70,8 @@ int main() {
   const AutotuneResult& result = outcome.result;
   std::printf("baseline: cost %.0f, error %.3e\n", result.baseline_cost,
               result.baseline_error);
-  std::printf("chosen:   cost %.0f, error %.3e, kernel %s, cost ratio %.3f "
-              "(%zu evaluations, %zu sweeps)\n",
-              result.chosen_cost, result.chosen_error, result.chosen_kernel.c_str(),
-              result.cost_ratio, static_cast<std::size_t>(result.evaluations),
+  std::printf("chosen:   cost %.0f, error %.3e, cost ratio %.3f (%zu evaluations, %zu sweeps)\n",
+              result.chosen_cost, result.chosen_error, result.cost_ratio, static_cast<std::size_t>(result.evaluations),
               static_cast<std::size_t>(result.sweeps));
 
   // (a) + (b): a feasible configuration that beats the defaults on the
@@ -88,14 +81,7 @@ int main() {
 
   // (c) the strong form of "inside its own budget": re-measure the chosen
   // spec independently instead of trusting the tuner's bookkeeping.
-  AccuracyOptions recheck_options;
-  recheck_options.kernels = {outcome.chosen_kernel};
-  recheck_options.oracle_step = oracle_step;
-  const AccuracyReport recheck = run_accuracy(outcome.chosen_spec, recheck_options);
-  double remeasured = 0.0;
-  for (const KernelAccuracy& row : recheck.kernels) {
-    remeasured = row.bounds.combined();
-  }
+  const double remeasured = run_accuracy(outcome.chosen_spec, options).bounds.combined();
   const bool inside_budget = remeasured <= tune.error_budget;
   std::printf("re-measured chosen-config error: %.3e (budget %.2g) — %s\n", remeasured,
               tune.error_budget, inside_budget ? "inside" : "OUTSIDE");
@@ -111,16 +97,9 @@ int main() {
   doc.set("bench", "accuracy");
   doc.set("sim_seconds", duration);
   doc.set("oracle_step", oracle_step);
-  io::JsonValue kernels = io::JsonValue::make_array();
-  for (const KernelAccuracy& row : report.kernels) {
-    io::JsonValue entry = io::JsonValue::make_object();
-    entry.set("kernel", row.kernel);
-    entry.set("vc_max_rel_error", row.bounds.vc_max_rel_error);
-    entry.set("final_vc_rel_error", row.bounds.final_vc_rel_error);
-    entry.set("energy_rel_error", row.bounds.energy_rel_error);
-    kernels.push_back(std::move(entry));
-  }
-  doc.set("kernels", std::move(kernels));
+  doc.set("vc_max_rel_error", report.bounds.vc_max_rel_error);
+  doc.set("final_vc_rel_error", report.bounds.final_vc_rel_error);
+  doc.set("energy_rel_error", report.bounds.energy_rel_error);
   doc.set("autotune_baseline_cost", result.baseline_cost);
   doc.set("autotune_chosen_cost", result.chosen_cost);
   doc.set("autotune_cost_ratio", result.cost_ratio);

@@ -1,22 +1,21 @@
 /// \file bench_ensemble.cpp
-/// \brief Monte Carlo ensemble throughput: seed replicas through the batch
-/// kernels.
+/// \brief Monte Carlo ensemble throughput: seed replicas through one batch.
 ///
 /// An EnsembleSpec's replicas differ only in their random-walk drift
 /// realisation, and share everything before the walk starts — exactly the
-/// case the lockstep kernel's prefix forks exist for. This bench runs one
-/// K-replica drifting-ambient ensemble through the jobs kernel (independent
-/// sessions on a thread pool) and through the lockstep kernel (the span
-/// before the walk marched once, then forked), and fails unless the lockstep
-/// kernel actually forked the seed replicas (a snapshot taken, replicas
-/// restored from it) and reproduced the jobs kernel's ensemble statistics
-/// bit for bit, twice.
+/// case the batch's prefix forks exist for. This bench runs one K-replica
+/// drifting-ambient ensemble as a loop of separate replica runs and as one
+/// run_ensemble batch (the span before the walk marched once, then forked),
+/// and fails unless the batch actually forked the seed replicas (a snapshot
+/// taken, replicas restored from it) and reproduced the separate runs'
+/// ensemble statistics bit for bit, twice.
 #include <cstdio>
 #include <cstdlib>
 
 #include "bench_json.hpp"
 #include "experiments/cpu_timer.hpp"
 #include "experiments/ensemble.hpp"
+#include "experiments/metrics.hpp"
 #include "experiments/scenarios.hpp"
 
 int main() {
@@ -45,61 +44,61 @@ int main() {
 
   std::printf("=== ensemble: %zu seed replicas, %.1f s each ===\n\n", replicas, duration);
 
-  BatchOptions jobs_options;
-  jobs_options.batch_kernel = BatchKernel::kJobs;
-  BatchStats jobs_stats;
-  WallTimer jobs_timer;
-  const EnsembleResult jobs = run_ensemble(ensemble, jobs_options, &jobs_stats);
-  const double jobs_wall = jobs_timer.elapsed_seconds();
+  WallTimer separate_timer;
+  WelfordAccumulator separate;
+  for (const ExperimentSpec& replica : ensemble.expand()) {
+    separate.add(run_experiment(replica).final_vc);
+  }
+  const double separate_wall = separate_timer.elapsed_seconds();
 
-  BatchOptions lockstep_options;
-  lockstep_options.batch_kernel = BatchKernel::kLockstep;
-  BatchStats lockstep_stats;
-  WallTimer lockstep_timer;
-  const EnsembleResult lockstep = run_ensemble(ensemble, lockstep_options, &lockstep_stats);
-  const double lockstep_wall = lockstep_timer.elapsed_seconds();
+  BatchStats stats;
+  WallTimer batch_timer;
+  const EnsembleResult batch = run_ensemble(ensemble, {}, &stats);
+  const double batch_wall = batch_timer.elapsed_seconds();
 
-  std::printf("jobs kernel:     %.2f s wall, mean final Vc %.6f V (stderr %.2e)\n",
-              jobs_wall, jobs.final_vc.mean, jobs.final_vc.stderr_mean);
-  std::printf("lockstep kernel: %.2f s wall, mean final Vc %.6f V (stderr %.2e), "
+  std::printf("separate runs: %.2f s wall, mean final Vc %.6f V (stderr %.2e)\n", separate_wall,
+              separate.mean(), separate.standard_error());
+  std::printf("batch:         %.2f s wall, mean final Vc %.6f V (stderr %.2e), "
               "%zu snapshots, %zu replicas forked\n",
-              lockstep_wall, lockstep.final_vc.mean, lockstep.final_vc.stderr_mean,
-              lockstep_stats.lockstep_groups, lockstep_stats.shared_factorisations);
+              batch_wall, batch.final_vc.mean, batch.final_vc.stderr_mean, stats.lockstep_groups,
+              stats.shared_factorisations);
 
-  // Forking: the lockstep kernel must have snapshotted a leader and
-  // restored seed replicas from it, not degenerated into isolated sessions.
-  const bool shared = lockstep_stats.jobs == replicas &&
-                      lockstep_stats.lockstep_groups > 0 &&
-                      lockstep_stats.shared_factorisations > 0;
+  // Forking: the batch must have snapshotted a leader and restored seed
+  // replicas from it, not degenerated into isolated sessions.
+  const bool shared =
+      stats.jobs == replicas && stats.lockstep_groups > 0 && stats.shared_factorisations > 0;
 
-  // Exactness: the lockstep statistics are the jobs kernel's, and a second
-  // lockstep execution reproduces them bit for bit.
-  const EnsembleResult again = run_ensemble(ensemble, lockstep_options, nullptr);
-  const auto same = [](const EnsembleResult& a, const EnsembleResult& b) {
-    return a.final_vc.mean == b.final_vc.mean && a.final_vc.stderr_mean == b.final_vc.stderr_mean &&
-           a.final_vc.minimum == b.final_vc.minimum && a.final_vc.maximum == b.final_vc.maximum;
+  // Exactness: the batch statistics are the separate runs', and a second
+  // batch reproduces them bit for bit.
+  const EnsembleResult again = run_ensemble(ensemble);
+  const EnsembleStat expected{separate.mean(), separate.standard_error(), separate.minimum(),
+                              separate.maximum()};
+  const auto same = [](const EnsembleStat& a, const EnsembleStat& b) {
+    return a.mean == b.mean && a.stderr_mean == b.stderr_mean && a.minimum == b.minimum &&
+           a.maximum == b.maximum;
   };
-  const bool deterministic = same(lockstep, jobs) && same(again, lockstep);
+  const bool deterministic =
+      same(batch.final_vc, expected) && same(again.final_vc, batch.final_vc);
 
   // And the ensemble is not vacuous: the seeds produced distinct outcomes.
-  const bool varied = jobs.final_vc.maximum > jobs.final_vc.minimum &&
-                      jobs.final_vc.stderr_mean > 0.0;
+  const bool varied =
+      batch.final_vc.maximum > batch.final_vc.minimum && batch.final_vc.stderr_mean > 0.0;
 
   const bool ok = shared && deterministic && varied;
-  std::printf("\nlockstep forks the seed replicas and matches the jobs kernel: %s\n",
+  std::printf("\nthe batch forks the seed replicas and matches separate runs: %s\n",
               ok ? "YES" : "NO");
 
   io::JsonValue doc = io::JsonValue::make_object();
   doc.set("bench", "ensemble");
   doc.set("replicas", static_cast<double>(replicas));
   doc.set("sim_seconds", duration);
-  doc.set("jobs_wall_seconds", jobs_wall);
-  doc.set("lockstep_wall_seconds", lockstep_wall);
-  doc.set("lockstep_snapshots", static_cast<double>(lockstep_stats.lockstep_groups));
-  doc.set("lockstep_forked_jobs", static_cast<double>(lockstep_stats.shared_factorisations));
-  doc.set("final_vc_mean", jobs.final_vc.mean);
-  doc.set("final_vc_stderr", jobs.final_vc.stderr_mean);
-  doc.set("lockstep_deterministic", deterministic);
+  doc.set("separate_wall_seconds", separate_wall);
+  doc.set("batch_wall_seconds", batch_wall);
+  doc.set("snapshots", static_cast<double>(stats.lockstep_groups));
+  doc.set("forked_jobs", static_cast<double>(stats.shared_factorisations));
+  doc.set("final_vc_mean", batch.final_vc.mean);
+  doc.set("final_vc_stderr", batch.final_vc.stderr_mean);
+  doc.set("deterministic", deterministic);
   ehsim::benchio::maybe_write_bench_json(doc);
 
   return ok ? EXIT_SUCCESS : EXIT_FAILURE;

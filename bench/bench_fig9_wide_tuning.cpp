@@ -24,9 +24,9 @@ namespace {
 
 /// Wide-tuning design sweep: the scenario-2 retune repeated for a fan of
 /// target frequencies, expressed as a declarative SweepSpec over the shift
-/// event's target frequency and executed serially, across a 4-thread
-/// BatchRunner pool and on the lockstep kernel. Parallel and lockstep
-/// results must be bit-identical to serial.
+/// event's target frequency. It runs as a loop of separate runs, as one
+/// batch on 1 thread and as one batch on a 4-thread BatchRunner pool; both
+/// batches must reproduce the separate runs bit for bit.
 void run_batch_sweep() {
   using namespace ehsim::experiments;
 
@@ -35,8 +35,8 @@ void run_batch_sweep() {
   sweep.base.name = "wide-tuning";
   // CI smoke keeps the sweep seconds-scale; the counters (steps, forks)
   // stay deterministic at any span. The shift sits at 3/4 of the span: until
-  // then every job repeats job 0, which is the span the lockstep kernel
-  // marches once and forks.
+  // then every job repeats job 0, which is the span the batch marches once
+  // and forks.
   sweep.base.duration =
       ehsim::benchio::bench_span() == ehsim::benchio::BenchSpan::kSmoke ? 40.0 : 120.0;
   sweep.base.excitation.events.front().time = 0.75 * sweep.base.duration;
@@ -47,40 +47,42 @@ void run_batch_sweep() {
   std::printf("\n=== wide-tuning SweepSpec through sim::BatchRunner (%zu jobs) ===\n",
               jobs.size());
 
-  // The lockstep arm runs the same sweep on one thread: the pre-shift
-  // prefix costs one integration instead of six, and the results stay those
-  // of the per-job reference. The two arms of the speed-up gate alternate,
-  // best of kGateRepeats each.
-  double serial_wall = std::numeric_limits<double>::infinity();
-  double lockstep_wall = std::numeric_limits<double>::infinity();
-  std::vector<ScenarioResult> serial;
-  std::vector<ScenarioResult> lockstep;
-  BatchStats lockstep_batch;
+  // The batch on one thread marches the pre-shift prefix once instead of
+  // six times, and its results stay those of the separate runs. The two
+  // arms of the speed-up gate alternate, best of kGateRepeats each.
+  double separate_wall = std::numeric_limits<double>::infinity();
+  double forked_wall = std::numeric_limits<double>::infinity();
+  std::vector<ScenarioResult> separate;
+  std::vector<ScenarioResult> forked;
+  BatchStats forked_batch;
   for (int repeat = 0; repeat < ehsim::benchio::kGateRepeats; ++repeat) {
-    serial = ehsim::benchio::timed_min(
-        serial_wall, [&] { return run_sweep(sweep, BatchOptions{.threads = 1}); });
-    lockstep = ehsim::benchio::timed_min(lockstep_wall, [&] {
-      return run_sweep(sweep, BatchOptions{.threads = 1, .batch_kernel = BatchKernel::kLockstep},
-                       &lockstep_batch);
+    separate = ehsim::benchio::timed_min(separate_wall, [&] {
+      std::vector<ScenarioResult> runs;
+      for (const ExperimentSpec& job : jobs) {
+        runs.push_back(run_experiment(job));
+      }
+      return runs;
     });
+    forked = ehsim::benchio::timed_min(
+        forked_wall, [&] { return run_sweep(sweep, {.threads = 1}, &forked_batch); });
   }
 
   BatchStats batch;
   WallTimer parallel_timer;
-  const auto parallel = run_sweep(sweep, BatchOptions{.threads = 4}, &batch);
+  const auto parallel = run_sweep(sweep, {.threads = 4}, &batch);
   const double parallel_wall = parallel_timer.elapsed_seconds();
 
-  bool lockstep_exact = lockstep.size() == serial.size();
-  for (std::size_t i = 0; lockstep_exact && i < serial.size(); ++i) {
-    lockstep_exact = lockstep[i].final_vc == serial[i].final_vc &&
-                     lockstep[i].time == serial[i].time && lockstep[i].vc == serial[i].vc;
-  }
-
-  bool identical = serial.size() == parallel.size();
-  for (std::size_t i = 0; identical && i < serial.size(); ++i) {
-    identical = serial[i].time == parallel[i].time && serial[i].vc == parallel[i].vc &&
-                serial[i].final_resonance_hz == parallel[i].final_resonance_hz;
-  }
+  const auto same = [&separate](const std::vector<ScenarioResult>& runs) {
+    bool exact = runs.size() == separate.size();
+    for (std::size_t i = 0; exact && i < runs.size(); ++i) {
+      exact = runs[i].final_vc == separate[i].final_vc && runs[i].time == separate[i].time &&
+              runs[i].vc == separate[i].vc &&
+              runs[i].final_resonance_hz == separate[i].final_resonance_hz;
+    }
+    return exact;
+  };
+  const bool forked_exact = same(forked);
+  const bool parallel_exact = same(parallel);
 
   std::printf("# target[Hz]  final_f0r[Hz]  final_Vc[V]  steps\n");
   for (std::size_t i = 0; i < parallel.size(); ++i) {
@@ -89,32 +91,29 @@ void run_batch_sweep() {
                 parallel[i].final_resonance_hz, parallel[i].final_vc,
                 static_cast<unsigned long long>(parallel[i].stats.steps));
   }
-  std::printf("\nserial (1 thread):   %.2f s wall (best of %d)\n", serial_wall,
+  const double forked_speedup = separate_wall / forked_wall;
+  std::printf("\nseparate runs (1 thread): %.2f s wall (best of %d)\n", separate_wall,
               ehsim::benchio::kGateRepeats);
-  std::printf("parallel (4 threads): %.2f s wall  (%.2fx, %u hardware threads)\n",
-              parallel_wall, serial_wall / parallel_wall,
+  std::printf("batch (1 thread):         %.2f s wall  (%.2fx vs separate runs, best of %d)\n",
+              forked_wall, forked_speedup, ehsim::benchio::kGateRepeats);
+  std::printf("  %llu leader snapshots, %llu jobs forked\n",
+              static_cast<unsigned long long>(forked_batch.lockstep_groups),
+              static_cast<unsigned long long>(forked_batch.shared_factorisations));
+  std::printf("batch (4 threads):        %.2f s wall  (%u hardware threads)\n", parallel_wall,
               std::thread::hardware_concurrency());
   std::printf("shared diode-table hits in the parallel batch: %zu of %zu jobs\n",
               batch.shared_table_hits, batch.jobs);
-  std::printf("parallel traces bit-identical to serial: %s\n", identical ? "YES" : "NO");
-  const double lockstep_speedup = serial_wall / lockstep_wall;
-  std::printf("\nlockstep (1 thread): %.2f s wall  (%.2fx vs per-job serial, best of %d)\n",
-              lockstep_wall, lockstep_speedup, ehsim::benchio::kGateRepeats);
-  std::printf("  %llu leader snapshots, %llu jobs forked\n",
-              static_cast<unsigned long long>(lockstep_batch.lockstep_groups),
-              static_cast<unsigned long long>(lockstep_batch.shared_factorisations));
-  std::printf("lockstep traces bit-identical to per-job serial: %s\n",
-              lockstep_exact ? "YES" : "NO");
-  if (!identical) {
+  std::printf("batch traces bit-identical to separate runs: 1 thread %s, 4 threads %s\n",
+              forked_exact ? "YES" : "NO", parallel_exact ? "YES" : "NO");
+  if (!parallel_exact) {
     std::exit(EXIT_FAILURE);
   }
-  // The lockstep kernel earns its keep or the bench fails: the shared-prefix
-  // sweep must run at least 2x faster than the per-job serial reference,
-  // with real forks and exact results.
-  if (!lockstep_exact || lockstep_batch.shared_factorisations == 0 ||
-      lockstep_speedup < 2.0) {
-    std::printf("FAIL: lockstep speedup %.2fx < 2x (or results not exact / no forks)\n",
-                lockstep_speedup);
+  // The forks earn their keep or the bench fails: the shared-prefix sweep
+  // must run at least 2x faster than the separate runs, with real forks and
+  // exact results.
+  if (!forked_exact || forked_batch.shared_factorisations == 0 || forked_speedup < 2.0) {
+    std::printf("FAIL: batch speedup %.2fx < 2x (or results not exact / no forks)\n",
+                forked_speedup);
     std::exit(EXIT_FAILURE);
   }
 
@@ -124,15 +123,15 @@ void run_batch_sweep() {
   io::JsonValue doc = io::JsonValue::make_object();
   doc.set("bench", "fig9_wide_tuning_sweep");
   doc.set("jobs", static_cast<double>(batch.jobs));
-  doc.set("serial_wall_seconds", serial_wall);
+  doc.set("separate_wall_seconds", separate_wall);
   doc.set("parallel_wall_seconds", parallel_wall);
   doc.set("shared_table_hits", static_cast<double>(batch.shared_table_hits));
-  io::JsonValue lockstep_json = io::JsonValue::make_object();
-  lockstep_json.set("wall_seconds", lockstep_wall);
-  lockstep_json.set("speedup_vs_serial", lockstep_speedup);
-  lockstep_json.set("snapshots", lockstep_batch.lockstep_groups);
-  lockstep_json.set("forked_jobs", lockstep_batch.shared_factorisations);
-  doc.set("lockstep", std::move(lockstep_json));
+  io::JsonValue forked_json = io::JsonValue::make_object();
+  forked_json.set("wall_seconds", forked_wall);
+  forked_json.set("speedup_vs_separate", forked_speedup);
+  forked_json.set("snapshots", forked_batch.lockstep_groups);
+  forked_json.set("forked_jobs", forked_batch.shared_factorisations);
+  doc.set("forked", std::move(forked_json));
   ehsim::benchio::maybe_write_bench_json(doc);
 }
 

@@ -1,7 +1,7 @@
 /// \file bench_scaling.cpp
 /// \brief Ablation A4: model-size scaling and the stiffness caveat.
 ///
-/// Two sweeps: (a) multiplier stage count 1..12 (model grows from 7 to 18
+/// Four sweeps: (a) multiplier stage count 1..12 (model grows from 7 to 18
 /// states): the baseline pays a cubically growing LU per Newton iteration,
 /// but the proposed engine is not free either — more simultaneously
 /// conducting diodes stiffen the input-filter node, tightening its Eq. 7
@@ -9,6 +9,8 @@
 /// offer a speed advantage when applied to strongly stiff systems" — the
 /// Eq. 13 coil variant with decreasing inductance adds a progressively
 /// faster parasitic mode and the explicit step count grows accordingly.
+/// (c) Batch size: N identical jobs fork one run. (d) Fork planning: N jobs
+/// that cannot fork cost what their separate runs cost.
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
@@ -22,6 +24,7 @@
 #include "core/linearised_solver.hpp"
 #include "experiments/cpu_timer.hpp"
 #include "experiments/scenarios.hpp"
+#include "experiments/sweep.hpp"
 #include "experiments/table_printer.hpp"
 #include "sim/harvester_session.hpp"
 
@@ -42,6 +45,39 @@ double time_engine(ehsim::experiments::EngineKind kind,
     *steps_out = session.stats().steps;
   }
   return session.cpu_seconds();
+}
+
+/// The two arms of a batch gate, best of kGateRepeats each, alternating: a
+/// loop of separate runs and one run_scenario_batch on 1 thread.
+struct BatchArms {
+  double separate_wall = std::numeric_limits<double>::infinity();
+  double batch_wall = std::numeric_limits<double>::infinity();
+  bool exact = true;  ///< the batch reproduced every separate run
+};
+
+BatchArms time_batch_arms(const std::vector<ehsim::experiments::ScenarioJob>& jobs,
+                          ehsim::experiments::BatchStats& stats) {
+  using namespace ehsim::experiments;
+  BatchArms arms;
+  std::vector<ScenarioResult> separate;
+  std::vector<ScenarioResult> batch;
+  for (int repeat = 0; repeat < ehsim::benchio::kGateRepeats; ++repeat) {
+    separate = ehsim::benchio::timed_min(arms.separate_wall, [&] {
+      std::vector<ScenarioResult> runs;
+      runs.reserve(jobs.size());
+      for (const ScenarioJob& job : jobs) {
+        runs.push_back(run_experiment(job.spec));
+      }
+      return runs;
+    });
+    batch = ehsim::benchio::timed_min(
+        arms.batch_wall, [&] { return run_scenario_batch(jobs, {.threads = 1}, &stats); });
+  }
+  for (std::size_t i = 0; i < jobs.size(); ++i) {
+    arms.exact = arms.exact && batch[i].final_vc == separate[i].final_vc &&
+                 batch[i].vc == separate[i].vc;
+  }
+  return arms;
 }
 
 }  // namespace
@@ -86,71 +122,101 @@ int main() {
               "explicit steps (see the step column) while the implicit baseline's step\n"
               "count is stability-immune — the paper's stiff-system caveat, quantified.\n");
 
-  // (c) Batch-size scaling of the lockstep kernel: N identical jobs cost one
+  // (c) Batch-size scaling of the prefix forks: N identical jobs cost one
   // integration plus N-1 restores of its final snapshot, so the speedup over
-  // the per-job serial reference approaches N. Results stay bit-identical.
-  std::printf("\n--- (c) lockstep batch-size scaling: N identical jobs, 1 thread, best of %d ---\n",
+  // separate runs approaches N. Results stay bit-identical.
+  std::printf("\n--- (c) batch-size scaling: N identical jobs, 1 thread, best of %d ---\n",
               ehsim::benchio::kGateRepeats);
-  TablePrinter lockstep_table(
-      {"jobs", "per-job wall", "lockstep wall", "speed-up"});
+  TablePrinter forked_table({"jobs", "separate wall", "batch wall", "speed-up"});
   namespace io = ehsim::io;
   io::JsonValue rows = io::JsonValue::make_array();
   double speedup_at_four = 0.0;
   bool exact = true;
   for (std::size_t n : {2u, 4u, 8u}) {
     const std::vector<ScenarioJob> jobs(n, ScenarioJob{charging_scenario(span), std::nullopt});
-
-    // The two arms alternate, best of kGateRepeats each.
-    double serial_wall = std::numeric_limits<double>::infinity();
-    double lockstep_wall = std::numeric_limits<double>::infinity();
-    std::vector<ScenarioResult> serial;
-    std::vector<ScenarioResult> lockstep;
-    BatchStats lockstep_stats;
-    for (int repeat = 0; repeat < ehsim::benchio::kGateRepeats; ++repeat) {
-      serial = ehsim::benchio::timed_min(
-          serial_wall, [&] { return run_scenario_batch(jobs, BatchOptions{.threads = 1}); });
-      lockstep = ehsim::benchio::timed_min(lockstep_wall, [&] {
-        return run_scenario_batch(
-            jobs, BatchOptions{.threads = 1, .batch_kernel = BatchKernel::kLockstep},
-            &lockstep_stats);
-      });
-    }
-
-    for (std::size_t i = 0; i < n; ++i) {
-      exact = exact && lockstep[i].final_vc == serial[i].final_vc &&
-              lockstep[i].vc == serial[i].vc;
-    }
-    const double speedup = serial_wall / lockstep_wall;
+    BatchStats stats;
+    const BatchArms arms = time_batch_arms(jobs, stats);
+    exact = exact && arms.exact;
+    const double speedup = arms.separate_wall / arms.batch_wall;
     if (n == 4u) {
       speedup_at_four = speedup;
     }
-    lockstep_table.add_row({std::to_string(n), format_duration(serial_wall),
-                            format_duration(lockstep_wall),
-                            format_double(speedup, 3) + "x"});
+    forked_table.add_row({std::to_string(n), format_duration(arms.separate_wall),
+                          format_duration(arms.batch_wall), format_double(speedup, 3) + "x"});
 
     io::JsonValue row = io::JsonValue::make_object();
     row.set("jobs", static_cast<double>(n));
-    row.set("serial_wall_seconds", serial_wall);
-    row.set("lockstep_wall_seconds", lockstep_wall);
-    row.set("speedup_vs_serial", speedup);
-    row.set("forked_jobs", lockstep_stats.shared_factorisations);
+    row.set("separate_wall_seconds", arms.separate_wall);
+    row.set("batch_wall_seconds", arms.batch_wall);
+    row.set("speedup_vs_separate", speedup);
+    row.set("forked_jobs", stats.shared_factorisations);
     rows.push_back(std::move(row));
   }
-  lockstep_table.print(std::cout);
-  std::printf("\nlockstep bit-identical to per-job on identical batches: %s\n",
+  forked_table.print(std::cout);
+  std::printf("\nbatch bit-identical to separate runs on identical batches: %s\n",
               exact ? "YES" : "NO");
 
+  // (d) Planning cost: N jobs that differ in a solver key, so none can fork.
+  // The batch must cost about what a loop of separate runs costs — the fork
+  // planner groups the jobs in one pass, not one comparison per pair.
+  std::printf("\n--- (d) fork planning: N unforkable 0.5 ms jobs, 1 thread, best of %d ---\n",
+              ehsim::benchio::kGateRepeats);
+  TablePrinter planning_table({"jobs", "separate wall", "batch wall", "batch / separate"});
+  io::JsonValue planning_rows = io::JsonValue::make_array();
+  double planning_ratio = 0.0;
+  bool unforked = true;
+  for (std::size_t n : {250u, 1000u, 4000u}) {
+    SweepSpec sweep;
+    sweep.base = charging_scenario(0.0005);
+    sweep.base.trace_interval = 0.001;
+    sweep.base.power_bin_width = 0.001;
+    SweepAxis axis{"solver.lle_tolerance", {}, {}};
+    for (std::size_t k = 0; k < n; ++k) {
+      axis.values.push_back(0.2 + 1e-6 * static_cast<double>(k));
+    }
+    sweep.axes.push_back(std::move(axis));
+    std::vector<ScenarioJob> jobs;
+    for (ExperimentSpec& spec : sweep.expand()) {
+      jobs.push_back(ScenarioJob{std::move(spec), std::nullopt});
+    }
+    BatchStats stats;
+    const BatchArms arms = time_batch_arms(jobs, stats);
+    exact = exact && arms.exact;
+    unforked = unforked && stats.lockstep_groups == 0 && stats.shared_factorisations == 0;
+    const double ratio = arms.batch_wall / arms.separate_wall;
+    planning_ratio = ratio;  // the gate reads the largest batch
+    planning_table.add_row({std::to_string(n), format_duration(arms.separate_wall),
+                            format_duration(arms.batch_wall), format_double(ratio, 3) + "x"});
+
+    io::JsonValue row = io::JsonValue::make_object();
+    row.set("jobs", static_cast<double>(n));
+    row.set("separate_wall_seconds", arms.separate_wall);
+    row.set("batch_wall_seconds", arms.batch_wall);
+    row.set("batch_over_separate", ratio);
+    row.set("forked_jobs", stats.shared_factorisations);
+    planning_rows.push_back(std::move(row));
+  }
+  planning_table.print(std::cout);
+  std::printf("\nno job forked: %s\n", unforked ? "YES" : "NO");
+
   io::JsonValue doc = io::JsonValue::make_object();
-  doc.set("bench", "scaling_lockstep_batch");
+  doc.set("bench", "scaling_batch");
   doc.set("rows", std::move(rows));
+  doc.set("planning_rows", std::move(planning_rows));
   ehsim::benchio::maybe_write_bench_json(doc);
 
-  // A 4-member identical batch must come in at least 2x over per-job serial
+  // A 4-member identical batch must come in at least 2x over separate runs
   // (it deletes 3 of 4 integrations) and must not trade away correctness.
   if (!exact || speedup_at_four < 2.0) {
-    std::printf("FAIL: lockstep identical-batch speedup %.2fx < 2x at 4 jobs "
-                "(or exactness lost)\n",
+    std::printf("FAIL: identical-batch speedup %.2fx < 2x at 4 jobs (or exactness lost)\n",
                 speedup_at_four);
+    return EXIT_FAILURE;
+  }
+  // 4000 jobs that cannot fork cost at most 1.25x their separate runs.
+  if (!unforked || planning_ratio > 1.25) {
+    std::printf("FAIL: batch of 4000 unforkable jobs %.2fx its separate runs (> 1.25x), "
+                "or a job forked\n",
+                planning_ratio);
     return EXIT_FAILURE;
   }
   return EXIT_SUCCESS;

@@ -2,6 +2,7 @@
 /// \brief Configuration and statistics for the analogue engines.
 #pragma once
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 
@@ -54,7 +55,7 @@ struct SolverConfig {
   std::size_t max_init_iterations = 50;
   double init_tolerance = 1e-10;
 
-  [[nodiscard]] bool operator==(const SolverConfig&) const = default;
+  [[nodiscard]] auto operator<=>(const SolverConfig&) const = default;
 };
 
 /// Run statistics of either engine.

@@ -27,14 +27,6 @@ double rel_error(double oracle, double fast, double scale_floor) {
   return std::abs(fast - oracle) / std::max(scale_floor, std::abs(oracle));
 }
 
-/// The kernels an engine supports (AccuracyOptions::kernels empty).
-std::vector<BatchKernel> default_kernels(EngineKind engine) {
-  if (engine == EngineKind::kProposed) {
-    return {BatchKernel::kJobs, BatchKernel::kLockstep};
-  }
-  return {BatchKernel::kJobs};
-}
-
 AccuracyReport run_accuracy_jobs(std::string name, std::vector<ExperimentSpec> specs,
                                  const AccuracyOptions& options) {
   if (specs.empty()) {
@@ -52,15 +44,6 @@ AccuracyReport run_accuracy_jobs(std::string name, std::vector<ExperimentSpec> s
                        "': jobs mix engine kinds — measure one engine per report");
     }
   }
-  std::vector<BatchKernel> kernels =
-      options.kernels.empty() ? default_kernels(engine) : options.kernels;
-  for (const BatchKernel kernel : kernels) {
-    if (kernel != BatchKernel::kJobs && engine != EngineKind::kProposed) {
-      throw ModelError("run_accuracy '" + name + "': batch kernel '" +
-                       batch_kernel_id(kernel) + "' requires the proposed engine");
-    }
-  }
-
   AccuracyReport report;
   report.name = std::move(name);
   report.engine = engine_kind_id(engine);
@@ -92,50 +75,39 @@ AccuracyReport run_accuracy_jobs(std::string name, std::vector<ExperimentSpec> s
     jobs.push_back(ScenarioJob{spec, std::nullopt});
   }
 
-  for (const BatchKernel kernel : kernels) {
-    BatchOptions batch;
-    batch.threads = options.threads == 0 ? 1 : options.threads;
-    batch.batch_kernel = kernel;
-    const std::vector<ScenarioResult> runs = run_scenario_batch(jobs, batch);
+  const std::vector<ScenarioResult> runs =
+      run_scenario_batch(jobs, {.threads = options.threads == 0 ? 1 : options.threads});
+  for (std::size_t j = 0; j < runs.size(); ++j) {
+    const ScenarioResult& fast = runs[j];
+    const ScenarioResult& oracle = oracle_runs[j];
+    report.cpu_seconds += fast.cpu_seconds;
+    report.steps += fast.stats.steps;
 
-    KernelAccuracy row;
-    row.kernel = batch_kernel_id(kernel);
-    for (std::size_t j = 0; j < runs.size(); ++j) {
-      const ScenarioResult& fast = runs[j];
-      const ScenarioResult& oracle = oracle_runs[j];
-      row.cpu_seconds += fast.cpu_seconds;
-      row.steps += fast.stats.steps;
-
-      JobAccuracy job;
-      job.job = specs[j].name;
-      job.errors = measure_errors(oracle, fast, specs[j].power_bin_width);
-      for (std::size_t p = 0; p < fast.probes.size() && p < oracle.probes.size(); ++p) {
-        const ProbeResult& pf = fast.probes[p];
-        const ProbeResult& po = oracle.probes[p];
-        ProbeAccuracy acc;
-        acc.label = pf.label;
-        acc.max_rel_error =
-            std::max({rel_error(po.final_value, pf.final_value, 1e-9),
-                      rel_error(po.minimum, pf.minimum, 1e-9),
-                      rel_error(po.maximum, pf.maximum, 1e-9),
-                      rel_error(po.mean, pf.mean, 1e-9),
-                      rel_error(po.rms, pf.rms, 1e-9)});
-        job.probes.push_back(std::move(acc));
-      }
-
-      row.bounds.vc_max_rel_error =
-          std::max(row.bounds.vc_max_rel_error, job.errors.vc_max_rel_error);
-      row.bounds.vc_rms_rel_error =
-          std::max(row.bounds.vc_rms_rel_error, job.errors.vc_rms_rel_error);
-      row.bounds.final_vc_rel_error =
-          std::max(row.bounds.final_vc_rel_error, job.errors.final_vc_rel_error);
-      row.bounds.energy_rel_error =
-          std::max(row.bounds.energy_rel_error, job.errors.energy_rel_error);
-      row.bounds.resonance_rel_error =
-          std::max(row.bounds.resonance_rel_error, job.errors.resonance_rel_error);
-      row.jobs.push_back(std::move(job));
+    JobAccuracy job;
+    job.job = specs[j].name;
+    job.errors = measure_errors(oracle, fast, specs[j].power_bin_width);
+    for (std::size_t p = 0; p < fast.probes.size() && p < oracle.probes.size(); ++p) {
+      const ProbeResult& pf = fast.probes[p];
+      const ProbeResult& po = oracle.probes[p];
+      ProbeAccuracy acc;
+      acc.label = pf.label;
+      acc.max_rel_error = std::max({rel_error(po.final_value, pf.final_value, 1e-9),
+                                    rel_error(po.minimum, pf.minimum, 1e-9),
+                                    rel_error(po.maximum, pf.maximum, 1e-9),
+                                    rel_error(po.mean, pf.mean, 1e-9),
+                                    rel_error(po.rms, pf.rms, 1e-9)});
+      job.probes.push_back(std::move(acc));
     }
-    report.kernels.push_back(std::move(row));
+
+    ErrorMetrics& bounds = report.bounds;
+    bounds.vc_max_rel_error = std::max(bounds.vc_max_rel_error, job.errors.vc_max_rel_error);
+    bounds.vc_rms_rel_error = std::max(bounds.vc_rms_rel_error, job.errors.vc_rms_rel_error);
+    bounds.final_vc_rel_error =
+        std::max(bounds.final_vc_rel_error, job.errors.final_vc_rel_error);
+    bounds.energy_rel_error = std::max(bounds.energy_rel_error, job.errors.energy_rel_error);
+    bounds.resonance_rel_error =
+        std::max(bounds.resonance_rel_error, job.errors.resonance_rel_error);
+    report.jobs.push_back(std::move(job));
   }
   return report;
 }

@@ -4,15 +4,15 @@
 /// The paper's headline is a speed/accuracy trade ("the computational speed
 /// is increased ... with negligible loss of accuracy", §V) — but the repo's
 /// accuracy claims were, until this layer, pinned against *each other*
-/// (engine vs engine, kernel vs serial). run_accuracy pins them against an
+/// (engine vs engine, parallel vs serial). run_accuracy pins them against an
 /// independent yardstick: the extended-precision fixed-step trapezoidal
 /// oracle of ref/reference_engine.hpp, whose own error is bounded by
 /// construction (compensated long double state, tiny fixed step, exact
 /// Shockley device evaluation). Every job of a spec (or sweep) runs once on
-/// the oracle and once per requested batch kernel on the fast path; the
-/// report carries measured relative error bounds on the supercapacitor
-/// voltage trace, the scalar figures of merit and every declared probe —
-/// in strict-keyed JSON (io::to_json) so regressions pin exact numbers.
+/// the oracle and once on the fast path; the report carries measured
+/// relative error bounds on the supercapacitor voltage trace, the scalar
+/// figures of merit and every declared probe — in strict-keyed JSON
+/// (io::to_json) so regressions pin exact numbers.
 ///
 /// The same measurement is the feasibility test of the error-budget
 /// autotuner (autotune.hpp).
@@ -29,14 +29,10 @@ namespace ehsim::experiments {
 
 /// Execution options of one run_accuracy call.
 struct AccuracyOptions {
-  /// Batch kernels to measure. Empty: all kernels the spec's engine supports
-  /// (jobs + lockstep for the proposed engine; jobs only for the NR
-  /// baselines, which the lockstep kernel does not run).
-  std::vector<BatchKernel> kernels{};
   /// Oracle step [s]; <= 0 uses the ref::ReferenceConfig default. The
   /// oracle cost is duration / step dense LU solves — size it to the spec.
   double oracle_step = 0.0;
-  /// Worker threads for the fast-path batches (the oracle always runs
+  /// Worker threads for the fast-path batch (the oracle always runs
   /// serially, job by job, so its trace is scheduling-independent).
   std::size_t threads = 1;
 };
@@ -77,7 +73,7 @@ struct ProbeAccuracy {
   [[nodiscard]] bool operator==(const ProbeAccuracy&) const = default;
 };
 
-/// Per-job measurement under one kernel.
+/// Per-job measurement.
 struct JobAccuracy {
   std::string job;  ///< job (spec) name
   ErrorMetrics errors{};
@@ -86,37 +82,31 @@ struct JobAccuracy {
   [[nodiscard]] bool operator==(const JobAccuracy&) const = default;
 };
 
-/// One kernel's row of the report: per-job errors plus max-over-jobs bounds.
-struct KernelAccuracy {
-  std::string kernel;          ///< batch_kernel_id
-  double cpu_seconds = 0.0;    ///< summed fast-path wall clock [s]
-  std::uint64_t steps = 0;     ///< summed fast-path solver steps
-  ErrorMetrics bounds{};       ///< max over jobs, per metric
-  std::vector<JobAccuracy> jobs{};
-
-  [[nodiscard]] bool operator==(const KernelAccuracy&) const = default;
-};
-
-/// The full oracle-vs-fast accuracy report of one spec or sweep.
+/// The full oracle-vs-fast accuracy report of one spec or sweep: per-job
+/// errors plus max-over-jobs bounds.
 struct AccuracyReport {
   std::string name;            ///< spec / sweep name
   std::string engine;          ///< fast-path engine id
   double oracle_step = 0.0;    ///< fixed step the oracle actually used [s]
   std::uint64_t oracle_steps = 0;    ///< summed oracle steps
   double oracle_cpu_seconds = 0.0;   ///< summed oracle wall clock [s]
-  std::vector<KernelAccuracy> kernels{};
+  /// Summed fast-path CPU time [s]; a prefix the jobs share counts once
+  /// (see run_scenario_batch).
+  double cpu_seconds = 0.0;
+  std::uint64_t steps = 0;     ///< summed fast-path solver steps
+  ErrorMetrics bounds{};       ///< max over jobs, per metric
+  std::vector<JobAccuracy> jobs{};
 
   [[nodiscard]] bool operator==(const AccuracyReport&) const = default;
 };
 
-/// Run \p spec once on the oracle and once per kernel on its own engine;
-/// measure. Throws ModelError for a kReference spec (the oracle cannot
-/// judge itself) or a lockstep kernel on a non-proposed engine.
+/// Run \p spec once on the oracle and once on its own engine; measure.
+/// Throws ModelError for a kReference spec (the oracle cannot judge itself).
 [[nodiscard]] AccuracyReport run_accuracy(const ExperimentSpec& spec,
                                           const AccuracyOptions& options = {});
 
-/// Sweep form: every expanded job is measured; kernel bounds are maxima
-/// over all jobs.
+/// Sweep form: every expanded job is measured; the bounds are maxima over
+/// all jobs.
 [[nodiscard]] AccuracyReport run_accuracy(const SweepSpec& sweep,
                                           const AccuracyOptions& options = {});
 

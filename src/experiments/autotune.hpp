@@ -3,10 +3,9 @@
 ///
 /// The paper trades accuracy for speed by hand (step-control tolerances,
 /// PWL table resolution); this driver closes the loop: walk a declared
-/// ladder of solver knobs — and optionally the batch kernel — with the
-/// repository's coordinate-descent machinery and return the *cheapest*
-/// configuration whose oracle-measured error (accuracy.hpp, src/ref) stays
-/// inside a user-specified budget. Knob paths are restricted to
+/// ladder of solver knobs with the repository's coordinate-descent
+/// machinery and return the *cheapest* configuration whose oracle-measured
+/// error (accuracy.hpp, src/ref) stays inside a user-specified budget. Knob paths are restricted to
 /// model-invariant settings (solver.* plus multiplier.table_segments):
 /// they change how the trajectory is computed, never the circuit being
 /// solved, so a single extended-precision oracle run of the base spec is
@@ -50,9 +49,6 @@ struct AutotuneSpec {
   /// would be nothing to tune.
   ExperimentSpec base{};
   std::vector<AutotuneKnob> knobs{};
-  /// Candidate batch kernels; empty keeps BatchKernel::kJobs. More than one
-  /// adds a kernel axis to the search.
-  std::vector<BatchKernel> kernels{};
   /// Feasibility bound on ErrorMetrics::combined() (worst of Vc-trace,
   /// final-Vc and energy relative error vs the oracle).
   double error_budget = 1e-3;
@@ -70,7 +66,6 @@ struct AutotuneSpec {
 /// One fast-path evaluation of the search, in evaluation order.
 struct AutotuneEvaluation {
   std::vector<double> values{};  ///< knob values, AutotuneSpec::knobs order
-  std::string kernel;            ///< batch_kernel_id
   double cost = 0.0;             ///< deterministic work proxy
   double error = 0.0;            ///< ErrorMetrics::combined() vs the oracle
   bool feasible = false;         ///< error <= error_budget
@@ -87,12 +82,11 @@ struct AutotuneResult {
   std::uint64_t oracle_steps = 0;
   std::vector<std::string> paths{};  ///< knob paths, spec order
 
-  /// The base spec evaluated as-is (kernel = first candidate kernel).
+  /// The base spec evaluated as-is.
   double baseline_cost = 0.0;
   double baseline_error = 0.0;
 
   std::vector<double> chosen_values{};  ///< knob values, spec order
-  std::string chosen_kernel;
   double chosen_cost = 0.0;
   double chosen_error = 0.0;
   /// chosen_cost / baseline_cost — < 1 means the tuned configuration does
@@ -115,13 +109,11 @@ struct AutotuneResult {
 struct AutotuneOutcome {
   AutotuneResult result;
   ExperimentSpec chosen_spec;  ///< base with chosen_values applied
-  BatchKernel chosen_kernel = BatchKernel::kJobs;
   ScenarioResult best_run;
 };
 
 /// Run the search: one oracle run of the base, then memoised
-/// coordinate-descent over the knob-ladder indices (plus a kernel axis when
-/// more than one candidate kernel is declared). Throws ModelError for an
+/// coordinate-descent over the knob-ladder indices. Throws ModelError for an
 /// invalid spec.
 [[nodiscard]] AutotuneOutcome run_autotune(const AutotuneSpec& spec);
 

@@ -148,10 +148,4 @@ EnsembleResult run_ensemble(const EnsembleSpec& ensemble, const BatchOptions& op
   return result;
 }
 
-EnsembleResult run_ensemble(const EnsembleSpec& ensemble, BatchStats* stats) {
-  BatchOptions options;
-  options.batch_kernel = ensemble.batch_kernel;
-  return run_ensemble(ensemble, options, stats);
-}
-
 }  // namespace ehsim::experiments

@@ -7,10 +7,10 @@
 /// different walk seeds and reduces the per-replica scalars to ensemble
 /// statistics (mean, standard error of the mean, min, max) per probe and
 /// for the built-in summary figures. Replicas ride the ordinary
-/// run_scenario_batch fan-out — the lockstep kernel's prefix forks (replicas
-/// share everything before the walk starts) and the shared diode-table
-/// cache both apply — and the reduction accumulates in job order, so the
-/// statistics are bit-identical for any worker count and either kernel.
+/// run_scenario_batch fan-out — its prefix forks (replicas share everything
+/// before the walk starts) and the shared diode-table cache both apply —
+/// and the reduction accumulates in job order, so the statistics are
+/// bit-identical for any worker count.
 #pragma once
 
 #include <cstdint>
@@ -33,7 +33,6 @@ struct EnsembleSpec {
   std::size_t num_seeds = 0;
   /// Worker threads for the replica batch (0: hardware concurrency).
   std::size_t threads = 0;
-  BatchKernel batch_kernel = BatchKernel::kJobs;
 
   /// Throws ModelError: base invalid, no random-walk event, fewer than two
   /// replicas, both/neither of seeds and num_seeds, or duplicate seeds.
@@ -74,7 +73,9 @@ struct EnsembleResult {
   std::string name;    ///< base experiment name
   std::string engine;  ///< engine id shared by every replica
   std::vector<std::uint64_t> seeds;
-  double cpu_seconds = 0.0;  ///< summed across replicas
+  /// Summed across replicas; a prefix they share counts once (see
+  /// run_scenario_batch).
+  double cpu_seconds = 0.0;
 
   EnsembleStat final_vc;
   EnsembleStat final_resonance_hz;
@@ -87,14 +88,10 @@ struct EnsembleResult {
   std::vector<ScenarioResult> runs;
 };
 
-/// Run the ensemble through run_scenario_batch and reduce. Like run_sweep,
-/// the explicit BatchOptions overload takes the caller's kernel choice
-/// verbatim (threads 0 falls back to the spec); the
-/// convenience overload resolves every option from the spec itself.
+/// Run the ensemble through run_scenario_batch and reduce (threads = 0 in
+/// \p options falls back to spec.threads).
 [[nodiscard]] EnsembleResult run_ensemble(const EnsembleSpec& ensemble,
-                                          const BatchOptions& options,
-                                          BatchStats* stats = nullptr);
-[[nodiscard]] EnsembleResult run_ensemble(const EnsembleSpec& ensemble,
+                                          const BatchOptions& options = {},
                                           BatchStats* stats = nullptr);
 
 }  // namespace ehsim::experiments

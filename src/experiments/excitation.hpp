@@ -12,6 +12,7 @@
 /// points, and the whole schedule serialises losslessly to JSON.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <vector>
@@ -34,7 +35,7 @@ struct RandomWalkParams {
   double max_frequency_hz = 1000.0;
   double min_amplitude = 0.0;
 
-  [[nodiscard]] bool operator==(const RandomWalkParams&) const = default;
+  [[nodiscard]] auto operator<=>(const RandomWalkParams&) const = default;
 };
 
 struct ExcitationEvent {
@@ -54,7 +55,7 @@ struct ExcitationEvent {
   /// Time at which the event has fully taken effect.
   [[nodiscard]] double end_time() const noexcept { return time + duration; }
 
-  [[nodiscard]] bool operator==(const ExcitationEvent&) const = default;
+  [[nodiscard]] auto operator<=>(const ExcitationEvent&) const = default;
 };
 
 /// A concrete excitation change after random-walk expansion — what actually
@@ -109,7 +110,7 @@ class ExcitationSchedule {
   /// cursor against this value before continuing.
   [[nodiscard]] std::size_t expansion_cursor(double t) const;
 
-  [[nodiscard]] bool operator==(const ExcitationSchedule&) const = default;
+  [[nodiscard]] auto operator<=>(const ExcitationSchedule&) const = default;
 };
 
 }  // namespace ehsim::experiments

@@ -9,6 +9,7 @@
 /// scenarios.hpp (run_experiment / run_scenario_batch).
 #pragma once
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -48,7 +49,9 @@ struct ExperimentSpec {
   /// Throws ModelError with a precise message on any inconsistency.
   void validate() const;
 
-  [[nodiscard]] bool operator==(const ExperimentSpec&) const = default;
+  /// Ordered as well as compared, so a batch can group its jobs by spec in
+  /// one pass (run_scenario_batch's fork plan).
+  [[nodiscard]] auto operator<=>(const ExperimentSpec&) const = default;
 };
 
 /// Device parameters configured for a spec: overrides applied, ambient

@@ -9,6 +9,7 @@
 /// their double value.
 #pragma once
 
+#include <compare>
 #include <string>
 #include <vector>
 
@@ -21,7 +22,7 @@ struct ParamOverride {
   std::string path;
   double value = 0.0;
 
-  [[nodiscard]] bool operator==(const ParamOverride&) const = default;
+  [[nodiscard]] auto operator<=>(const ParamOverride&) const = default;
 };
 
 /// Every addressable path, sorted (CLI discoverability, docs).

@@ -16,6 +16,7 @@
 /// the same parallel-bit-identity guarantee as the Vc trace itself.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string>
@@ -74,7 +75,7 @@ struct ProbeSpec {
   /// checked at install time against the elaborated model.
   void validate() const;
 
-  [[nodiscard]] bool operator==(const ProbeSpec&) const = default;
+  [[nodiscard]] auto operator<=>(const ProbeSpec&) const = default;
 };
 
 /// Stable JSON/CLI identifier of a probe kind ("node_voltage", ...).

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <map>
 #include <optional>
 #include <utility>
 
@@ -17,26 +18,6 @@
 #include "sim/checkpoint.hpp"
 
 namespace ehsim::experiments {
-
-const char* batch_kernel_id(BatchKernel kernel) {
-  switch (kernel) {
-    case BatchKernel::kJobs:
-      return "jobs";
-    case BatchKernel::kLockstep:
-      return "lockstep";
-  }
-  return "?";
-}
-
-BatchKernel parse_batch_kernel(std::string_view id) {
-  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
-    if (id == batch_kernel_id(kernel)) {
-      return kernel;
-    }
-  }
-  throw ModelError("unknown batch kernel '" + std::string(id) +
-                   "' (expected jobs | lockstep)");
-}
 
 ExperimentSpec scenario1() {
   ExperimentSpec spec;
@@ -245,34 +226,9 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
   return info;
 }
 
-/// The lockstep id requires the proposed engine on every job.
-void require_proposed_engines(const std::vector<ScenarioJob>& jobs, BatchKernel kernel) {
-  if (kernel == BatchKernel::kJobs) {
-    return;
-  }
-  for (const ScenarioJob& job : jobs) {
-    if (job.spec.engine != EngineKind::kProposed) {
-      throw ModelError("batch_kernel '" + std::string(batch_kernel_id(kernel)) + "': job '" +
-                       job.spec.name + "' uses engine '" + engine_kind_id(job.spec.engine) +
-                       "' — the lockstep kernel requires the proposed linearised engine");
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
-// Prefix forks (BatchKernel::kLockstep)
+// Prefix forks
 // ---------------------------------------------------------------------------
-
-/// Whether job \p b can fork from job \p a: their specs agree in everything
-/// but the name and the excitation events (excitation_divergence says how
-/// long the events agree). The trace, power-bin and probe settings must
-/// agree as well, because a fork hands on the leader's observer state.
-bool fork_compatible(const ExperimentSpec& a, const ExperimentSpec& b) {
-  ExperimentSpec masked = b;
-  masked.name = a.name;
-  masked.excitation.events = a.excitation.events;
-  return masked == a;
-}
 
 /// First time the excitation event lists of two fork-compatible specs stop
 /// agreeing; +inf when they are identical. Before this time the two systems
@@ -300,56 +256,67 @@ struct Fork {
   core::LinearisedSolver::LinearisationTransplant linearisations;
 };
 
-/// The engine of a proposed-engine job (require_proposed_engines).
+/// The engine of a proposed-engine job (the only kind the plan forks).
 core::LinearisedSolver& linearised_solver(PreparedExperiment& prep) {
   return dynamic_cast<core::LinearisedSolver&>(prep.session->engine());
 }
 
-/// The lockstep execution path of run_scenario_batch. A job forks from the
-/// first earlier leader with the same device parameters whose spec differs
-/// only in name and in excitation events from some time d > 0 on. Each
-/// leader marches once to the last accepted point before each of its
-/// followers' fork times (no step is shortened or added there), and a
-/// snapshot of it is restored into each follower when the follower's tail
-/// starts. Leader legs, then every job's own continuation, run as
-/// BatchRunner items, so results equal BatchKernel::kJobs bit for bit at
-/// any thread count. Fills the fork counters of \p stats.
+/// The batch path of run_scenario_batch. A job forks from the first earlier
+/// leader that runs the proposed engine, has the same device parameters,
+/// and has a spec that differs only in name and in excitation events from
+/// some time d > 0 on. Each leader marches once to the last accepted point
+/// before each of its followers' fork times (no step is shortened or added
+/// there), and a snapshot of it is restored into each follower when the
+/// follower's tail starts. Leader legs, then every job's own continuation,
+/// run as BatchRunner items, so results equal a run_experiment of each job
+/// bit for bit at any thread count. Fills the fork counters of \p stats.
 std::vector<ScenarioResult> run_forked_batch(const std::vector<ScenarioJob>& jobs,
                                              std::size_t threads, BatchStats& stats) {
   const std::size_t n = jobs.size();
-  std::vector<harvester::HarvesterParams> params;
-  params.reserve(n);
-  for (const ScenarioJob& job : jobs) {
-    params.push_back(job.params ? *job.params : experiment_params(job.spec));
-  }
 
-  // The plan. Forkability is an equivalence relation, so searching the
-  // leaders alone finds every fork and keeps leader sets flat.
+  // The plan, in one pass. Jobs fall into fork classes by masked spec (no
+  // name, no events); the trace, power-bin and probe settings stay in it,
+  // because a fork hands on the leader's observer state. Within its class a
+  // job searches the roots, the jobs that forked from no one. Forkability is
+  // an equivalence relation, so searching the roots alone finds every fork
+  // and keeps leader sets flat.
   constexpr std::size_t kNone = std::numeric_limits<std::size_t>::max();
   std::vector<std::size_t> leader(n, kNone);
   std::vector<double> fork_time(n, 0.0);
-  std::vector<std::size_t> roots;
   std::vector<std::vector<double>> fork_times(n);  // per leader
+  std::map<ExperimentSpec, std::size_t> class_of;  // masked spec -> first job of the class
+  std::vector<std::vector<std::size_t>> roots(n);  // per class, by its first job
+  std::vector<harvester::HarvesterParams> params(n);
   for (std::size_t i = 0; i < n; ++i) {
-    for (const std::size_t r : roots) {
-      if (params[r] == params[i] && fork_compatible(jobs[r].spec, jobs[i].spec)) {
-        const double d = excitation_divergence(jobs[r].spec.excitation, jobs[i].spec.excitation);
+    const ScenarioJob& job = jobs[i];
+    if (job.spec.engine != EngineKind::kProposed) {
+      continue;
+    }
+    params[i] = job.params ? *job.params : experiment_params(job.spec);
+    ExperimentSpec masked = job.spec;
+    masked.name.clear();
+    masked.excitation.events.clear();
+    const auto slot = class_of.try_emplace(masked, i).first;
+    // A NaN orders like everything and equals nothing: such a job stays alone.
+    const std::size_t first = slot->first == masked ? slot->second : i;
+    for (const std::size_t r : roots[first]) {
+      if (params[r] == params[i]) {
+        const double d = excitation_divergence(jobs[r].spec.excitation, job.spec.excitation);
         if (d > 0.0) {
           leader[i] = r;
           fork_time[i] = d;
           fork_times[r].push_back(d);
+          ++stats.shared_factorisations;
           break;
         }
       }
     }
     if (leader[i] == kNone) {
-      roots.push_back(i);
+      roots[first].push_back(i);
     }
   }
   std::vector<std::size_t> leaders;
-  stats.lockstep_groups = 0;
-  stats.shared_factorisations = n - roots.size();
-  for (const std::size_t r : roots) {
+  for (std::size_t r = 0; r < n; ++r) {
     if (!fork_times[r].empty()) {
       leaders.push_back(r);
       std::sort(fork_times[r].begin(), fork_times[r].end());
@@ -441,17 +408,10 @@ ScenarioResult run_experiment(const ExperimentSpec& spec,
   return finish_run(spec, run);
 }
 
-std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& jobs,
-                                               std::size_t threads, BatchStats* stats) {
-  BatchOptions options;
-  options.threads = threads;
-  return run_scenario_batch(jobs, options, stats);
-}
-
 namespace {
 
-/// The batch-wide counts every kernel reports; the fork counters are left
-/// to run_forked_batch.
+/// The batch-wide counts of every batch; the fork counters are left to
+/// run_forked_batch.
 void fill_batch_stats(BatchStats& stats, const std::vector<ScenarioResult>& results) {
   stats.jobs = results.size();
   stats.shared_table_hits = static_cast<std::size_t>(
@@ -466,15 +426,7 @@ std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& j
                                                BatchStats* stats) {
   BatchStats batch;
   std::vector<ScenarioResult> results;
-  require_proposed_engines(jobs, options.batch_kernel);
-  if (jobs.empty()) {
-    // Nothing to fan out — don't spin up (and tear down) a thread pool.
-  } else if (options.batch_kernel == BatchKernel::kJobs) {
-    sim::BatchRunner runner(options.threads);
-    results = runner.map_items(jobs, [](const ScenarioJob& job, std::size_t) {
-      return run_experiment(job.spec, job.params ? &*job.params : nullptr);
-    });
-  } else {
+  if (!jobs.empty()) {  // an empty batch never spins up a thread pool
     results = run_forked_batch(jobs, options.threads, batch);
   }
   fill_batch_stats(batch, results);
@@ -542,9 +494,7 @@ std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
     throw ModelError("checkpointing: a checkpoint directory is required");
   }
   std::filesystem::create_directories(checkpointing.dir);
-  // Both kernel ids checkpoint job by job: their results are identical, so
-  // a checkpoint written under one resumes under the other.
-  require_proposed_engines(jobs, options.batch_kernel);
+  // Checkpointed jobs do not fork: each cuts its own boundaries.
   sim::BatchRunner runner(options.threads);
   std::vector<std::optional<ScenarioResult>> partial =
       runner.map_items(jobs, [&checkpointing](const ScenarioJob& job, std::size_t) {

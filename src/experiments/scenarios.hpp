@@ -12,9 +12,9 @@
 /// experiment_spec.hpp) that also round-trips through JSON and the `ehsim`
 /// CLI. `run_experiment` executes a spec on any of the four engines over
 /// the *same* device model and digital control process and returns traces,
-/// control events and CPU statistics; `run_scenario_batch` fans independent
-/// jobs over a thread pool with deterministic, bit-identical-to-serial
-/// results.
+/// control events and CPU statistics; `run_scenario_batch` fans a batch of
+/// jobs over a thread pool, marching the prefixes they share once, with
+/// results bit-identical to running each job alone.
 #pragma once
 
 #include <cstdint>
@@ -22,7 +22,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "experiments/experiment_spec.hpp"
@@ -39,26 +38,6 @@ namespace ehsim::experiments {
 /// Table I: supercapacitor charging from empty at fixed 70 Hz excitation,
 /// no microcontroller activity.
 [[nodiscard]] ExperimentSpec charging_scenario(double duration);
-
-/// How run_scenario_batch executes the jobs of a batch.
-enum class BatchKernel {
-  /// Independent jobs over the thread pool (the default; bit-identical to a
-  /// serial run of the same jobs).
-  kJobs,
-  /// Prefix forks: jobs whose specs differ only in name and in excitation
-  /// events from some time d > 0 on (and whose device parameters are equal)
-  /// march their shared span once. The first such job leads; it stops at its
-  /// last accepted point before d, a snapshot of it is restored into each
-  /// follower, and every job continues on its own. Results are bit-identical
-  /// to kJobs at any thread count (cpu_seconds aside). Requires
-  /// EngineKind::kProposed on every job.
-  kLockstep,
-};
-
-/// Stable identifier ("jobs" | "lockstep") — the JSON / CLI vocabulary.
-[[nodiscard]] const char* batch_kernel_id(BatchKernel kernel);
-/// Inverse of batch_kernel_id; throws ModelError on unknown ids.
-[[nodiscard]] BatchKernel parse_batch_kernel(std::string_view id);
 
 struct ScenarioResult {
   std::string scenario;
@@ -160,22 +139,25 @@ struct BatchStats {
   /// cache rather than rebuilt (ROADMAP hot-path item: identical model
   /// structure across a sweep pays for one table build).
   std::size_t shared_table_hits = 0;
-  /// Prefix forks of BatchKernel::kLockstep, both 0 under kJobs and in
-  /// checkpointed batches (the names stay for the benchmarks that read
-  /// them): leader snapshots taken, one per distinct fork time of a leader.
+  /// Prefix forks, both 0 in checkpointed batches (the names stay for the
+  /// benchmarks that read them): leader snapshots taken, one per distinct
+  /// fork time of a leader.
   std::uint64_t lockstep_groups = 0;
   /// Jobs restored from a leader's snapshot.
   std::uint64_t shared_factorisations = 0;
 };
 
+/// Retired batch-kernel ids, kept only because perfbench/src/stages.cpp
+/// still names them: both values run the one forked path of
+/// run_scenario_batch. ROADMAP's benchmark carry-over deletes them with the
+/// next benchmark change.
+enum class BatchKernel { kJobs, kLockstep };
+
 /// Execution options of one run_scenario_batch call.
 struct BatchOptions {
   /// Worker count: 0 picks the hardware concurrency, 1 runs serially.
   std::size_t threads = 0;
-  /// Batch execution kernel. The lockstep kernel requires every job to run
-  /// EngineKind::kProposed (ModelError otherwise). A forked job's
-  /// ScenarioResult::cpu_seconds counts its march from the fork on; the
-  /// shared prefix counts once, in its leader's.
+  /// Ignored; see BatchKernel.
   BatchKernel batch_kernel = BatchKernel::kJobs;
 };
 
@@ -227,26 +209,26 @@ struct CheckpointOptions {
     const harvester::HarvesterParams* params_override = nullptr);
 
 /// run_scenario_batch with per-job checkpoint files: every job checkpoints
-/// at its own absolute boundaries on the worker threads. Both kernel ids
-/// run this path without forks (their results are identical, so files
-/// written under one resume under the other). Returns std::nullopt when
-/// abort_after stopped any job.
+/// at its own absolute boundaries on the worker threads, without forks.
+/// Returns std::nullopt when abort_after stopped any job.
 [[nodiscard]] std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
     const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
     const CheckpointOptions& checkpointing, BatchStats* stats = nullptr);
 
-/// Execute a sweep of independent scenario jobs across a fixed thread pool.
-/// Results come back in job order; because every job owns its model and
-/// engine, the parallel traces are bit-identical to a serial run (threads
-/// = 1) of the same jobs. threads = 0 uses the hardware concurrency. An
-/// empty job vector returns immediately without spinning up the pool.
+/// Execute a batch of scenario jobs across a fixed thread pool, in job
+/// order. Jobs that share a prefix march it once: a job forks from the
+/// first earlier leader that runs the proposed engine, has equal device
+/// parameters, and has a spec that differs only in name and in excitation
+/// events from some time d > 0 on. The leader stops at its last accepted
+/// point before d; a snapshot of it is restored into each follower, and
+/// every job continues on its own. Every other job runs on its own.
+/// Results equal a run_experiment of each job bit for bit, at any thread
+/// count, except cpu_seconds: a forked job's counts its march from the
+/// fork, and the shared prefix counts once, in its leader's. threads = 0
+/// uses the hardware concurrency. An empty job vector returns immediately
+/// without spinning up the pool.
 [[nodiscard]] std::vector<ScenarioResult> run_scenario_batch(
-    const std::vector<ScenarioJob>& jobs, std::size_t threads = 0,
-    BatchStats* stats = nullptr);
-
-/// Batch execution with explicit options (thread count, batch kernel).
-[[nodiscard]] std::vector<ScenarioResult> run_scenario_batch(
-    const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
+    const std::vector<ScenarioJob>& jobs, const BatchOptions& options = {},
     BatchStats* stats = nullptr);
 
 }  // namespace ehsim::experiments

@@ -124,14 +124,6 @@ std::vector<ExperimentSpec> SweepSpec::expand() const {
   return specs;
 }
 
-std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep, std::size_t threads,
-                                      BatchStats* stats) {
-  BatchOptions options;
-  options.threads = threads;
-  options.batch_kernel = sweep.batch_kernel;
-  return run_sweep(sweep, options, stats);
-}
-
 namespace {
 
 /// Shared expansion of run_sweep / run_sweep_checkpointed: one uniquely

@@ -42,10 +42,6 @@ struct SweepSpec {
   std::vector<SweepAxis> axes{};
   /// Worker threads for run_sweep (0: hardware concurrency).
   std::size_t threads = 0;
-  /// Batch execution kernel for the expanded jobs (see
-  /// BatchOptions::batch_kernel). The default runs independent jobs; the
-  /// lockstep kernel requires the proposed engine on every job.
-  BatchKernel batch_kernel = BatchKernel::kJobs;
 
   /// Throws ModelError on empty/inconsistent axes or unknown paths.
   void validate() const;
@@ -77,18 +73,10 @@ void set_spec_value(ExperimentSpec& spec, const std::string& path, double value)
 /// overwrite another job's results.
 [[nodiscard]] std::string value_text(double value);
 
-/// Expand and execute a sweep through run_scenario_batch. \p threads
-/// overrides spec.threads when non-zero; the batch kernel follows
-/// SweepSpec::batch_kernel.
+/// Expand and execute a sweep through run_scenario_batch (threads = 0 in
+/// \p options falls back to spec.threads).
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
-                                                    std::size_t threads = 0,
-                                                    BatchStats* stats = nullptr);
-
-/// Sweep execution with explicit batch options (threads = 0 in \p options
-/// falls back to spec.threads; the batch kernel in \p options wins over the
-/// spec).
-[[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
-                                                    const BatchOptions& options,
+                                                    const BatchOptions& options = {},
                                                     BatchStats* stats = nullptr);
 
 /// run_sweep with per-job checkpoint files and resume (see CheckpointOptions

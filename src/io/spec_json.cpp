@@ -25,7 +25,6 @@ using experiments::EnsembleSpec;
 using experiments::EnsembleStat;
 using experiments::ErrorMetrics;
 using experiments::JobAccuracy;
-using experiments::KernelAccuracy;
 using experiments::ProbeAccuracy;
 using experiments::ExcitationEvent;
 using experiments::ExcitationSchedule;
@@ -488,18 +487,6 @@ template <class S>
 constexpr Field<S> kThreadsRow{"threads", &S::threads};
 template <class S>
 constexpr Field<S> kMaxEvaluationsRow{"max_evaluations", &S::max_evaluations};
-template <class S>
-constexpr Field<S> kBatchKernelRow{
-    "batch_kernel",
-    Custom<S>{[](const S& s) -> std::optional<JsonValue> {
-                if (s.batch_kernel == experiments::BatchKernel::kJobs) {  // default omitted
-                  return std::nullopt;
-                }
-                return experiments::batch_kernel_id(s.batch_kernel);
-              },
-              [](S& s, const JsonValue& json) {
-                s.batch_kernel = experiments::parse_batch_kernel(json.as_string());
-              }}};
 
 constexpr const char* kSpecBlock = "spec";
 
@@ -594,7 +581,6 @@ constexpr Field<SweepSpec> kSweepFields[] = {
                    }
                  }}},
     kThreadsRow<SweepSpec>,
-    kBatchKernelRow<SweepSpec>,
     {"axes",
      Custom<SweepSpec>{[](const SweepSpec& s) -> std::optional<JsonValue> {
                          JsonValue axes = JsonValue::make_array();
@@ -665,7 +651,6 @@ constexpr Field<EnsembleSpec> kEnsembleFields[] = {
                   }}},
     {"num_seeds", &EnsembleSpec::num_seeds, kAlias},
     kThreadsRow<EnsembleSpec>,
-    kBatchKernelRow<EnsembleSpec>,
 };
 constexpr Table<EnsembleSpec> kEnsemble{"ensemble spec", kEnsembleFields, true};
 
@@ -683,13 +668,6 @@ constexpr Field<AutotuneSpec> kAutotuneFields[] = {
          [](const AutotuneSpec& s) -> std::optional<JsonValue> { return to_array(s.knobs, kKnob); },
          [](AutotuneSpec& s, const JsonValue& json) { s.knobs = array_from(json, kKnob); }},
      kRequired},
-    {"kernels", Custom<AutotuneSpec>{
-                    [](const AutotuneSpec& s) {
-                      return unless_empty(id_array(s.kernels, experiments::batch_kernel_id));
-                    },
-                    [](AutotuneSpec& s, const JsonValue& json) {
-                      s.kernels = ids_from(json, experiments::parse_batch_kernel);
-                    }}},
     {"error_budget", &AutotuneSpec::error_budget},
     {"oracle_step", &AutotuneSpec::oracle_step, kIfPositive},
     kMaxEvaluationsRow<AutotuneSpec>,
@@ -1110,34 +1088,27 @@ JsonValue to_json(const AccuracyReport& report) {
   oracle.set("steps", report.oracle_steps);
   oracle.set("cpu_seconds", report.oracle_cpu_seconds);
   json.set("oracle", std::move(oracle));
-  JsonValue kernels = JsonValue::make_array();
-  for (const KernelAccuracy& row : report.kernels) {
-    JsonValue entry = JsonValue::make_object();
-    entry.set("kernel", row.kernel);
-    entry.set("cpu_seconds", row.cpu_seconds);
-    entry.set("steps", row.steps);
-    entry.set("bounds", metrics_to_json(row.bounds));
-    JsonValue jobs = JsonValue::make_array();
-    for (const JobAccuracy& job : row.jobs) {
-      JsonValue job_entry = JsonValue::make_object();
-      job_entry.set("job", job.job);
-      job_entry.set("errors", metrics_to_json(job.errors));
-      if (!job.probes.empty()) {
-        JsonValue probes = JsonValue::make_array();
-        for (const ProbeAccuracy& probe : job.probes) {
-          JsonValue probe_entry = JsonValue::make_object();
-          probe_entry.set("label", probe.label);
-          probe_entry.set("max_rel_error", JsonValue::finite_or_null(probe.max_rel_error));
-          probes.push_back(std::move(probe_entry));
-        }
-        job_entry.set("probes", std::move(probes));
+  json.set("cpu_seconds", report.cpu_seconds);
+  json.set("steps", report.steps);
+  json.set("bounds", metrics_to_json(report.bounds));
+  JsonValue jobs = JsonValue::make_array();
+  for (const JobAccuracy& job : report.jobs) {
+    JsonValue job_entry = JsonValue::make_object();
+    job_entry.set("job", job.job);
+    job_entry.set("errors", metrics_to_json(job.errors));
+    if (!job.probes.empty()) {
+      JsonValue probes = JsonValue::make_array();
+      for (const ProbeAccuracy& probe : job.probes) {
+        JsonValue probe_entry = JsonValue::make_object();
+        probe_entry.set("label", probe.label);
+        probe_entry.set("max_rel_error", JsonValue::finite_or_null(probe.max_rel_error));
+        probes.push_back(std::move(probe_entry));
       }
-      jobs.push_back(std::move(job_entry));
+      job_entry.set("probes", std::move(probes));
     }
-    entry.set("jobs", std::move(jobs));
-    kernels.push_back(std::move(entry));
+    jobs.push_back(std::move(job_entry));
   }
-  json.set("kernels", std::move(kernels));
+  json.set("jobs", std::move(jobs));
   return json;
 }
 
@@ -1164,7 +1135,6 @@ JsonValue to_json(const AutotuneResult& result) {
     values.push_back(value);
   }
   chosen.set("values", std::move(values));
-  chosen.set("kernel", result.chosen_kernel);
   chosen.set("cost", result.chosen_cost);
   chosen.set("error", JsonValue::finite_or_null(result.chosen_error));
   json.set("chosen", std::move(chosen));
@@ -1180,7 +1150,6 @@ JsonValue to_json(const AutotuneResult& result) {
       xs.push_back(value);
     }
     entry.set("values", std::move(xs));
-    entry.set("kernel", evaluation.kernel);
     entry.set("cost", evaluation.cost);
     entry.set("error", JsonValue::finite_or_null(evaluation.error));
     entry.set("feasible", evaluation.feasible);

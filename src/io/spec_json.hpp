@@ -167,7 +167,7 @@ using SpecField = std::variant<double*, std::optional<double>*>;
 /// ordinary result/trace files, not embedded here.
 [[nodiscard]] JsonValue to_json(const experiments::EnsembleResult& result);
 
-/// Accuracy report document: oracle run summary plus per-kernel error
+/// Accuracy report document: oracle run summary plus the fast path's error
 /// bounds and per-job measurements.
 [[nodiscard]] JsonValue to_json(const experiments::AccuracyReport& report);
 

@@ -1,114 +1,11 @@
 #include "ode/explicit_integrators.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "common/error.hpp"
 #include "io/state_json.hpp"
 
 namespace ehsim::ode {
-
-void forward_euler_step(const RhsFunction& f, double t, double h, std::span<double> x,
-                        std::span<double> scratch) {
-  EHSIM_ASSERT(scratch.size() >= x.size(), "forward_euler_step scratch too small");
-  auto k = scratch.subspan(0, x.size());
-  f(t, x, k);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] += h * k[i];
-  }
-}
-
-void rk4_step(const RhsFunction& f, double t, double h, std::span<double> x,
-              std::span<double> scratch) {
-  const std::size_t n = x.size();
-  EHSIM_ASSERT(scratch.size() >= 5 * n, "rk4_step scratch too small");
-  auto k1 = scratch.subspan(0, n);
-  auto k2 = scratch.subspan(n, n);
-  auto k3 = scratch.subspan(2 * n, n);
-  auto k4 = scratch.subspan(3 * n, n);
-  auto tmp = scratch.subspan(4 * n, n);
-
-  f(t, x, k1);
-  for (std::size_t i = 0; i < n; ++i) {
-    tmp[i] = x[i] + 0.5 * h * k1[i];
-  }
-  f(t + 0.5 * h, tmp, k2);
-  for (std::size_t i = 0; i < n; ++i) {
-    tmp[i] = x[i] + 0.5 * h * k2[i];
-  }
-  f(t + 0.5 * h, tmp, k3);
-  for (std::size_t i = 0; i < n; ++i) {
-    tmp[i] = x[i] + h * k3[i];
-  }
-  f(t + h, tmp, k4);
-  for (std::size_t i = 0; i < n; ++i) {
-    x[i] += h / 6.0 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-  }
-}
-
-AdaptiveRunStats integrate_rk23(const RhsFunction& f, double t0, double t1, std::span<double> x,
-                                const Rk23Options& options,
-                                const std::function<void(double, std::span<const double>)>&
-                                    observer) {
-  if (!(t1 > t0)) {
-    throw ModelError("integrate_rk23: t1 must exceed t0");
-  }
-  const std::size_t n = x.size();
-  std::vector<double> k1(n), k2(n), k3(n), k4(n), tmp(n), x3(n);
-
-  AdaptiveRunStats stats;
-  double t = t0;
-  double h = std::clamp(options.h_initial, options.h_min, options.h_max);
-  f(t, x, std::span<double>(k1));  // FSAL seed
-
-  while (t < t1) {
-    h = std::min(h, t1 - t);
-    // Bogacki-Shampine 3(2) tableau.
-    for (std::size_t i = 0; i < n; ++i) {
-      tmp[i] = x[i] + 0.5 * h * k1[i];
-    }
-    f(t + 0.5 * h, tmp, std::span<double>(k2));
-    for (std::size_t i = 0; i < n; ++i) {
-      tmp[i] = x[i] + 0.75 * h * k2[i];
-    }
-    f(t + 0.75 * h, tmp, std::span<double>(k3));
-    for (std::size_t i = 0; i < n; ++i) {
-      x3[i] = x[i] + h * (2.0 / 9.0 * k1[i] + 1.0 / 3.0 * k2[i] + 4.0 / 9.0 * k3[i]);
-    }
-    f(t + h, x3, std::span<double>(k4));
-
-    // Embedded 2nd-order solution for the error estimate.
-    double err_norm = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-      const double x2 = x[i] + h * (7.0 / 24.0 * k1[i] + 0.25 * k2[i] + 1.0 / 3.0 * k3[i] +
-                                    0.125 * k4[i]);
-      const double scale =
-          options.abs_tol + options.rel_tol * std::max(std::abs(x[i]), std::abs(x3[i]));
-      const double e = (x3[i] - x2) / scale;
-      err_norm = std::max(err_norm, std::abs(e));
-    }
-
-    if (err_norm <= 1.0) {
-      t += h;
-      std::copy(x3.begin(), x3.end(), x.begin());
-      std::swap(k1, k4);  // FSAL: k4 is f(t+h, x3)
-      ++stats.steps_accepted;
-      if (observer) {
-        observer(t, x);
-      }
-    } else {
-      ++stats.steps_rejected;
-    }
-    const double factor = options.safety * std::pow(std::max(err_norm, 1e-10), -1.0 / 3.0);
-    h *= std::clamp(factor, 0.2, 5.0);
-    if (h < options.h_min) {
-      throw SolverError("integrate_rk23: step size underflow");
-    }
-    h = std::min(h, options.h_max);
-  }
-  stats.h_final = h;
-  return stats;
-}
 
 AbHistory::AbHistory(std::size_t state_size, std::size_t max_order)
     : state_size_(state_size), max_order_(max_order) {
@@ -158,31 +55,6 @@ void AbHistory::step(double t_next, std::span<double> x) const {
     }
   }
 }
-
-double AbHistory::order_comparison_error(double t_next) const {
-  if (count_ < 2) {
-    return 0.0;
-  }
-  std::array<double, kMaxAbOrder> past{};
-  for (std::size_t i = 0; i < count_; ++i) {
-    past[i] = times_[(head_ + i) % max_order_];
-  }
-  const AbCoefficients hi =
-      compute_ab_coefficients(std::span<const double>(past.data(), count_), t_next);
-  const AbCoefficients lo =
-      compute_ab_coefficients(std::span<const double>(past.data(), count_ - 1), t_next);
-  double err2 = 0.0;
-  for (std::size_t j = 0; j < state_size_; ++j) {
-    double diff = 0.0;
-    for (std::size_t i = 0; i < hi.order; ++i) {
-      const double beta_lo = i < lo.order ? lo.beta[i] : 0.0;
-      diff += (hi.beta[i] - beta_lo) * entry(i)[j];
-    }
-    err2 += diff * diff;
-  }
-  return std::sqrt(err2);
-}
-
 
 io::JsonValue AbHistory::checkpoint_state() const {
   io::JsonValue state = io::JsonValue::make_object();

@@ -1,65 +1,22 @@
 /// \file explicit_integrators.hpp
-/// \brief Explicit one-step and multi-step integrators.
+/// \brief The explicit Adams-Bashforth march.
 ///
 /// The paper's engine advances the linearised state equations with the
-/// explicit Adams-Bashforth method (Eq. 5). This header provides:
-///  * a generic right-hand-side abstraction for tests and reference runs,
-///  * Forward Euler and classical RK4 single steps,
-///  * an adaptive Bogacki-Shampine RK23 driver (reference trajectories), and
-///  * `AbHistory`, the derivative-history ring buffer that turns the
-///    coefficients of ab_coefficients.hpp into a march-in-time scheme with
-///    automatic order ramp-up from cold starts and after discontinuities
-///    (digital events re-linearise the model, which invalidates history).
+/// explicit Adams-Bashforth method (Eq. 5). `AbHistory` is the
+/// derivative-history ring buffer that turns the coefficients of
+/// ab_coefficients.hpp into a march-in-time scheme with automatic order
+/// ramp-up from cold starts and after discontinuities (digital events
+/// re-linearise the model, which invalidates history).
 #pragma once
 
 #include <cstddef>
-#include <functional>
 #include <span>
 #include <vector>
 
 #include "io/json.hpp"
-#include "linalg/matrix.hpp"
 #include "ode/ab_coefficients.hpp"
 
 namespace ehsim::ode {
-
-/// Right-hand side of an explicit ODE system dx/dt = f(t, x).
-using RhsFunction = std::function<void(double t, std::span<const double> x, std::span<double> dxdt)>;
-
-/// One Forward Euler step: x <- x + h f(t, x).
-void forward_euler_step(const RhsFunction& f, double t, double h, std::span<double> x,
-                        std::span<double> scratch);
-
-/// One classical RK4 step: x <- x + h/6 (k1 + 2k2 + 2k3 + k4).
-/// \p scratch must provide 5*n doubles.
-void rk4_step(const RhsFunction& f, double t, double h, std::span<double> x,
-              std::span<double> scratch);
-
-/// Result of an adaptive integration run.
-struct AdaptiveRunStats {
-  std::size_t steps_accepted = 0;
-  std::size_t steps_rejected = 0;
-  double h_final = 0.0;
-};
-
-/// Options for the adaptive RK23 driver.
-struct Rk23Options {
-  double abs_tol = 1e-9;
-  double rel_tol = 1e-6;
-  double h_initial = 1e-4;
-  double h_min = 1e-12;
-  double h_max = 1.0;
-  double safety = 0.9;
-};
-
-/// Integrate dx/dt = f from t0 to t1 with the Bogacki-Shampine embedded
-/// RK2(3) pair, adapting the step to the error tolerances. \p observer, when
-/// non-null, is invoked after every accepted step. Throws SolverError when
-/// the step underflows h_min.
-AdaptiveRunStats integrate_rk23(const RhsFunction& f, double t0, double t1, std::span<double> x,
-                                const Rk23Options& options = {},
-                                const std::function<void(double, std::span<const double>)>&
-                                    observer = nullptr);
 
 /// Derivative history for Adams-Bashforth multi-step integration.
 ///
@@ -94,11 +51,6 @@ class AbHistory {
   /// Advance the state: x <- x + sum_i beta_i f_{n-i}, with variable-step
   /// coefficients for target time \p t_next. Requires size() >= 1.
   void step(double t_next, std::span<double> x) const;
-
-  /// Crude local-truncation-error proxy: norm of the difference between the
-  /// AB step of the current order and of one order lower (Milne-style
-  /// comparison). Returns 0 when fewer than 2 samples are stored.
-  [[nodiscard]] double order_comparison_error(double t_next) const;
 
   /// Exact snapshot of the ring (count, head, times, samples) so a restored
   /// engine resumes its multistep march bit-identically mid-history.

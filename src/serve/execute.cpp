@@ -41,14 +41,12 @@ bool run_scenarios(RequestType verb, const io::AnySpec& spec, const ExecuteOptio
     jobs = sweep->job_count();
     sink.progress(jobs);
     batch.threads = options.threads;
-    batch.batch_kernel = options.batch_kernel.value_or(sweep->batch_kernel);
     results = checkpointing ? experiments::run_sweep_checkpointed(*sweep, batch, *checkpointing)
                             : experiments::run_sweep(*sweep, batch);
   } else {
     const auto& experiment = *spec.get_if<experiments::ExperimentSpec>();
     sink.started(experiment.name);
     batch.threads = 1;  // one job — run inline, never spin up a pool
-    batch.batch_kernel = options.batch_kernel.value_or(experiments::BatchKernel::kJobs);
     const std::vector<experiments::ScenarioJob> one{{experiment, std::nullopt}};
     results = checkpointing
                   ? experiments::run_scenario_batch_checkpointed(one, batch, *checkpointing)
@@ -81,10 +79,8 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
       const auto& ensemble = *spec.get_if<experiments::EnsembleSpec>();
       sink.started(ensemble.base.name);
       sink.progress(ensemble.replica_seeds().size());
-      experiments::BatchOptions batch;
-      batch.threads = options.threads;
-      batch.batch_kernel = options.batch_kernel.value_or(ensemble.batch_kernel);
-      const experiments::EnsembleResult result = experiments::run_ensemble(ensemble, batch);
+      const experiments::EnsembleResult result =
+          experiments::run_ensemble(ensemble, {.threads = options.threads});
       if (!out.empty()) {
         write_document(out, result.name, "ensemble", io::to_json(result));
         for (const experiments::ScenarioResult& run : result.runs) {
@@ -107,7 +103,6 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
     }
     case RequestType::kAccuracy: {
       experiments::AccuracyOptions accuracy;
-      accuracy.kernels = options.kernels;
       accuracy.oracle_step = options.oracle_step;
       if (options.threads > 0) {
         accuracy.threads = options.threads;

@@ -16,7 +16,6 @@
 #include <cstddef>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "experiments/accuracy.hpp"
 #include "experiments/autotune.hpp"
@@ -39,8 +38,7 @@ class ExecuteSink {
   /// A sweep or ensemble is about to run this many jobs.
   virtual void progress(std::size_t /*jobs*/) {}
   /// A checkpoint file was committed: (path, job name, simulated time).
-  /// Called from pool worker threads when the jobs kernel checkpoints a
-  /// sweep.
+  /// Called from pool worker threads when a sweep checkpoints.
   virtual void checkpoint(const std::string& /*path*/, const std::string& /*job*/,
                           double /*sim_time*/) {}
 
@@ -69,11 +67,7 @@ struct ExecuteOptions {
   /// (required). execute() sets `resume` and routes `on_checkpoint` to the
   /// sink; the verbs without checkpoints ignore it.
   std::optional<experiments::CheckpointOptions> checkpoint{};
-  /// Overrides the spec's batch kernel (run, sweep, resume, ensemble).
-  std::optional<experiments::BatchKernel> batch_kernel{};
-  /// accuracy: the kernels to measure (empty: every kernel the engine
-  /// supports) and the oracle step (<= 0: the oracle's default).
-  std::vector<experiments::BatchKernel> kernels{};
+  /// accuracy: the oracle step (<= 0: the oracle's default).
   double oracle_step = 0.0;
 };
 

@@ -108,7 +108,6 @@ class EventSink final : public ExecuteSink {
 
   void result(const experiments::AccuracyReport& report) override {
     io::JsonValue done = result_base();
-    done.set("kernels", static_cast<double>(report.kernels.size()));
     done.set("result", io::to_json(report));
     emit_(done);
   }

@@ -1,16 +1,15 @@
 /// \file test_accuracy_matrix.cpp
-/// \brief Oracle-measured error-bound regression matrix: engines x kernels.
+/// \brief Oracle-measured error-bound regression matrix across the engines.
 ///
 /// Runs miniature harvester scenarios against the extended-precision
-/// reference oracle (experiments::run_accuracy) across the engine kinds and
-/// all three batch kernels, and pins the measured relative-error bounds as
-/// regression limits. Until this matrix existed, the repo's accuracy claims
-/// were engine-vs-engine; the PR-6 lockstep kernels in particular carried a
-/// "within 1e-3 on Vc" claim that was never measured against an independent
-/// yardstick. The limits asserted here are ~10x above the values measured at
-/// introduction, so they fail on a real regression, not on FP noise:
+/// reference oracle (experiments::run_accuracy) across the engine kinds,
+/// with the proposed engine on a sweep whose jobs fork a shared prefix, and
+/// pins the measured relative-error bounds as regression limits. Until this
+/// matrix existed, the repo's accuracy claims were engine-vs-engine. The
+/// limits asserted here are ~10x above the values measured at introduction,
+/// so they fail on a real regression, not on FP noise:
 ///
-///   proposed engine, Vc trace, all kernels:   measured ~2e-4 (limit 2e-3)
+///   proposed engine, Vc trace:                measured ~2e-4 (limit 2e-3)
 ///   proposed engine, delivered energy:        measured ~4e-2 (limit 6e-2;
 ///       this is the PWL-table/linearisation modelling floor on the diode
 ///       multiplier — see docs/accuracy.md — not an integration error)
@@ -32,10 +31,8 @@ namespace {
 using ehsim::ModelError;
 using ehsim::experiments::AccuracyOptions;
 using ehsim::experiments::AccuracyReport;
-using ehsim::experiments::BatchKernel;
 using ehsim::experiments::EngineKind;
 using ehsim::experiments::ExperimentSpec;
-using ehsim::experiments::KernelAccuracy;
 using ehsim::experiments::SweepAxis;
 using ehsim::experiments::SweepSpec;
 
@@ -58,117 +55,87 @@ ExperimentSpec short_spec() {
   return spec;
 }
 
-AccuracyOptions oracle_options(std::vector<BatchKernel> kernels) {
+AccuracyOptions oracle_options() {
   AccuracyOptions options;
-  options.kernels = std::move(kernels);
   options.oracle_step = 2e-4;
   return options;
 }
 
-const KernelAccuracy& kernel_row(const AccuracyReport& report, const char* id) {
-  const auto it = std::find_if(report.kernels.begin(), report.kernels.end(),
-                               [id](const KernelAccuracy& k) { return k.kernel == id; });
-  EXPECT_NE(it, report.kernels.end()) << "kernel " << id << " missing from report";
-  return *it;
-}
+// ---- the proposed engine ----------------------------------------------------
 
-// ---- the proposed engine across both batch kernels -------------------------
-
-TEST(AccuracyMatrix, ProposedKernelsStayWithinMeasuredVcBounds) {
+TEST(AccuracyMatrix, ProposedEngineStaysWithinMeasuredVcBounds) {
   // A two-job sweep whose members share a prefix and then diverge (distinct
-  // retune targets) — exactly the shape where lockstep Jacobian sharing has
-  // to earn its accuracy claim.
+  // retune targets): the second job forks from the first.
   SweepSpec sweep;
   sweep.base = short_spec();
   sweep.axes.push_back(SweepAxis{
       .param = "excitation.event[0].frequency_hz", .values = {70.5, 71.5}, .engines = {}});
 
-  for (const BatchKernel kernel :
-       {BatchKernel::kJobs, BatchKernel::kLockstep}) {
-    const AccuracyReport report =
-        ehsim::experiments::run_accuracy(sweep, oracle_options({kernel}));
-    ASSERT_EQ(report.kernels.size(), 1u);
-    const KernelAccuracy& row = report.kernels.front();
-    EXPECT_EQ(row.kernel, ehsim::experiments::batch_kernel_id(kernel));
-    ASSERT_EQ(row.jobs.size(), 2u) << row.kernel;
+  const AccuracyReport report = ehsim::experiments::run_accuracy(sweep, oracle_options());
+  ASSERT_EQ(report.jobs.size(), 2u);
 
-    // The PR-6 claim, now a measured number: every kernel holds the Vc
-    // trace well inside 1e-3 of the oracle on this scenario.
-    EXPECT_GT(row.bounds.vc_max_rel_error, 0.0) << row.kernel;
-    EXPECT_LT(row.bounds.vc_max_rel_error, 2e-3) << row.kernel;
-    EXPECT_LE(row.bounds.vc_rms_rel_error, row.bounds.vc_max_rel_error) << row.kernel;
-    EXPECT_LT(row.bounds.final_vc_rel_error, 2e-3) << row.kernel;
-    // Delivered-energy error sits on the PWL/linearisation modelling floor.
-    EXPECT_LT(row.bounds.energy_rel_error, 6e-2) << row.kernel;
-    // The declared probe is measured per job.
-    for (const auto& job : row.jobs) {
-      ASSERT_EQ(job.probes.size(), 1u) << row.kernel;
-      EXPECT_EQ(job.probes.front().label, "P_store") << row.kernel;
-      EXPECT_LT(job.probes.front().max_rel_error, 6e-2) << row.kernel;
-    }
-    // Oracle bookkeeping: the requested step was honoured and work was done.
-    EXPECT_DOUBLE_EQ(report.oracle_step, 2e-4);
-    EXPECT_GT(report.oracle_steps, 0u);
-    EXPECT_GT(row.steps, 0u);
+  // The Vc trace stays well inside 1e-3 of the oracle on this scenario.
+  EXPECT_GT(report.bounds.vc_max_rel_error, 0.0);
+  EXPECT_LT(report.bounds.vc_max_rel_error, 2e-3);
+  EXPECT_LE(report.bounds.vc_rms_rel_error, report.bounds.vc_max_rel_error);
+  EXPECT_LT(report.bounds.final_vc_rel_error, 2e-3);
+  // Delivered-energy error sits on the PWL/linearisation modelling floor.
+  EXPECT_LT(report.bounds.energy_rel_error, 6e-2);
+  // The declared probe is measured per job.
+  for (const auto& job : report.jobs) {
+    ASSERT_EQ(job.probes.size(), 1u);
+    EXPECT_EQ(job.probes.front().label, "P_store");
+    EXPECT_LT(job.probes.front().max_rel_error, 6e-2);
   }
+  // Oracle bookkeeping: the requested step was honoured and work was done.
+  EXPECT_DOUBLE_EQ(report.oracle_step, 2e-4);
+  EXPECT_GT(report.oracle_steps, 0u);
+  EXPECT_GT(report.steps, 0u);
 }
 
-TEST(AccuracyMatrix, KernelBoundsAreMaxOverJobs) {
+TEST(AccuracyMatrix, BoundsAreMaxOverJobs) {
   SweepSpec sweep;
   sweep.base = short_spec();
   sweep.axes.push_back(SweepAxis{
       .param = "excitation.event[0].frequency_hz", .values = {70.5, 71.5}, .engines = {}});
-  const AccuracyReport report =
-      ehsim::experiments::run_accuracy(sweep, oracle_options({BatchKernel::kJobs}));
-  const KernelAccuracy& row = kernel_row(report, "jobs");
+  const AccuracyReport report = ehsim::experiments::run_accuracy(sweep, oracle_options());
   double worst_vc = 0.0;
   double worst_energy = 0.0;
-  for (const auto& job : row.jobs) {
+  for (const auto& job : report.jobs) {
     worst_vc = std::max(worst_vc, job.errors.vc_max_rel_error);
     worst_energy = std::max(worst_energy, job.errors.energy_rel_error);
   }
-  EXPECT_DOUBLE_EQ(row.bounds.vc_max_rel_error, worst_vc);
-  EXPECT_DOUBLE_EQ(row.bounds.energy_rel_error, worst_energy);
+  EXPECT_DOUBLE_EQ(report.bounds.vc_max_rel_error, worst_vc);
+  EXPECT_DOUBLE_EQ(report.bounds.energy_rel_error, worst_energy);
 }
 
 // ---- the NR baseline engines ----------------------------------------------
 
-TEST(AccuracyMatrix, BaselineEnginesMeasureUnderTheJobsKernel) {
+TEST(AccuracyMatrix, BaselineEnginesStayWithinMeasuredVcBounds) {
   for (const EngineKind engine :
        {EngineKind::kSystemVision, EngineKind::kPspice, EngineKind::kSystemCA}) {
     ExperimentSpec spec = short_spec();
     spec.engine = engine;
-    const AccuracyReport report =
-        ehsim::experiments::run_accuracy(spec, oracle_options({BatchKernel::kJobs}));
+    const AccuracyReport report = ehsim::experiments::run_accuracy(spec, oracle_options());
     EXPECT_EQ(report.engine, ehsim::experiments::engine_kind_id(engine));
-    const KernelAccuracy& row = kernel_row(report, "jobs");
     // The fixed-step NR baselines are coarser than the proposed engine but
     // must still track the oracle: Vc within 3% on this scenario
     // (measured: trapezoid ~1e-3, Gear-2/backward-Euler up to ~1e-2).
-    EXPECT_GT(row.bounds.vc_max_rel_error, 0.0)
+    EXPECT_GT(report.bounds.vc_max_rel_error, 0.0)
         << ehsim::experiments::engine_kind_id(engine);
-    EXPECT_LT(row.bounds.vc_max_rel_error, 3e-2)
+    EXPECT_LT(report.bounds.vc_max_rel_error, 3e-2)
         << ehsim::experiments::engine_kind_id(engine);
-    EXPECT_LT(row.bounds.energy_rel_error, 0.12)
+    EXPECT_LT(report.bounds.energy_rel_error, 0.12)
         << ehsim::experiments::engine_kind_id(engine);
   }
 }
 
 // ---- misuse is rejected ----------------------------------------------------
 
-TEST(AccuracyMatrix, LockstepKernelsRejectBaselineEngines) {
-  ExperimentSpec spec = short_spec();
-  spec.engine = EngineKind::kSystemVision;
-  EXPECT_THROW((void)ehsim::experiments::run_accuracy(
-                   spec, oracle_options({BatchKernel::kLockstep})),
-               ModelError);
-}
-
 TEST(AccuracyMatrix, OracleRefusesToJudgeItself) {
   ExperimentSpec spec = short_spec();
   spec.engine = EngineKind::kReference;
-  EXPECT_THROW((void)ehsim::experiments::run_accuracy(spec, oracle_options({})),
-               ModelError);
+  EXPECT_THROW((void)ehsim::experiments::run_accuracy(spec, oracle_options()), ModelError);
 }
 
 // ---- oracle-step convergence ----------------------------------------------
@@ -180,13 +147,12 @@ TEST(AccuracyMatrix, MeasuredVcErrorIsStableUnderOracleRefinement) {
   // step keeps the bound at that scale, orders of magnitude below any
   // budget, rather than revealing an oracle-step-sized artefact.
   ExperimentSpec spec = short_spec();
-  const AccuracyReport coarse =
-      ehsim::experiments::run_accuracy(spec, oracle_options({BatchKernel::kJobs}));
-  AccuracyOptions fine_options = oracle_options({BatchKernel::kJobs});
+  const AccuracyReport coarse = ehsim::experiments::run_accuracy(spec, oracle_options());
+  AccuracyOptions fine_options = oracle_options();
   fine_options.oracle_step = 1e-4;
   const AccuracyReport fine = ehsim::experiments::run_accuracy(spec, fine_options);
-  const double coarse_vc = kernel_row(coarse, "jobs").bounds.vc_max_rel_error;
-  const double fine_vc = kernel_row(fine, "jobs").bounds.vc_max_rel_error;
+  const double coarse_vc = coarse.bounds.vc_max_rel_error;
+  const double fine_vc = fine.bounds.vc_max_rel_error;
   EXPECT_GT(fine_vc, 0.0);
   EXPECT_LT(coarse_vc, 1e-9);
   EXPECT_LT(fine_vc, 1e-9);

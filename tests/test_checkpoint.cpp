@@ -1,9 +1,9 @@
 /// \file test_checkpoint.cpp
 /// \brief Checkpoint/restart contract: a killed run resumed from its last
 /// checkpoint file is bit-identical (modulo cpu_seconds) to an uninterrupted
-/// run with the same checkpoint options — across both engine families, both
-/// batch kernel ids, mid-multistep-history boundaries, mid-PWL-segment
-/// excitation and seeded random-walk drift.
+/// run with the same checkpoint options — across both engine families,
+/// sweeps, mid-multistep-history boundaries, mid-PWL-segment excitation and
+/// seeded random-walk drift.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -25,7 +25,6 @@
 namespace {
 
 using ehsim::ModelError;
-using ehsim::experiments::BatchKernel;
 using ehsim::experiments::BatchOptions;
 using ehsim::experiments::CheckpointOptions;
 using ehsim::experiments::EngineKind;
@@ -344,36 +343,27 @@ TEST(Checkpoint, ResumeWithoutFilesStartsFresh) {
   expect_identical(*straight, *fresh);
 }
 
-// ---- sweeps across both batch kernels --------------------------------------
+// ---- sweeps ---------------------------------------------------------------
 
-SweepSpec small_sweep(BatchKernel kernel) {
+TEST(Checkpoint, SweepKillResumeJobs) {
   SweepSpec sweep;
   sweep.base = small_spec();
   sweep.base.name = "ckpt-sweep";
   sweep.base.probes.clear();  // keep the sweep lean
-  sweep.threads = 2;
-  sweep.batch_kernel = kernel;
   SweepAxis axis;
   axis.param = "excitation.event[0].frequency_hz";
   axis.values = {70.5, 71.0, 71.5};
   sweep.axes.push_back(axis);
-  return sweep;
-}
+  const BatchOptions options{.threads = 2};
 
-void check_sweep_kill_resume(BatchKernel kernel, const std::string& tag) {
-  const SweepSpec sweep = small_sweep(kernel);
-  BatchOptions options;
-  options.threads = 2;
-  options.batch_kernel = kernel;
-
-  ScratchDir full_dir(tag + "_full");
+  ScratchDir full_dir("jobs_full");
   CheckpointOptions full;
   full.every = 0.6;
   full.dir = full_dir.str();
   const auto uninterrupted = run_sweep_checkpointed(sweep, options, full);
   ASSERT_TRUE(uninterrupted.has_value());
 
-  ScratchDir kill_dir(tag + "_kill");
+  ScratchDir kill_dir("jobs_kill");
   CheckpointOptions kill = full;
   kill.dir = kill_dir.str();
   kill.abort_after = 1;
@@ -388,49 +378,6 @@ void check_sweep_kill_resume(BatchKernel kernel, const std::string& tag) {
   ASSERT_EQ(uninterrupted->size(), resumed->size());
   for (std::size_t i = 0; i < uninterrupted->size(); ++i) {
     expect_identical((*uninterrupted)[i], (*resumed)[i]);
-  }
-}
-
-TEST(Checkpoint, SweepKillResumeJobs) { check_sweep_kill_resume(BatchKernel::kJobs, "jobs"); }
-
-TEST(Checkpoint, SweepKillResumeLockstep) {
-  check_sweep_kill_resume(BatchKernel::kLockstep, "lockstep");
-}
-
-TEST(Checkpoint, ASweepCheckpointedUnderOneKernelResumesUnderTheOther) {
-  // Both kernel ids checkpoint job by job with identical results, so the
-  // files are interchangeable.
-  const SweepSpec sweep = small_sweep(BatchKernel::kJobs);
-  for (const auto& [writer, reader] : {std::pair{BatchKernel::kJobs, BatchKernel::kLockstep},
-                                       std::pair{BatchKernel::kLockstep, BatchKernel::kJobs}}) {
-    BatchOptions write_options;
-    write_options.threads = 2;
-    write_options.batch_kernel = writer;
-    BatchOptions read_options = write_options;
-    read_options.batch_kernel = reader;
-
-    ScratchDir full_dir("cross_full");
-    CheckpointOptions full;
-    full.every = 0.6;
-    full.dir = full_dir.str();
-    const auto uninterrupted = run_sweep_checkpointed(sweep, read_options, full);
-    ASSERT_TRUE(uninterrupted.has_value());
-
-    ScratchDir kill_dir("cross_kill");
-    CheckpointOptions kill = full;
-    kill.dir = kill_dir.str();
-    kill.abort_after = 1;
-    ASSERT_FALSE(run_sweep_checkpointed(sweep, write_options, kill).has_value());
-
-    CheckpointOptions resume = full;
-    resume.dir = kill_dir.str();
-    resume.resume = true;
-    const auto resumed = run_sweep_checkpointed(sweep, read_options, resume);
-    ASSERT_TRUE(resumed.has_value());
-    ASSERT_EQ(uninterrupted->size(), resumed->size());
-    for (std::size_t i = 0; i < uninterrupted->size(); ++i) {
-      expect_identical((*uninterrupted)[i], (*resumed)[i]);
-    }
   }
 }
 

@@ -247,22 +247,25 @@ TEST(EhsimCli, FlagsAVerbDoesNotUseAndWrongFlavoursAreRejected) {
       std::filesystem::temp_directory_path() / "ehsim_cli_unused_flags";
   const std::string sink = " --out \"" + out.string() + "\" --quiet";
   const std::string ckpt = " --checkpoint-dir \"" + (out / "ckpt").string() + "\"";
+  const std::string sweep_run = "sweep \"" + golden + "golden_serve_sweep.json\"" + sink;
   expect_rejected("optimise \"" + golden + "golden_optimise.json\"" + sink + ckpt +
-                      " --checkpoint-every 0.1 --batch-kernel lockstep",
+                      " --checkpoint-every 0.1",
                   {"--checkpoint-dir", "optimise"});
-  expect_rejected("autotune \"" + golden + "golden_autotune.json\"" + sink +
-                      " --batch-kernel jobs",
-                  {"--batch-kernel", "autotune"});
   expect_rejected("ensemble \"" + golden + "golden_ensemble.json\"" + sink + " --probes power",
                   {"--probes", "ensemble"});
-  expect_rejected("run \"" + golden + "golden_charging.json\"" + sink + " --kernels jobs",
-                  {"--kernels", "run"});
   expect_rejected("sweep \"" + golden + "golden_optimise.json\"" + sink,
                   {"'sweep'", "'optimise'"});
   expect_rejected("resume \"" + golden + "golden_optimise.json\"" + sink + ckpt,
                   {"'resume'", "'optimise'"});
   expect_rejected("run \"" + golden + "golden_charging.json\"" + sink + " --warm-start",
                   {"--warm-start"});
+  expect_rejected(sweep_run + " --batch-kernel lockstep", {"unknown option", "--batch-kernel"});
+  expect_rejected("ensemble \"" + golden + "golden_ensemble.json\"" + sink +
+                      " --batch-kernel jobs",
+                  {"unknown option", "--batch-kernel"});
+  expect_rejected("verify-accuracy \"" + golden + "golden_charging.json\"" + sink +
+                      " --kernels jobs",
+                  {"unknown option", "--kernels"});
   expect_rejected("serve --pool 4", {"--pool"});
   expect_rejected("serve --cold", {"--cold"});
   std::filesystem::remove_all(out);

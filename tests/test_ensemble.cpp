@@ -20,7 +20,6 @@
 namespace {
 
 using ehsim::ModelError;
-using ehsim::experiments::BatchKernel;
 using ehsim::experiments::BatchOptions;
 using ehsim::experiments::BatchStats;
 using ehsim::experiments::EnsembleProbeStats;
@@ -204,7 +203,6 @@ TEST(EnsembleSpecTest, ExpandNamesReplicasAndReseedsEveryWalk) {
 TEST(EnsembleSpecTest, RoundTripsThroughJsonBothSeedForms) {
   EnsembleSpec explicit_seeds = small_ensemble();
   explicit_seeds.threads = 2;
-  explicit_seeds.batch_kernel = BatchKernel::kLockstep;
   const JsonValue a = ehsim::io::to_json(explicit_seeds);
   EXPECT_EQ(a.at("type").as_string(), "ensemble");
   EXPECT_EQ(ehsim::io::ensemble_from_json(JsonValue::parse(a.dump(2))), explicit_seeds);
@@ -292,26 +290,33 @@ TEST(EnsembleRun, BitIdenticalAcrossWorkerCounts) {
   }
 }
 
-TEST(EnsembleRun, LockstepKernelSharesWorkAcrossReplicas) {
-  EnsembleSpec ensemble = small_ensemble();
-  ensemble.batch_kernel = BatchKernel::kLockstep;
+TEST(EnsembleRun, ReplicasForkTheirSharedPrefixAndMatchSeparateRuns) {
+  const EnsembleSpec ensemble = small_ensemble();
 
   BatchStats stats;
-  const EnsembleResult result = ehsim::experiments::run_ensemble(ensemble, &stats);
+  const EnsembleResult result = ehsim::experiments::run_ensemble(ensemble, {}, &stats);
   EXPECT_EQ(stats.jobs, 3u);
-  // Seed replicas differ only in their drift realisation, so the lockstep
-  // kernel marches the span before the walk once and forks the other two
-  // replicas from a snapshot of the first.
+  // Seed replicas differ only in their drift realisation, so the batch
+  // marches the span before the walk once and forks the other two replicas
+  // from a snapshot of the first.
   EXPECT_EQ(stats.lockstep_groups, 1u);
   EXPECT_EQ(stats.shared_factorisations, 2u);
 
   // Forking is an implementation detail, not a licence for nondeterminism:
-  // a second lockstep execution and the jobs kernel reproduce the ensemble
-  // statistics bit for bit.
-  const EnsembleResult again = ehsim::experiments::run_ensemble(ensemble);
-  expect_stats_identical(result, again);
-  ensemble.batch_kernel = BatchKernel::kJobs;
+  // a second execution reproduces the statistics bit for bit, and every
+  // replica equals its own separate run.
   expect_stats_identical(result, ehsim::experiments::run_ensemble(ensemble));
+  const std::vector<ExperimentSpec> replicas = ensemble.expand();
+  ASSERT_EQ(result.runs.size(), replicas.size());
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    const ehsim::experiments::ScenarioResult alone =
+        ehsim::experiments::run_experiment(replicas[i]);
+    EXPECT_EQ(result.runs[i].final_vc, alone.final_vc);
+    EXPECT_EQ(result.runs[i].vc, alone.vc);
+    EXPECT_EQ(result.runs[i].stats.steps, alone.stats.steps);
+    ASSERT_EQ(result.runs[i].probes.size(), alone.probes.size());
+    EXPECT_EQ(result.runs[i].probes[0].mean, alone.probes[0].mean);
+  }
 }
 
 }  // namespace

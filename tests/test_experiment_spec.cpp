@@ -201,8 +201,8 @@ TEST(SweepSpec, EightJobSweepParallelBitIdenticalToSerial) {
   const SweepSpec sweep = small_sweep();
   BatchStats serial_stats;
   BatchStats parallel_stats;
-  const auto serial = run_sweep(sweep, 1, &serial_stats);
-  const auto parallel = run_sweep(sweep, 4, &parallel_stats);
+  const auto serial = run_sweep(sweep, {.threads = 1}, &serial_stats);
+  const auto parallel = run_sweep(sweep, {.threads = 4}, &parallel_stats);
   ASSERT_EQ(serial.size(), 8u);
   ASSERT_EQ(parallel.size(), 8u);
   for (std::size_t i = 0; i < serial.size(); ++i) {
@@ -271,7 +271,7 @@ TEST(SharedDiodeTable, SharedRunBitIdenticalToPrivateTableRun) {
 TEST(RunScenarioBatch, EmptyJobVectorReturnsEmptyWithoutThreadPool) {
   BatchStats stats;
   stats.jobs = 99;  // must be reset
-  const auto results = run_scenario_batch({}, 8, &stats);
+  const auto results = run_scenario_batch({}, {.threads = 8}, &stats);
   EXPECT_TRUE(results.empty());
   EXPECT_EQ(stats.jobs, 0u);
   EXPECT_EQ(stats.shared_table_hits, 0u);

@@ -7,8 +7,10 @@
 #include <cmath>
 #include <limits>
 #include <sstream>
+#include <tuple>
 
 #include "common/error.hpp"
+#include "experiments/autotune.hpp"
 #include "experiments/scenarios.hpp"
 #include "experiments/sweep.hpp"
 #include "io/compare.hpp"
@@ -352,9 +354,10 @@ TEST(SpecJson, StrictParsingRejectsUnknownKeysAndValues) {
   EXPECT_EQ(ehsim::io::experiment_from_json(JsonValue::parse(json.dump())), spec);
 }
 
-/// "warm_start" is not a sweep, optimise or ensemble key: a document that
-/// carries it is refused with an error naming it.
-TEST(SpecJson, WarmStartKeyIsRejectedInEveryBatchFlavour) {
+/// Retired keys are refused with an error naming them: "warm_start" in a
+/// sweep, optimise or ensemble document, "batch_kernel" in a sweep or
+/// ensemble, "kernels" in an autotune document.
+TEST(SpecJson, RetiredKeysAreRejectedByName) {
   SweepSpec sweep;
   sweep.base = charging_scenario(1.0);
   sweep.axes.push_back(SweepAxis{"spec.pre_tuned_hz", {69.0, 70.0}, {}});
@@ -377,15 +380,29 @@ TEST(SpecJson, WarmStartKeyIsRejectedInEveryBatchFlavour) {
   ensemble.base.excitation.random_walk(0.1, 0.5, walk);
   ensemble.seeds = {1, 2};
 
-  for (JsonValue document :
-       {ehsim::io::to_json(sweep), ehsim::io::to_json(optimise), ehsim::io::to_json(ensemble)}) {
+  AutotuneSpec autotune;
+  autotune.base = charging_scenario(1.0);
+  autotune.knobs.push_back(AutotuneKnob{"solver.h_max", {5e-4, 1e-3}});
+
+  const JsonValue jobs_id("jobs");
+  JsonValue kernel_ids = JsonValue::make_array();
+  kernel_ids.push_back(jobs_id);
+  const std::vector<std::tuple<JsonValue, const char*, JsonValue>> cases = {
+      {ehsim::io::to_json(sweep), "warm_start", JsonValue(true)},
+      {ehsim::io::to_json(optimise), "warm_start", JsonValue(true)},
+      {ehsim::io::to_json(ensemble), "warm_start", JsonValue(true)},
+      {ehsim::io::to_json(sweep), "batch_kernel", jobs_id},
+      {ehsim::io::to_json(ensemble), "batch_kernel", jobs_id},
+      {ehsim::io::to_json(autotune), "kernels", kernel_ids},
+  };
+  for (auto [document, key, value] : cases) {
     (void)ehsim::io::spec_from_json(document);  // valid without the key
-    document.set("warm_start", true);
+    document.set(key, value);
     try {
       (void)ehsim::io::spec_from_json(document);
       ADD_FAILURE() << "accepted: " << document.dump(-1);
     } catch (const ModelError& error) {
-      EXPECT_NE(std::string(error.what()).find("'warm_start'"), std::string::npos)
+      EXPECT_NE(std::string(error.what()).find("'" + std::string(key) + "'"), std::string::npos)
           << error.what();
     }
   }

@@ -265,8 +265,6 @@ SweepSpec random_sweep(SplitMix64& rng) {
   sweep.base = random_experiment(rng);
   sweep.mode = rng.chance(0.5) ? SweepSpec::Mode::kGrid : SweepSpec::Mode::kZip;
   sweep.threads = rng.below(5);
-  sweep.batch_kernel =
-      std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[rng.below(2)];
   const std::size_t axes = 1 + rng.below(3);
   const std::size_t zip_length = 1 + rng.below(4);
   for (std::size_t a = 0; a < axes; ++a) {
@@ -367,8 +365,6 @@ EnsembleSpec random_ensemble(SplitMix64& rng) {
     ensemble.num_seeds = 2 + rng.below(5);
   }
   ensemble.threads = rng.below(5);
-  ensemble.batch_kernel =
-      std::vector<BatchKernel>{BatchKernel::kJobs, BatchKernel::kLockstep}[rng.below(2)];
   return ensemble;
 }
 
@@ -412,12 +408,6 @@ AutotuneSpec random_autotune(SplitMix64& rng) {
       value += (ladder.hi - ladder.lo) / 3.5 * rng.uniform(0.5, 1.0);
     }
     spec.knobs.push_back(std::move(knob));
-  }
-  if (rng.chance(0.6)) {
-    spec.kernels.push_back(BatchKernel::kJobs);
-    if (rng.chance(0.5)) {
-      spec.kernels.push_back(BatchKernel::kLockstep);
-    }
   }
   spec.error_budget = rng.uniform(1e-4, 0.1);
   if (rng.chance(0.5)) {

@@ -1,17 +1,18 @@
 /// \file test_lockstep_batch.cpp
-/// \brief The lockstep batch kernel's prefix forks: exact, at any thread
-/// count.
+/// \brief run_scenario_batch's prefix forks: exact, at any thread count.
 ///
 /// The contract under test (experiments/scenarios.hpp, docs/spec_format.md):
-///  * jobs whose specs differ only in name and in excitation events from a
-///    time d on march their shared span once, in a leader that stops at its
-///    last accepted point before d; the leader's snapshot and linearisation
-///    cache are restored into each follower;
-///  * every result equals the `jobs` kernel's on every ScenarioResult field
-///    except cpu_seconds, at 1 and at 4 threads — the leader's included, so
-///    the snapshot never perturbs the run it is taken from;
+///  * proposed-engine jobs whose specs differ only in name and in excitation
+///    events from a time d on march their shared span once, in a leader that
+///    stops at its last accepted point before d; the leader's snapshot and
+///    linearisation cache are restored into each follower;
+///  * every result equals a run_experiment of the same job on every
+///    ScenarioResult field except cpu_seconds, at 1 and at 4 threads — the
+///    leader's included, so the snapshot never perturbs the run it is taken
+///    from;
 ///  * jobs that cannot fork (other device parameters, other solver or
-///    observer settings, excitation differing from t = 0) run on their own.
+///    observer settings, excitation differing from t = 0, another engine)
+///    run on their own.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
 #include "core/linearisation_cache.hpp"
 #include "core/linearised_solver.hpp"
 #include "experiments/ensemble.hpp"
@@ -31,7 +31,6 @@
 namespace {
 
 using namespace ehsim::experiments;
-using ehsim::ModelError;
 using ehsim::core::LinearisedSolver;
 
 /// The paper's Fig. 9 retune, cut to 0.5 s: scenario 2 with the MCU waking
@@ -54,14 +53,6 @@ std::vector<ScenarioJob> jobs_of(const std::vector<ExperimentSpec>& specs) {
     jobs.push_back(ScenarioJob{spec, std::nullopt});
   }
   return jobs;
-}
-
-std::vector<ScenarioResult> run_with(const std::vector<ScenarioJob>& jobs, BatchKernel kernel,
-                                     std::size_t threads, BatchStats* stats = nullptr) {
-  BatchOptions options;
-  options.threads = threads;
-  options.batch_kernel = kernel;
-  return run_scenario_batch(jobs, options, stats);
 }
 
 /// Every field of a result except cpu_seconds (wall clock).
@@ -123,15 +114,18 @@ class PrefixForks : public ::testing::Test {
   // no job's shared_diode_table depends on which job ran first.
   static void SetUpTestSuite() { (void)run_experiment(charging_scenario(0.01)); }
 
-  /// Runs \p jobs under `jobs` at 1 thread and under `lockstep` at 1 and 4
-  /// threads; every result must be identical. Returns the lockstep stats.
+  /// Runs each of \p jobs alone, then the batch at 1 and 4 threads; every
+  /// result must be identical. Returns the batch stats.
   static BatchStats expect_forks_exact(const std::vector<ScenarioJob>& jobs) {
-    const std::vector<ScenarioResult> reference = run_with(jobs, BatchKernel::kJobs, 1);
+    std::vector<ScenarioResult> reference;
+    for (const ScenarioJob& job : jobs) {
+      reference.push_back(run_experiment(job.spec, job.params ? &*job.params : nullptr));
+    }
     BatchStats stats;
     for (const std::size_t threads : {1u, 4u}) {
       BatchStats run_stats;
       const std::vector<ScenarioResult> forked =
-          run_with(jobs, BatchKernel::kLockstep, threads, &run_stats);
+          run_scenario_batch(jobs, {.threads = threads}, &run_stats);
       EXPECT_EQ(run_stats.jobs, jobs.size());
       if (threads == 1) {
         stats = run_stats;
@@ -255,8 +249,7 @@ TEST_F(PrefixForks, AMixedBatchForksOnlyTheJobsThatShareAPrefix) {
 }
 
 TEST_F(PrefixForks, ASolverSweepRunsUnforked) {
-  // A sweep over a solver.* key: the lockstep kernel used to refuse it
-  // ("members must share one SolverConfig").
+  // A sweep over a solver.* key: its jobs differ outside the excitation.
   SweepSpec sweep;
   sweep.base = scenario2();
   sweep.base.name = "lle";
@@ -303,18 +296,19 @@ TEST_F(PrefixForks, APauseStopsBeforeTheCrossingStepAndResumesExactly) {
   EXPECT_EQ(paused.session().trace().column("Vc"), straight.session().trace().column("Vc"));
 }
 
-TEST_F(PrefixForks, BaselineEngineJobRejected) {
-  std::vector<ScenarioJob> jobs = jobs_of({fig9_spec(70.0), fig9_spec(74.0)});
-  jobs[1].spec.engine = EngineKind::kPspice;
-  EXPECT_THROW((void)run_with(jobs, BatchKernel::kLockstep, 1), ModelError);
-}
-
-TEST_F(PrefixForks, KernelIdsRoundTrip) {
-  for (const BatchKernel kernel : {BatchKernel::kJobs, BatchKernel::kLockstep}) {
-    EXPECT_EQ(parse_batch_kernel(batch_kernel_id(kernel)), kernel);
-  }
-  EXPECT_THROW((void)parse_batch_kernel("simd"), ModelError);
-  EXPECT_THROW((void)parse_batch_kernel("lockstep_expm"), ModelError);
+TEST_F(PrefixForks, AnEngineGridForksOnlyItsProposedJobs) {
+  // Engine x retune target: the NR jobs share their prefix too, but only
+  // the proposed engine forks; the others run on their own, unrefused.
+  SweepSpec sweep;
+  sweep.base = fig9_spec(70.0);
+  sweep.base.name = "grid";
+  sweep.base.duration = 0.45;
+  sweep.axes.push_back(
+      SweepAxis{"", {}, {EngineKind::kProposed, EngineKind::kPspice, EngineKind::kSystemVision}});
+  sweep.axes.push_back(SweepAxis{"excitation.event[0].frequency_hz", {66.0, 74.0, 78.0}, {}});
+  const BatchStats stats = expect_forks_exact(jobs_of(sweep.expand()));
+  EXPECT_EQ(stats.lockstep_groups, 1u);
+  EXPECT_EQ(stats.shared_factorisations, 2u);
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
 /// \file test_ode_explicit.cpp
-/// \brief Explicit integrator tests: convergence orders, AB history.
+/// \brief Adams-Bashforth history tests: order ramp, exactness, convergence.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <numbers>
 #include <vector>
 
 #include "common/error.hpp"
@@ -12,100 +11,6 @@
 namespace {
 
 using ehsim::ode::AbHistory;
-using ehsim::ode::forward_euler_step;
-using ehsim::ode::integrate_rk23;
-using ehsim::ode::RhsFunction;
-using ehsim::ode::rk4_step;
-using ehsim::ode::Rk23Options;
-
-const RhsFunction kDecay = [](double, std::span<const double> x, std::span<double> dx) {
-  dx[0] = -x[0];
-};
-
-/// Integrate dx/dt = -x from 1.0 over [0,1] with fixed-step FE; return error.
-double fe_error(double h) {
-  std::vector<double> x{1.0};
-  std::vector<double> scratch(1);
-  double t = 0.0;
-  while (t < 1.0 - 1e-12) {
-    const double step = std::min(h, 1.0 - t);
-    forward_euler_step(kDecay, t, step, x, scratch);
-    t += step;
-  }
-  return std::abs(x[0] - std::exp(-1.0));
-}
-
-double rk4_error(double h) {
-  std::vector<double> x{1.0};
-  std::vector<double> scratch(5);
-  double t = 0.0;
-  while (t < 1.0 - 1e-12) {
-    const double step = std::min(h, 1.0 - t);
-    rk4_step(kDecay, t, step, x, scratch);
-    t += step;
-  }
-  return std::abs(x[0] - std::exp(-1.0));
-}
-
-TEST(ForwardEuler, FirstOrderConvergence) {
-  const double e1 = fe_error(0.01);
-  const double e2 = fe_error(0.005);
-  EXPECT_NEAR(e1 / e2, 2.0, 0.2);  // halving h halves the error
-}
-
-TEST(Rk4, FourthOrderConvergence) {
-  const double e1 = rk4_error(0.1);
-  const double e2 = rk4_error(0.05);
-  EXPECT_NEAR(e1 / e2, 16.0, 3.0);
-}
-
-TEST(Rk4, ExactForCubicRhs) {
-  // dx/dt = 3t^2 -> x = t^3, polynomial of degree 3 integrates exactly.
-  const RhsFunction f = [](double t, std::span<const double>, std::span<double> dx) {
-    dx[0] = 3.0 * t * t;
-  };
-  std::vector<double> x{0.0};
-  std::vector<double> scratch(5);
-  rk4_step(f, 0.0, 2.0, x, scratch);
-  EXPECT_NEAR(x[0], 8.0, 1e-12);
-}
-
-TEST(Rk23, MeetsToleranceOnOscillator) {
-  // x'' = -w^2 x as a system; check amplitude preservation.
-  const double w = 2.0 * std::numbers::pi;
-  const RhsFunction f = [w](double, std::span<const double> x, std::span<double> dx) {
-    dx[0] = x[1];
-    dx[1] = -w * w * x[0];
-  };
-  std::vector<double> x{1.0, 0.0};
-  Rk23Options options;
-  options.rel_tol = 1e-7;
-  options.abs_tol = 1e-10;
-  options.h_max = 0.05;
-  const auto stats = integrate_rk23(f, 0.0, 1.0, x, options);  // one full period
-  EXPECT_NEAR(x[0], 1.0, 1e-4);
-  EXPECT_NEAR(x[1], 0.0, 1e-3 * w);
-  EXPECT_GT(stats.steps_accepted, 10u);
-}
-
-TEST(Rk23, ObserverSeesMonotoneTimes) {
-  std::vector<double> x{1.0};
-  double last_t = 0.0;
-  std::size_t count = 0;
-  integrate_rk23(kDecay, 0.0, 0.5, x, {},
-                 [&](double t, std::span<const double>) {
-                   EXPECT_GT(t, last_t);
-                   last_t = t;
-                   ++count;
-                 });
-  EXPECT_GT(count, 0u);
-  EXPECT_NEAR(last_t, 0.5, 1e-12);
-}
-
-TEST(Rk23, RejectsBadInterval) {
-  std::vector<double> x{1.0};
-  EXPECT_THROW(integrate_rk23(kDecay, 1.0, 1.0, x), ehsim::ModelError);
-}
 
 TEST(AbHistory, ColdStartRampsOrder) {
   AbHistory history(1, 4);
@@ -162,24 +67,6 @@ TEST(AbHistory, Ab2IntegratesLinearRhsExactly) {
     f[0] = t;
     history.push(t, f);
   }
-}
-
-TEST(AbHistory, OrderComparisonErrorZeroForConstantRhs) {
-  AbHistory history(1, 3);
-  const std::vector<double> f{3.0};
-  history.push(0.0, f);
-  history.push(0.1, f);
-  history.push(0.2, f);
-  // AB3 and AB2 agree exactly on a constant derivative.
-  EXPECT_NEAR(history.order_comparison_error(0.3), 0.0, 1e-14);
-}
-
-TEST(AbHistory, OrderComparisonErrorPositiveForVaryingRhs) {
-  AbHistory history(1, 3);
-  history.push(0.0, std::vector<double>{0.0});
-  history.push(0.1, std::vector<double>{1.0});
-  history.push(0.2, std::vector<double>{4.0});
-  EXPECT_GT(history.order_comparison_error(0.3), 0.0);
 }
 
 TEST(AbHistory, VariableStepConvergenceOrder2) {

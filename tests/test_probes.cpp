@@ -501,7 +501,7 @@ TEST(Probes, DeterministicAcrossRunsAndBatchThreads) {
   const ScenarioResult serial = run_experiment(spec);
 
   const std::vector<ScenarioJob> jobs(2, ScenarioJob{spec, std::nullopt});
-  const auto parallel = run_scenario_batch(jobs, 2);
+  const auto parallel = run_scenario_batch(jobs, {.threads = 2});
   ASSERT_EQ(parallel.size(), 2u);
   for (const ScenarioResult& result : parallel) {
     ASSERT_EQ(result.probes.size(), serial.probes.size());

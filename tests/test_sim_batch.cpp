@@ -117,8 +117,8 @@ TEST(BatchRunner, FourWayParallelSweepBitIdenticalToSerial) {
     jobs.push_back(std::move(job));
   }
 
-  const auto serial = run_scenario_batch(jobs, 1);
-  const auto parallel = run_scenario_batch(jobs, 4);
+  const auto serial = run_scenario_batch(jobs, {.threads = 1});
+  const auto parallel = run_scenario_batch(jobs, {.threads = 4});
 
   ASSERT_EQ(serial.size(), jobs.size());
   ASSERT_EQ(parallel.size(), jobs.size());
@@ -131,18 +131,6 @@ TEST(BatchRunner, FourWayParallelSweepBitIdenticalToSerial) {
   }
   // The sweep actually varied: different initial voltages, different traces.
   EXPECT_NE(parallel[0].final_vc, parallel[3].final_vc);
-}
-
-/// The default kernel never forks: plain per-job batches keep the fork
-/// counters at zero.
-TEST(BatchRunner, JobsKernelReportsNoLockstepActivity) {
-  using namespace ehsim::experiments;
-  std::vector<ScenarioJob> jobs(2, ScenarioJob{charging_scenario(0.3), std::nullopt});
-  BatchStats stats;
-  const auto results = run_scenario_batch(jobs, 2, &stats);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(stats.lockstep_groups, 0u);
-  EXPECT_EQ(stats.shared_factorisations, 0u);
 }
 
 // ---- Session lifecycle ----------------------------------------------------

@@ -443,10 +443,10 @@ TEST(SparseLle, DriftMatchesADenseMonitorAcrossACheckpointCut) {
 }
 
 TEST(SparseLle, DriftMatchesADenseMonitorAcrossAFork) {
-  // The batch kernel's prefix fork: a snapshot without a cut, restored into
-  // a fresh session together with the leader's cache. The follower's
-  // monitor starts from the document and scans every entry first; its drift
-  // must still equal the leader's, update for update.
+  // A batch's prefix fork: a snapshot without a cut, restored into a fresh
+  // session together with the leader's cache. The follower's monitor starts
+  // from the document and scans every entry first; its drift must still
+  // equal the leader's, update for update.
   const ExperimentSpec spec = eventful_scenario1();
   HarvesterSession leader = ehsim::experiments::make_experiment_session(spec);
   leader.initialise(0.0);

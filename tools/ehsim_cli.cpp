@@ -6,11 +6,11 @@
 /// axes. Every job verb parses its arguments here and runs through
 /// serve::execute, the executor `ehsim serve` uses too.
 ///
-///   ehsim run spec.json [--threads N] [--batch-kernel K] [--out DIR] [--probes LIST] [--quiet]
-///   ehsim sweep sweep.json [--threads N] [--batch-kernel K] [--out DIR] [--probes LIST] [--quiet]
+///   ehsim run spec.json [--threads N] [--out DIR] [--probes LIST] [--quiet]
+///   ehsim sweep sweep.json [--threads N] [--out DIR] [--probes LIST] [--quiet]
 ///   ehsim optimise optimise.json [--out DIR] [--quiet]
-///   ehsim ensemble ensemble.json [--threads N] [--batch-kernel K] [--out DIR] [--quiet]
-///   ehsim verify-accuracy spec.json [--kernels K1,K2] [--oracle-step H] [--threads N] [--out DIR]
+///   ehsim ensemble ensemble.json [--threads N] [--out DIR] [--quiet]
+///   ehsim verify-accuracy spec.json [--oracle-step H] [--threads N] [--out DIR]
 ///   ehsim autotune autotune.json [--out DIR] [--quiet]
 ///   ehsim resume spec.json --checkpoint-dir DIR [--checkpoint-every S] [run flags]
 ///   ehsim serve [--threads N] [--out DIR] [--script FILE] [--queue N]
@@ -23,7 +23,9 @@
 /// each rejects the flags it does not use. Results land as
 /// <name>.result.json plus <name>.trace.csv per job under --out (default:
 /// current directory); optimise, ensemble, verify-accuracy and autotune
-/// add their <name>.<verb>.json document. `run`/`sweep` take
+/// add their <name>.<verb>.json document. Jobs of a sweep or ensemble that
+/// share a prefix march it once and fork (experiments::run_scenario_batch);
+/// their results equal separate runs. `run`/`sweep` take
 /// --checkpoint-every S --checkpoint-dir D to write periodic per-job
 /// checkpoint files; `resume` continues a killed checkpointed run from
 /// those files, bit-identical to the uninterrupted run with the same cadence
@@ -69,21 +71,19 @@ int usage(std::FILE* where = stderr) {
   std::fprintf(where,
                "usage: ehsim <command> [args]\n"
                "\n"
-               "  run <spec.json> [--threads N] [--batch-kernel K]\n"
-               "      [--out DIR] [--probes LIST] [--quiet]\n"
+               "  run <spec.json> [--threads N] [--out DIR] [--probes LIST] [--quiet]\n"
                "      Execute an experiment or sweep spec; write per-job\n"
                "      <name>.result.json and <name>.trace.csv under --out (default .).\n"
+               "      Sweep jobs that share a span until their excitation differs\n"
+               "      march it once and fork (proposed engine; results equal\n"
+               "      separate runs, a forked job's cpu_seconds counts from the fork).\n"
                "      --probes appends quick probes (comma list of net:<name>,\n"
                "      state:<block.state>, power, harvested, energy) to the spec.\n"
-               "      --batch-kernel picks jobs | lockstep: lockstep marches once\n"
-               "      the span that jobs share until their excitation differs,\n"
-               "      then forks it (proposed engine only; results bit-identical\n"
-               "      to jobs). Overrides the sweep spec's batch_kernel.\n"
                "      --checkpoint-every S --checkpoint-dir D write one checkpoint\n"
                "      file per job into D at every S simulated seconds (atomic\n"
-               "      replace; see docs/checkpoint_format.md).\n"
-               "  sweep <sweep.json> [--threads N] [--batch-kernel K]\n"
-               "      [--out DIR] [--probes LIST] [--quiet]\n"
+               "      replace; checkpointed jobs do not fork; see\n"
+               "      docs/checkpoint_format.md).\n"
+               "  sweep <sweep.json> [--threads N] [--out DIR] [--probes LIST] [--quiet]\n"
                "      Like run, but requires a sweep spec.\n"
                "  resume <spec.json> --checkpoint-dir D [--checkpoint-every S]\n"
                "      [run flags]\n"
@@ -91,8 +91,7 @@ int usage(std::FILE* where = stderr) {
                "      With the same --checkpoint-every the finished results are\n"
                "      bit-identical (modulo cpu_seconds) to the uninterrupted run;\n"
                "      jobs without a checkpoint file start from t=0.\n"
-               "  ensemble <ensemble.json> [--threads N] [--batch-kernel K]\n"
-               "      [--out DIR] [--quiet]\n"
+               "  ensemble <ensemble.json> [--threads N] [--out DIR] [--quiet]\n"
                "      Run the K seed-varied replicas of an ensemble spec and write\n"
                "      <name>.ensemble.json (per-probe mean/stderr/min/max across\n"
                "      replicas) plus each replica's result/trace files.\n"
@@ -101,18 +100,17 @@ int usage(std::FILE* where = stderr) {
                "      variable, cyclic coordinate descent over a \"variables\"\n"
                "      array; write the search log + optimum as <name>.optimise.json\n"
                "      and the best run's result/trace files under --out.\n"
-               "  verify-accuracy <spec.json> [--kernels K1,K2] [--oracle-step H]\n"
-               "      [--threads N] [--out DIR] [--quiet]\n"
+               "  verify-accuracy <spec.json> [--oracle-step H] [--threads N]\n"
+               "      [--out DIR] [--quiet]\n"
                "      Run an experiment or sweep spec on the extended-precision\n"
-               "      reference oracle (src/ref) and on the fast path — once per\n"
-               "      batch kernel — and write the measured max/RMS relative error\n"
-               "      bounds on Vc, probes and harvested energy as\n"
-               "      <name>.accuracy.json (docs/accuracy.md).\n"
+               "      reference oracle (src/ref) and on the fast path, and write\n"
+               "      the measured max/RMS relative error bounds on Vc, probes and\n"
+               "      harvested energy as <name>.accuracy.json (docs/accuracy.md).\n"
                "  autotune <autotune.json> [--out DIR] [--quiet]\n"
                "      Run an autotune spec: one oracle run of the base experiment,\n"
                "      then memoised coordinate descent over the declared solver-knob\n"
-               "      ladders (and batch kernels) for the cheapest configuration\n"
-               "      whose measured error stays inside the spec's error budget.\n"
+               "      ladders for the cheapest configuration whose measured error\n"
+               "      stays inside the spec's error budget.\n"
                "      Writes the deterministic search record <name>.autotune.json\n"
                "      plus the chosen configuration's result/trace files.\n"
                "  serve [--threads N] [--out DIR] [--script FILE] [--queue N]\n"
@@ -198,16 +196,16 @@ struct JobVerb {
 
 const std::vector<JobVerb>& job_verbs() {
   static const std::vector<std::string_view> kRunFlags = {
-      "--threads",        "--probes",           "--batch-kernel",
-      "--checkpoint-dir", "--checkpoint-every", "--abort-after-checkpoints"};
+      "--threads", "--probes", "--checkpoint-dir", "--checkpoint-every",
+      "--abort-after-checkpoints"};
   static const std::vector<JobVerb> kVerbs = {
       {"run", RequestType::kRun, kRunFlags},
       {"sweep", RequestType::kSweep, kRunFlags},
       {"resume", RequestType::kResume, kRunFlags},
-      {"ensemble", RequestType::kEnsemble, {"--threads", "--batch-kernel"}},
+      {"ensemble", RequestType::kEnsemble, {"--threads"}},
       {"optimise", RequestType::kOptimise, {}},
       {"optimize", RequestType::kOptimise, {}},
-      {"verify-accuracy", RequestType::kAccuracy, {"--threads", "--kernels", "--oracle-step"}},
+      {"verify-accuracy", RequestType::kAccuracy, {"--threads", "--oracle-step"}},
       {"autotune", RequestType::kAutotune, {}},
   };
   return kVerbs;
@@ -462,13 +460,11 @@ class SummarySink final : public serve::ExecuteSink {
                 stem(report.name).c_str(), static_cast<unsigned long long>(report.oracle_steps),
                 report.oracle_step);
     experiments::TablePrinter table(
-        {"kernel", "jobs", "max |Vc| rel err", "final Vc rel err", "energy rel err"});
-    for (const experiments::KernelAccuracy& row : report.kernels) {
-      table.add_row({row.kernel, std::to_string(row.jobs.size()),
-                     experiments::format_double(row.bounds.vc_max_rel_error, 6),
-                     experiments::format_double(row.bounds.final_vc_rel_error, 6),
-                     experiments::format_double(row.bounds.energy_rel_error, 6)});
-    }
+        {"jobs", "max |Vc| rel err", "final Vc rel err", "energy rel err"});
+    table.add_row({std::to_string(report.jobs.size()),
+                   experiments::format_double(report.bounds.vc_max_rel_error, 6),
+                   experiments::format_double(report.bounds.final_vc_rel_error, 6),
+                   experiments::format_double(report.bounds.energy_rel_error, 6)});
     table.print(std::cout);
   }
 
@@ -488,18 +484,15 @@ class SummarySink final : public serve::ExecuteSink {
                experiments::format_double(result.chosen_values[i], 6);
     }
     if (result.feasible) {
-      std::printf("chosen: %s on kernel %s — cost %s (%.1f%% of baseline), error %s "
-                  "within budget %s\n",
-                  point.c_str(), result.chosen_kernel.c_str(),
+      std::printf("chosen: %s — cost %s (%.1f%% of baseline), error %s within budget %s\n",
+                  point.c_str(),
                   experiments::format_double(result.chosen_cost, 0).c_str(),
                   100.0 * result.cost_ratio,
                   experiments::format_double(result.chosen_error, 6).c_str(),
                   experiments::format_double(result.error_budget, 6).c_str());
     } else {
-      std::printf("no configuration met the budget %s; closest: %s on kernel %s "
-                  "(error %s)\n",
+      std::printf("no configuration met the budget %s; closest: %s (error %s)\n",
                   experiments::format_double(result.error_budget, 6).c_str(), point.c_str(),
-                  result.chosen_kernel.c_str(),
                   experiments::format_double(result.chosen_error, 6).c_str());
     }
   }
@@ -543,14 +536,6 @@ int cmd_job(const JobVerb& job, const std::vector<std::string>& argv) {
   options.out_dir = args.find("--out") != nullptr ? *args.find("--out") : ".";
   if (const std::string* threads = args.find("--threads")) {
     options.threads = parse_count("--threads", *threads);
-  }
-  if (const std::string* kernel = args.find("--batch-kernel")) {
-    options.batch_kernel = experiments::parse_batch_kernel(*kernel);
-  }
-  if (const std::string* kernels = args.find("--kernels")) {
-    for (const std::string& id : split_list(*kernels)) {
-      options.kernels.push_back(experiments::parse_batch_kernel(id));
-    }
   }
   if (const std::string* step = args.find("--oracle-step")) {
     options.oracle_step = parse_real("--oracle-step", *step);
