@@ -5,13 +5,16 @@
 /// comparison: the dense LU factorisation the Newton-Raphson baseline pays
 /// at every iteration (cubic in the model size), the Eq. 4 elimination
 /// solve, the Adams-Bashforth update, table lookups, and the full-system
-/// eval/jacobian assembly of the 11-state harvester model, and the Eq. 3
+/// eval/jacobian assembly of the 11-state harvester model, the Eq. 3
 /// LLE drift update over every Jacobian entry against the solver's scan of
-/// the declared varying ones.
+/// the declared varying ones, and the Eq. 7 cap per recompute.
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <array>
+#include <cstdint>
 #include <random>
+#include <string>
 #include <span>
 #include <vector>
 
@@ -25,6 +28,7 @@
 #include "linalg/lu.hpp"
 #include "ode/ab_coefficients.hpp"
 #include "ode/explicit_integrators.hpp"
+#include "ode/stability.hpp"
 
 namespace {
 
@@ -183,6 +187,77 @@ void BM_LleUpdate(benchmark::State& state) {
                         : "every entry");
 }
 BENCHMARK(BM_LleUpdate)->Arg(0)->Arg(1);
+
+/// The eliminated matrices A = Jxx - Jxy Jyy^-1 Jyx at which the Fig. 9 run
+/// (Scenario 2 cut to 1 s, MCU on, the 64 -> 78 Hz step at 0.75 s, watchdog
+/// 0.3 s) recomputes its Eq. 7 cap, in march order, and the run's solver
+/// settings.
+struct CapSequence {
+  std::vector<ehsim::linalg::Matrix> matrices;
+  ehsim::core::SolverConfig config;
+  std::uint64_t recomputes = 0;  ///< the run's own count, for the label
+};
+
+const CapSequence& fig9_cap_sequence() {
+  static const CapSequence sequence = [] {
+    using namespace ehsim;
+    CapSequence out;
+    experiments::ExperimentSpec spec = experiments::scenario2();
+    spec.duration = 1.0;
+    spec.excitation.events.front().time = 0.75;
+    spec.excitation.events.front().frequency_hz = 78.0;
+    spec.overrides.push_back(experiments::ParamOverride{"mcu.watchdog_period", 0.3});
+    sim::HarvesterSession session = experiments::make_experiment_session(spec);
+    auto& solver = dynamic_cast<core::LinearisedSolver&>(session.engine());
+    // The solver recomputes right after this observer when the cap is due
+    // and the current linearisation has none (a digital event at a chunk
+    // end can swap the linearisation first, hence the recompute count in
+    // the label).
+    session.add_observer([&](double, std::span<const double>, std::span<const double>) {
+      if (solver.stability_due() && !solver.linearisation().stability_cap) {
+        out.matrices.push_back(solver.eliminated_matrix());
+      }
+    });
+    session.initialise(0.0);
+    session.run_until(spec.duration);
+    out.config = solver.config();
+    out.recomputes = solver.stats().stability_recomputes;
+    return out;
+  }();
+  return sequence;
+}
+
+/// The Eq. 7 cap as LinearisedSolver::recompute_stability_cap evaluates it,
+/// per recompute of the Fig. 9 run: Arg 0 runs ode::max_stable_step then
+/// ode::refine_stable_step, Arg 1 only the linalg::eigenvalues inside it.
+void BM_StabilityCap(benchmark::State& state) {
+  const bool qr_only = state.range(0) == 1;
+  const CapSequence& sequence = fig9_cap_sequence();
+  const ehsim::core::SolverConfig& config = sequence.config;
+  const std::size_t order = config.max_ab_order;
+  const double h_request_max = 10.0 * std::max(config.h_max, config.fixed_step);
+  for (auto _ : state) {
+    for (const auto& a : sequence.matrices) {
+      if (qr_only) {
+        benchmark::DoNotOptimize(ehsim::linalg::eigenvalues(a));
+        continue;
+      }
+      const auto limit = ehsim::ode::max_stable_step(a, order, 1.0);
+      double candidate = std::min(limit.h_max, h_request_max);
+      if (candidate > 0.0) {
+        candidate = ehsim::ode::refine_stable_step(a, order, candidate, config.h_min);
+      }
+      benchmark::DoNotOptimize(candidate);
+    }
+  }
+  const auto caps = static_cast<double>(sequence.matrices.size());
+  state.counters["caps"] = caps;
+  state.counters["per_cap"] = benchmark::Counter(
+      caps, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(std::string(qr_only ? "eigenvalues only" : "max_stable_step + refine") +
+                 ", run recomputes " + std::to_string(sequence.recomputes));
+}
+BENCHMARK(BM_StabilityCap)->Arg(0)->Arg(1);
 
 /// QR eigenvalues of the 11x11 eliminated system — the Eq. 7 stability
 /// recomputation (amortised over hundreds of steps).

@@ -308,16 +308,25 @@ void LinearisedSolver::recompute_stability_cap() {
     return;
   }
   form_eliminated_matrix(*lin_, z_elim_, a_elim_);
-  // Heuristic Eq. 7 cap (diagonal dominance / spectral estimate), then a
-  // rigorous refinement through the multistep companion-matrix test: the
-  // heuristic is exact for real spectra but optimistic for lightly-damped
+  // A NaN or infinite entry would slip through every comparison below and
+  // leave a cap computed as if the entry were absent (or none at all).
+  for (std::size_t r = 0; r < a_elim_.rows(); ++r) {
+    if (!all_finite(a_elim_.row(r))) {
+      throw SolverError("LinearisedSolver: non-finite linearisation in the row of state " +
+                        system_->state_names()[r] + " at t=" + std::to_string(t_));
+    }
+  }
+  // The paper's diagonal-dominance cap where it applies, then the spectrum
+  // of A: the L_p / rho cap where dominance fails (the mechanical position
+  // row has a zero diagonal) and the multistep root condition for every
+  // mode, which the real-axis caps overestimate for lightly-damped
   // oscillatory modes such as the mechanical resonator.
   const auto limit = ode::max_stable_step(a_elim_, config_.max_ab_order, 1.0);
   // The refinement search only needs an upper bound slightly beyond any step
   // the engine could take (accuracy ceiling or explicit fixed step).
   const double h_request_max = 10.0 * std::max(config_.h_max, config_.fixed_step);
   double candidate = std::min(limit.h_max, h_request_max);
-  if (std::isfinite(candidate) && candidate > 0.0) {
+  if (candidate > 0.0) {
     candidate = ode::refine_stable_step(a_elim_, config_.max_ab_order, candidate,
                                         config_.h_min);
     if (candidate <= 0.0) {

@@ -11,8 +11,10 @@
 ///     (Eq. 5) — a single feed-forward march with no Newton iteration and
 ///     no backtracking in time.
 ///  4. Keep the step inside the Eq. 7 stability envelope (diagonal dominance
-///     of I + hA on the eliminated system, power-iteration fallback) and
-///     under the LLE budget (Jacobian-drift monitor, Eq. 3).
+///     of I + hA on the eliminated system where it applies, else
+///     h <= L_p / rho(A) from its QR spectrum; then the AB root condition
+///     for every mode) and under the LLE budget (Jacobian-drift monitor,
+///     Eq. 3).
 ///
 /// Discontinuities raised by the digital side (block epoch changes) restart
 /// the multistep history, exactly as an HDL mixed-signal kernel re-seeds its
@@ -143,7 +145,8 @@ class LinearisedSolver final : public AnalogEngine {
   /// the caller must recompute_stability_cap().
   [[nodiscard]] bool reuse_stability_cap();
   /// Evaluate the Eq. 7 stability cap on the eliminated system and keep it
-  /// with the current linearisation.
+  /// with the current linearisation. Throws SolverError, naming the state
+  /// and t, when the eliminated system holds a non-finite entry.
   void recompute_stability_cap();
   /// When \p t_end lies within h_min of the current time, jump straight to
   /// it without a step and return true.

@@ -316,14 +316,6 @@ std::vector<std::complex<double>> eigenvalues(const Matrix& a) {
   return hqr(work);
 }
 
-double spectral_radius_exact(const Matrix& a) {
-  double radius = 0.0;
-  for (const auto& lambda : eigenvalues(a)) {
-    radius = std::max(radius, std::abs(lambda));
-  }
-  return radius;
-}
-
 double spectral_abscissa(const Matrix& a) {
   double abscissa = -std::numeric_limits<double>::infinity();
   for (const auto& lambda : eigenvalues(a)) {

@@ -22,10 +22,6 @@ namespace ehsim::linalg {
 /// input; does not occur for the physical models in this library).
 [[nodiscard]] std::vector<std::complex<double>> eigenvalues(const Matrix& a);
 
-/// Spectral radius via eigenvalues() — exact up to roundoff, unlike the
-/// power-iteration estimate in spectral.hpp.
-[[nodiscard]] double spectral_radius_exact(const Matrix& a);
-
 /// Spectral abscissa: max real part over the spectrum. Negative for
 /// asymptotically stable continuous-time systems.
 [[nodiscard]] double spectral_abscissa(const Matrix& a);

@@ -23,34 +23,6 @@ double off_diagonal_sum(const Matrix& a, std::size_t r) {
 
 }  // namespace
 
-bool is_row_diagonally_dominant(const Matrix& a) {
-  EHSIM_ASSERT(a.is_square(), "dominance check requires a square matrix");
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    if (std::abs(a(r, r)) < off_diagonal_sum(a, r)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-double diagonal_dominance_margin(const Matrix& a) {
-  EHSIM_ASSERT(a.is_square(), "dominance margin requires a square matrix");
-  double margin = std::numeric_limits<double>::infinity();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    margin = std::min(margin, std::abs(a(r, r)) - off_diagonal_sum(a, r));
-  }
-  return margin;
-}
-
-double gershgorin_spectral_bound(const Matrix& a) {
-  EHSIM_ASSERT(a.is_square(), "Gershgorin bound requires a square matrix");
-  double bound = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    bound = std::max(bound, std::abs(a(r, r)) + off_diagonal_sum(a, r));
-  }
-  return bound;
-}
-
 std::optional<double> max_stable_step_by_dominance(const Matrix& a) {
   EHSIM_ASSERT(a.is_square(), "stability step requires a square matrix");
   double h_max = std::numeric_limits<double>::infinity();
@@ -62,8 +34,8 @@ std::optional<double> max_stable_step_by_dominance(const Matrix& a) {
     }
     // Requirement: |1 + h*diag| + h*off <= 1 for some h > 0. With diag < 0
     // and off <= |diag| the admissible range is (0, 2/(|diag|+off)].
-    if (diag >= 0.0 || off > std::abs(diag)) {
-      return std::nullopt;  // row not dominance-stabilisable
+    if (!(diag < 0.0 && off <= std::abs(diag))) {
+      return std::nullopt;  // row not dominance-stabilisable (or NaN)
     }
     h_max = std::min(h_max, 2.0 / (std::abs(diag) + off));
   }

@@ -1,14 +1,15 @@
 /// \file spectral.hpp
-/// \brief Spectral-radius bounds and diagonal-dominance measures.
+/// \brief The diagonal-dominance step rule and a power-iteration estimate.
 ///
 /// The paper's stability argument (Eqs. 6-7): the explicit march-in-time
 /// process x_{n+1} = (I + h A) x_n + ... is numerically stable when the
 /// spectral radius rho(I + h A) < 1. Because the analogue harvester blocks
 /// are passive, the paper enforces this "in a straightforward way by
 /// adjusting the step-size such that the point total-step matrix is
-/// diagonally dominant" — i.e. through Gershgorin's circle theorem. This
-/// header provides exactly those tools plus a power-iteration fallback for
-/// matrices where row dominance fails.
+/// diagonally dominant" — i.e. through Gershgorin's circle theorem. Where
+/// row dominance fails the engine bounds the step from the QR spectrum
+/// (ode::refine_stable_step); the power iteration here is the independent
+/// reference behind ode::is_step_empirically_stable.
 #pragma once
 
 #include <cstddef>
@@ -18,25 +19,14 @@
 
 namespace ehsim::linalg {
 
-/// True when every row satisfies |a_ii| >= sum_{j!=i} |a_ij| (weak row
-/// diagonal dominance).
-[[nodiscard]] bool is_row_diagonally_dominant(const Matrix& a);
-
-/// min_i (|a_ii| - sum_{j!=i}|a_ij|); positive for strictly dominant rows.
-[[nodiscard]] double diagonal_dominance_margin(const Matrix& a);
-
-/// Gershgorin upper bound on the spectral radius of \p a:
-/// max_i (|a_ii| + sum_{j!=i} |a_ij|).
-[[nodiscard]] double gershgorin_spectral_bound(const Matrix& a);
-
 /// Largest step h such that I + h*A is row diagonally dominant with all
 /// Gershgorin discs inside the unit circle, i.e. such that for every row
 /// |1 + h a_ii| + h sum_{j!=i}|a_ij| <= 1.
 ///
 /// For a row with a_ii < 0 and sum_{j!=i}|a_ij| <= |a_ii| this yields
 /// h <= 2 / (|a_ii| + sum_{j!=i}|a_ij|); rows that are not dominant (or have
-/// a_ii >= 0) admit no h under this criterion and the function returns
-/// nullopt — callers then fall back to power_iteration_spectral_radius.
+/// a_ii >= 0, or hold a NaN) admit no h under this criterion and the
+/// function returns nullopt — callers then bound the step from the spectrum.
 /// Zero rows (isolated integrators) impose no limit.
 [[nodiscard]] std::optional<double> max_stable_step_by_dominance(const Matrix& a);
 

@@ -44,22 +44,27 @@ StabilityLimit max_stable_step(const linalg::Matrix& a, std::size_t ab_order, do
     limit.h_max = *h_fe * order_scale * safety;
     return limit;
   }
-
-  const auto estimate = linalg::power_iteration_spectral_radius(a);
-  limit.source = StabilityLimitSource::kPowerIteration;
-  limit.spectral_radius_estimate = estimate.radius;
-  if (estimate.radius <= 0.0) {
-    limit.h_max = std::numeric_limits<double>::infinity();
-    limit.source = StabilityLimitSource::kUnbounded;
-    return limit;
-  }
-  limit.h_max = ab_real_axis_stability_limit(ab_order) / estimate.radius * safety;
+  // No dominance bound: refine_stable_step caps the step at L_p / rho from
+  // the spectrum it computes.
+  limit.source = StabilityLimitSource::kSpectrum;
+  limit.h_max = std::numeric_limits<double>::infinity();
   return limit;
 }
 
 double ab_root_amplification(std::complex<double> mu, std::size_t order) {
   if (order == 0 || order > kMaxAbOrder) {
     throw ModelError("ab_root_amplification: order must be 1..4");
+  }
+  if (order == 1) {
+    return std::abs(1.0 + mu);  // zeta = 1 + mu
+  }
+  if (order == 2) {
+    // zeta^2 - b zeta + c with b = 1 + 3mu/2, c = mu/2 (beta = 3/2, -1/2):
+    // roots (b +- s)/2 with s^2 = b^2 - 4c. The larger magnitude is the
+    // non-cancelling sum, so neither root loses precision.
+    const std::complex<double> b = 1.0 + 1.5 * mu;
+    const std::complex<double> s = std::sqrt(b * b - 2.0 * mu);
+    return 0.5 * std::max(std::abs(b + s), std::abs(b - s));
   }
   // beta-hat = constant-step coefficients with h = 1.
   const auto coeff = constant_step_ab_coefficients(order, 1.0);
@@ -134,8 +139,15 @@ bool is_ab_step_stable(const linalg::Matrix& a, std::size_t order, double h,
 }
 
 double refine_stable_step(const linalg::Matrix& a, std::size_t order, double h_candidate,
-                          double h_floor, double /*shrink*/) {
+                          double h_floor) {
   const auto spectrum = linalg::eigenvalues(a);
+  double rho = 0.0;
+  for (const auto& lambda : spectrum) {
+    rho = std::max(rho, std::abs(lambda));
+  }
+  if (rho > 0.0) {
+    h_candidate = std::min(h_candidate, ab_real_axis_stability_limit(order) / rho);
+  }
   const double h = max_stable_step_spectral(spectrum, order, h_candidate);
   return h >= h_floor ? h : 0.0;
 }

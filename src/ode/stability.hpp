@@ -7,6 +7,9 @@
 /// passivity of the analogue blocks. Higher-order Adams-Bashforth methods
 /// have strictly smaller real-axis stability intervals than Forward Euler,
 /// so the dominance-derived step is scaled by the per-order interval ratio.
+/// Where the dominance rule does not apply (the mechanical position row has
+/// a zero diagonal), the step is bounded from the QR spectrum of A alone:
+/// h <= L_p / rho(A), then the AB_p root condition for every mode.
 #pragma once
 
 #include <complex>
@@ -24,23 +27,24 @@ namespace ehsim::ode {
 /// How the stability step limit was obtained.
 enum class StabilityLimitSource {
   kDiagonalDominance,  ///< paper's fast path (Gershgorin on I + hA)
-  kPowerIteration,     ///< fallback spectral-radius estimate
+  kSpectrum,           ///< dominance rule rejected A: refine_stable_step bounds h
   kUnbounded,          ///< A == 0 (no dynamics)
 };
 
 struct StabilityLimit {
   double h_max = 0.0;
   StabilityLimitSource source = StabilityLimitSource::kUnbounded;
-  double spectral_radius_estimate = 0.0;  ///< only for the fallback path
 };
 
 /// Maximum stable step for the order-p AB method applied to dx/dt = A x + b.
 ///
-/// Fast path: the paper's diagonal-dominance rule, h_FE = min_rows
+/// The paper's diagonal-dominance rule, h_FE = min_rows
 /// 2/(|a_ii| + sum|a_ij|), scaled by ab_real_axis_stability_limit(p)/2.
-/// Fallback (rows with zero/positive diagonal, e.g. the mechanical
-/// position/velocity pair): power-iteration estimate of rho(A), with
-/// h = limit(p) / rho. \p safety (0..1] multiplies the final step.
+/// Rows with a zero/positive or non-dominant diagonal (e.g. the mechanical
+/// position/velocity pair) defeat the rule: the result is then an infinite
+/// h_max with source kSpectrum, and refine_stable_step, which computes the
+/// spectrum anyway, supplies the bound. \p safety (0..1] multiplies a
+/// finite step.
 [[nodiscard]] StabilityLimit max_stable_step(const linalg::Matrix& a, std::size_t ab_order,
                                              double safety = 0.8);
 
@@ -53,6 +57,9 @@ struct StabilityLimit {
 /// Largest root magnitude of the order-p Adams-Bashforth characteristic
 /// polynomial zeta^p - zeta^{p-1} - mu * sum_i beta_i zeta^{p-1-i} for
 /// mu = h*lambda. The method is absolutely stable at mu iff this is <= 1.
+/// Orders 1 and 2 are solved in closed form (|1 + mu|; the quadratic
+/// zeta^2 - (1 + 3mu/2) zeta + mu/2 with one complex square root), orders 3
+/// and 4 by linalg::polynomial_roots.
 [[nodiscard]] double ab_root_amplification(std::complex<double> mu, std::size_t order);
 
 /// Scalar AB_p absolute-stability test at mu = h*lambda.
@@ -60,8 +67,8 @@ struct StabilityLimit {
                                     double tolerance = 1e-9);
 
 /// Rigorous multistep stability test for dx/dt = A x: every eigenvalue of A
-/// must satisfy the scalar AB_p root condition at h*lambda. The heuristic
-/// dominance/spectral caps above are exact for real spectra but can
+/// must satisfy the scalar AB_p root condition at h*lambda. The dominance
+/// and L_p / rho caps are exact for real spectra but can
 /// overestimate the admissible step for lightly-damped oscillatory modes
 /// (eigenvalues near the imaginary axis, where the AB regions are thin) —
 /// the proposed engine therefore refines its Eq. 7 cap through this test.
@@ -77,9 +84,13 @@ struct StabilityLimit {
 [[nodiscard]] double max_stable_step_spectral(std::span<const std::complex<double>> spectrum,
                                               std::size_t order, double h_upper);
 
-/// Convenience: eigenvalues(a) + max_stable_step_spectral.
+/// The Eq. 7 step from the spectrum of \p a (one linalg::eigenvalues):
+/// h_candidate, capped at ab_real_axis_stability_limit(order) / rho(a), then
+/// max_stable_step_spectral. \p h_candidate may be infinite (max_stable_step
+/// found no dominance bound); where the dominance rule did bound it the rho
+/// cap is a no-op up to rounding, since Gershgorin's discs give
+/// rho <= max_i(|a_ii| + sum_{j!=i}|a_ij|). Returns 0 below \p h_floor.
 [[nodiscard]] double refine_stable_step(const linalg::Matrix& a, std::size_t order,
-                                        double h_candidate, double h_floor,
-                                        double shrink = 0.7);
+                                        double h_candidate, double h_floor);
 
 }  // namespace ehsim::ode

@@ -2,13 +2,24 @@
 /// \brief Tests of the proposed linearised state-space engine (paper §II).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <memory>
 #include <numbers>
+#include <stdexcept>
+#include <string>
 
 #include "common/error.hpp"
 #include "core/linearised_solver.hpp"
 #include "core/trace.hpp"
+#include "experiments/scenarios.hpp"
+#include "io/spec_json.hpp"
+#include "linalg/eigen.hpp"
+#include "linalg/spectral.hpp"
+#include "ode/stability.hpp"
+#include "sim/harvester_session.hpp"
 #include "support/test_blocks.hpp"
 
 namespace {
@@ -248,6 +259,138 @@ TEST(LinearisedSolver, TraceRecorderCapturesWaveform) {
   const auto& vc = trace.column("cap.vc");
   EXPECT_LT(vc.front(), vc.back());
   EXPECT_THROW((void)trace.column("nope"), ehsim::ModelError);
+}
+
+/// Two decoupled decays whose Jacobian entry d(fx0)/d(x0) turns NaN at
+/// t = 0.5, together with the signature; the residuals stay finite.
+class PoisonedJacobianBlock final : public ehsim::core::AnalogBlock {
+ public:
+  PoisonedJacobianBlock() : AnalogBlock("poisoned", 2, 0, 0) {}
+
+  void initial_state(std::span<double> x) const override {
+    x[0] = 1.0;
+    x[1] = 1.0;
+  }
+
+  void eval(double, std::span<const double> x, std::span<const double>, std::span<double> fx,
+            std::span<double>) const override {
+    fx[0] = -x[0];
+    fx[1] = -2.0 * x[1];
+  }
+
+  void jacobians(double t, std::span<const double>, std::span<const double>,
+                 ehsim::linalg::Matrix& jxx, ehsim::linalg::Matrix&, ehsim::linalg::Matrix&,
+                 ehsim::linalg::Matrix&) const override {
+    jxx(0, 0) = t < 0.5 ? -1.0 : std::numeric_limits<double>::quiet_NaN();
+    jxx(1, 1) = -2.0;
+  }
+
+  [[nodiscard]] std::uint64_t jacobian_signature(double t, std::span<const double>,
+                                                 std::span<const double>) const override {
+    return t < 0.5 ? 1 : 2;
+  }
+
+  [[nodiscard]] std::string state_name(std::size_t i) const override {
+    return i == 0 ? "a" : "b";
+  }
+};
+
+TEST(LinearisedSolver, NonFiniteLinearisationIsRefusedByStateAndTime) {
+  SystemAssembler assembler;
+  assembler.add_block(std::make_unique<PoisonedJacobianBlock>());
+  assembler.elaborate();
+  LinearisedSolver solver(assembler);
+  // A cap computed from the NaN can collapse to h_min; stop such a run
+  // (about 4,000 points reach t = 2 on finite caps) instead of waiting.
+  std::size_t points = 0;
+  solver.add_observer([&](double, std::span<const double>, std::span<const double>) {
+    if (++points > 100000) {
+      throw std::runtime_error("runaway march: the NaN reached the Eq. 7 cap");
+    }
+  });
+  solver.initialise(0.0);
+  try {
+    solver.advance_to(2.0);
+    FAIL() << "a NaN Jacobian entry reached the end of the run";
+  } catch (const SolverError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("poisoned.a"), std::string::npos) << what;
+    const auto at = what.find("t=");
+    ASSERT_NE(at, std::string::npos) << what;
+    const double t = std::stod(what.substr(at + 2));
+    EXPECT_GE(t, 0.5) << what;
+    EXPECT_LT(t, 2.0) << what;
+  }
+}
+
+TEST(LinearisedSolver, InfiniteHMaxStillInstallsTheSpectralCap) {
+  // The oscillator's zero-diagonal position row defeats the dominance rule
+  // and h_max bounds nothing: the cap comes from the spectrum alone.
+  SystemAssembler assembler;
+  const double omega = 2.0 * std::numbers::pi * 70.0;
+  assembler.add_block(std::make_unique<OscillatorBlock>(omega, 0.01, 1.0));
+  assembler.elaborate();
+  SolverConfig config;
+  config.h_max = std::numeric_limits<double>::infinity();
+  LinearisedSolver solver(assembler, config);
+  solver.initialise(0.0);
+  solver.advance_to(1e-3);
+  const auto a = solver.eliminated_matrix();
+  ASSERT_TRUE(std::isinf(ehsim::ode::max_stable_step(a, config.max_ab_order, 1.0).h_max));
+  const double cap = solver.stability_step_cap();
+  ASSERT_TRUE(std::isfinite(cap));
+  EXPECT_EQ(cap, config.stability_safety *
+                     ehsim::ode::refine_stable_step(a, config.max_ab_order,
+                                                    std::numeric_limits<double>::infinity(),
+                                                    config.h_min));
+  // AB2's region is thin near the imaginary axis: the lightly damped pair
+  // binds well inside the real-axis limit 1 / omega.
+  EXPECT_LT(cap / config.stability_safety, 0.5 / omega);
+}
+
+TEST(LinearisedSolver, SpectralCapMatchesThePowerIterationFormulaOnGoldenCharging) {
+  // At every signature change of the golden_charging run, the cap from the
+  // QR spectrum alone equals the former formula: the power-iteration bound
+  // L_p / rho followed by the same spectral pass.
+  const auto spec = *ehsim::io::load_spec_file(std::string(EHSIM_SOURCE_DIR) +
+                                               "/tests/golden/golden_charging.json")
+                         .get_if<ehsim::experiments::ExperimentSpec>();
+  ehsim::sim::HarvesterSession session = ehsim::experiments::make_experiment_session(spec);
+  auto& solver = dynamic_cast<LinearisedSolver&>(session.engine());
+  const SolverConfig& config = solver.config();
+  const std::size_t order = config.max_ab_order;
+  const double h_request_max = 10.0 * std::max(config.h_max, config.fixed_step);
+  std::size_t compared = 0;
+  std::size_t without_dominance = 0;
+  double worst = 0.0;
+  bool first = true;
+  std::uint64_t signature = 0;
+  session.add_observer([&](double, std::span<const double>, std::span<const double>) {
+    if (!first && solver.jacobian_signature() == signature) {
+      return;
+    }
+    first = false;
+    signature = solver.jacobian_signature();
+    const auto a = solver.eliminated_matrix();
+    const auto limit = ehsim::ode::max_stable_step(a, order, 1.0);
+    const double cap = ehsim::ode::refine_stable_step(
+        a, order, std::min(limit.h_max, h_request_max), config.h_min);
+    double reference_upper = limit.h_max;
+    if (limit.source == ehsim::ode::StabilityLimitSource::kSpectrum) {
+      ++without_dominance;
+      reference_upper = ehsim::ode::ab_real_axis_stability_limit(order) /
+                        ehsim::linalg::power_iteration_spectral_radius(a).radius;
+    }
+    const double reference = ehsim::ode::max_stable_step_spectral(
+        ehsim::linalg::eigenvalues(a), order, std::min(reference_upper, h_request_max));
+    worst = std::max(worst, std::abs(cap - reference) / reference);
+    ++compared;
+  });
+  session.initialise(0.0);
+  session.run_until(spec.duration);
+  EXPECT_GT(compared, 1000u);
+  EXPECT_EQ(without_dominance, compared);
+  EXPECT_LE(worst, 1e-7);
 }
 
 TEST(LinearisedSolver, HigherOrderIsMoreAccurateOnSmoothProblem) {

@@ -16,7 +16,6 @@ using ehsim::linalg::eigenvalues;
 using ehsim::linalg::Matrix;
 using ehsim::linalg::polynomial_roots;
 using ehsim::linalg::spectral_abscissa;
-using ehsim::linalg::spectral_radius_exact;
 
 /// Sort eigenvalues by (real, imag) for comparison.
 std::vector<std::complex<double>> sorted(std::vector<std::complex<double>> v) {
@@ -84,11 +83,6 @@ TEST(Eigen, SingularMatrixHasZeroEigenvalue) {
   const auto eig = sorted(eigenvalues(a));
   EXPECT_NEAR(eig[0].real(), 0.0, 1e-10);
   EXPECT_NEAR(eig[1].real(), 5.0, 1e-10);
-}
-
-TEST(Eigen, SpectralRadiusExact) {
-  const Matrix a{{0.0, -2.0}, {2.0, 0.0}};
-  EXPECT_NEAR(spectral_radius_exact(a), 2.0, 1e-10);
 }
 
 TEST(Eigen, SpectralAbscissaOfStableSystem) {

@@ -1,35 +1,16 @@
 /// \file test_linalg_spectral.cpp
-/// \brief Tests for Gershgorin bounds, dominance measures, power iteration.
+/// \brief Tests for the diagonal-dominance step rule and power iteration.
 #include <gtest/gtest.h>
+
+#include <cmath>
 
 #include "linalg/spectral.hpp"
 
 namespace {
 
-using ehsim::linalg::diagonal_dominance_margin;
-using ehsim::linalg::gershgorin_spectral_bound;
-using ehsim::linalg::is_row_diagonally_dominant;
 using ehsim::linalg::Matrix;
 using ehsim::linalg::max_stable_step_by_dominance;
 using ehsim::linalg::power_iteration_spectral_radius;
-
-TEST(Dominance, DiagonalMatrixIsDominant) {
-  const Matrix a{{-2.0, 0.0}, {0.0, -3.0}};
-  EXPECT_TRUE(is_row_diagonally_dominant(a));
-  EXPECT_DOUBLE_EQ(diagonal_dominance_margin(a), 2.0);
-}
-
-TEST(Dominance, OffDiagonalHeavyRowFails) {
-  const Matrix a{{-1.0, 2.0}, {0.0, -3.0}};
-  EXPECT_FALSE(is_row_diagonally_dominant(a));
-  EXPECT_LT(diagonal_dominance_margin(a), 0.0);
-}
-
-TEST(Dominance, GershgorinBoundsSpectralRadius) {
-  const Matrix a{{-2.0, 1.0}, {1.0, -2.0}};  // eigenvalues -1, -3
-  EXPECT_GE(gershgorin_spectral_bound(a), 3.0);
-  EXPECT_DOUBLE_EQ(gershgorin_spectral_bound(a), 3.0);
-}
 
 TEST(MaxStableStep, MatchesAnalyticFor1x1) {
   // dx/dt = -a x: FE stable iff h < 2/a; the dominance rule returns exactly
@@ -58,6 +39,13 @@ TEST(MaxStableStep, NonDominantRowRejected) {
   // the Gershgorin argument (the paper's fallback case).
   const Matrix a{{0.0, 1.0}, {-1.0, 0.0}};
   EXPECT_FALSE(max_stable_step_by_dominance(a).has_value());
+}
+
+TEST(MaxStableStep, NanRowRejected) {
+  const Matrix a{{std::nan(""), 0.0}, {0.0, -1.0}};
+  EXPECT_FALSE(max_stable_step_by_dominance(a).has_value());
+  const Matrix b{{-1.0, std::nan("")}, {0.0, -1.0}};
+  EXPECT_FALSE(max_stable_step_by_dominance(b).has_value());
 }
 
 TEST(MaxStableStep, ZeroRowsImposeNoConstraint) {
