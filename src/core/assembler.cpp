@@ -136,13 +136,6 @@ AnalogBlock& SystemAssembler::block(BlockHandle handle) {
   return *blocks_[handle.index].block;
 }
 
-const AnalogBlock& SystemAssembler::block(BlockHandle handle) const {
-  if (handle.index >= blocks_.size()) {
-    throw ModelError("SystemAssembler::block: invalid handle");
-  }
-  return *blocks_[handle.index].block;
-}
-
 std::size_t SystemAssembler::state_offset(BlockHandle handle) const {
   require_elaborated("state_offset");
   if (handle.index >= blocks_.size()) {

@@ -63,7 +63,6 @@ class SystemAssembler {
 
   // ---- Access --------------------------------------------------------------
   [[nodiscard]] AnalogBlock& block(BlockHandle handle);
-  [[nodiscard]] const AnalogBlock& block(BlockHandle handle) const;
   /// Typed convenience accessor: the caller asserts the concrete block type.
   template <typename T>
   [[nodiscard]] T& block_as(BlockHandle handle) {

@@ -8,7 +8,7 @@
 /// might involve backtracking in time." (paper §II)
 ///
 /// The scheduler alternates: advance the analogue engine up to (never past)
-/// the next digital event, then execute that event's delta cycles. Digital
+/// the next digital event, then execute the events due at that time. Digital
 /// handlers observe a *consistent* analogue solution at the event time and
 /// may change block parameters; the resulting epoch bump makes the analogue
 /// engine restart its multistep history after the event.

@@ -156,20 +156,6 @@ ProbeChannel& ProbeHub::add_channel(std::string label, ProbeChannel::Extractor e
   return *channels_.back();
 }
 
-ProbeChannel& ProbeHub::channel(std::size_t index) {
-  if (index >= channels_.size()) {
-    throw ModelError("ProbeHub: channel index out of range");
-  }
-  return *channels_[index];
-}
-
-const ProbeChannel& ProbeHub::channel(std::size_t index) const {
-  if (index >= channels_.size()) {
-    throw ModelError("ProbeHub: channel index out of range");
-  }
-  return *channels_[index];
-}
-
 io::JsonValue ProbeHub::checkpoint_state() const {
   io::JsonValue state = io::JsonValue::make_array();
   for (const auto& channel : channels_) {

@@ -131,8 +131,6 @@ class ProbeHub {
                             std::optional<double> threshold = std::nullopt);
 
   [[nodiscard]] std::size_t size() const noexcept { return channels_.size(); }
-  [[nodiscard]] ProbeChannel& channel(std::size_t index);
-  [[nodiscard]] const ProbeChannel& channel(std::size_t index) const;
   /// Channel by label; null when absent.
   [[nodiscard]] const ProbeChannel* find(std::string_view label) const noexcept;
 

@@ -75,15 +75,6 @@ const std::vector<double>& TraceRecorder::column(const std::string& label) const
   throw ModelError("TraceRecorder: unknown column '" + label + "'");
 }
 
-std::vector<std::string> TraceRecorder::labels() const {
-  std::vector<std::string> out;
-  out.reserve(columns_.size());
-  for (const auto& col : columns_) {
-    out.push_back(col.label);
-  }
-  return out;
-}
-
 void TraceRecorder::on_point(double t, std::span<const double> x, std::span<const double> y) {
   if (any_recorded_ && min_interval_ > 0.0 && t - last_recorded_ < min_interval_) {
     return;

@@ -52,7 +52,6 @@ class TraceRecorder {
   /// Recorded samples of the probe labelled \p label; throws ModelError for
   /// unknown labels.
   [[nodiscard]] const std::vector<double>& column(const std::string& label) const;
-  [[nodiscard]] std::vector<std::string> labels() const;
 
   /// Write "time,label1,label2,..." CSV.
   void write_csv(std::ostream& os) const;

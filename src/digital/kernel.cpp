@@ -7,7 +7,7 @@
 
 namespace ehsim::digital {
 
-EventId Kernel::enqueue(SimTime t, std::uint64_t delta, std::function<void()> handler) {
+EventId Kernel::enqueue(SimTime t, std::function<void()> handler) {
   if (!handler) {
     throw ModelError("Kernel: event handler is required");
   }
@@ -15,23 +15,19 @@ EventId Kernel::enqueue(SimTime t, std::uint64_t delta, std::function<void()> ha
     throw ModelError("Kernel: cannot schedule an event in the past");
   }
   const EventId id = next_id_++;
-  queue_.push(Event{t, delta, next_seq_++, id, std::move(handler)});
+  queue_.push(Event{t, 0, next_seq_++, id, std::move(handler)});
   return id;
 }
 
 EventId Kernel::schedule_at(SimTime t, std::function<void()> handler) {
-  return enqueue(t, 0, std::move(handler));
+  return enqueue(t, std::move(handler));
 }
 
 EventId Kernel::schedule_in(SimTime dt, std::function<void()> handler) {
   if (dt < 0.0 || !std::isfinite(dt)) {
     throw ModelError("Kernel: negative or non-finite delay");
   }
-  return enqueue(now_ + dt, 0, std::move(handler));
-}
-
-EventId Kernel::schedule_delta(std::function<void()> handler) {
-  return enqueue(now_, 1, std::move(handler));
+  return enqueue(now_ + dt, std::move(handler));
 }
 
 bool Kernel::cancel(EventId id) {
@@ -71,18 +67,18 @@ void Kernel::run_until(SimTime t) {
     if (queue_.empty() || queue_.top().time > t) {
       break;
     }
-    // Execute one timestamp completely (all delta phases) before moving on.
+    // Execute one timestamp completely before moving on.
     const SimTime ts = queue_.top().time;
     EHSIM_ASSERT(ts >= now_, "event queue went backwards");
     now_ = ts;
-    std::uint64_t deltas = 0;
+    std::uint64_t events = 0;
     while (true) {
       drop_cancelled();
       if (queue_.empty() || queue_.top().time != ts) {
         break;
       }
-      if (++deltas > kMaxDeltasPerTimestep) {
-        throw SolverError("Kernel: delta-cycle limit exceeded (combinational loop?)");
+      if (++events > kMaxEventsPerTimestep) {
+        throw SolverError("Kernel: same-time event limit exceeded (combinational loop?)");
       }
       Event ev = queue_.top();
       queue_.pop();
@@ -92,8 +88,6 @@ void Kernel::run_until(SimTime t) {
   }
   now_ = t;
 }
-
-void Kernel::run_delta_cycles() { run_until(now_); }
 
 std::optional<Kernel::PendingEvent> Kernel::pending_info(EventId id) const {
   if (id == 0 || cancelled_.contains(id)) {

@@ -4,12 +4,11 @@
 /// The paper models the microcontroller "as a digital process" using
 /// "standard SystemC modules". This kernel reproduces the part of the
 /// SystemC discrete-event semantics the harvester control needs: timed
-/// events, delta cycles for same-time signal propagation, and deterministic
-/// ordering (time, delta phase, insertion sequence). The mixed-signal
-/// scheduler (core/mixed_signal.hpp) interleaves this kernel with the
-/// analogue march-in-time sweep: the analogue step never overshoots the next
-/// digital event, which is the property that lets the feed-forward explicit
-/// solver interface "easily with a digital kernel" (paper §II).
+/// events and deterministic ordering (time, then insertion sequence). The
+/// mixed-signal scheduler (core/mixed_signal.hpp) interleaves this kernel
+/// with the analogue march-in-time sweep: the analogue step never overshoots
+/// the next digital event, which is the property that lets the feed-forward
+/// explicit solver interface "easily with a digital kernel" (paper §II).
 #pragma once
 
 #include <cstdint>
@@ -30,7 +29,7 @@ using SimTime = double;
 /// Handle used to cancel a scheduled event.
 using EventId = std::uint64_t;
 
-/// Discrete-event kernel with delta cycles.
+/// Discrete-event kernel.
 class Kernel {
  public:
   Kernel() = default;
@@ -41,11 +40,9 @@ class Kernel {
   /// Schedule \p handler at absolute time \p t (>= now). Returns an id that
   /// can be passed to cancel().
   EventId schedule_at(SimTime t, std::function<void()> handler);
-  /// Schedule \p handler \p dt seconds from now (dt >= 0; dt == 0 schedules
-  /// a delta event at the current time).
+  /// Schedule \p handler \p dt seconds from now (dt >= 0; dt == 0 runs it
+  /// at the current time, after the events already queued there).
   EventId schedule_in(SimTime dt, std::function<void()> handler);
-  /// Schedule into the next delta cycle at the current time.
-  EventId schedule_delta(std::function<void()> handler);
 
   /// Cancel a pending event; returns true when the event was still pending.
   bool cancel(EventId id);
@@ -54,12 +51,9 @@ class Kernel {
   [[nodiscard]] std::optional<SimTime> next_event_time();
 
   /// Execute every event with time <= t, advancing now() as events run, then
-  /// set now() = t. Events scheduled by handlers (including zero-delay delta
+  /// set now() = t. Events scheduled by handlers (including zero-delay
   /// events) are honoured within the same call.
   void run_until(SimTime t);
-
-  /// Execute all delta-cycle events pending at the current time.
-  void run_delta_cycles();
 
   /// Number of events executed since construction (diagnostics).
   [[nodiscard]] std::uint64_t events_executed() const noexcept { return events_executed_; }
@@ -95,14 +89,14 @@ class Kernel {
   /// allocated before the checkpoint) and a time >= now().
   void schedule_restored(const PendingEvent& event, std::function<void()> handler);
 
-  /// Guard against runaway delta loops (two processes retriggering each
+  /// Guard against runaway same-time loops (two processes retriggering each
   /// other at the same timestamp forever).
-  static constexpr std::uint64_t kMaxDeltasPerTimestep = 10000;
+  static constexpr std::uint64_t kMaxEventsPerTimestep = 10000;
 
  private:
   struct Event {
     SimTime time = 0.0;
-    std::uint64_t delta = 0;  ///< delta-cycle phase within the same time
+    std::uint64_t delta = 0;  ///< phase within the same time (0 unless restored)
     std::uint64_t seq = 0;    ///< insertion order for determinism
     EventId id = 0;
     std::function<void()> handler;
@@ -118,7 +112,7 @@ class Kernel {
     }
   };
 
-  EventId enqueue(SimTime t, std::uint64_t delta, std::function<void()> handler);
+  EventId enqueue(SimTime t, std::function<void()> handler);
   /// Pop cancelled events off the queue head.
   void drop_cancelled();
 

@@ -30,13 +30,6 @@ void WatchdogTimer::stop() {
   running_ = false;
 }
 
-void WatchdogTimer::set_period(SimTime period) {
-  if (!(period > 0.0)) {
-    throw ModelError("WatchdogTimer: period must be positive");
-  }
-  period_ = period;
-}
-
 void WatchdogTimer::arm(SimTime delay) {
   pending_ = kernel_->schedule_in(delay, [this] { fire(); });
 }

@@ -29,8 +29,6 @@ class WatchdogTimer {
 
   [[nodiscard]] bool running() const noexcept { return running_; }
   [[nodiscard]] SimTime period() const noexcept { return period_; }
-  /// Change the period; takes effect from the next (re)arm.
-  void set_period(SimTime period);
   [[nodiscard]] std::uint64_t expiries() const noexcept { return expiries_; }
 
   /// Exact snapshot: period, running flag, expiry counter and the pending

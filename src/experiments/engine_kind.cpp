@@ -9,22 +9,6 @@
 
 namespace ehsim::experiments {
 
-const char* engine_kind_name(EngineKind kind) {
-  switch (kind) {
-    case EngineKind::kProposed:
-      return "proposed (linearised state-space)";
-    case EngineKind::kSystemVision:
-      return "SystemVision-like (VHDL-AMS, trapezoidal NR)";
-    case EngineKind::kPspice:
-      return "PSPICE-like (Gear-2 NR)";
-    case EngineKind::kSystemCA:
-      return "SystemC-A-like (backward-Euler NR)";
-    case EngineKind::kReference:
-      return "extended-precision reference (fixed-step trapezoidal oracle)";
-  }
-  return "?";
-}
-
 const char* engine_kind_id(EngineKind kind) {
   switch (kind) {
     case EngineKind::kProposed:

@@ -24,9 +24,6 @@ enum class EngineKind {
   kReference,     ///< extended-precision fixed-step oracle (src/ref)
 };
 
-/// Human-readable description (tables, logs).
-[[nodiscard]] const char* engine_kind_name(EngineKind kind);
-
 /// Stable spec/JSON token: "proposed", "systemvision", "pspice", "systemca",
 /// "reference".
 [[nodiscard]] const char* engine_kind_id(EngineKind kind);

@@ -9,17 +9,6 @@
 
 namespace ehsim::experiments {
 
-double rms(std::span<const double> values) {
-  if (values.empty()) {
-    return 0.0;
-  }
-  double acc = 0.0;
-  for (double v : values) {
-    acc += v * v;
-  }
-  return std::sqrt(acc / static_cast<double>(values.size()));
-}
-
 double mean(std::span<const double> values) {
   if (values.empty()) {
     return 0.0;
@@ -131,7 +120,13 @@ void BinnedAccumulator::deposit(double t_from, double t_to, double v_from, doubl
   while (t < t_to) {
     const double rel = (t - t0_) / bin_width_;
     auto bin = static_cast<std::ptrdiff_t>(std::floor(rel));
-    const double bin_end = t0_ + (static_cast<double>(bin) + 1.0) * bin_width_;
+    double bin_end = t0_ + (static_cast<double>(bin) + 1.0) * bin_width_;
+    // On a bin edge, rounding can put rel just below it: the bin found then
+    // ends at t, and the segment would be empty. Take the next bin.
+    while (bin_end <= t) {
+      ++bin;
+      bin_end = t0_ + (static_cast<double>(bin) + 1.0) * bin_width_;
+    }
     const double seg_end = std::min(t_to, bin_end);
     const double v_end = v_from + slope * (seg_end - t_from);
     if (bin >= 0 && static_cast<std::size_t>(bin) < integral_.size()) {
@@ -182,19 +177,6 @@ double BinnedAccumulator::mean_over(double t_start, double t_end) const {
     }
   }
   return den > 0.0 ? num / den : 0.0;
-}
-
-double BinnedAccumulator::rms_over(double t_start, double t_end) const {
-  double num = 0.0;
-  double den = 0.0;
-  for (std::size_t i = 0; i < integral_.size(); ++i) {
-    const double c = bin_center(i);
-    if (c >= t_start && c <= t_end) {
-      num += integral_sq_[i];
-      den += covered_[i];
-    }
-  }
-  return den > 0.0 ? std::sqrt(num / den) : 0.0;
 }
 
 io::JsonValue BinnedAccumulator::checkpoint_state() const {

@@ -16,8 +16,6 @@
 
 namespace ehsim::experiments {
 
-/// Plain RMS of a sample vector.
-[[nodiscard]] double rms(std::span<const double> values);
 /// Arithmetic mean.
 [[nodiscard]] double mean(std::span<const double> values);
 /// Pearson correlation coefficient; 0 when either signal is constant.
@@ -58,8 +56,6 @@ class BinnedAccumulator {
   [[nodiscard]] double bin_rms(std::size_t i) const;
   /// Time-averaged value over [t_start, t_end] (whole bins inside the range).
   [[nodiscard]] double mean_over(double t_start, double t_end) const;
-  /// RMS over [t_start, t_end].
-  [[nodiscard]] double rms_over(double t_start, double t_end) const;
 
   /// Exact snapshot of the per-bin integrals and the trapezoid cursor.
   [[nodiscard]] io::JsonValue checkpoint_state() const;

@@ -23,8 +23,6 @@ McuController::McuController(digital::Kernel& kernel, const McuParams& params,
 
 void McuController::start() { watchdog_.start(); }
 
-void McuController::start_after(double first_delay) { watchdog_.start_after(first_delay); }
-
 void McuController::log(McuEvent::Type type, double value) {
   events_.push_back(McuEvent{kernel_->now(), type, value});
 }

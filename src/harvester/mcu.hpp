@@ -64,9 +64,8 @@ class McuController {
  public:
   McuController(digital::Kernel& kernel, const McuParams& params, McuCallbacks callbacks);
 
-  /// Arm the watchdog; first wake after one period (or \p first_delay).
+  /// Arm the watchdog; first wake after one period.
   void start();
-  void start_after(double first_delay);
 
   [[nodiscard]] McuState state() const noexcept { return state_; }
   [[nodiscard]] const std::vector<McuEvent>& events() const noexcept { return events_; }

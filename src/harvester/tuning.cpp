@@ -58,9 +58,6 @@ double TuningMechanism::gap_for_frequency(double frequency_hz) const {
   return std::clamp(d - params_.gap_offset, params_.gap_min, params_.gap_max);
 }
 
-double TuningMechanism::min_resonance() const { return resonance_at_gap(params_.gap_max); }
-double TuningMechanism::max_resonance() const { return resonance_at_gap(params_.gap_min); }
-
 LinearActuator::LinearActuator(const ActuatorParams& params, const TuningParams& tuning)
     : speed_(params.speed),
       gap_min_(tuning.gap_min),

@@ -34,10 +34,6 @@ class TuningMechanism {
   /// travel. Inverse of resonance_at_gap (monotone decreasing in gap).
   [[nodiscard]] double gap_for_frequency(double frequency_hz) const;
 
-  /// Lowest achievable resonance (gap_max) and highest (gap_min) [Hz].
-  [[nodiscard]] double min_resonance() const;
-  [[nodiscard]] double max_resonance() const;
-
   [[nodiscard]] const TuningParams& params() const noexcept { return params_; }
 
  private:

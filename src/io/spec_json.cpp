@@ -779,18 +779,6 @@ std::vector<std::string> optimise_variable_keys() { return keys_of(kVariable.fie
 
 // ---- spec <-> JSON -------------------------------------------------------------
 
-JsonValue to_json(const ProbeSpec& probe) { return to_object(probe, kProbe); }
-
-ProbeSpec probe_from_json(const JsonValue& json) { return validated(json, kProbe); }
-
-JsonValue to_json(const ExcitationSchedule& schedule) {
-  return to_object(schedule, kExcitation);
-}
-
-ExcitationSchedule schedule_from_json(const JsonValue& json) {
-  return from_object(json, kExcitation);
-}
-
 JsonValue to_json(const ExperimentSpec& spec) { return document(spec, kExperiment); }
 
 ExperimentSpec experiment_from_json(const JsonValue& json) { return validated(json, kExperiment); }

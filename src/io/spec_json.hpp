@@ -31,12 +31,6 @@ namespace ehsim::io {
 
 // ---- spec <-> JSON --------------------------------------------------------
 
-[[nodiscard]] JsonValue to_json(const experiments::ExcitationSchedule& schedule);
-[[nodiscard]] experiments::ExcitationSchedule schedule_from_json(const JsonValue& json);
-
-[[nodiscard]] JsonValue to_json(const experiments::ProbeSpec& probe);
-[[nodiscard]] experiments::ProbeSpec probe_from_json(const JsonValue& json);
-
 [[nodiscard]] JsonValue to_json(const experiments::ExperimentSpec& spec);
 [[nodiscard]] experiments::ExperimentSpec experiment_from_json(const JsonValue& json);
 

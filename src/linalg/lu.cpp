@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 
 #include "common/error.hpp"
 
@@ -19,7 +18,6 @@ bool LuFactorization::factor(const Matrix& a) {
   n_ = a.rows();
   lu_.assign(a.data(), a.data() + n_ * n_);
   pivot_.resize(n_);
-  sign_ = 1;
   ok_ = true;
 
   for (std::size_t col = 0; col < n_; ++col) {
@@ -42,7 +40,6 @@ bool LuFactorization::factor(const Matrix& a) {
       for (std::size_t c = 0; c < n_; ++c) {
         std::swap(lu_[col * n_ + c], lu_[pivot_row * n_ + c]);
       }
-      sign_ = -sign_;
     }
     const double inv_pivot = 1.0 / lu_[col * n_ + col];
     for (std::size_t r = col + 1; r < n_; ++r) {
@@ -96,12 +93,6 @@ void LuFactorization::solve(std::span<const double> b, std::span<double> x) cons
   solve_inplace(x);
 }
 
-Vector LuFactorization::solve(const Vector& b) const {
-  Vector x(b.size());
-  solve(b.span(), x.span());
-  return x;
-}
-
 void LuFactorization::solve_matrix(const Matrix& b, Matrix& x) const {
   EHSIM_ASSERT(b.rows() == n_, "LU solve_matrix dimension mismatch");
   x.resize(b.rows(), b.cols());
@@ -115,68 +106,6 @@ void LuFactorization::solve_matrix(const Matrix& b, Matrix& x) const {
       x(r, c) = col[r];
     }
   }
-}
-
-double LuFactorization::determinant() const {
-  if (!ok_) {
-    return 0.0;
-  }
-  double det = static_cast<double>(sign_);
-  for (std::size_t i = 0; i < n_; ++i) {
-    det *= lu_[i * n_ + i];
-  }
-  return det;
-}
-
-double LuFactorization::min_pivot_magnitude() const {
-  if (!ok_ || n_ == 0) {
-    return 0.0;
-  }
-  double mn = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < n_; ++i) {
-    mn = std::min(mn, std::abs(lu_[i * n_ + i]));
-  }
-  return mn;
-}
-
-double LuFactorization::rcond_estimate(double a_norm_inf) const {
-  if (!ok_ || n_ == 0 || a_norm_inf <= 0.0) {
-    return 0.0;
-  }
-  // Hager-style one-sweep estimate of ||A^-1||inf via solving with the
-  // all-ones right-hand side and a sign vector follow-up.
-  std::vector<double> v(n_, 1.0);
-  solve_inplace(std::span<double>(v));
-  double vmax = 0.0;
-  for (double value : v) {
-    vmax = std::max(vmax, std::abs(value));
-  }
-  if (vmax <= 0.0) {
-    return 0.0;
-  }
-  return 1.0 / (a_norm_inf * vmax * static_cast<double>(n_));
-}
-
-void refine_solution(const Matrix& a, const LuFactorization& lu, std::span<const double> b,
-                     std::span<double> x, std::span<double> scratch) {
-  EHSIM_ASSERT(scratch.size() == b.size(), "refine scratch dimension mismatch");
-  // scratch = b - A x
-  a.matvec(x, scratch);
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    scratch[i] = b[i] - scratch[i];
-  }
-  lu.solve_inplace(scratch);
-  for (std::size_t i = 0; i < x.size(); ++i) {
-    x[i] += scratch[i];
-  }
-}
-
-Vector solve_linear_system(const Matrix& a, const Vector& b) {
-  LuFactorization lu;
-  if (!lu.factor(a)) {
-    throw SolverError("solve_linear_system: matrix is singular to working precision");
-  }
-  return lu.solve(b);
 }
 
 Matrix inverse(const Matrix& a) {

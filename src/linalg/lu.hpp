@@ -44,35 +44,15 @@ class LuFactorization {
   void solve_inplace(std::span<double> b) const;
   /// Solve A x = b into \p x (b untouched). Requires ok().
   void solve(std::span<const double> b, std::span<double> x) const;
-  /// Convenience overload.
-  [[nodiscard]] Vector solve(const Vector& b) const;
   /// Solve A X = B column-by-column, B/X stored as Matrix. Requires ok().
   void solve_matrix(const Matrix& b, Matrix& x) const;
-
-  /// Determinant of the factored matrix (product of pivots with sign).
-  [[nodiscard]] double determinant() const;
-  /// Magnitude of the smallest pivot; a cheap conditioning indicator used by
-  /// the solver's diagnostics.
-  [[nodiscard]] double min_pivot_magnitude() const;
-  /// Reciprocal condition estimate in the infinity norm (1 / (||A||inf *
-  /// ||A^-1||inf), estimated via one Hager-style sweep). 0 when singular.
-  [[nodiscard]] double rcond_estimate(double a_norm_inf) const;
 
  private:
   std::size_t n_ = 0;
   bool ok_ = false;
   std::vector<double> lu_;          // packed LU, row-major
   std::vector<std::size_t> pivot_;  // row permutation
-  int sign_ = 1;
 };
-
-/// One step of iterative refinement: x += A^-1 (b - A x). Improves solutions
-/// of marginally conditioned systems; used by the NR baseline when requested.
-void refine_solution(const Matrix& a, const LuFactorization& lu, std::span<const double> b,
-                     std::span<double> x, std::span<double> scratch);
-
-/// Convenience: solve a (copy of) A x = b, throwing SolverError when singular.
-[[nodiscard]] Vector solve_linear_system(const Matrix& a, const Vector& b);
 
 /// Dense inverse (test/diagnostic helper; the simulators never invert).
 [[nodiscard]] Matrix inverse(const Matrix& a);

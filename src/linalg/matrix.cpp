@@ -17,61 +17,12 @@ void Vector::axpy(double alpha, const Vector& other) {
   }
 }
 
-void Vector::scale(double alpha) {
-  for (double& v : data_) {
-    v *= alpha;
-  }
-}
-
-double norm2(const Vector& v) {
-  double acc = 0.0;
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    acc += v[i] * v[i];
-  }
-  return std::sqrt(acc);
-}
-
 double norm_inf(const Vector& v) {
   double acc = 0.0;
   for (std::size_t i = 0; i < v.size(); ++i) {
     acc = std::max(acc, std::abs(v[i]));
   }
   return acc;
-}
-
-double dot(const Vector& a, const Vector& b) {
-  EHSIM_ASSERT(a.size() == b.size(), "dot dimension mismatch");
-  double acc = 0.0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    acc += a[i] * b[i];
-  }
-  return acc;
-}
-
-Vector operator+(const Vector& a, const Vector& b) {
-  EHSIM_ASSERT(a.size() == b.size(), "vector add dimension mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = a[i] + b[i];
-  }
-  return out;
-}
-
-Vector operator-(const Vector& a, const Vector& b) {
-  EHSIM_ASSERT(a.size() == b.size(), "vector sub dimension mismatch");
-  Vector out(a.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out[i] = a[i] - b[i];
-  }
-  return out;
-}
-
-Vector operator*(double alpha, const Vector& v) {
-  Vector out(v.size());
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    out[i] = alpha * v[i];
-  }
-  return out;
 }
 
 Matrix::Matrix(std::initializer_list<std::initializer_list<double>> init) {
@@ -109,12 +60,6 @@ void Matrix::add_scaled(double alpha, const Matrix& other) {
   }
 }
 
-void Matrix::scale(double alpha) {
-  for (double& v : data_) {
-    v *= alpha;
-  }
-}
-
 void Matrix::matvec(std::span<const double> x, std::span<double> out) const {
   EHSIM_ASSERT(x.size() == cols_ && out.size() == rows_, "matvec dimension mismatch");
   EHSIM_ASSERT(x.data() != out.data(), "matvec aliasing not allowed");
@@ -141,26 +86,9 @@ void Matrix::matvec_acc(double alpha, std::span<const double> x, std::span<doubl
   }
 }
 
-Matrix Matrix::transposed() const {
-  Matrix out(cols_, rows_);
-  for (std::size_t r = 0; r < rows_; ++r) {
-    for (std::size_t c = 0; c < cols_; ++c) {
-      out(c, r) = (*this)(r, c);
-    }
-  }
-  return out;
-}
-
 Matrix Matrix::identity(std::size_t n) {
   Matrix out(n, n);
   out.set_identity();
-  return out;
-}
-
-Matrix operator+(const Matrix& a, const Matrix& b) {
-  EHSIM_ASSERT(a.rows() == b.rows() && a.cols() == b.cols(), "matrix add dimension mismatch");
-  Matrix out = a;
-  out.add_scaled(1.0, b);
   return out;
 }
 
@@ -188,18 +116,6 @@ Matrix operator*(const Matrix& a, const Matrix& b) {
   return out;
 }
 
-Vector operator*(const Matrix& a, const Vector& x) {
-  Vector out(a.rows());
-  a.matvec(x.span(), out.span());
-  return out;
-}
-
-Matrix operator*(double alpha, const Matrix& a) {
-  Matrix out = a;
-  out.scale(alpha);
-  return out;
-}
-
 double norm_max(const Matrix& a) {
   double acc = 0.0;
   for (std::size_t r = 0; r < a.rows(); ++r) {
@@ -208,28 +124,6 @@ double norm_max(const Matrix& a) {
     }
   }
   return acc;
-}
-
-double norm_inf(const Matrix& a) {
-  double acc = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    double row_sum = 0.0;
-    for (double v : a.row(r)) {
-      row_sum += std::abs(v);
-    }
-    acc = std::max(acc, row_sum);
-  }
-  return acc;
-}
-
-double norm_frobenius(const Matrix& a) {
-  double acc = 0.0;
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (double v : a.row(r)) {
-      acc += v * v;
-    }
-  }
-  return std::sqrt(acc);
 }
 
 std::ostream& operator<<(std::ostream& os, const Matrix& a) {
@@ -241,14 +135,6 @@ std::ostream& operator<<(std::ostream& os, const Matrix& a) {
     os << (r + 1 < a.rows() ? ";\n" : "]");
   }
   return os;
-}
-
-std::ostream& operator<<(std::ostream& os, const Vector& v) {
-  os << "[";
-  for (std::size_t i = 0; i < v.size(); ++i) {
-    os << v[i] << (i + 1 < v.size() ? ", " : "");
-  }
-  return os << "]";
 }
 
 }  // namespace ehsim::linalg

@@ -60,8 +60,6 @@ class Vector {
 
   /// this += alpha * other (dimensions must match).
   void axpy(double alpha, const Vector& other);
-  /// this *= alpha.
-  void scale(double alpha);
 
   [[nodiscard]] bool operator==(const Vector& other) const = default;
 
@@ -69,16 +67,8 @@ class Vector {
   std::vector<double> data_;
 };
 
-/// Euclidean norm.
-[[nodiscard]] double norm2(const Vector& v);
 /// Maximum absolute entry.
 [[nodiscard]] double norm_inf(const Vector& v);
-/// Dot product; dimensions must match.
-[[nodiscard]] double dot(const Vector& a, const Vector& b);
-
-[[nodiscard]] Vector operator+(const Vector& a, const Vector& b);
-[[nodiscard]] Vector operator-(const Vector& a, const Vector& b);
-[[nodiscard]] Vector operator*(double alpha, const Vector& v);
 
 /// Dense row-major matrix of doubles.
 class Matrix {
@@ -125,15 +115,11 @@ class Matrix {
 
   /// this += alpha * other (dimensions must match).
   void add_scaled(double alpha, const Matrix& other);
-  /// this *= alpha.
-  void scale(double alpha);
 
   /// out = this * x. \p out may not alias \p x. Dimensions checked.
   void matvec(std::span<const double> x, std::span<double> out) const;
   /// out += alpha * this * x. \p out may not alias \p x.
   void matvec_acc(double alpha, std::span<const double> x, std::span<double> out) const;
-
-  [[nodiscard]] Matrix transposed() const;
 
   [[nodiscard]] bool operator==(const Matrix& other) const = default;
 
@@ -146,21 +132,13 @@ class Matrix {
   std::vector<double> data_;
 };
 
-[[nodiscard]] Matrix operator+(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix operator-(const Matrix& a, const Matrix& b);
 [[nodiscard]] Matrix operator*(const Matrix& a, const Matrix& b);
-[[nodiscard]] Vector operator*(const Matrix& a, const Vector& x);
-[[nodiscard]] Matrix operator*(double alpha, const Matrix& a);
 
 /// Maximum absolute entry.
 [[nodiscard]] double norm_max(const Matrix& a);
-/// Induced infinity norm (maximum absolute row sum).
-[[nodiscard]] double norm_inf(const Matrix& a);
-/// Frobenius norm.
-[[nodiscard]] double norm_frobenius(const Matrix& a);
 
 /// Human-readable printing, mainly for diagnostics and tests.
 std::ostream& operator<<(std::ostream& os, const Matrix& a);
-std::ostream& operator<<(std::ostream& os, const Vector& v);
 
 }  // namespace ehsim::linalg

@@ -128,16 +128,6 @@ double max_stable_step_spectral(std::span<const std::complex<double>> spectrum,
   return h_min_over_modes;
 }
 
-bool is_ab_step_stable(const linalg::Matrix& a, std::size_t order, double h,
-                       double tolerance) {
-  for (const auto& lambda : linalg::eigenvalues(a)) {
-    if (!ab_scalar_stable(lambda * h, order, tolerance)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 double refine_stable_step(const linalg::Matrix& a, std::size_t order, double h_candidate,
                           double h_floor) {
   const auto spectrum = linalg::eigenvalues(a);

@@ -66,15 +66,6 @@ struct StabilityLimit {
 [[nodiscard]] bool ab_scalar_stable(std::complex<double> mu, std::size_t order,
                                     double tolerance = 1e-9);
 
-/// Rigorous multistep stability test for dx/dt = A x: every eigenvalue of A
-/// must satisfy the scalar AB_p root condition at h*lambda. The dominance
-/// and L_p / rho caps are exact for real spectra but can
-/// overestimate the admissible step for lightly-damped oscillatory modes
-/// (eigenvalues near the imaginary axis, where the AB regions are thin) —
-/// the proposed engine therefore refines its Eq. 7 cap through this test.
-[[nodiscard]] bool is_ab_step_stable(const linalg::Matrix& a, std::size_t order, double h,
-                                     double tolerance = 1e-9);
-
 /// Largest h <= h_upper for which every eigenvalue in \p spectrum satisfies
 /// the AB_p root condition (bisection; the spectrum is computed once by the
 /// caller). Eigenvalues with a nonnegative real part contribute an

@@ -1,9 +1,8 @@
 /// \file step_control.hpp
 /// \brief Generic accept/reject step-size controller.
 ///
-/// Shared by three users with different error sources:
-///  * the proposed engine's LLE monitor (Jacobian drift, paper Eq. 3),
-///  * the RK23 reference driver's embedded error estimate, and
+/// Shared by two users with different error sources:
+///  * the proposed engine's LLE monitor (Jacobian drift, paper Eq. 3), and
 ///  * the baseline engine's LTE + Newton-convergence heuristics.
 #pragma once
 

@@ -13,20 +13,6 @@ double diode_conductance(const DiodeParams& params, double vd) {
   return params.saturation_current / params.vte() * std::exp(vd / params.vte()) + params.g_min;
 }
 
-double limit_junction_voltage(const DiodeParams& params, double v_new, double v_old) {
-  const double vte = params.vte();
-  // Critical voltage where the exponential overtakes linear growth.
-  const double v_crit = vte * std::log(vte / (std::sqrt(2.0) * params.saturation_current));
-  if (v_new <= v_crit || std::abs(v_new - v_old) <= 2.0 * vte) {
-    return v_new;
-  }
-  if (v_old > 0.0) {
-    const double arg = 1.0 + (v_new - v_old) / vte;
-    return arg > 0.0 ? v_old + vte * std::log(arg) : v_crit;
-  }
-  return vte * std::log(std::max(v_new / vte, 1e-30));
-}
-
 double voltage_at_conductance(const DiodeParams& params, double g_max) {
   if (!(g_max > params.g_min)) {
     throw ModelError("voltage_at_conductance: g_max must exceed g_min");

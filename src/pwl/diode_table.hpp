@@ -42,12 +42,6 @@ struct DiodeParams {
 /// Exact small-signal conductance dId/dVd.
 [[nodiscard]] double diode_conductance(const DiodeParams& params, double vd);
 
-/// SPICE-style junction voltage limiting for Newton-Raphson: limits the new
-/// junction voltage \p v_new given the previous iterate \p v_old to avoid
-/// exponential overflow (Nagel's pnjlim).
-[[nodiscard]] double limit_junction_voltage(const DiodeParams& params, double v_new,
-                                            double v_old);
-
 /// Tabulated (G, J) linearisation of a diode.
 class DiodeTable {
  public:

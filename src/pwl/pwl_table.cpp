@@ -23,24 +23,6 @@ PwlTable::PwlTable(const std::function<double(double)>& fn, double x_min, double
   for (std::size_t i = 0; i <= segments; ++i) {
     values[i] = fn(x_min + dx * static_cast<double>(i));
   }
-  build_from_values(values);
-}
-
-PwlTable::PwlTable(std::vector<double> values, double x_min, double x_max) {
-  if (values.size() < 2) {
-    throw ModelError("PwlTable: need at least two breakpoint values");
-  }
-  if (!(x_max > x_min)) {
-    throw ModelError("PwlTable: require x_max > x_min");
-  }
-  x_min_ = x_min;
-  x_max_ = x_max;
-  build_from_values(values);
-}
-
-void PwlTable::build_from_values(const std::vector<double>& values) {
-  const std::size_t segments = values.size() - 1;
-  const double dx = (x_max_ - x_min_) / static_cast<double>(segments);
   inv_dx_ = 1.0 / dx;
   slopes_.resize(segments);
   intercepts_.resize(segments);

@@ -35,9 +35,6 @@ class PwlTable {
   PwlTable(const std::function<double(double)>& fn, double x_min, double x_max,
            std::size_t segments);
 
-  /// Build from explicit breakpoint values (values.size() == segments + 1).
-  PwlTable(std::vector<double> values, double x_min, double x_max);
-
   [[nodiscard]] bool empty() const noexcept { return slopes_.empty(); }
   [[nodiscard]] std::size_t segments() const noexcept { return slopes_.size(); }
   [[nodiscard]] double x_min() const noexcept { return x_min_; }
@@ -84,8 +81,6 @@ class PwlTable {
     }
     return static_cast<std::size_t>((x - x_min_) * inv_dx_);
   }
-
-  void build_from_values(const std::vector<double>& values);
 
   double x_min_ = 0.0;
   double x_max_ = 0.0;

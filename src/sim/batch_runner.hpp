@@ -51,16 +51,6 @@ class BatchRunner {
   /// down mid-run).
   void for_each_index(std::size_t count, const std::function<void(std::size_t)>& body);
 
-  /// Run job(i) for every index and collect the results in index order.
-  /// R must be default-constructible and move-assignable.
-  template <typename R>
-  [[nodiscard]] std::vector<R> map(std::size_t count,
-                                   const std::function<R(std::size_t)>& job) {
-    std::vector<R> results(count);
-    for_each_index(count, [&](std::size_t i) { results[i] = job(i); });
-    return results;
-  }
-
   /// Run job(item, index) over \p items and collect results in item order.
   template <typename Item, typename Job>
   [[nodiscard]] auto map_items(const std::vector<Item>& items, Job&& job) {

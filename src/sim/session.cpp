@@ -43,13 +43,6 @@ core::TraceRecorder& Session::trace() {
   return *trace_;
 }
 
-const core::TraceRecorder& Session::trace() const {
-  if (!trace_) {
-    throw ModelError("Session: trace not enabled — call enable_trace() first");
-  }
-  return *trace_;
-}
-
 void Session::add_observer(core::SolutionObserver observer) {
   engine_->add_observer(std::move(observer));
 }

@@ -65,7 +65,6 @@ class Session {
   core::TraceRecorder& enable_trace(double min_interval);
   /// The recorder; throws ModelError when enable_trace was never called.
   [[nodiscard]] core::TraceRecorder& trace();
-  [[nodiscard]] const core::TraceRecorder& trace() const;
   [[nodiscard]] bool has_trace() const noexcept { return trace_ != nullptr; }
 
   /// Register an observer on the engine (before points are produced).

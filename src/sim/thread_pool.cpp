@@ -1,6 +1,7 @@
 #include "sim/thread_pool.hpp"
 
-#include <algorithm>
+#include <string>
+#include <system_error>
 
 #include "common/error.hpp"
 
@@ -11,12 +12,22 @@ ThreadPool::ThreadPool(std::size_t threads) {
     throw ModelError("ThreadPool: need at least one worker");
   }
   workers_.reserve(threads);
-  for (std::size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { worker_loop(); });
+  try {
+    for (std::size_t i = 0; i < threads; ++i) {
+      workers_.emplace_back([this] { worker_loop(); });
+    }
+  } catch (const std::system_error& error) {
+    // No destructor runs for a half-built pool: the started workers must be
+    // joined before the condition variable they wait on is destroyed.
+    stop_and_join();
+    throw ModelError("ThreadPool: started " + std::to_string(workers_.size()) + " of " +
+                     std::to_string(threads) + " requested workers: " + error.what());
   }
 }
 
-ThreadPool::~ThreadPool() {
+ThreadPool::~ThreadPool() { stop_and_join(); }
+
+void ThreadPool::stop_and_join() {
   {
     const core::MutexLock lock(mutex_);
     stopping_ = true;

@@ -24,7 +24,9 @@ namespace ehsim::sim {
 
 class ThreadPool {
  public:
-  /// Spawns exactly \p threads workers (>= 1).
+  /// Spawns exactly \p threads workers (>= 1). When the system cannot start
+  /// one, joins the workers already started and throws ModelError naming the
+  /// requested and started counts and the system error.
   explicit ThreadPool(std::size_t threads);
   /// Drains outstanding tasks, then joins the workers.
   ~ThreadPool();
@@ -40,6 +42,8 @@ class ThreadPool {
 
  private:
   void worker_loop() EHSIM_EXCLUDES(mutex_);
+  /// Wake every worker to drain the queue and exit, then join them.
+  void stop_and_join() EHSIM_EXCLUDES(mutex_);
 
   std::vector<std::thread> workers_;
   core::Mutex mutex_;

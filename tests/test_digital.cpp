@@ -1,5 +1,5 @@
 /// \file test_digital.cpp
-/// \brief Digital kernel, signal and watchdog tests (SystemC-lite semantics).
+/// \brief Digital kernel and watchdog tests (SystemC-lite semantics).
 #include <gtest/gtest.h>
 
 #include <string>
@@ -7,7 +7,6 @@
 
 #include "common/error.hpp"
 #include "digital/kernel.hpp"
-#include "digital/signal.hpp"
 #include "digital/timer.hpp"
 
 namespace {
@@ -15,7 +14,6 @@ namespace {
 using ehsim::ModelError;
 using ehsim::SolverError;
 using ehsim::digital::Kernel;
-using ehsim::digital::Signal;
 using ehsim::digital::WatchdogTimer;
 
 TEST(Kernel, StartsAtZero) {
@@ -61,7 +59,7 @@ TEST(Kernel, HandlerMayScheduleSameTimeDelta) {
   std::vector<std::string> log;
   kernel.schedule_at(1.0, [&] {
     log.push_back("a");
-    kernel.schedule_delta([&] { log.push_back("a-delta"); });
+    kernel.schedule_in(0.0, [&] { log.push_back("a-delta"); });
   });
   kernel.run_until(1.0);
   EXPECT_EQ(log, (std::vector<std::string>{"a", "a-delta"}));
@@ -114,7 +112,7 @@ TEST(Kernel, NullHandlerRejected) {
 
 TEST(Kernel, DeltaLoopGuardThrows) {
   Kernel kernel;
-  std::function<void()> loop = [&] { kernel.schedule_delta(loop); };
+  std::function<void()> loop = [&] { kernel.schedule_in(0.0, loop); };
   kernel.schedule_at(0.0, loop);
   EXPECT_THROW(kernel.run_until(0.0), SolverError);
 }
@@ -125,44 +123,6 @@ TEST(Kernel, EventCountTracksExecutions) {
   kernel.schedule_at(2.0, [] {});
   kernel.run_until(3.0);
   EXPECT_EQ(kernel.events_executed(), 2u);
-}
-
-TEST(Signal, ReadReturnsSettledValue) {
-  Kernel kernel;
-  Signal<int> signal(kernel, 7);
-  EXPECT_EQ(signal.read(), 7);
-}
-
-TEST(Signal, WriteSettlesAtDeltaCycle) {
-  Kernel kernel;
-  Signal<int> signal(kernel, 0);
-  signal.write(5);
-  EXPECT_EQ(signal.read(), 0);  // not yet settled
-  kernel.run_delta_cycles();
-  EXPECT_EQ(signal.read(), 5);
-}
-
-TEST(Signal, LastWriteWinsWithinDelta) {
-  Kernel kernel;
-  Signal<int> signal(kernel, 0);
-  signal.write(1);
-  signal.write(2);
-  kernel.run_delta_cycles();
-  EXPECT_EQ(signal.read(), 2);
-  EXPECT_EQ(signal.change_count(), 1u);
-}
-
-TEST(Signal, OnChangeFiresOnlyOnValueChange) {
-  Kernel kernel;
-  Signal<int> signal(kernel, 3);
-  int notifications = 0;
-  signal.on_change([&](const int&) { ++notifications; });
-  signal.write(3);  // same value: no event
-  kernel.run_delta_cycles();
-  EXPECT_EQ(notifications, 0);
-  signal.write(4);
-  kernel.run_delta_cycles();
-  EXPECT_EQ(notifications, 1);
 }
 
 TEST(Watchdog, FiresPeriodically) {
@@ -217,20 +177,6 @@ TEST(Watchdog, InvalidConstruction) {
   Kernel kernel;
   EXPECT_THROW(WatchdogTimer(kernel, 0.0, [] {}), ModelError);
   EXPECT_THROW(WatchdogTimer(kernel, 1.0, nullptr), ModelError);
-}
-
-TEST(Watchdog, SetPeriodAffectsNextArm) {
-  Kernel kernel;
-  std::vector<double> times;
-  WatchdogTimer timer(kernel, 1.0, [&] { times.push_back(kernel.now()); });
-  timer.start();
-  kernel.run_until(1.0);
-  timer.set_period(2.0);
-  timer.start();  // re-arm with the new period
-  kernel.run_until(5.0);
-  ASSERT_GE(times.size(), 2u);
-  EXPECT_DOUBLE_EQ(times[0], 1.0);
-  EXPECT_DOUBLE_EQ(times[1], 3.0);
 }
 
 }  // namespace

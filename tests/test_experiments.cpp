@@ -2,27 +2,33 @@
 /// \brief Metrics, scenario harness and synthetic-measurement tests.
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdlib>
+#include <functional>
 #include <numbers>
 
 #include "experiments/metrics.hpp"
 #include "experiments/reference_data.hpp"
 #include "experiments/scenarios.hpp"
 #include "experiments/table_printer.hpp"
+#include "io/state_json.hpp"
 
 namespace {
 
 using namespace ehsim::experiments;
 
-TEST(Metrics, RmsOfKnownSignals) {
-  const std::vector<double> constant(100, 2.0);
-  EXPECT_NEAR(rms(constant), 2.0, 1e-12);
-  std::vector<double> sine(10000);
-  for (std::size_t i = 0; i < sine.size(); ++i) {
-    sine[i] = std::sin(2.0 * std::numbers::pi * static_cast<double>(i) / 100.0);
-  }
-  EXPECT_NEAR(rms(sine), 1.0 / std::sqrt(2.0), 1e-3);
-  EXPECT_EQ(rms({}), 0.0);
+// Runs \p body in a death-test child under a 10 s alarm and expects it to
+// return: a body that hangs fails the test instead of wedging the suite.
+void expect_returns(const std::function<void()>& body) {
+  ASSERT_EXIT(
+      {
+        alarm(10);
+        body();
+        std::exit(0);
+      },
+      ::testing::ExitedWithCode(0), "");
 }
 
 TEST(Metrics, MeanOfKnownSignal) {
@@ -99,6 +105,44 @@ TEST(BinnedAccumulator, TrapezoidSplitAcrossBinBoundary) {
   EXPECT_NEAR(bins.bin_mean(1), 2.5, 1e-12);
 }
 
+constexpr std::size_t kStraddleBins = 300;
+
+// A constant sampled mid-bin over kStraddleBins bins of \p width, so every
+// trapezoid crosses a bin edge.
+BinnedAccumulator straddle_every_edge(double width, double value) {
+  BinnedAccumulator bins(0.0, width, kStraddleBins);
+  bins.add(0.0, value);
+  for (std::size_t k = 0; k < kStraddleBins; ++k) {
+    bins.add((static_cast<double>(k) + 0.5) * width, value);
+  }
+  bins.add(static_cast<double>(kStraddleBins) * width, value);
+  return bins;
+}
+
+// A segment that starts on an edge whose (t - t0) / width rounds to just
+// below it must still move on to the next bin.
+TEST(BinnedAccumulatorDeathTest, EdgesThatRoundBelowTheirBinStillAdvance) {
+  expect_returns([] {
+    BinnedAccumulator bins(0.0, 0.015, 30);
+    bins.add(0.16, 1.0);
+    bins.add(0.17, 1.0);
+  });
+  for (const double width : {0.1, 0.015, 0.7}) {
+    SCOPED_TRACE(width);
+    ASSERT_NO_FATAL_FAILURE(expect_returns([width] { (void)straddle_every_edge(width, 2.5); }));
+    const BinnedAccumulator bins = straddle_every_edge(width, 2.5);
+    std::vector<double> covered(kStraddleBins);
+    ehsim::io::reals_into(bins.checkpoint_state().at("covered"), covered, "covered");
+    double total = 0.0;
+    for (std::size_t i = 0; i < kStraddleBins; ++i) {
+      EXPECT_NEAR(bins.bin_mean(i), 2.5, 1e-12) << i;
+      total += covered[i];
+    }
+    const double span = static_cast<double>(kStraddleBins) * width;
+    EXPECT_NEAR(total, span, 1e-12 * span);
+  }
+}
+
 TEST(BinnedAccumulator, BinCentersAndBounds) {
   BinnedAccumulator bins(10.0, 2.0, 3);
   EXPECT_DOUBLE_EQ(bins.bin_center(0), 11.0);
@@ -152,12 +196,19 @@ TEST(Scenarios, ChargingScenarioStartsEmpty) {
   EXPECT_DOUBLE_EQ(params.supercap.initial_voltage, 0.0);
 }
 
-TEST(Scenarios, EngineFactoryNamesAndModes) {
+TEST(Scenarios, EngineFactoryModes) {
   EXPECT_EQ(device_mode_for(EngineKind::kProposed), ehsim::harvester::DeviceEvalMode::kPwlTable);
   EXPECT_EQ(device_mode_for(EngineKind::kPspice),
             ehsim::harvester::DeviceEvalMode::kExactShockley);
-  EXPECT_NE(std::string(engine_kind_name(EngineKind::kProposed)).find("linearised"),
-            std::string::npos);
+}
+
+TEST(ScenariosDeathTest, PowerBinWidthWithInexactEdgesFinishes) {
+  ExperimentSpec spec = charging_scenario(0.3);
+  spec.excitation.events.clear();
+  spec.power_bin_width = 0.015;
+  ASSERT_NO_FATAL_FAILURE(expect_returns([&spec] { (void)run_experiment(spec); }));
+  const ScenarioResult result = run_experiment(spec);
+  EXPECT_EQ(result.power_time.size(), 20u);
 }
 
 TEST(Scenarios, ShortProposedRunProducesTraces) {

@@ -221,16 +221,6 @@ TEST(Mcu, MissingCallbacksRejected) {
   EXPECT_THROW(McuController(kernel, fast_params(), empty), ehsim::ModelError);
 }
 
-TEST(Mcu, StartAfterControlsFirstWake) {
-  Kernel kernel;
-  MockPlant plant;
-  McuController mcu(kernel, fast_params(), plant.callbacks(kernel));
-  mcu.start_after(2.5);
-  kernel.run_until(3.0);
-  EXPECT_EQ(mcu.wakeups(), 1u);
-  EXPECT_NEAR(mcu.events().front().time, 2.5, 1e-9);
-}
-
 /// Parameter sweep: the energy threshold gates tuning exactly.
 class McuEnergyGate : public ::testing::TestWithParam<double> {};
 

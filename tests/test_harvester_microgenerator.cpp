@@ -66,10 +66,12 @@ TEST(TuningMechanism, GapForFrequencyInvertsResonance) {
 TEST(TuningMechanism, FourteenHzTuningRange) {
   // The paper's device tunes over ~14 Hz (scenario 2 = maximum range).
   GenFixture fx;
-  const double range = fx.tuning.max_resonance() - fx.tuning.min_resonance();
-  EXPECT_GT(range, 13.0);
-  EXPECT_LT(fx.tuning.min_resonance(), 64.5);
-  EXPECT_GT(fx.tuning.max_resonance(), 78.0);
+  // The lowest resonance is at the widest gap, the highest at the narrowest.
+  const double min_resonance = fx.tuning.resonance_at_gap(fx.params.tuning.gap_max);
+  const double max_resonance = fx.tuning.resonance_at_gap(fx.params.tuning.gap_min);
+  EXPECT_GT(max_resonance - min_resonance, 13.0);
+  EXPECT_LT(min_resonance, 64.5);
+  EXPECT_GT(max_resonance, 78.0);
 }
 
 TEST(TuningMechanism, OutOfRangeFrequenciesClampToTravel) {

@@ -270,16 +270,19 @@ TEST(SpecFiles, JointTuningFileIsAValidMultiVariableSpec) {
 }
 
 TEST(SpecJson, StrictParsingRejectsUnknownProbeAndOptimiseKeys) {
+  const auto with_probe = [](const std::string& probe) {
+    return JsonValue::parse(R"({"type":"experiment","name":"p","probes":[)" + probe + "]}");
+  };
   // Probe with a typoed key fails naming the key.
-  EXPECT_THROW((void)ehsim::io::probe_from_json(JsonValue::parse(
-                   R"({"label":"p","kind":"generator_power","thresold":0.1})")),
+  EXPECT_THROW((void)ehsim::io::experiment_from_json(
+                   with_probe(R"({"label":"p","kind":"generator_power","thresold":0.1})")),
                ModelError);
   // Probe validation runs at parse time (node_voltage needs a target).
-  EXPECT_THROW((void)ehsim::io::probe_from_json(
-                   JsonValue::parse(R"({"label":"p","kind":"node_voltage"})")),
+  EXPECT_THROW((void)ehsim::io::experiment_from_json(
+                   with_probe(R"({"label":"p","kind":"node_voltage"})")),
                ModelError);
-  EXPECT_THROW((void)ehsim::io::probe_from_json(
-                   JsonValue::parse(R"({"label":"p","kind":"volts","target":"Vc"})")),
+  EXPECT_THROW((void)ehsim::io::experiment_from_json(
+                   with_probe(R"({"label":"p","kind":"volts","target":"Vc"})")),
                ModelError);
   // Experiment documents reject unknown keys inside the probes array...
   EXPECT_THROW((void)ehsim::io::experiment_from_json(JsonValue::parse(R"({

@@ -2,7 +2,6 @@
 /// \brief Unit tests for the dense matrix/vector substrate.
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -49,35 +48,9 @@ TEST(Vector, AxpyAccumulates) {
   EXPECT_DOUBLE_EQ(v[1], 12.0);
 }
 
-TEST(Vector, ScaleMultipliesEveryElement) {
-  Vector v{1.0, -2.0, 3.0};
-  v.scale(-2.0);
-  EXPECT_DOUBLE_EQ(v[0], -2.0);
-  EXPECT_DOUBLE_EQ(v[1], 4.0);
-  EXPECT_DOUBLE_EQ(v[2], -6.0);
-}
-
 TEST(Vector, Norms) {
   const Vector v{3.0, -4.0};
-  EXPECT_DOUBLE_EQ(norm2(v), 5.0);
   EXPECT_DOUBLE_EQ(norm_inf(v), 4.0);
-}
-
-TEST(Vector, DotProduct) {
-  EXPECT_DOUBLE_EQ(dot(Vector{1.0, 2.0, 3.0}, Vector{4.0, 5.0, 6.0}), 32.0);
-}
-
-TEST(Vector, ArithmeticOperators) {
-  const Vector a{1.0, 2.0};
-  const Vector b{3.0, 5.0};
-  const Vector sum = a + b;
-  const Vector diff = b - a;
-  const Vector scaled = 2.0 * a;
-  EXPECT_DOUBLE_EQ(sum[0], 4.0);
-  EXPECT_DOUBLE_EQ(sum[1], 7.0);
-  EXPECT_DOUBLE_EQ(diff[0], 2.0);
-  EXPECT_DOUBLE_EQ(diff[1], 3.0);
-  EXPECT_DOUBLE_EQ(scaled[1], 4.0);
 }
 
 TEST(Vector, ResizeZeroFillsNewEntries) {
@@ -129,7 +102,8 @@ TEST(Matrix, RowSpanIsContiguousView) {
 TEST(Matrix, MatVec) {
   const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   const Vector x{1.0, 1.0};
-  const Vector y = a * x;
+  Vector y(2);
+  a.matvec(x.span(), y.span());
   EXPECT_DOUBLE_EQ(y[0], 3.0);
   EXPECT_DOUBLE_EQ(y[1], 7.0);
 }
@@ -153,27 +127,16 @@ TEST(Matrix, MatrixMultiply) {
   EXPECT_DOUBLE_EQ(ab(1, 1), 3.0);
 }
 
-TEST(Matrix, AddSubtractScale) {
+TEST(Matrix, Subtract) {
   const Matrix a{{1.0, 2.0}, {3.0, 4.0}};
   const Matrix b{{1.0, 1.0}, {1.0, 1.0}};
-  EXPECT_DOUBLE_EQ((a + b)(1, 1), 5.0);
   EXPECT_DOUBLE_EQ((a - b)(0, 0), 0.0);
-  EXPECT_DOUBLE_EQ((2.0 * a)(1, 0), 6.0);
-}
-
-TEST(Matrix, Transposed) {
-  const Matrix a{{1.0, 2.0, 3.0}, {4.0, 5.0, 6.0}};
-  const Matrix at = a.transposed();
-  EXPECT_EQ(at.rows(), 3u);
-  EXPECT_EQ(at.cols(), 2u);
-  EXPECT_DOUBLE_EQ(at(2, 1), 6.0);
+  EXPECT_DOUBLE_EQ((a - b)(1, 1), 3.0);
 }
 
 TEST(Matrix, Norms) {
   const Matrix a{{1.0, -2.0}, {-3.0, 4.0}};
   EXPECT_DOUBLE_EQ(norm_max(a), 4.0);
-  EXPECT_DOUBLE_EQ(norm_inf(a), 7.0);  // max row sum |−3|+|4|
-  EXPECT_DOUBLE_EQ(norm_frobenius(a), std::sqrt(30.0));
 }
 
 TEST(Matrix, AddScaled) {

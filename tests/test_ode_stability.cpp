@@ -19,7 +19,7 @@ using ehsim::linalg::polynomial_roots;
 using ehsim::ode::ab_real_axis_stability_limit;
 using ehsim::ode::ab_root_amplification;
 using ehsim::ode::ab_scalar_stable;
-using ehsim::ode::is_ab_step_stable;
+using ehsim::ode::is_step_empirically_stable;
 using ehsim::ode::max_stable_step;
 using ehsim::ode::max_stable_step_spectral;
 using ehsim::ode::refine_stable_step;
@@ -199,16 +199,20 @@ TEST(SpectralStep, UpperBoundRespected) {
   EXPECT_DOUBLE_EQ(max_stable_step_spectral(spectrum, 1, 0.05), 0.05);
 }
 
-TEST(IsAbStepStable, AgreesWithBruteForceOnOscillator) {
+TEST(RefineStableStep, AgreesWithBruteForceOnOscillator) {
   const double w = 100.0;
   const double zeta = 0.05;
   const Matrix a{{0.0, 1.0}, {-w * w, -2.0 * zeta * w}};
   const double h_ok = 0.5 * 2.0 * zeta / w;   // well inside for FE
   const double h_bad = 10.0 * 2.0 * zeta / w; // well outside
-  EXPECT_TRUE(is_ab_step_stable(a, 1, h_ok));
-  EXPECT_FALSE(is_ab_step_stable(a, 1, h_bad));
-  EXPECT_TRUE(ehsim::ode::is_step_empirically_stable(a, h_ok));
-  EXPECT_FALSE(ehsim::ode::is_step_empirically_stable(a, h_bad));
+  EXPECT_EQ(refine_stable_step(a, 1, h_ok, 0.0), h_ok);
+  EXPECT_TRUE(is_step_empirically_stable(a, h_ok));
+  EXPECT_FALSE(is_step_empirically_stable(a, h_bad));
+  // The refined step sits at the brute-force boundary, within a factor 2.
+  const double refined = refine_stable_step(a, 1, h_bad, 0.0);
+  EXPECT_LT(refined, h_bad);
+  EXPECT_TRUE(is_step_empirically_stable(a, 0.5 * refined));
+  EXPECT_FALSE(is_step_empirically_stable(a, 2.0 * refined));
 }
 
 TEST(RefineStableStep, ReturnsZeroBelowFloor) {

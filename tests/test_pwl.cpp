@@ -15,7 +15,6 @@ using ehsim::pwl::diode_conductance;
 using ehsim::pwl::diode_current;
 using ehsim::pwl::DiodeParams;
 using ehsim::pwl::DiodeTable;
-using ehsim::pwl::limit_junction_voltage;
 using ehsim::pwl::PwlTable;
 using ehsim::pwl::voltage_at_conductance;
 
@@ -64,14 +63,6 @@ TEST(PwlTable, InvalidConstruction) {
   EXPECT_THROW(PwlTable(nullptr, 0.0, 1.0, 4), ModelError);
   EXPECT_THROW(PwlTable([](double x) { return x; }, 1.0, 0.0, 4), ModelError);
   EXPECT_THROW(PwlTable([](double x) { return x; }, 0.0, 1.0, 0), ModelError);
-  EXPECT_THROW(PwlTable(std::vector<double>{1.0}, 0.0, 1.0), ModelError);
-}
-
-TEST(PwlTable, ExplicitBreakpointConstructor) {
-  const PwlTable table(std::vector<double>{0.0, 1.0, 4.0}, 0.0, 2.0);
-  EXPECT_EQ(table.segments(), 2u);
-  EXPECT_NEAR(table.value(0.5), 0.5, 1e-14);
-  EXPECT_NEAR(table.value(1.5), 2.5, 1e-14);
 }
 
 TEST(Diode, ShockleyCurrentAndConductanceConsistent) {
@@ -96,18 +87,6 @@ TEST(Diode, VoltageAtConductanceInvertsConductance) {
   const double g_target = 0.005;
   const double v = voltage_at_conductance(params, g_target);
   EXPECT_NEAR(diode_conductance(params, v), g_target, 1e-9);
-}
-
-TEST(Diode, JunctionLimitingPassesSmallSteps) {
-  const DiodeParams params;
-  EXPECT_DOUBLE_EQ(limit_junction_voltage(params, 0.2, 0.19), 0.2);
-}
-
-TEST(Diode, JunctionLimitingClampsOvershoot) {
-  const DiodeParams params;
-  const double limited = limit_junction_voltage(params, 5.0, 0.3);
-  EXPECT_LT(limited, 1.0);  // exponential overflow averted
-  EXPECT_GT(limited, 0.3);  // still moves forward
 }
 
 TEST(DiodeTable, CompanionMatchesShockleyAtOperatingPoints) {

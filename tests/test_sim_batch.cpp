@@ -39,7 +39,8 @@ TEST(BatchRunner, MapPreservesJobOrder) {
   EXPECT_EQ(runner.thread_count(), 4u);
   // Earlier jobs sleep longer, so completion order inverts submission order;
   // the result vector must still be indexed by job.
-  const auto results = runner.map<int>(16, [](std::size_t i) {
+  const std::vector<int> jobs(16);
+  const auto results = runner.map_items(jobs, [](int, std::size_t i) {
     std::this_thread::sleep_for(std::chrono::milliseconds((16 - i) % 4));
     return static_cast<int>(i * i);
   });
@@ -95,7 +96,8 @@ TEST(BatchRunner, LowestIndexExceptionWinsAfterDrain) {
   }
   EXPECT_EQ(completed.load(), 6);  // every non-throwing job still ran
   // The pool survives a failed batch.
-  const auto results = runner.map<int>(3, [](std::size_t i) { return static_cast<int>(i); });
+  std::vector<int> results(3);
+  runner.for_each_index(3, [&results](std::size_t i) { results[i] = static_cast<int>(i); });
   EXPECT_EQ(results, (std::vector<int>{0, 1, 2}));
 }
 
