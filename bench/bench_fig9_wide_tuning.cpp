@@ -101,8 +101,6 @@ void run_batch_sweep() {
               static_cast<unsigned long long>(forked_batch.shared_factorisations));
   std::printf("batch (4 threads):        %.2f s wall  (%u hardware threads)\n", parallel_wall,
               std::thread::hardware_concurrency());
-  std::printf("shared diode-table hits in the parallel batch: %zu of %zu jobs\n",
-              batch.shared_table_hits, batch.jobs);
   std::printf("batch traces bit-identical to separate runs: 1 thread %s, 4 threads %s\n",
               forked_exact ? "YES" : "NO", parallel_exact ? "YES" : "NO");
   if (!parallel_exact) {
@@ -125,7 +123,6 @@ void run_batch_sweep() {
   doc.set("jobs", static_cast<double>(batch.jobs));
   doc.set("separate_wall_seconds", separate_wall);
   doc.set("parallel_wall_seconds", parallel_wall);
-  doc.set("shared_table_hits", static_cast<double>(batch.shared_table_hits));
   io::JsonValue forked_json = io::JsonValue::make_object();
   forked_json.set("wall_seconds", forked_wall);
   forked_json.set("speedup_vs_separate", forked_speedup);

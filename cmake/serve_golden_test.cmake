@@ -3,10 +3,9 @@
 # ensemble, accuracy, autotune, stats, shutdown), then assert that every file
 # the daemon wrote is BIT-IDENTICAL (rtol 0, atol 0) to the one-shot
 # `ehsim <verb>` twin of the same spec — ignoring only the run-dependent
-# keys cpu_seconds and shared_diode_table (CSV traces are compared with no
-# ignores) — and that the daemon exits 0 with no error events. Both sides
-# run serve::execute, so this is the end-to-end gate for the shared
-# executor.
+# key cpu_seconds (CSV traces are compared with no ignores) — and that the
+# daemon exits 0 with no error events. Both sides run serve::execute, so
+# this is the end-to-end gate for the shared executor.
 #
 # Required -D variables: EHSIM (binary), SPEC_DIR (checked-in specs:
 # golden_charging.json, golden_serve_sweep.json, golden_optimise.json,
@@ -87,7 +86,7 @@ foreach(name ${reference_files})
   if(name MATCHES "\\.csv$")
     set(ignore_args "")
   else()
-    set(ignore_args --ignore cpu_seconds,shared_diode_table)
+    set(ignore_args --ignore cpu_seconds)
   endif()
   execute_process(
     COMMAND ${EHSIM} compare ${ONESHOT_DIR}/${name} ${SERVE_DIR}/${name}

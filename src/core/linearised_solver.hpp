@@ -134,10 +134,16 @@ class LinearisedSolver final : public AnalogEngine {
   /// Eliminate the terminals with this solver's own Jyy LU and record the
   /// derivative sample: the point becomes fresh.
   void eliminate();
+  /// Re-derive the eliminated-system stability cap every this many steps...
+  static constexpr std::size_t kStabilityCheckInterval = 256;
+  /// ...or sooner, when the Jacobian max-norm drifts relatively more than
+  /// this since the last stability evaluation (diode segment changes trip
+  /// this within a few steps, which is when the cap actually moves).
+  static constexpr double kStabilityDriftThreshold = 0.2;
   /// Whether the Eq. 7 cap must be re-derived before the next step.
   [[nodiscard]] bool stability_due() const noexcept {
-    return stability_due_ || steps_since_stability_ >= config_.stability_check_interval ||
-           drift_since_stability_ > config_.stability_drift_threshold;
+    return stability_due_ || steps_since_stability_ >= kStabilityCheckInterval ||
+           drift_since_stability_ > kStabilityDriftThreshold;
   }
   /// Install the current linearisation's own Eq. 7 cap when reuse is
   /// enabled and the cap was evaluated before; counts as a stability reuse.

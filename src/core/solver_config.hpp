@@ -24,12 +24,6 @@ struct SolverConfig {
 
   /// Safety factor applied to the Eq. 7 stability step.
   double stability_safety = 0.75;
-  /// Recompute the eliminated-system stability cap every this many steps...
-  std::size_t stability_check_interval = 256;
-  /// ...or sooner, when the Jacobian max-norm drifts relatively more than
-  /// this since the last stability evaluation (diode segment changes trip
-  /// this within a few steps, which is when the cap actually moves).
-  double stability_drift_threshold = 0.2;
   /// Disable the Eq. 7 cap entirely (ablation A3 only — unstable for large
   /// fixed steps, which is precisely what the ablation demonstrates).
   bool enable_stability_cap = true;

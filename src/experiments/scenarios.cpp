@@ -122,7 +122,6 @@ ScenarioResult collect_experiment(const ExperimentSpec& spec, PreparedExperiment
   result.sim_seconds = spec.duration;
   result.cpu_seconds = run.cpu_seconds();
   result.stats = run.stats();
-  result.shared_diode_table = run.system().multiplier().table_shared();
   const core::TraceRecorder& trace = run.session().trace();
   result.time = trace.times();
   result.vc = trace.column("Vc");
@@ -226,6 +225,62 @@ CheckpointMetaInfo parse_checkpoint_meta(const sim::Checkpoint& checkpoint,
   return info;
 }
 
+/// March a prepared job to spec.duration: the one loop every job's own
+/// march takes, plain, checkpointed or resumed. When resuming, it first
+/// restores the job's file, which must be a boundary of the requested
+/// cadence. Without a cadence it runs to the end in one go; with one it
+/// marches in chunks to k * every and commits a checkpoint at each boundary
+/// (written beside the file, then renamed over it, so a kill mid-write
+/// leaves the previous boundary's file intact). Throws CheckpointAbort once
+/// the abort_after hook's count of files is written.
+void march(const ExperimentSpec& spec, PreparedExperiment& prep,
+           const std::optional<CheckpointOptions>& checkpointing) {
+  const double every = checkpointing ? checkpointing->every : 0.0;
+  const std::string path = checkpointing ? checkpoint_file_path(*checkpointing, spec.name) : "";
+  double t = 0.0;
+  std::uint64_t index = 0;
+  if (checkpointing && checkpointing->resume && std::filesystem::exists(path)) {
+    const std::string what = "checkpoint '" + path + "'";
+    const sim::Checkpoint checkpoint = sim::Checkpoint::read_file(path);
+    const CheckpointMetaInfo info = parse_checkpoint_meta(checkpoint, spec, what);
+    // An uninterrupted run at this cadence cuts boundary k at exactly
+    // k * every; a file cut elsewhere would resume onto other boundaries.
+    if (every > 0.0 && info.sim_time < spec.duration &&
+        static_cast<double>(info.index) * every != info.sim_time) {
+      throw ModelError(what + " was cut at t = " + io::JsonValue(info.sim_time).dump() +
+                       " (checkpoint " + std::to_string(info.index) +
+                       "), which is not a boundary of the requested checkpoint cadence " +
+                       io::JsonValue(every).dump() +
+                       " s — resume with the cadence it was written at, or with none");
+    }
+    prep.session->restore_checkpoint(checkpoint);
+    t = info.sim_time;
+    index = info.index;
+  }
+  int written = 0;
+  while (t < spec.duration) {
+    const double target =
+        every > 0.0 ? std::min(spec.duration, static_cast<double>(index + 1) * every)
+                    : spec.duration;
+    prep.session->run_until(target);
+    t = target;
+    if (every > 0.0) {
+      ++index;
+      const std::string staged = path + ".next";
+      prep.session->save_checkpoint(checkpoint_meta(spec, t, index)).write_file(staged);
+      std::filesystem::rename(staged, path);
+      if (checkpointing->on_checkpoint) {
+        checkpointing->on_checkpoint(path, spec.name, t);
+      }
+      ++written;
+      if (checkpointing->abort_after >= 0 && written >= checkpointing->abort_after) {
+        throw CheckpointAbort("job '" + spec.name + "' stopped after " +
+                              std::to_string(written) + " checkpoint(s)");
+      }
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Prefix forks
 // ---------------------------------------------------------------------------
@@ -269,9 +324,10 @@ core::LinearisedSolver& linearised_solver(PreparedExperiment& prep) {
 /// there), and a snapshot of it is restored into each follower when the
 /// follower's tail starts. Leader legs, then every job's own continuation,
 /// run as BatchRunner items, so results equal a run_experiment of each job
-/// bit for bit at any thread count. Fills the fork counters of \p stats.
+/// bit for bit at any thread count. Checkpointed jobs cut their own
+/// boundaries and never fork. Fills the fork counters of \p stats.
 std::vector<ScenarioResult> run_forked_batch(const std::vector<ScenarioJob>& jobs,
-                                             std::size_t threads, BatchStats& stats) {
+                                             const BatchOptions& options, BatchStats& stats) {
   const std::size_t n = jobs.size();
 
   // The plan, in one pass. Jobs fall into fork classes by masked spec (no
@@ -289,7 +345,7 @@ std::vector<ScenarioResult> run_forked_batch(const std::vector<ScenarioJob>& job
   std::vector<harvester::HarvesterParams> params(n);
   for (std::size_t i = 0; i < n; ++i) {
     const ScenarioJob& job = jobs[i];
-    if (job.spec.engine != EngineKind::kProposed) {
+    if (job.spec.engine != EngineKind::kProposed || options.checkpoint) {
       continue;
     }
     params[i] = job.params ? *job.params : experiment_params(job.spec);
@@ -327,7 +383,7 @@ std::vector<ScenarioResult> run_forked_batch(const std::vector<ScenarioJob>& job
   }
 
   // Leader legs: march to each fork time in turn, snapshot, march on.
-  sim::BatchRunner runner(threads);
+  sim::BatchRunner runner(options.threads);
   std::vector<PreparedExperiment> prepared(n);
   std::vector<std::vector<Fork>> forks(n);
   runner.for_each_index(leaders.size(), [&](std::size_t k) {
@@ -363,7 +419,7 @@ std::vector<ScenarioResult> run_forked_batch(const std::vector<ScenarioJob>& job
       prep.session->restore_checkpoint(fork.checkpoint);
       linearised_solver(prep).transplant(fork.linearisations);
     }
-    prep.session->run_until(job.spec.duration);
+    march(job.spec, prep, options.checkpoint);
     results[i] = collect_experiment(job.spec, prep);
   });
   return results;
@@ -396,7 +452,7 @@ ScenarioResult finish_run(const ExperimentSpec& spec, PreparedRun& run) {
                      "already finished)");
   }
   PreparedExperiment& prep = run.impl_->prep;
-  prep.session->run_until(spec.duration);
+  march(spec, prep, std::nullopt);
   ScenarioResult result = collect_experiment(spec, prep);
   run.impl_.reset();  // the transient has consumed the session
   return result;
@@ -408,109 +464,26 @@ ScenarioResult run_experiment(const ExperimentSpec& spec,
   return finish_run(spec, run);
 }
 
-namespace {
-
-/// The batch-wide counts of every batch; the fork counters are left to
-/// run_forked_batch.
-void fill_batch_stats(BatchStats& stats, const std::vector<ScenarioResult>& results) {
-  stats.jobs = results.size();
-  stats.shared_table_hits = static_cast<std::size_t>(
-      std::count_if(results.begin(), results.end(),
-                    [](const ScenarioResult& r) { return r.shared_diode_table; }));
-}
-
-}  // namespace
-
-std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& jobs,
-                                               const BatchOptions& options,
-                                               BatchStats* stats) {
-  BatchStats batch;
-  std::vector<ScenarioResult> results;
-  if (!jobs.empty()) {  // an empty batch never spins up a thread pool
-    results = run_forked_batch(jobs, options.threads, batch);
-  }
-  fill_batch_stats(batch, results);
-  if (stats != nullptr) {
-    *stats = batch;
-  }
-  return results;
-}
-
 std::string checkpoint_file_path(const CheckpointOptions& options, const std::string& job_name) {
   return (std::filesystem::path(options.dir) / (io::safe_file_stem(job_name) + ".ckpt.json"))
       .string();
 }
 
-std::optional<ScenarioResult> run_experiment_checkpointed(
-    const ExperimentSpec& spec, const CheckpointOptions& checkpointing,
-    const harvester::HarvesterParams* params_override) {
-  if (checkpointing.dir.empty()) {
-    throw ModelError("checkpointing: a checkpoint directory is required");
-  }
-  std::filesystem::create_directories(checkpointing.dir);
-  PreparedExperiment prep = prepare_experiment(spec, params_override);
-  const std::string path = checkpoint_file_path(checkpointing, spec.name);
-  double t = 0.0;
-  std::uint64_t index = 0;
-  if (checkpointing.resume && std::filesystem::exists(path)) {
-    const std::string what = "checkpoint '" + path + "'";
-    const sim::Checkpoint checkpoint = sim::Checkpoint::read_file(path);
-    const CheckpointMetaInfo info = parse_checkpoint_meta(checkpoint, spec, what);
-    prep.session->restore_checkpoint(checkpoint);
-    t = info.sim_time;
-    index = info.index;
-  }
-  int written = 0;
-  while (t < spec.duration) {
-    const double target =
-        checkpointing.every > 0.0
-            ? std::min(spec.duration, static_cast<double>(index + 1) * checkpointing.every)
-            : spec.duration;
-    prep.session->run_until(target);
-    t = target;
-    if (checkpointing.every > 0.0) {
-      ++index;
-      // Write beside the file, then rename over it: a kill mid-write leaves
-      // the previous boundary's file intact.
-      const std::string staged = path + ".next";
-      prep.session->save_checkpoint(checkpoint_meta(spec, t, index)).write_file(staged);
-      std::filesystem::rename(staged, path);
-      if (checkpointing.on_checkpoint) {
-        checkpointing.on_checkpoint(path, spec.name, t);
-      }
-      ++written;
-      if (checkpointing.abort_after >= 0 && written >= checkpointing.abort_after) {
-        return std::nullopt;
-      }
+std::vector<ScenarioResult> run_scenario_batch(const std::vector<ScenarioJob>& jobs,
+                                               const BatchOptions& options,
+                                               BatchStats* stats) {
+  if (options.checkpoint) {
+    if (options.checkpoint->dir.empty()) {
+      throw ModelError("checkpointing: a checkpoint directory is required");
     }
-  }
-  return collect_experiment(spec, prep);
-}
-
-std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
-    const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
-    const CheckpointOptions& checkpointing, BatchStats* stats) {
-  if (checkpointing.dir.empty()) {
-    throw ModelError("checkpointing: a checkpoint directory is required");
-  }
-  std::filesystem::create_directories(checkpointing.dir);
-  // Checkpointed jobs do not fork: each cuts its own boundaries.
-  sim::BatchRunner runner(options.threads);
-  std::vector<std::optional<ScenarioResult>> partial =
-      runner.map_items(jobs, [&checkpointing](const ScenarioJob& job, std::size_t) {
-        return run_experiment_checkpointed(job.spec, checkpointing,
-                                           job.params ? &*job.params : nullptr);
-      });
-  std::vector<ScenarioResult> results;
-  results.reserve(partial.size());
-  for (std::optional<ScenarioResult>& result : partial) {
-    if (!result) {
-      return std::nullopt;  // the abort_after test hook stopped this job
-    }
-    results.push_back(std::move(*result));
+    std::filesystem::create_directories(options.checkpoint->dir);
   }
   BatchStats batch;
-  fill_batch_stats(batch, results);
+  std::vector<ScenarioResult> results;
+  if (!jobs.empty()) {  // an empty batch never spins up a thread pool
+    results = run_forked_batch(jobs, options, batch);
+  }
+  batch.jobs = results.size();
   if (stats != nullptr) {
     *stats = batch;
   }

@@ -21,6 +21,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -45,9 +46,6 @@ struct ScenarioResult {
   double sim_seconds = 0.0;
   double cpu_seconds = 0.0;
   core::SolverStats stats;
-  /// This job's PWL diode table came out of the process-wide shared-table
-  /// cache (see pwl/table_cache.hpp) instead of being built privately.
-  bool shared_diode_table = false;
 
   std::vector<double> time;  ///< decimated trace times
   std::vector<double> vc;    ///< supercapacitor voltage trace
@@ -135,10 +133,6 @@ struct ScenarioJob {
 /// Aggregate statistics of one run_scenario_batch call.
 struct BatchStats {
   std::size_t jobs = 0;
-  /// Jobs whose immutable PWL diode table was shared from the process-wide
-  /// cache rather than rebuilt (ROADMAP hot-path item: identical model
-  /// structure across a sweep pays for one table build).
-  std::size_t shared_table_hits = 0;
   /// Prefix forks, both 0 in checkpointed batches (the names stay for the
   /// benchmarks that read them): leader snapshots taken, one per distinct
   /// fork time of a leader.
@@ -153,24 +147,17 @@ struct BatchStats {
 /// next benchmark change.
 enum class BatchKernel { kJobs, kLockstep };
 
-/// Execution options of one run_scenario_batch call.
-struct BatchOptions {
-  /// Worker count: 0 picks the hardware concurrency, 1 runs serially.
-  std::size_t threads = 0;
-  /// Ignored; see BatchKernel.
-  BatchKernel batch_kernel = BatchKernel::kJobs;
-};
-
 // ---- Checkpoint / restart -------------------------------------------------
 
-/// Periodic mid-run checkpointing of experiments and batches. Checkpoints
-/// are cut at absolute simulated times k * `every` (k = 1, 2, ...), so the
-/// boundary schedule — and therefore the trajectory, which lands exactly on
-/// each boundary — is a pure function of the options, never of when a
-/// process died. A killed run resumed from its last checkpoint file is
-/// bit-identical (modulo cpu_seconds) to an uninterrupted run *with the same
-/// checkpoint options*; runs without checkpointing stay byte-identical to
-/// the pre-checkpoint behaviour. Document format: docs/checkpoint_format.md.
+/// Periodic mid-run checkpointing of a batch's jobs. Checkpoints are cut at
+/// absolute simulated times k * `every` (k = 1, 2, ...), so the boundary
+/// schedule — and therefore the trajectory, which lands exactly on each
+/// boundary — is a pure function of the options, never of when a process
+/// died. A killed run resumed from its last checkpoint file with the same
+/// cadence is bit-identical (modulo cpu_seconds) to an uninterrupted run
+/// *with the same checkpoint options*; a resume at another cadence is
+/// refused. Runs without checkpointing stay byte-identical to the
+/// pre-checkpoint behaviour. Document format: docs/checkpoint_format.md.
 struct CheckpointOptions {
   /// Simulated seconds between checkpoints; <= 0 writes none (useful to
   /// resume a run and finish it without further checkpoints — note this
@@ -183,11 +170,13 @@ struct CheckpointOptions {
   /// Restore any job whose checkpoint file already exists in `dir` before
   /// running (missing files start the job from t = 0). The embedded spec is
   /// compared against the job's spec and a mismatch throws — a checkpoint
-  /// never silently continues a different experiment.
+  /// never silently continues a different experiment — and so does a file
+  /// that is not a boundary of `every` (when `every` > 0).
   bool resume = false;
-  /// Test hook (the resume goldens' deterministic "kill"): stop after this
-  /// many checkpoint writes per job — the run returns std::nullopt instead
-  /// of a result, leaving the files on disk. < 0: never.
+  /// Test hook (the resume goldens' deterministic "kill"): once a job has
+  /// written this many checkpoint files it throws CheckpointAbort, leaving
+  /// the files on disk. The batch drains first, so every job stops at its
+  /// own count. < 0: never.
   int abort_after = -1;
   /// Invoked after each checkpoint file write (the serve daemon's NDJSON
   /// `checkpoint` events): (path, job name, simulated time). May be empty.
@@ -196,24 +185,29 @@ struct CheckpointOptions {
       on_checkpoint;
 };
 
+/// What a job throws once CheckpointOptions::abort_after stopped it. Not a
+/// ModelError: nothing is wrong with the run, and its files resume it.
+class CheckpointAbort : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
+};
+
 /// The checkpoint file of one job under \p options.dir (the stem is
 /// io::safe_file_stem(job_name), so sweep job names with '/' separators
 /// flatten to one file each).
 [[nodiscard]] std::string checkpoint_file_path(const CheckpointOptions& options,
                                                const std::string& job_name);
 
-/// run_experiment with periodic checkpoints (and optional resume). Returns
-/// std::nullopt only when CheckpointOptions::abort_after stopped the run.
-[[nodiscard]] std::optional<ScenarioResult> run_experiment_checkpointed(
-    const ExperimentSpec& spec, const CheckpointOptions& checkpointing,
-    const harvester::HarvesterParams* params_override = nullptr);
-
-/// run_scenario_batch with per-job checkpoint files: every job checkpoints
-/// at its own absolute boundaries on the worker threads, without forks.
-/// Returns std::nullopt when abort_after stopped any job.
-[[nodiscard]] std::optional<std::vector<ScenarioResult>> run_scenario_batch_checkpointed(
-    const std::vector<ScenarioJob>& jobs, const BatchOptions& options,
-    const CheckpointOptions& checkpointing, BatchStats* stats = nullptr);
+/// Execution options of one run_scenario_batch call.
+struct BatchOptions {
+  /// Worker count: 0 picks the hardware concurrency, 1 runs serially.
+  std::size_t threads = 0;
+  /// Ignored; see BatchKernel.
+  BatchKernel batch_kernel = BatchKernel::kJobs;
+  /// Set: every job writes periodic checkpoint files (and resumes from
+  /// them) and marches on its own; checkpointed jobs never fork.
+  std::optional<CheckpointOptions> checkpoint{};
+};
 
 /// Execute a batch of scenario jobs across a fixed thread pool, in job
 /// order. Jobs that share a prefix march it once: a job forks from the
@@ -224,7 +218,9 @@ struct CheckpointOptions {
 /// every job continues on its own. Every other job runs on its own.
 /// Results equal a run_experiment of each job bit for bit, at any thread
 /// count, except cpu_seconds: a forked job's counts its march from the
-/// fork, and the shared prefix counts once, in its leader's. threads = 0
+/// fork, and the shared prefix counts once, in its leader's. With
+/// options.checkpoint set no job forks, and the batch throws
+/// CheckpointAbort when its abort_after hook stopped any job. threads = 0
 /// uses the hardware concurrency. An empty job vector returns immediately
 /// without spinning up the pool.
 [[nodiscard]] std::vector<ScenarioResult> run_scenario_batch(

@@ -124,40 +124,17 @@ std::vector<ExperimentSpec> SweepSpec::expand() const {
   return specs;
 }
 
-namespace {
-
-/// Shared expansion of run_sweep / run_sweep_checkpointed: one uniquely
-/// named job per sweep point, batch options resolved against the spec.
-std::vector<ScenarioJob> expand_jobs(const SweepSpec& sweep, const BatchOptions& options,
-                                     BatchOptions& batch) {
-  std::vector<ExperimentSpec> specs = sweep.expand();
+std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep, const BatchOptions& options,
+                                      BatchStats* stats) {
   std::vector<ScenarioJob> jobs;
-  jobs.reserve(specs.size());
-  for (ExperimentSpec& spec : specs) {
+  for (ExperimentSpec& spec : sweep.expand()) {
     jobs.push_back(ScenarioJob{std::move(spec), std::nullopt});
   }
-  batch = options;
+  BatchOptions batch = options;
   if (batch.threads == 0) {
     batch.threads = sweep.threads;
   }
-  return jobs;
-}
-
-}  // namespace
-
-std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep, const BatchOptions& options,
-                                      BatchStats* stats) {
-  BatchOptions batch;
-  const std::vector<ScenarioJob> jobs = expand_jobs(sweep, options, batch);
   return run_scenario_batch(jobs, batch, stats);
-}
-
-std::optional<std::vector<ScenarioResult>> run_sweep_checkpointed(
-    const SweepSpec& sweep, const BatchOptions& options, const CheckpointOptions& checkpointing,
-    BatchStats* stats) {
-  BatchOptions batch;
-  const std::vector<ScenarioJob> jobs = expand_jobs(sweep, options, batch);
-  return run_scenario_batch_checkpointed(jobs, batch, checkpointing, stats);
 }
 
 }  // namespace ehsim::experiments

@@ -74,16 +74,10 @@ void set_spec_value(ExperimentSpec& spec, const std::string& path, double value)
 [[nodiscard]] std::string value_text(double value);
 
 /// Expand and execute a sweep through run_scenario_batch (threads = 0 in
-/// \p options falls back to spec.threads).
+/// \p options falls back to spec.threads), checkpointed when
+/// options.checkpoint is set.
 [[nodiscard]] std::vector<ScenarioResult> run_sweep(const SweepSpec& sweep,
                                                     const BatchOptions& options = {},
                                                     BatchStats* stats = nullptr);
-
-/// run_sweep with per-job checkpoint files and resume (see CheckpointOptions
-/// in scenarios.hpp). Returns std::nullopt only when the abort_after test
-/// hook stopped the sweep.
-[[nodiscard]] std::optional<std::vector<ScenarioResult>> run_sweep_checkpointed(
-    const SweepSpec& sweep, const BatchOptions& options,
-    const CheckpointOptions& checkpointing, BatchStats* stats = nullptr);
 
 }  // namespace ehsim::experiments

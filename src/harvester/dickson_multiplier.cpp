@@ -6,21 +6,6 @@
 
 namespace ehsim::harvester {
 
-namespace {
-
-std::shared_ptr<const pwl::DiodeTable> make_table(const MultiplierParams& params,
-                                                  bool& was_shared) {
-  if (params.share_diode_table) {
-    return pwl::shared_diode_table(params.diode, params.table_segments, params.table_v_min,
-                                   params.table_g_max, &was_shared);
-  }
-  was_shared = false;
-  return std::make_shared<const pwl::DiodeTable>(params.diode, params.table_segments,
-                                                 params.table_v_min, params.table_g_max);
-}
-
-}  // namespace
-
 DicksonMultiplier::DicksonMultiplier(const MultiplierParams& params, DeviceEvalMode mode)
     : core::AnalogBlock("multiplier", params.stages + 1, 4, 2),
       params_(params),
@@ -33,7 +18,8 @@ DicksonMultiplier::DicksonMultiplier(const MultiplierParams& params, DeviceEvalM
   if (!(params_.stage_capacitance > 0.0) || !(params_.input_filter_capacitance > 0.0)) {
     throw ModelError("DicksonMultiplier: capacitances must be positive");
   }
-  table_ = make_table(params_, table_shared_);
+  table_ = pwl::shared_diode_table(params_.diode, params_.table_segments, params_.table_v_min,
+                                   params_.table_g_max);
 }
 
 void DicksonMultiplier::diode_companion(double vd, double& current, double& conductance) const {

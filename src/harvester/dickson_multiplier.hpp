@@ -70,9 +70,6 @@ class DicksonMultiplier final : public core::AnalogBlock {
   [[nodiscard]] const MultiplierParams& params() const noexcept { return params_; }
   [[nodiscard]] DeviceEvalMode mode() const noexcept { return mode_; }
   [[nodiscard]] const pwl::DiodeTable& table() const noexcept { return *table_; }
-  /// True when the table came out of the process-wide shared-table cache
-  /// (params().share_diode_table and another live model already built it).
-  [[nodiscard]] bool table_shared() const noexcept { return table_shared_; }
   [[nodiscard]] std::size_t stages() const noexcept { return params_.stages; }
 
   /// Diode voltage of diode \p index (1..stages+1) at the given solution.
@@ -89,8 +86,7 @@ class DicksonMultiplier final : public core::AnalogBlock {
 
   MultiplierParams params_;
   DeviceEvalMode mode_;
-  std::shared_ptr<const pwl::DiodeTable> table_;  ///< immutable, possibly shared
-  bool table_shared_ = false;
+  std::shared_ptr<const pwl::DiodeTable> table_;  ///< immutable, shared (pwl/table_cache.hpp)
   // Per-call scratch for diode currents/conductances (sized stages+1).
   mutable std::vector<double> id_;
   mutable std::vector<double> gd_;

@@ -81,11 +81,6 @@ struct MultiplierParams {
   std::size_t table_segments = 512;  ///< PWL granularity (ablation A2)
   double table_g_max = 0.005;         ///< conductance clamp [S]; bounds Eq. 7 step
   double table_v_min = -6.0;         ///< reverse-bias table extent [V]
-  /// Fetch the (immutable) PWL table from the process-wide cache so batch
-  /// jobs with identical model structure share one instance — bit-identical
-  /// to a privately built table (pwl/table_cache.hpp). Disable to force a
-  /// private build (ablation / cache bit-identity tests).
-  bool share_diode_table = true;
 
   [[nodiscard]] bool operator==(const MultiplierParams&) const = default;
 };

@@ -293,10 +293,6 @@ constexpr Field<core::SolverConfig> kSolverFields[] = {
     {"h_max", &core::SolverConfig::h_max, kUnlessDefault | kPath},
     {"h_initial", &core::SolverConfig::h_initial, kUnlessDefault | kPath},
     {"stability_safety", &core::SolverConfig::stability_safety, kUnlessDefault | kPath},
-    {"stability_check_interval", &core::SolverConfig::stability_check_interval,
-     kUnlessDefault},
-    {"stability_drift_threshold", &core::SolverConfig::stability_drift_threshold,
-     kUnlessDefault},
     {"enable_stability_cap", &core::SolverConfig::enable_stability_cap, kUnlessDefault},
     {"lle_tolerance", &core::SolverConfig::lle_tolerance, kUnlessDefault | kPath},
     {"enable_lle_control", &core::SolverConfig::enable_lle_control, kUnlessDefault},
@@ -849,7 +845,6 @@ JsonValue to_json(const ScenarioResult& result) {
   json.set("engine", result.engine);
   json.set("sim_seconds", result.sim_seconds);
   json.set("cpu_seconds", result.cpu_seconds);
-  json.set("shared_diode_table", result.shared_diode_table);
 
   JsonValue stats = JsonValue::make_object();
   stats.set("steps", result.stats.steps);

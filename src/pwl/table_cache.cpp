@@ -49,14 +49,11 @@ constexpr std::size_t kMaxEntries = 32;
 
 /// Linear scan for \p key (32 entries max — a map would be overkill).
 /// Returns the shared instance and counts the hit, or nullptr.
-std::shared_ptr<const DiodeTable> find_locked(Cache& c, const TableKey& key,
-                                              bool* was_hit) EHSIM_REQUIRES(c.mutex) {
+std::shared_ptr<const DiodeTable> find_locked(Cache& c, const TableKey& key)
+    EHSIM_REQUIRES(c.mutex) {
   for (const CacheEntry& entry : c.entries) {
     if (entry.key == key) {
       ++c.hits;
-      if (was_hit != nullptr) {
-        *was_hit = true;
-      }
       return entry.table;
     }
   }
@@ -67,7 +64,7 @@ std::shared_ptr<const DiodeTable> find_locked(Cache& c, const TableKey& key,
 
 std::shared_ptr<const DiodeTable> shared_diode_table(const DiodeParams& params,
                                                      std::size_t segments, double v_min,
-                                                     double g_max, bool* was_hit) {
+                                                     double g_max) {
   const TableKey key{params.saturation_current, params.emission_coefficient,
                      params.thermal_voltage,   params.g_min,
                      segments,                 v_min,
@@ -75,7 +72,7 @@ std::shared_ptr<const DiodeTable> shared_diode_table(const DiodeParams& params,
   Cache& c = cache();
   {
     const core::MutexLock lock(c.mutex);
-    if (auto table = find_locked(c, key, was_hit)) {
+    if (auto table = find_locked(c, key)) {
       return table;
     }
   }
@@ -84,15 +81,12 @@ std::shared_ptr<const DiodeTable> shared_diode_table(const DiodeParams& params,
   // worse — both results are bit-identical.
   auto table = std::make_shared<const DiodeTable>(params, segments, v_min, g_max);
   const core::MutexLock lock(c.mutex);
-  if (auto incumbent = find_locked(c, key, was_hit)) {
+  if (auto incumbent = find_locked(c, key)) {
     // Lost the race; share the incumbent so concurrent callers converge
     // on one instance.
     return incumbent;
   }
   ++c.misses;
-  if (was_hit != nullptr) {
-    *was_hit = false;
-  }
   if (c.entries.size() >= kMaxEntries) {
     c.entries.pop_front();
   }

@@ -27,13 +27,11 @@ struct TableCacheStats {
 };
 
 /// Fetch (or build and cache) the table for the given construction key.
-/// \p was_hit, when non-null, reports whether an existing table was shared.
 /// Sharing is safe because DiodeTable is deeply immutable; a shared table is
 /// bit-identical to a privately constructed one.
 [[nodiscard]] std::shared_ptr<const DiodeTable> shared_diode_table(const DiodeParams& params,
                                                                    std::size_t segments,
-                                                                   double v_min, double g_max,
-                                                                   bool* was_hit = nullptr);
+                                                                   double v_min, double g_max);
 
 [[nodiscard]] TableCacheStats diode_table_cache_stats();
 

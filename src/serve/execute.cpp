@@ -18,22 +18,22 @@ void write_document(const std::string& dir, const std::string& name, const char*
 
 /// run, sweep and resume: one experiment (as a one-job batch) or a sweep,
 /// optionally checkpointed.
-bool run_scenarios(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
+void run_scenarios(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
                    ExecuteSink& sink) {
-  std::optional<experiments::CheckpointOptions> checkpointing = options.checkpoint;
-  if (verb == RequestType::kResume && !checkpointing) {
+  experiments::BatchOptions batch;
+  batch.checkpoint = options.checkpoint;
+  if (verb == RequestType::kResume && !batch.checkpoint) {
     throw ModelError("'resume' needs checkpoint options naming the directory to resume from");
   }
-  if (checkpointing) {
-    checkpointing->resume = verb == RequestType::kResume;
-    checkpointing->on_checkpoint = [&sink](const std::string& path, const std::string& job,
-                                           double sim_time) {
+  if (batch.checkpoint) {
+    batch.checkpoint->resume = verb == RequestType::kResume;
+    batch.checkpoint->on_checkpoint = [&sink](const std::string& path, const std::string& job,
+                                              double sim_time) {
       sink.checkpoint(path, job, sim_time);
     };
   }
 
-  experiments::BatchOptions batch;
-  std::optional<std::vector<experiments::ScenarioResult>> results;
+  std::vector<experiments::ScenarioResult> results;
   std::size_t jobs = 0;
   if (const auto* sweep = spec.get_if<experiments::SweepSpec>()) {
     sweep->validate();
@@ -41,32 +41,24 @@ bool run_scenarios(RequestType verb, const io::AnySpec& spec, const ExecuteOptio
     jobs = sweep->job_count();
     sink.progress(jobs);
     batch.threads = options.threads;
-    results = checkpointing ? experiments::run_sweep_checkpointed(*sweep, batch, *checkpointing)
-                            : experiments::run_sweep(*sweep, batch);
+    results = experiments::run_sweep(*sweep, batch);
   } else {
     const auto& experiment = *spec.get_if<experiments::ExperimentSpec>();
     sink.started(experiment.name);
     batch.threads = 1;  // one job — run inline, never spin up a pool
-    const std::vector<experiments::ScenarioJob> one{{experiment, std::nullopt}};
-    results = checkpointing
-                  ? experiments::run_scenario_batch_checkpointed(one, batch, *checkpointing)
-                  : experiments::run_scenario_batch(one, batch);
+    results = experiments::run_scenario_batch({{experiment, std::nullopt}}, batch);
   }
-  if (!results) {
-    return false;
-  }
-  for (std::size_t i = 0; i < results->size(); ++i) {
+  for (std::size_t i = 0; i < results.size(); ++i) {
     if (!options.out_dir.empty()) {
-      io::write_result_files(options.out_dir, (*results)[i]);
+      io::write_result_files(options.out_dir, results[i]);
     }
-    sink.result((*results)[i], i, jobs);
+    sink.result(results[i], i, jobs);
   }
-  return true;
 }
 
 }  // namespace
 
-bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
+void execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
              ExecuteSink& sink) {
   check_spec_flavour(verb, spec);
   const std::string& out = options.out_dir;
@@ -74,7 +66,8 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
     case RequestType::kRun:
     case RequestType::kSweep:
     case RequestType::kResume:
-      return run_scenarios(verb, spec, options, sink);
+      run_scenarios(verb, spec, options, sink);
+      break;
     case RequestType::kEnsemble: {
       const auto& ensemble = *spec.get_if<experiments::EnsembleSpec>();
       sink.started(ensemble.base.name);
@@ -88,7 +81,7 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
         }
       }
       sink.result(result);
-      return true;
+      break;
     }
     case RequestType::kOptimise: {
       const auto& optimise = *spec.get_if<experiments::OptimiseSpec>();
@@ -99,7 +92,7 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
         io::write_result_files(out, result.best_run);
       }
       sink.result(result);
-      return true;
+      break;
     }
     case RequestType::kAccuracy: {
       experiments::AccuracyOptions accuracy;
@@ -117,7 +110,7 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
         write_document(out, report.name, "accuracy", io::to_json(report));
       }
       sink.result(report);
-      return true;
+      break;
     }
     case RequestType::kAutotune: {
       const auto& autotune = *spec.get_if<experiments::AutotuneSpec>();
@@ -128,14 +121,13 @@ bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& op
         io::write_result_files(out, outcome.best_run);
       }
       sink.result(outcome);
-      return true;
+      break;
     }
     case RequestType::kCancel:
     case RequestType::kStats:
     case RequestType::kShutdown:
       break;  // check_spec_flavour already refused: no control type takes a spec
   }
-  return true;
 }
 
 }  // namespace ehsim::serve

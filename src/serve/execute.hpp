@@ -10,7 +10,8 @@
 /// and the daemon is only how progress and results are reported, which is
 /// the ExecuteSink: the daemon's sink streams NDJSON events, the CLI's
 /// prints the summary lines. Because both run this one path, a daemon
-/// response is the one-shot document of the same spec and flags.
+/// response is the one-shot document of the same spec and flags, modulo
+/// cpu_seconds.
 #pragma once
 
 #include <cstddef>
@@ -73,10 +74,11 @@ struct ExecuteOptions {
 
 /// Run job verb \p verb on \p spec and report to \p sink. Throws ProtocolError
 /// when the spec is not a flavour the verb accepts, and ModelError (or a
-/// SolverError) from the run itself. Returns false only when the checkpoint
-/// options' abort_after test hook stopped the run (its files are on disk
-/// for a later resume; nothing is reported).
-bool execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
+/// SolverError) from the run itself. When the checkpoint options'
+/// abort_after test hook stopped the run, the experiments::CheckpointAbort
+/// passes through: its files are on disk for a later resume, and nothing is
+/// reported.
+void execute(RequestType verb, const io::AnySpec& spec, const ExecuteOptions& options,
              ExecuteSink& sink);
 
 }  // namespace ehsim::serve

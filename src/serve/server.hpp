@@ -9,11 +9,11 @@
 ///
 /// Every job request runs through serve::execute (execute.hpp), the same
 /// executor `ehsim <verb>` calls, so every response is the one-shot
-/// document of the same spec — modulo the run-dependent fields
-/// "cpu_seconds" and "shared_diode_table" (the golden serve ctest pins
-/// exactly this with `compare --ignore`). The only state requests share is
-/// the process-wide PWL diode-table cache (pwl/table_cache.hpp). Wire
-/// protocol reference: docs/serve_protocol.md.
+/// document of the same spec — modulo the run-dependent field
+/// "cpu_seconds" (the golden serve ctest pins exactly this with
+/// `compare --ignore`). The only state requests share is the process-wide
+/// PWL diode-table cache (pwl/table_cache.hpp). Wire protocol reference:
+/// docs/serve_protocol.md.
 #pragma once
 
 #include <cstddef>

@@ -3,7 +3,8 @@
 /// checkpoint file is bit-identical (modulo cpu_seconds) to an uninterrupted
 /// run with the same checkpoint options — across both engine families,
 /// sweeps, mid-multistep-history boundaries, mid-PWL-segment excitation and
-/// seeded random-walk drift.
+/// seeded random-walk drift. Every run goes through run_scenario_batch with
+/// BatchOptions::checkpoint, the one batch path.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -26,6 +27,8 @@ namespace {
 
 using ehsim::ModelError;
 using ehsim::experiments::BatchOptions;
+using ehsim::experiments::BatchStats;
+using ehsim::experiments::CheckpointAbort;
 using ehsim::experiments::CheckpointOptions;
 using ehsim::experiments::EngineKind;
 using ehsim::experiments::ExperimentSpec;
@@ -123,6 +126,19 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b) {
   EXPECT_EQ(a.rms_power_after, b.rms_power_after);
 }
 
+/// \p spec as a one-job checkpointed batch.
+ScenarioResult run_checkpointed(const ExperimentSpec& spec,
+                                const CheckpointOptions& checkpointing) {
+  const BatchOptions options{.threads = 1, .checkpoint = checkpointing};
+  return run_scenario_batch({ScenarioJob{spec, std::nullopt}}, options).front();
+}
+
+/// The checkpoint index recorded in the file at \p path.
+std::uint64_t checkpoint_index_of(const std::string& path) {
+  const ehsim::sim::Checkpoint checkpoint = ehsim::sim::Checkpoint::read_file(path);
+  return static_cast<std::uint64_t>(checkpoint.meta.at("checkpoint_index").as_number());
+}
+
 /// Run the spec twice with identical checkpoint cadence: once straight
 /// through, once killed after \p abort_after checkpoints and resumed from
 /// the files left on disk. Both must agree bit for bit.
@@ -133,21 +149,18 @@ void check_kill_resume(const ExperimentSpec& spec, double every, int abort_after
   CheckpointOptions full;
   full.every = every;
   full.dir = full_dir.str();
-  const auto uninterrupted = run_experiment_checkpointed(spec, full);
-  ASSERT_TRUE(uninterrupted.has_value());
+  const ScenarioResult uninterrupted = run_checkpointed(spec, full);
 
   CheckpointOptions kill = full;
   kill.dir = kill_dir.str();
   kill.abort_after = abort_after;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, kill).has_value());
+  ASSERT_THROW((void)run_checkpointed(spec, kill), CheckpointAbort);
 
   CheckpointOptions resume;
   resume.every = every;
   resume.dir = kill_dir.str();
   resume.resume = true;
-  const auto resumed = run_experiment_checkpointed(spec, resume);
-  ASSERT_TRUE(resumed.has_value());
-  expect_identical(*uninterrupted, *resumed);
+  expect_identical(uninterrupted, run_checkpointed(spec, resume));
 }
 
 TEST(Checkpoint, KillResumeBitIdenticalProposed) {
@@ -185,7 +198,7 @@ TEST(Checkpoint, KillResumeAtExactParameterEventBoundary) {
     options.every = 0.5;
     options.dir = dir.str();
     options.abort_after = 1;
-    ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+    ASSERT_THROW((void)run_checkpointed(spec, options), CheckpointAbort);
     const ehsim::sim::Checkpoint checkpoint =
         ehsim::sim::Checkpoint::read_file(checkpoint_file_path(options, spec.name));
     const auto& payload = checkpoint.payload;
@@ -229,14 +242,14 @@ TEST(Checkpoint, ResumeRejectsDifferentSpec) {
   options.every = 0.5;
   options.dir = dir.str();
   options.abort_after = 1;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+  ASSERT_THROW((void)run_checkpointed(spec, options), CheckpointAbort);
 
   ExperimentSpec other = spec;
   other.excitation.events[0].frequency_hz = 72.0;  // same name, different physics
   CheckpointOptions resume;
   resume.dir = dir.str();
   resume.resume = true;
-  EXPECT_THROW((void)run_experiment_checkpointed(other, resume), ModelError);
+  EXPECT_THROW((void)run_checkpointed(other, resume), ModelError);
 }
 
 /// A checkpoint whose meta carries the operating-point key "warm_start" (as
@@ -249,7 +262,7 @@ TEST(Checkpoint, ResumeRefusesWarmStartEraCheckpoints) {
   options.every = 0.5;
   options.dir = dir.str();
   options.abort_after = 1;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+  ASSERT_THROW((void)run_checkpointed(spec, options), CheckpointAbort);
 
   // Turn the file into what older writers produced: the same document plus
   // the operating-point meta key.
@@ -267,7 +280,7 @@ TEST(Checkpoint, ResumeRefusesWarmStartEraCheckpoints) {
   resume.dir = dir.str();
   resume.resume = true;
   try {
-    (void)run_experiment_checkpointed(spec, resume);
+    (void)run_checkpointed(spec, resume);
     ADD_FAILURE() << "a checkpoint carrying warm_start was resumed";
   } catch (const ModelError& error) {
     EXPECT_NE(std::string(error.what()).find("warm_start"), std::string::npos)
@@ -303,7 +316,7 @@ TEST(Checkpoint, ResumeRefusesLleSectionsOfTheWrongShape) {
     options.every = 0.5;
     options.dir = dir.str();
     options.abort_after = 1;
-    ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+    ASSERT_THROW((void)run_checkpointed(spec, options), CheckpointAbort);
 
     const std::string path = checkpoint_file_path(options, spec.name);
     JsonValue document = JsonValue::parse(ehsim::io::read_file(path));
@@ -316,7 +329,7 @@ TEST(Checkpoint, ResumeRefusesLleSectionsOfTheWrongShape) {
     resume.abort_after = -1;
     resume.resume = true;
     try {
-      (void)run_experiment_checkpointed(spec, resume);
+      (void)run_checkpointed(spec, resume);
       ADD_FAILURE() << "a checkpoint with a malformed lle." << key << " was resumed";
     } catch (const ModelError& error) {
       EXPECT_NE(std::string(error.what()).find("checkpoint.lle." + key), std::string::npos)
@@ -332,15 +345,65 @@ TEST(Checkpoint, ResumeWithoutFilesStartsFresh) {
   CheckpointOptions reference;
   reference.every = 0.5;
   reference.dir = ref_dir.str();
-  const auto straight = run_experiment_checkpointed(spec, reference);
+  const ScenarioResult straight = run_checkpointed(spec, reference);
   CheckpointOptions resume;
   resume.every = 0.5;
   resume.dir = dir.str();
   resume.resume = true;  // nothing on disk: a plain start
-  const auto fresh = run_experiment_checkpointed(spec, resume);
-  ASSERT_TRUE(straight.has_value());
-  ASSERT_TRUE(fresh.has_value());
-  expect_identical(*straight, *fresh);
+  expect_identical(straight, run_checkpointed(spec, resume));
+}
+
+/// A resume must cut the boundaries the uninterrupted run cuts. A file
+/// written at cadence 0.15 (t = 0.3, checkpoint 2) resumes bit-identically
+/// at 0.15 and finishes without further checkpoints at 0; at any cadence
+/// whose boundary 2 is not t = 0.3 it is refused, naming the cadence.
+TEST(Checkpoint, ResumeRefusesAnotherCadence) {
+  const ExperimentSpec spec = small_spec();
+  ScratchDir full_dir("cadence_full");
+  CheckpointOptions full;
+  full.every = 0.15;
+  full.dir = full_dir.str();
+  const ScenarioResult uninterrupted = run_checkpointed(spec, full);
+
+  ScratchDir dir("cadence");
+  CheckpointOptions kill = full;
+  kill.dir = dir.str();
+  kill.abort_after = 2;
+  ASSERT_THROW((void)run_checkpointed(spec, kill), CheckpointAbort);
+  const std::string path = checkpoint_file_path(kill, spec.name);
+  ASSERT_EQ(checkpoint_index_of(path), 2u);
+
+  CheckpointOptions resume;
+  resume.dir = dir.str();
+  resume.resume = true;
+  for (const double every : {0.05, 0.1, 0.2}) {
+    resume.every = every;
+    try {
+      (void)run_checkpointed(spec, resume);
+      ADD_FAILURE() << "resumed the t = 0.3 file at cadence " << every;
+    } catch (const ModelError& error) {
+      const std::string what = error.what();
+      EXPECT_NE(what.find(path), std::string::npos) << what;
+      EXPECT_NE(what.find("t = 0.3"), std::string::npos) << what;
+      EXPECT_NE(what.find("checkpoint 2"), std::string::npos) << what;
+      EXPECT_NE(what.find("cadence " + ehsim::io::JsonValue(every).dump()), std::string::npos)
+          << what;
+    }
+  }
+  resume.every = 0.15;
+  CheckpointOptions resume_copy = resume;
+  ScratchDir copy_dir("cadence_copy");
+  resume_copy.dir = copy_dir.str();
+  std::filesystem::copy_file(path, checkpoint_file_path(resume_copy, spec.name));
+  expect_identical(uninterrupted, run_checkpointed(spec, resume));
+
+  // Without a cadence the run finishes and writes no further file.
+  resume_copy.every = 0.0;
+  const ScenarioResult finished = run_checkpointed(spec, resume_copy);
+  EXPECT_EQ(finished.sim_seconds, spec.duration);
+  ASSERT_FALSE(finished.time.empty());
+  EXPECT_NEAR(finished.time.back(), uninterrupted.time.back(), spec.trace_interval);
+  EXPECT_EQ(checkpoint_index_of(checkpoint_file_path(resume_copy, spec.name)), 2u);
 }
 
 // ---- sweeps ---------------------------------------------------------------
@@ -354,30 +417,76 @@ TEST(Checkpoint, SweepKillResumeJobs) {
   axis.param = "excitation.event[0].frequency_hz";
   axis.values = {70.5, 71.0, 71.5};
   sweep.axes.push_back(axis);
-  const BatchOptions options{.threads = 2};
 
   ScratchDir full_dir("jobs_full");
   CheckpointOptions full;
   full.every = 0.6;
   full.dir = full_dir.str();
-  const auto uninterrupted = run_sweep_checkpointed(sweep, options, full);
-  ASSERT_TRUE(uninterrupted.has_value());
+  const std::vector<ScenarioResult> uninterrupted =
+      run_sweep(sweep, {.threads = 2, .checkpoint = full});
 
+  // The kill throws from the pool workers once the batch drained: every
+  // job stopped at its own first checkpoint.
   ScratchDir kill_dir("jobs_kill");
   CheckpointOptions kill = full;
   kill.dir = kill_dir.str();
   kill.abort_after = 1;
-  ASSERT_FALSE(run_sweep_checkpointed(sweep, options, kill).has_value());
+  ASSERT_THROW((void)run_sweep(sweep, {.threads = 2, .checkpoint = kill}), CheckpointAbort);
+  for (const ExperimentSpec& job : sweep.expand()) {
+    EXPECT_EQ(checkpoint_index_of(checkpoint_file_path(kill, job.name)), 1u) << job.name;
+  }
 
   CheckpointOptions resume;
   resume.every = 0.6;
   resume.dir = kill_dir.str();
   resume.resume = true;
-  const auto resumed = run_sweep_checkpointed(sweep, options, resume);
-  ASSERT_TRUE(resumed.has_value());
-  ASSERT_EQ(uninterrupted->size(), resumed->size());
-  for (std::size_t i = 0; i < uninterrupted->size(); ++i) {
-    expect_identical((*uninterrupted)[i], (*resumed)[i]);
+  const std::vector<ScenarioResult> resumed =
+      run_sweep(sweep, {.threads = 2, .checkpoint = resume});
+  ASSERT_EQ(uninterrupted.size(), resumed.size());
+  for (std::size_t i = 0; i < uninterrupted.size(); ++i) {
+    expect_identical(uninterrupted[i], resumed[i]);
+  }
+}
+
+/// A sweep whose jobs would fork (they share the span before the frequency
+/// step) runs unforked when checkpointed, at any thread count: each job
+/// equals, bit for bit, a one-job checkpointed batch of that job.
+TEST(Checkpoint, CheckpointedSweepDoesNotFork) {
+  SweepSpec sweep;
+  sweep.base = small_spec();
+  sweep.base.name = "ckpt-nofork";
+  sweep.base.probes.clear();
+  SweepAxis axis;
+  axis.param = "excitation.event[0].frequency_hz";
+  axis.values = {70.5, 71.0, 71.5};
+  sweep.axes.push_back(axis);
+
+  BatchStats plain;
+  (void)run_sweep(sweep, {.threads = 1}, &plain);
+  ASSERT_GT(plain.shared_factorisations, 0u);  // the sweep is fork-eligible
+
+  ScratchDir alone_dir("nofork_alone");
+  CheckpointOptions checkpointing;
+  checkpointing.every = 0.6;
+  checkpointing.dir = alone_dir.str();
+  std::vector<ScenarioResult> alone;
+  for (const ExperimentSpec& job : sweep.expand()) {
+    alone.push_back(run_checkpointed(job, checkpointing));
+  }
+  for (const std::size_t threads : {1u, 4u}) {
+    ScratchDir dir("nofork_" + std::to_string(threads));
+    checkpointing.dir = dir.str();
+    BatchStats stats;
+    const std::vector<ScenarioResult> batch =
+        run_sweep(sweep, {.threads = threads, .checkpoint = checkpointing}, &stats);
+    EXPECT_EQ(stats.jobs, alone.size());
+    EXPECT_EQ(stats.lockstep_groups, 0u);
+    EXPECT_EQ(stats.shared_factorisations, 0u);
+    ASSERT_EQ(batch.size(), alone.size());
+    for (std::size_t i = 0; i < batch.size(); ++i) {
+      SCOPED_TRACE(std::to_string(threads) + " threads, job " + std::to_string(i));
+      expect_identical(alone[i], batch[i]);
+    }
   }
 }
 
@@ -390,7 +499,7 @@ TEST(Checkpoint, ALockstepMarchDocumentIsRefusedByName) {
   options.every = 0.5;
   options.dir = dir.str();
   options.abort_after = 1;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, options).has_value());
+  ASSERT_THROW((void)run_checkpointed(spec, options), CheckpointAbort);
   const std::string path = ehsim::experiments::checkpoint_file_path(options, spec.name);
   ehsim::sim::Checkpoint written = ehsim::sim::Checkpoint::read_file(path);
   EXPECT_EQ(written.meta.find("batch"), nullptr);  // writers no longer emit it
@@ -403,7 +512,7 @@ TEST(Checkpoint, ALockstepMarchDocumentIsRefusedByName) {
     ehsim::sim::Checkpoint per_job = written;
     per_job.meta.set("batch", ehsim::io::JsonValue(nullptr));
     per_job.write_file(path);
-    EXPECT_TRUE(run_experiment_checkpointed(spec, resume).has_value());
+    EXPECT_NO_THROW((void)run_checkpointed(spec, resume));
   }
   ehsim::io::JsonValue batch = ehsim::io::JsonValue::make_object();
   batch.set("kernel", "lockstep");
@@ -413,7 +522,7 @@ TEST(Checkpoint, ALockstepMarchDocumentIsRefusedByName) {
   lockstep_era.meta.set("batch", batch);
   lockstep_era.write_file(path);
   try {
-    (void)run_experiment_checkpointed(spec, resume);
+    (void)run_checkpointed(spec, resume);
     ADD_FAILURE() << "a lockstep-era checkpoint resumed";
   } catch (const ModelError& error) {
     EXPECT_NE(std::string(error.what()).find(".batch"), std::string::npos) << error.what();

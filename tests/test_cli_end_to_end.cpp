@@ -7,6 +7,7 @@
 /// suite (~15 s); it is also the one that pins the whole spec -> JSON ->
 /// CLI -> engine -> CSV pipeline bit-for-bit.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdlib>
 #include <filesystem>
@@ -268,6 +269,49 @@ TEST(EhsimCli, FlagsAVerbDoesNotUseAndWrongFlavoursAreRejected) {
                   {"unknown option", "--kernels"});
   expect_rejected("serve --pool 4", {"--pool"});
   expect_rejected("serve --cold", {"--cold"});
+  std::filesystem::remove_all(out);
+}
+
+/// `run` and `sweep` with a checkpoint directory but no cadence are refused,
+/// naming the flag, as the serve protocol refuses the same request: such a
+/// run would write no checkpoint into the directory.
+TEST(EhsimCli, CheckpointDirWithoutCadenceIsRefused) {
+  const std::string specs = std::string(EHSIM_SOURCE_DIR) + "/examples/specs/";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "ehsim_cli_ckpt_no_cadence";
+  std::filesystem::remove_all(out);
+  const std::string flags = " --threads 1 --out \"" + out.string() +
+                            "\" --quiet --checkpoint-dir \"" + (out / "ckpt").string() + "\"";
+  for (const char* verb : {"run", "sweep"}) {
+    expect_rejected(std::string(verb) + " \"" + specs + "fig9_retune_sweep.json\"" + flags,
+                    {"--checkpoint-dir", "--checkpoint-every"});
+  }
+  EXPECT_FALSE(std::filesystem::exists(out));
+  std::filesystem::remove_all(out);
+}
+
+/// A resume whose cadence does not put a boundary where the checkpoint file
+/// was cut is refused with exit 1, naming the cadence: its run would cut
+/// other boundaries than any uninterrupted run.
+TEST(EhsimCli, ResumeAtAnotherCadenceIsRefused) {
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "ehsim_cli_resume_cadence";
+  std::filesystem::remove_all(out);
+  const std::string spec = " \"" + golden + "golden_charging.json\"";
+  const std::string flags = " --out \"" + out.string() + "\" --quiet --checkpoint-dir \"" +
+                            (out / "ckpt").string() + "\"";
+  const CliOutcome killed = run_cli("run" + spec + flags +
+                                    " --checkpoint-every 0.15 --abort-after-checkpoints 2");
+  ASSERT_TRUE(WIFEXITED(killed.status));
+  ASSERT_EQ(WEXITSTATUS(killed.status), 3) << killed.error;
+
+  const CliOutcome refused = run_cli("resume" + spec + flags + " --checkpoint-every 0.05");
+  ASSERT_TRUE(WIFEXITED(refused.status));
+  EXPECT_EQ(WEXITSTATUS(refused.status), 1);
+  EXPECT_NE(refused.error.find("checkpoint cadence 0.05"), std::string::npos) << refused.error;
+  EXPECT_NE(refused.error.find("t = 0.3"), std::string::npos) << refused.error;
+  EXPECT_FALSE(std::filesystem::exists(out / "golden-charging.result.json"));
   std::filesystem::remove_all(out);
 }
 

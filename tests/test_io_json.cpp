@@ -8,6 +8,7 @@
 #include <limits>
 #include <sstream>
 #include <tuple>
+#include <utility>
 
 #include "common/error.hpp"
 #include "experiments/autotune.hpp"
@@ -411,6 +412,29 @@ TEST(SpecJson, RetiredKeysAreRejectedByName) {
   }
 }
 
+/// The Eq. 7 cap's re-derivation trigger (every 256 steps, or at a relative
+/// Jacobian drift above 0.2) is a solver constant, not a spec key: a solver
+/// block that sets either former key is refused, naming it.
+TEST(SpecJson, StabilityTriggerKeysAreUnknown) {
+  const JsonValue base = ehsim::io::to_json(charging_scenario(1.0));
+  (void)ehsim::io::spec_from_json(base);
+  for (const auto& [key, value] :
+       {std::pair<const char*, double>{"stability_check_interval", 256.0},
+        std::pair<const char*, double>{"stability_drift_threshold", 0.2}}) {
+    JsonValue solver = JsonValue::make_object();
+    solver.set(key, value);
+    JsonValue document = base;
+    document.set("solver", solver);
+    try {
+      (void)ehsim::io::spec_from_json(document);
+      ADD_FAILURE() << "accepted: " << document.dump(-1);
+    } catch (const ModelError& error) {
+      EXPECT_NE(std::string(error.what()).find("'" + std::string(key) + "'"), std::string::npos)
+          << error.what();
+    }
+  }
+}
+
 // ---- results --------------------------------------------------------------
 
 TEST(ResultJson, SerialisesSummaryAndTrace) {
@@ -423,6 +447,9 @@ TEST(ResultJson, SerialisesSummaryAndTrace) {
   EXPECT_EQ(json.at("trace_points").as_number(),
             static_cast<double>(result.time.size()));
   EXPECT_TRUE(json.at("mcu_events").as_array().empty());
+  // A result depends on its spec alone: no key records which job of a batch
+  // built the shared diode table.
+  EXPECT_FALSE(json.contains("shared_diode_table"));
 
   std::ostringstream csv;
   ehsim::io::write_trace_csv(csv, result);

@@ -566,11 +566,14 @@ TEST(CheckpointFuzz, EveryMutatedCheckpointKeyIsRejected) {
   spec.trace_interval = 0.05;
   spec.excitation.initial_frequency_hz = 70.0;
 
+  const auto run = [&spec](const CheckpointOptions& checkpointing) {
+    return run_scenario_batch({{spec, std::nullopt}}, {.threads = 1, .checkpoint = checkpointing});
+  };
   CheckpointOptions writing;
   writing.every = 0.2;
   writing.dir = dir.string();
   writing.abort_after = 1;
-  ASSERT_FALSE(run_experiment_checkpointed(spec, writing).has_value());
+  ASSERT_THROW((void)run(writing), CheckpointAbort);
   const std::string path = checkpoint_file_path(writing, spec.name);
   const JsonValue document = JsonValue::parse(ehsim::io::read_file(path));
 
@@ -584,13 +587,12 @@ TEST(CheckpointFuzz, EveryMutatedCheckpointKeyIsRejected) {
     std::size_t cursor = key;
     ASSERT_TRUE(mutate_key(mutated, cursor));
     ehsim::io::write_file(path, mutated.dump(-1));
-    EXPECT_THROW((void)run_experiment_checkpointed(spec, resuming), ModelError)
-        << "checkpoint key " << key << " of " << keys;
+    EXPECT_THROW((void)run(resuming), ModelError) << "checkpoint key " << key << " of " << keys;
   }
 
   // And the unmutated document still resumes — the harness itself is sound.
   ehsim::io::write_file(path, document.dump(-1));
-  EXPECT_TRUE(run_experiment_checkpointed(spec, resuming).has_value());
+  EXPECT_EQ(run(resuming).size(), 1u);
   fs::remove_all(dir);
 }
 

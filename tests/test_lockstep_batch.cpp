@@ -61,7 +61,6 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b, const st
   EXPECT_EQ(a.scenario, b.scenario);
   EXPECT_EQ(a.engine, b.engine);
   EXPECT_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_EQ(a.shared_diode_table, b.shared_diode_table);
   EXPECT_EQ(a.stats.steps, b.stats.steps);
   EXPECT_EQ(a.stats.init_iterations, b.stats.init_iterations);
   EXPECT_EQ(a.stats.jacobian_builds, b.stats.jacobian_builds);
@@ -110,10 +109,6 @@ void expect_identical(const ScenarioResult& a, const ScenarioResult& b, const st
 
 class PrefixForks : public ::testing::Test {
  protected:
-  // Every job here shares the default diode table; with it cached up front
-  // no job's shared_diode_table depends on which job ran first.
-  static void SetUpTestSuite() { (void)run_experiment(charging_scenario(0.01)); }
-
   /// Runs each of \p jobs alone, then the batch at 1 and 4 threads; every
   /// result must be identical. Returns the batch stats.
   static BatchStats expect_forks_exact(const std::vector<ScenarioJob>& jobs) {

@@ -4,8 +4,8 @@
 ///
 /// The load-bearing assertions are the determinism ones: every response the
 /// daemon streams must be bit-identical (rtol 0, atol 0) to a one-shot
-/// execution of the same spec, ignoring only the run-dependent keys
-/// cpu_seconds / shared_diode_table.
+/// execution of the same spec, ignoring only the run-dependent key
+/// cpu_seconds.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -94,7 +94,7 @@ void expect_identical(const JsonValue& expected, const JsonValue& actual) {
   io::CompareOptions options;
   options.rtol = 0.0;
   options.atol = 0.0;
-  options.ignore_keys = {"cpu_seconds", "shared_diode_table"};
+  options.ignore_keys = {"cpu_seconds"};
   const std::vector<std::string> diffs = io::compare_json(expected, actual, options);
   for (const std::string& diff : diffs) {
     ADD_FAILURE() << diff;
@@ -713,6 +713,14 @@ TEST(ServeProtocol, CheckpointRejectionsNameTheOffendingKey) {
   EXPECT_EQ(key_of(envelope(1, "run", io::to_json(ensemble))), "spec");
 }
 
+/// \p spec as a one-job checkpointed batch, outside the daemon.
+experiments::ScenarioResult run_checkpointed(const ExperimentSpec& spec,
+                                             const experiments::CheckpointOptions& checkpointing) {
+  return experiments::run_scenario_batch({{spec, std::nullopt}},
+                                         {.threads = 1, .checkpoint = checkpointing})
+      .front();
+}
+
 TEST(ServeServer, CheckpointedRunStreamsCheckpointEventsAndMatchesDirect) {
   const ExperimentSpec spec = tiny_spec("serve-ckpt");
   ScratchDir serve_dir("run_events");
@@ -738,12 +746,10 @@ TEST(ServeServer, CheckpointedRunStreamsCheckpointEventsAndMatchesDirect) {
   experiments::CheckpointOptions direct;
   direct.every = 0.02;
   direct.dir = direct_dir.str();
-  const auto cold =
-      run_experiment_checkpointed(spec, direct);
-  ASSERT_TRUE(cold.has_value());
+  const experiments::ScenarioResult cold = run_checkpointed(spec, direct);
   const std::vector<JsonValue> results = events_of(events, "result", 1);
   ASSERT_EQ(results.size(), 1u);
-  expect_identical(io::to_json(*cold), results[0].at("result"));
+  expect_identical(io::to_json(cold), results[0].at("result"));
 }
 
 TEST(ServeServer, ResumeContinuesKilledRunBitIdentically) {
@@ -756,27 +762,33 @@ TEST(ServeServer, ResumeContinuesKilledRunBitIdentically) {
   kill.every = 0.02;
   kill.dir = kill_dir.str();
   kill.abort_after = 1;
-  ASSERT_FALSE(
-      run_experiment_checkpointed(spec, kill).has_value());
+  ASSERT_THROW((void)run_checkpointed(spec, kill), experiments::CheckpointAbort);
 
-  // ...and let the daemon finish it from the files left on disk.
+  // ...and let the daemon finish it from the files left on disk, after
+  // refusing a cadence whose boundaries the file was not cut at.
   const std::string script =
-      envelope_checkpointed(1, "resume", io::to_json(spec), kill_dir.str(), 0.02) + "\n" +
-      control(2, "shutdown") + "\n";
+      envelope_checkpointed(1, "resume", io::to_json(spec), kill_dir.str(), 0.03) + "\n" +
+      envelope_checkpointed(2, "resume", io::to_json(spec), kill_dir.str(), 0.02) + "\n" +
+      control(3, "shutdown") + "\n";
   const std::vector<JsonValue> events = serve_session(script);
+
+  const std::vector<JsonValue> refused = events_of(events, "error", 1);
+  ASSERT_EQ(refused.size(), 1u);
+  EXPECT_NE(refused[0].at("error").as_string().find("checkpoint cadence 0.03"),
+            std::string::npos)
+      << refused[0].dump();
+  EXPECT_TRUE(events_of(events, "result", 1).empty());
 
   experiments::CheckpointOptions full;
   full.every = 0.02;
   full.dir = full_dir.str();
-  const auto uninterrupted =
-      run_experiment_checkpointed(spec, full);
-  ASSERT_TRUE(uninterrupted.has_value());
-  const std::vector<JsonValue> results = events_of(events, "result", 1);
+  const experiments::ScenarioResult uninterrupted = run_checkpointed(spec, full);
+  const std::vector<JsonValue> results = events_of(events, "result", 2);
   ASSERT_EQ(results.size(), 1u);
-  expect_identical(io::to_json(*uninterrupted), results[0].at("result"));
+  expect_identical(io::to_json(uninterrupted), results[0].at("result"));
   // The daemon resumed mid-run instead of starting over: the remaining
   // boundaries (0.04, 0.05) fire, the already-written 0.02 one does not.
-  EXPECT_EQ(events_of(events, "checkpoint", 1).size(), 2u);
+  EXPECT_EQ(events_of(events, "checkpoint", 2).size(), 2u);
 }
 
 TEST(ServeServer, EnsembleStreamsStatisticsBitIdenticalToDirect) {

@@ -89,8 +89,10 @@ int usage(std::FILE* where = stderr) {
                "      [run flags]\n"
                "      Continue a killed checkpointed run/sweep from the files in D.\n"
                "      With the same --checkpoint-every the finished results are\n"
-               "      bit-identical (modulo cpu_seconds) to the uninterrupted run;\n"
-               "      jobs without a checkpoint file start from t=0.\n"
+               "      bit-identical (modulo cpu_seconds) to the uninterrupted run\n"
+               "      (a cadence the files were not cut at is refused; none\n"
+               "      finishes without further checkpoints); jobs without a\n"
+               "      checkpoint file start from t=0.\n"
                "  ensemble <ensemble.json> [--threads N] [--out DIR] [--quiet]\n"
                "      Run the K seed-varied replicas of an ensemble spec and write\n"
                "      <name>.ensemble.json (per-probe mean/stderr/min/max across\n"
@@ -121,7 +123,7 @@ int usage(std::FILE* where = stderr) {
                "      \"checkpoint\" block on run/sweep/resume, and stream JSON events\n"
                "      to stdout. Every job runs through the executor of the verbs\n"
                "      above, so each response is the one-shot document of the same\n"
-               "      spec (modulo cpu_seconds / shared_diode_table);\n"
+               "      spec (modulo cpu_seconds);\n"
                "      docs/serve_protocol.md has the full protocol.\n"
                "  echo <spec.json>\n"
                "      Parse a spec and print its canonical JSON to stdout.\n"
@@ -313,7 +315,8 @@ void apply_probe_flag(experiments::ExperimentSpec& spec, const std::string& list
 }
 
 /// The checkpoint flags as CheckpointOptions (empty: checkpointing off;
-/// resume always needs the directory).
+/// resume always needs the directory, and only resume may omit the cadence,
+/// the rule the serve protocol applies to its "checkpoint" block).
 std::optional<experiments::CheckpointOptions> checkpoint_options(const JobArgs& args,
                                                                  RequestType verb) {
   const std::string* dir = args.find("--checkpoint-dir");
@@ -336,6 +339,8 @@ std::optional<experiments::CheckpointOptions> checkpoint_options(const JobArgs& 
       throw ModelError("--checkpoint-every expects a positive number of simulated seconds, "
                        "got '" + *every + "'");
     }
+  } else if (verb != RequestType::kResume) {
+    throw ModelError("--checkpoint-dir needs --checkpoint-every (only resume may omit it)");
   }
   if (abort_after != nullptr) {
     checkpointing.abort_after = static_cast<int>(std::min<std::size_t>(
@@ -347,8 +352,7 @@ std::optional<experiments::CheckpointOptions> checkpoint_options(const JobArgs& 
 
 // ---- printing ----------------------------------------------------------------
 
-/// The job table plus the batch lines under it. Sharing counters are
-/// mirrored onto every result of a batch, so the last row carries them.
+/// The job table plus the linearisation counts of its jobs under it.
 class JobTable {
  public:
   void add(const experiments::ScenarioResult& result) {
@@ -362,7 +366,6 @@ class JobTable {
     reuses_ += result.stats.jacobian_reuses;
     cap_evaluations_ += result.stats.stability_recomputes;
     cap_reuses_ += result.stats.stability_reuses;
-    shared_tables_ += result.shared_diode_table ? 1 : 0;
   }
 
   void print() const {
@@ -376,9 +379,6 @@ class JobTable {
                   static_cast<unsigned long long>(cap_evaluations_),
                   static_cast<unsigned long long>(cap_reuses_));
     }
-    if (jobs_ > 1) {
-      std::printf("%zu jobs, %zu shared diode-table hits\n", jobs_, shared_tables_);
-    }
   }
 
  private:
@@ -389,7 +389,6 @@ class JobTable {
   std::uint64_t reuses_ = 0;
   std::uint64_t cap_evaluations_ = 0;
   std::uint64_t cap_reuses_ = 0;
-  std::size_t shared_tables_ = 0;
 };
 
 /// Prints what execute() reports about \p spec as the CLI's summary lines.
@@ -550,7 +549,9 @@ int cmd_job(const JobVerb& job, const std::vector<std::string>& argv) {
   }
 
   SummarySink sink(spec, options.out_dir, args.quiet);
-  if (!serve::execute(verb, spec, options, sink)) {
+  try {
+    serve::execute(verb, spec, options, sink);
+  } catch (const experiments::CheckpointAbort&) {
     // The --abort-after-checkpoints hook stopped the run mid-flight; the
     // checkpoint files are committed, so `ehsim resume` can finish it.
     if (!args.quiet) {
