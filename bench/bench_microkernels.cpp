@@ -7,15 +7,20 @@
 /// solve, the Adams-Bashforth update, table lookups, and the full-system
 /// eval/jacobian assembly of the 11-state harvester model, the Eq. 3
 /// LLE drift update over every Jacobian entry against the solver's scan of
-/// the declared varying ones, and the Eq. 7 cap per recompute.
+/// the declared varying ones, the Eq. 7 cap per recompute, and the step
+/// pass on the Table I run's own points: evaluate (one pass against eval
+/// plus jacobian_signature) and the Eq. 4 elimination (non-zero entries
+/// against dense).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <span>
+#include <unordered_map>
 #include <vector>
 
 #include "core/assembler.hpp"
@@ -187,6 +192,140 @@ void BM_LleUpdate(benchmark::State& state) {
                         : "every entry");
 }
 BENCHMARK(BM_LleUpdate)->Arg(0)->Arg(1);
+
+/// The points the Table I run (1 s, 70 Hz, no MCU) evaluates and
+/// eliminates at, in march order: the evaluate phase's (t, x, y_prev), and
+/// the Eq. 4 elimination's right-hand side -fy and derivative sample base fx
+/// there, with the linearisation it solves with (one copy per signature).
+struct StepSequence {
+  std::unique_ptr<ehsim::harvester::HarvesterSystem> system;  ///< evaluates the points
+  std::vector<double> t;
+  std::vector<double> x;       ///< n per point
+  std::vector<double> y_prev;  ///< m per point
+  std::vector<double> rhs;     ///< m per point
+  std::vector<double> fx;      ///< n per point
+  std::vector<std::size_t> lin;  ///< per point, into linearisations
+  std::vector<ehsim::core::Linearisation> linearisations;
+  std::size_t n = 0;
+  std::size_t m = 0;
+};
+
+const StepSequence& table1_step_sequence() {
+  static const StepSequence sequence = [] {
+    using namespace ehsim;
+    StepSequence out;
+    const auto params = experiments::experiment_params(experiments::charging_scenario(1.0));
+    sim::HarvesterSession session(params);
+    auto& solver = dynamic_cast<core::LinearisedSolver&>(session.engine());
+    const core::SystemAssembler& system = session.session().engine().system();
+    out.n = system.num_states();
+    out.m = system.num_nets();
+    std::vector<double> y_prev(out.m), fx(out.n), fy(out.m);
+    std::unordered_map<std::uint64_t, std::size_t> index;
+    bool first = true;
+    // Each point was evaluated at (t, x, y_prev) and eliminated with the
+    // current linearisation; no MCU, so every signature is certified.
+    session.add_observer([&](double t, std::span<const double> x, std::span<const double> y) {
+      if (!first) {
+        system.eval(t, x, y_prev, fx, fy);
+        out.t.push_back(t);
+        out.x.insert(out.x.end(), x.begin(), x.end());
+        out.y_prev.insert(out.y_prev.end(), y_prev.begin(), y_prev.end());
+        for (double v : fy) {
+          out.rhs.push_back(-v);
+        }
+        out.fx.insert(out.fx.end(), fx.begin(), fx.end());
+        const auto [it, added] =
+            index.try_emplace(solver.jacobian_signature(), out.linearisations.size());
+        if (added) {
+          out.linearisations.push_back(solver.linearisation());
+        }
+        out.lin.push_back(it->second);
+      }
+      first = false;
+      std::copy(y.begin(), y.end(), y_prev.begin());
+    });
+    session.initialise(0.0);
+    session.run_until(1.0);
+    out.system = std::make_unique<harvester::HarvesterSystem>(
+        params, harvester::DeviceEvalMode::kPwlTable, false);
+    return out;
+  }();
+  return sequence;
+}
+
+/// The evaluate phase per step point of the Table I run: Arg 0 calls
+/// SystemAssembler::eval then jacobian_signature, Arg 1 eval_with_signature
+/// (what the solver runs). Both give the same residuals and signatures.
+void BM_StepEvaluate(benchmark::State& state) {
+  const bool one_pass = state.range(0) == 1;
+  const StepSequence& sequence = table1_step_sequence();
+  const ehsim::core::SystemAssembler& system = sequence.system->assembler();
+  const std::size_t n = sequence.n;
+  const std::size_t m = sequence.m;
+  std::vector<double> fx(n), fy(m);
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < sequence.t.size(); ++k) {
+      const std::span<const double> x(sequence.x.data() + k * n, n);
+      const std::span<const double> y(sequence.y_prev.data() + k * m, m);
+      if (one_pass) {
+        benchmark::DoNotOptimize(system.eval_with_signature(sequence.t[k], x, y, fx, fy));
+      } else {
+        system.eval(sequence.t[k], x, y, fx, fy);
+        benchmark::DoNotOptimize(system.jacobian_signature(sequence.t[k], x, y));
+      }
+      benchmark::DoNotOptimize(fy.data());
+    }
+  }
+  const auto points = static_cast<double>(sequence.t.size());
+  state.counters["points"] = points;
+  state.counters["per_point"] = benchmark::Counter(
+      points, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(one_pass ? "eval_with_signature" : "eval + jacobian_signature");
+}
+BENCHMARK(BM_StepEvaluate)->Arg(0)->Arg(1);
+
+/// The Eq. 4 elimination per step point of the Table I run, on the
+/// harvester's own Jyy and Jxy: the solve of Jyy dy = -fy and the
+/// derivative sample fx + Jxy dy. Arg 0 runs LuFactorization::solve and the
+/// dense row-by-row product over every entry, Arg 1 solve_nonzeros and
+/// SparseRows::multiply_add (what the solver runs). Both give the same bits.
+void BM_Eq4Elimination(benchmark::State& state) {
+  const bool nonzeros = state.range(0) == 1;
+  const StepSequence& sequence = table1_step_sequence();
+  const std::size_t n = sequence.n;
+  const std::size_t m = sequence.m;
+  std::vector<double> dy(m), f(n);
+  for (auto _ : state) {
+    for (std::size_t k = 0; k < sequence.lin.size(); ++k) {
+      const ehsim::core::Linearisation& lin = sequence.linearisations[sequence.lin[k]];
+      const std::span<const double> rhs(sequence.rhs.data() + k * m, m);
+      std::copy_n(sequence.fx.data() + k * n, n, f.begin());
+      if (nonzeros) {
+        lin.jyy_lu.solve_nonzeros(rhs, dy);
+        lin.jxy_nonzeros.multiply_add(dy, f);
+      } else {
+        lin.jyy_lu.solve(rhs, dy);
+        for (std::size_t r = 0; r < n; ++r) {
+          double acc = 0.0;
+          for (std::size_t c = 0; c < m; ++c) {
+            acc += lin.jxy(r, c) * dy[c];
+          }
+          f[r] += acc;
+        }
+      }
+      benchmark::DoNotOptimize(f.data());
+      benchmark::ClobberMemory();
+    }
+  }
+  const auto points = static_cast<double>(sequence.lin.size());
+  state.counters["points"] = points;
+  state.counters["linearisations"] = static_cast<double>(sequence.linearisations.size());
+  state.counters["per_point"] = benchmark::Counter(
+      points, benchmark::Counter::kIsIterationInvariantRate | benchmark::Counter::kInvert);
+  state.SetLabel(nonzeros ? "non-zero entries" : "dense");
+}
+BENCHMARK(BM_Eq4Elimination)->Arg(0)->Arg(1);
 
 /// The eliminated matrices A = Jxx - Jxy Jyy^-1 Jyx at which the Fig. 9 run
 /// (Scenario 2 cut to 1 s, MCU on, the 64 -> 78 Hz step at 0.75 s, watchdog

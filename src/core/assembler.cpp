@@ -85,7 +85,6 @@ void SystemAssembler::elaborate() {
       }
     }
     record.y_local.assign(record.block->num_terminals(), 0.0);
-    record.fy_local.assign(record.block->num_algebraic(), 0.0);
     record.jxx.resize(record.block->num_states(), record.block->num_states());
     record.jxy.resize(record.block->num_states(), record.block->num_terminals());
     record.jyx.resize(record.block->num_algebraic(), record.block->num_states());
@@ -186,29 +185,64 @@ std::uint64_t SystemAssembler::total_epoch() const noexcept {
   return sum;
 }
 
+namespace {
+// 64-bit FNV-1a style mixing of per-block signatures plus epochs.
+constexpr std::uint64_t kFnvOffset = 1469598103934665603ull;
+void mix(std::uint64_t& hash, std::uint64_t v) {
+  hash ^= v;
+  hash *= 1099511628211ull;
+}
+// Marks a certified signature: the fresh-counter range near zero never has it.
+constexpr std::uint64_t kCertified = 1ull << 63;
+}  // namespace
+
+void SystemAssembler::gather_terminals(const BlockRecord& record, std::span<const double> y) {
+  for (std::size_t i = 0; i < record.terminal_net.size(); ++i) {
+    record.y_local[i] = y[record.terminal_net[i]];
+  }
+}
+
 std::uint64_t SystemAssembler::jacobian_signature(double t, std::span<const double> x,
                                                   std::span<const double> y) const {
   require_elaborated("jacobian_signature");
-  // 64-bit FNV-1a style mixing of per-block signatures plus epochs.
-  std::uint64_t hash = 1469598103934665603ull;
-  auto mix = [&hash](std::uint64_t v) {
-    hash ^= v;
-    hash *= 1099511628211ull;
-  };
+  std::uint64_t hash = kFnvOffset;
   for (const auto& record : blocks_) {
-    for (std::size_t i = 0; i < record.terminal_net.size(); ++i) {
-      record.y_local[i] = y[record.terminal_net[i]];
-    }
+    gather_terminals(record, y);
     const std::uint64_t sig = record.block->jacobian_signature(
         t, x.subspan(record.state_offset, record.block->num_states()), record.y_local);
     if (sig == AnalogBlock::kAlwaysRebuild) {
       return ++fresh_signature_counter_;  // strictly fresh value
     }
-    mix(sig);
-    mix(record.block->epoch());
+    mix(hash, sig);
+    mix(hash, record.block->epoch());
   }
-  // Avoid colliding with the fresh-counter range near zero.
-  return hash | (1ull << 63);
+  return hash | kCertified;
+}
+
+std::uint64_t SystemAssembler::eval_with_signature(double t, std::span<const double> x,
+                                                   std::span<const double> y,
+                                                   std::span<double> fx,
+                                                   std::span<double> fy) const {
+  require_elaborated("eval_with_signature");
+  require_eval_dimensions(x, y, fx, fy);
+  std::uint64_t hash = kFnvOffset;
+  bool always_rebuild = false;
+  for (const auto& record : blocks_) {
+    const std::size_t ns = record.block->num_states();
+    gather_terminals(record, y);
+    const std::uint64_t sig = record.block->eval_with_signature(
+        t, x.subspan(record.state_offset, ns), record.y_local,
+        fx.subspan(record.state_offset, ns),
+        fy.subspan(record.algebraic_offset, record.block->num_algebraic()));
+    // jacobian_signature() stops mixing at the first kAlwaysRebuild; the
+    // later blocks still owe their residuals.
+    always_rebuild = always_rebuild || sig == AnalogBlock::kAlwaysRebuild;
+    if (!always_rebuild) {
+      mix(hash, sig);
+      mix(hash, record.block->epoch());
+    }
+  }
+  return always_rebuild ? ++fresh_signature_counter_ : hash | kCertified;
 }
 
 void SystemAssembler::initial_state(std::span<double> x) const {
@@ -219,25 +253,25 @@ void SystemAssembler::initial_state(std::span<double> x) const {
   }
 }
 
-void SystemAssembler::eval(double t, std::span<const double> x, std::span<const double> y,
-                           std::span<double> fx, std::span<double> fy) const {
-  require_elaborated("eval");
+void SystemAssembler::require_eval_dimensions(std::span<const double> x,
+                                               std::span<const double> y, std::span<double> fx,
+                                               std::span<double> fy) const {
   EHSIM_ASSERT(x.size() == total_states_ && fx.size() == total_states_,
                "eval state dimension mismatch");
   EHSIM_ASSERT(y.size() == nets_.size() && fy.size() == nets_.size(),
                "eval net dimension mismatch");
+}
+
+void SystemAssembler::eval(double t, std::span<const double> x, std::span<const double> y,
+                           std::span<double> fx, std::span<double> fy) const {
+  require_elaborated("eval");
+  require_eval_dimensions(x, y, fx, fy);
   for (const auto& record : blocks_) {
     const std::size_t ns = record.block->num_states();
-    const std::size_t na = record.block->num_algebraic();
-    for (std::size_t i = 0; i < record.terminal_net.size(); ++i) {
-      record.y_local[i] = y[record.terminal_net[i]];
-    }
+    gather_terminals(record, y);
     record.block->eval(t, x.subspan(record.state_offset, ns), record.y_local,
                        fx.subspan(record.state_offset, ns),
-                       std::span<double>(record.fy_local));
-    for (std::size_t i = 0; i < na; ++i) {
-      fy[record.algebraic_offset + i] = record.fy_local[i];
-    }
+                       fy.subspan(record.algebraic_offset, record.block->num_algebraic()));
   }
 }
 
@@ -272,9 +306,7 @@ void SystemAssembler::jacobians(double t, std::span<const double> x, std::span<c
     const std::size_t ns = record.block->num_states();
     const std::size_t nt = record.block->num_terminals();
     const std::size_t na = record.block->num_algebraic();
-    for (std::size_t i = 0; i < nt; ++i) {
-      record.y_local[i] = y[record.terminal_net[i]];
-    }
+    gather_terminals(record, y);
     record.jxx.fill(0.0);
     record.jxy.fill(0.0);
     record.jyx.fill(0.0);

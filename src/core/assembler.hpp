@@ -112,6 +112,15 @@ class SystemAssembler {
   void eval(double t, std::span<const double> x, std::span<const double> y,
             std::span<double> fx, std::span<double> fy) const;
 
+  /// eval() and jacobian_signature() in one pass over the blocks
+  /// (AnalogBlock::eval_with_signature), bit for bit what the two calls
+  /// give: the same signature, or the same strictly fresh counter value
+  /// when a block reports kAlwaysRebuild. Every block is evaluated.
+  [[nodiscard]] std::uint64_t eval_with_signature(double t, std::span<const double> x,
+                                                  std::span<const double> y,
+                                                  std::span<double> fx,
+                                                  std::span<double> fy) const;
+
   /// Assemble the global Jacobians of Eq. 2. Matrices are resized and
   /// zeroed here; dimensions: jxx NxN, jxy NxM, jyx MxN, jyy MxM with
   /// N = num_states(), M = num_nets().
@@ -127,11 +136,15 @@ class SystemAssembler {
     std::vector<std::size_t> terminal_net;  // local terminal -> global net
     // Per-block scratch (mutable through const methods via mutable below).
     mutable std::vector<double> y_local;
-    mutable std::vector<double> fy_local;
     mutable linalg::Matrix jxx, jxy, jyx, jyy;
   };
 
   void require_elaborated(const char* what) const;
+  /// Gather \p record's terminals from \p y into its y_local.
+  static void gather_terminals(const BlockRecord& record, std::span<const double> y);
+  /// Check the dimensions of an eval() call.
+  void require_eval_dimensions(std::span<const double> x, std::span<const double> y,
+                               std::span<double> fx, std::span<double> fy) const;
 
   std::vector<BlockRecord> blocks_;
   std::vector<std::string> nets_;

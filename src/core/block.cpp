@@ -26,6 +26,13 @@ std::uint64_t AnalogBlock::jacobian_signature(double /*t*/, std::span<const doub
   return kAlwaysRebuild;
 }
 
+std::uint64_t AnalogBlock::eval_with_signature(double t, std::span<const double> x,
+                                               std::span<const double> y, std::span<double> fx,
+                                               std::span<double> fy) const {
+  eval(t, x, y, fx, fy);
+  return jacobian_signature(t, x, y);
+}
+
 void AnalogBlock::varying_jacobian_entries(std::vector<JacobianEntry>& entries) const {
   const std::size_t rows[] = {num_states_, num_states_, num_algebraic_, num_algebraic_};
   const std::size_t cols[] = {num_states_, num_terminals_, num_states_, num_terminals_};

@@ -102,6 +102,17 @@ class AnalogBlock {
   [[nodiscard]] virtual std::uint64_t jacobian_signature(double t, std::span<const double> x,
                                                          std::span<const double> y) const;
 
+  /// eval() and jacobian_signature() at one point in one pass: fills \p fx
+  /// and \p fy and returns the signature, each bit for bit what the two
+  /// calls give. A block that overrides it shares the work the two have in
+  /// common (the Dickson multiplier's diode voltages and table segments),
+  /// and its eval() is this pass with the signature dropped. Default: the
+  /// two calls.
+  [[nodiscard]] virtual std::uint64_t eval_with_signature(double t, std::span<const double> x,
+                                                          std::span<const double> y,
+                                                          std::span<double> fx,
+                                                          std::span<double> fy) const;
+
   /// Checkpoint restore: set the epoch counter verbatim. Engines compare
   /// epochs for equality, so a restored system must reproduce the exact
   /// checkpointed values — re-playing the bumps would be fragile.

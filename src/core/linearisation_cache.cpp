@@ -4,6 +4,15 @@
 
 namespace ehsim::core {
 
+bool Linearisation::factorise() {
+  if (!jyy_lu.factor(jyy)) {
+    return false;
+  }
+  jyy_lu.record_nonzeros();
+  jxy_nonzeros.assign(jxy);
+  return true;
+}
+
 LinearisationCache::LinearisationCache(const LinearisationCache& other) { *this = other; }
 
 LinearisationCache& LinearisationCache::operator=(const LinearisationCache& other) {

@@ -44,8 +44,15 @@ namespace ehsim::core {
 struct Linearisation {
   linalg::Matrix jxx, jxy, jyx, jyy;
   linalg::LuFactorization jyy_lu;
+  /// The non-zero entries of Jxy, for the Eq. 4 derivative sample.
+  linalg::SparseRows jxy_nonzeros;
   /// Eq. 7 step cap of exactly these Jacobians, once evaluated.
   std::optional<double> stability_cap;
+
+  /// Factorise Jyy and record the non-zero entries of its factors and of
+  /// Jxy, which the Eq. 4 elimination runs over: once per linearisation,
+  /// and copies carry the record. False when Jyy is singular.
+  [[nodiscard]] bool factorise();
 };
 
 /// Bounded LRU map from signature to Linearisation; see the file header.

@@ -51,6 +51,7 @@ LinearisedSolver::LinearisedSolver(SystemAssembler& system, SolverConfig config)
   y_.resize(m);
   fx_.resize(n);
   fy_.resize(m);
+  rhs_.resize(m);
   dy_.resize(m);
   f_step_.resize(n);
   history_ = ode::AbHistory(n, config_.max_ab_order);
@@ -141,8 +142,9 @@ void LinearisedSolver::check_for_discontinuity() {
 bool LinearisedSolver::evaluate() {
   // Linearise at the newest available point (x_n, y_{n-1}) — Eq. 2. The
   // non-linear devices' (G, J) pairs come from their look-up tables inside
-  // the blocks' jacobians()/eval().
-  system_->eval(t_, x_.span(), y_.span(), fx_.span(), fy_.span());
+  // the blocks' jacobians()/eval(); one pass over the blocks yields the
+  // residuals and the signature.
+  //
   // The LLE observation sequence is driven by the *signature*, not by
   // whether the current Jacobians are reused: a stable signature certifies
   // an (essentially) unchanged linearisation, which the step controller
@@ -153,9 +155,11 @@ bool LinearisedSolver::evaluate() {
   // hit's first-visit Jacobians move the drift values, and with them the
   // step times, only in the last digits).
   if (!config_.enable_jacobian_reuse && !config_.enable_lle_control) {
+    system_->eval(t_, x_.span(), y_.span(), fx_.span(), fy_.span());
     return false;
   }
-  const std::uint64_t signature = system_->jacobian_signature(t_, x_.span(), y_.span());
+  const std::uint64_t signature =
+      system_->eval_with_signature(t_, x_.span(), y_.span(), fx_.span(), fy_.span());
   const bool signature_stable = jacobians_valid_ && signature == jacobian_signature_;
   jacobian_signature_ = signature;
   return signature_stable;
@@ -193,7 +197,7 @@ void LinearisedSolver::relinearise() {
   system_->jacobians(t_, x_.span(), y_.span(), lin.jxx, lin.jxy, lin.jyx, lin.jyy);
   lin.stability_cap.reset();
   ++stats_.jacobian_builds;
-  if (y_.size() > 0 && !lin.jyy_lu.factor(lin.jyy)) {
+  if (y_.size() > 0 && !lin.factorise()) {
     throw SolverError("LinearisedSolver: singular algebraic system (Jyy) at t=" +
                       std::to_string(t_));
   }
@@ -221,24 +225,23 @@ void LinearisedSolver::observe_drift(bool signature_stable) {
 void LinearisedSolver::eliminate() {
   // Eliminate the non-state variables (Eq. 4): with the affine remainder
   // ey = fy(P) - Jyx x - Jyy y_prev, solving Jyy y = -Jyx x - ey reduces to
-  // one linear update y += -Jyy^-1 fy(P).
-  if (y_.size() > 0) {
-    for (std::size_t i = 0; i < dy_.size(); ++i) {
-      dy_[i] = -fy_[i];
-    }
-    lin_->jyy_lu.solve_inplace(dy_.span());
-    ++stats_.algebraic_solves;
-    y_.axpy(1.0, dy_);
-  }
-  // Derivative sample at the new consistent point, via the linearisation:
-  // f = fx(P) + Jxy (y_new - y_prev), pushed into the AB history once per
-  // time point.
+  // one linear update y += -Jyy^-1 fy(P), over the non-zero entries of the
+  // factors.
   for (std::size_t i = 0; i < f_step_.size(); ++i) {
     f_step_[i] = fx_[i];
   }
   if (y_.size() > 0) {
-    lin_->jxy.matvec_acc(1.0, dy_.span(), f_step_.span());
+    for (std::size_t i = 0; i < rhs_.size(); ++i) {
+      rhs_[i] = -fy_[i];
+    }
+    lin_->jyy_lu.solve_nonzeros(rhs_.span(), dy_.span());
+    ++stats_.algebraic_solves;
+    y_.axpy(1.0, dy_);
+    // Derivative sample at the new consistent point, via the linearisation:
+    // f = fx(P) + Jxy (y_new - y_prev), over the non-zero entries of Jxy.
+    lin_->jxy_nonzeros.multiply_add(dy_.span(), f_step_.span());
   }
+  // Pushed into the AB history once per time point.
   if (t_ > last_history_time_) {
     history_.push(t_, f_step_.span());
     last_history_time_ = t_;
@@ -384,7 +387,9 @@ void LinearisedSolver::commit_step(double h) {
   stats_.min_step = stats_.min_step == 0.0 ? h : std::min(stats_.min_step, h);
   stats_.max_step = std::max(stats_.max_step, h);
 
-  if (!all_finite(x_.span())) {
+  // The terminals too: the non-zero Jxy product carries a non-finite
+  // terminal update only into the rows it couples to.
+  if (!all_finite(x_.span()) || !all_finite(y_.span())) {
     throw SolverError("LinearisedSolver: state diverged (non-finite) at t=" +
                       std::to_string(t_) + " — check the Eq. 7 stability cap configuration");
   }
@@ -475,7 +480,7 @@ void LinearisedSolver::restore_checkpoint_state(const io::JsonValue& state) {
     // The LU is derived state: refactorising the restored Jyy is a
     // deterministic function of its bits, so the solve results match the
     // uninterrupted run's exactly.
-    if (y_.size() > 0 && !lin.jyy_lu.factor(lin.jyy)) {
+    if (y_.size() > 0 && !lin.factorise()) {
       throw ModelError(what + ": restored Jyy is singular");
     }
     own_ = std::move(lin);

@@ -23,18 +23,26 @@
 /// The march is one pipeline of named phases, each written once:
 ///
 ///   check_for_discontinuity     epoch change -> multistep restart
-///   evaluate                    residuals at (t, x, y) + signature verdict
+///   evaluate                    residuals at (t, x, y) + signature verdict,
+///                               in one pass over the blocks
 ///   reuse_linearisation         keep the current Linearisation, or point at
 ///                               the cache's entry for a new signature, else
-///   relinearise                 assemble the Jacobians + factorise Jyy
+///   relinearise                 assemble the Jacobians + factorise Jyy, and
+///                               record the non-zeros of its factors and Jxy
 ///   observe_drift               LLE drift (Eq. 3) + step-controller update
-///   eliminate                   terminal update (Eq. 4) + derivative sample
+///                               (a constant factor at zero drift)
+///   eliminate                   terminal update (Eq. 4) + derivative sample,
+///                               over the recorded non-zeros
 ///   stability_due               Eq. 7 cap trigger, then
 ///   reuse_stability_cap         the current linearisation's own cap, else
 ///   recompute_stability_cap     evaluate Eq. 7
 ///   snap_sliver                 jump across a remainder below h_min
 ///   propose_step                h selection (fixed / LLE / h_max / Eq. 7)
-///   commit_step                 one explicit AB step (Eq. 5)
+///   commit_step                 one explicit AB step (Eq. 5), AB1/AB2
+///                               coefficients in closed form
+///
+/// Each phase does its work once, and each is bit for bit the two-pass,
+/// dense arithmetic it replaced (test_step_pass_parity).
 ///
 /// advance_to() is the only composer of the phases (refresh() is its
 /// evaluate -> eliminate half); they are public so tests can replay the
@@ -217,6 +225,7 @@ class LinearisedSolver final : public AnalogEngine {
   linalg::Vector y_;       // global terminal variables
   linalg::Vector fx_;      // scratch: state derivatives at linearisation point
   linalg::Vector fy_;      // scratch: algebraic residuals
+  linalg::Vector rhs_;     // scratch: -fy, the Eq. 4 right-hand side
   linalg::Vector dy_;      // scratch: terminal update
   linalg::Vector f_step_;  // derivative sample pushed into the AB history
 

@@ -22,43 +22,48 @@ DicksonMultiplier::DicksonMultiplier(const MultiplierParams& params, DeviceEvalM
                                    params_.table_g_max);
 }
 
-void DicksonMultiplier::diode_companion(double vd, double& current, double& conductance) const {
-  if (mode_ == DeviceEvalMode::kPwlTable) {
-    const auto affine = table_->conductance_and_source(vd);
-    conductance = affine.slope;
-    current = affine.slope * vd + affine.intercept;
-  } else {
-    current = pwl::diode_current(params_.diode, vd);
-    conductance = pwl::diode_conductance(params_.diode, vd);
-  }
-}
-
-double DicksonMultiplier::diode_voltage(std::size_t index, std::span<const double> x,
-                                        std::span<const double> y) const {
+std::uint64_t DicksonMultiplier::companions(std::span<const double> x,
+                                            std::span<const double> y) const {
+  // vd_i = node_{i-1} - node_i over the chain node_0 = 0 (ground),
+  // node_j = x_{j-1} + b_j Vf (Vf = x_n), node_{n+1} = Vc.
   const std::size_t n = params_.stages;
-  EHSIM_ASSERT(index >= 1 && index <= n + 1, "diode index out of range");
-  const double vf = x[n];  // input node voltage (filter capacitor state)
-  auto node = [&](std::size_t i) -> double {  // i = 0..n
-    return i == 0 ? 0.0 : x[i - 1] + pump_phase(i) * vf;
-  };
-  if (index <= n) {
-    return node(index - 1) - node(index);
+  const double vf = x[n];
+  const bool pwl = mode_ == DeviceEvalMode::kPwlTable;
+  std::uint64_t hash = 1469598103934665603ull;
+  double node_before = 0.0;
+  for (std::size_t i = 1; i <= n + 1; ++i) {
+    const double node = i <= n ? x[i - 1] + pump_phase(i) * vf : y[kVc];
+    const double vd = node_before - node;
+    node_before = node;
+    if (pwl) {
+      const auto companion = table_->companion(vd);
+      gd_[i - 1] = companion.affine.slope;
+      id_[i - 1] = companion.affine.slope * vd + companion.affine.intercept;
+      hash ^= companion.band + 1;
+      hash *= 1099511628211ull;
+    } else {
+      id_[i - 1] = pwl::diode_current(params_.diode, vd);
+      gd_[i - 1] = pwl::diode_conductance(params_.diode, vd);
+    }
   }
-  return node(n) - y[kVc];
+  return pwl ? hash : kAlwaysRebuild;
 }
 
-void DicksonMultiplier::eval(double /*t*/, std::span<const double> x,
-                             std::span<const double> y, std::span<double> fx,
-                             std::span<double> fy) const {
+void DicksonMultiplier::eval(double t, std::span<const double> x, std::span<const double> y,
+                             std::span<double> fx, std::span<double> fy) const {
+  (void)eval_with_signature(t, x, y, fx, fy);
+}
+
+std::uint64_t DicksonMultiplier::eval_with_signature(double /*t*/, std::span<const double> x,
+                                                     std::span<const double> y,
+                                                     std::span<double> fx,
+                                                     std::span<double> fy) const {
   const std::size_t n = params_.stages;
   EHSIM_ASSERT(x.size() == n + 1 && y.size() == 4 && fx.size() == n + 1 && fy.size() == 2,
                "DicksonMultiplier::eval dimension mismatch");
   const double c = params_.stage_capacitance;
   const double cf = params_.input_filter_capacitance;
-
-  for (std::size_t i = 1; i <= n + 1; ++i) {
-    diode_companion(diode_voltage(i, x, y), id_[i - 1], gd_[i - 1]);
-  }
+  const std::uint64_t signature = companions(x, y);
 
   // KCL at every top-plate node: C dV_i/dt = Id_i - Id_{i+1}.
   for (std::size_t i = 1; i <= n; ++i) {
@@ -78,6 +83,7 @@ void DicksonMultiplier::eval(double /*t*/, std::span<const double> x,
   fy[0] = y[kVm] - x[n];
   // Output diode feeds the storage port.
   fy[1] = y[kIc] - id_[n];
+  return signature;
 }
 
 void DicksonMultiplier::jacobians(double /*t*/, std::span<const double> x,
@@ -87,10 +93,7 @@ void DicksonMultiplier::jacobians(double /*t*/, std::span<const double> x,
   const std::size_t n = params_.stages;
   const double c = params_.stage_capacitance;
   const double cf = params_.input_filter_capacitance;
-
-  for (std::size_t i = 1; i <= n + 1; ++i) {
-    diode_companion(diode_voltage(i, x, y), id_[i - 1], gd_[i - 1]);
-  }
+  (void)companions(x, y);
 
   // vd_i = node_{i-1} - node_i with node_j = x_{j-1} + b_j Vf (node_0 = 0,
   // Vf = x_n); vd_{n+1} = node_n - Vc. Derivative of vd_i w.r.t. Vf:
@@ -182,13 +185,7 @@ std::uint64_t DicksonMultiplier::jacobian_signature(double /*t*/, std::span<cons
   if (mode_ != DeviceEvalMode::kPwlTable) {
     return kAlwaysRebuild;
   }
-  const std::size_t n = params_.stages;
-  std::uint64_t hash = 1469598103934665603ull;
-  for (std::size_t i = 1; i <= n + 1; ++i) {
-    hash ^= table_->conductance_band(diode_voltage(i, x, y)) + 1;
-    hash *= 1099511628211ull;
-  }
-  return hash;
+  return companions(x, y);
 }
 
 std::string DicksonMultiplier::state_name(std::size_t i) const {

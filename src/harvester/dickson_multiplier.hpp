@@ -47,8 +47,15 @@ class DicksonMultiplier final : public core::AnalogBlock {
 
   DicksonMultiplier(const MultiplierParams& params, DeviceEvalMode mode);
 
+  /// eval_with_signature() with the signature dropped.
   void eval(double t, std::span<const double> x, std::span<const double> y,
             std::span<double> fx, std::span<double> fy) const override;
+  /// Forms each node voltage once and takes each diode's (G, J) and
+  /// conductance band from one table lookup.
+  [[nodiscard]] std::uint64_t eval_with_signature(double t, std::span<const double> x,
+                                                  std::span<const double> y,
+                                                  std::span<double> fx,
+                                                  std::span<double> fy) const override;
   void jacobians(double t, std::span<const double> x, std::span<const double> y,
                  linalg::Matrix& jxx, linalg::Matrix& jxy, linalg::Matrix& jyx,
                  linalg::Matrix& jyy) const override;
@@ -61,7 +68,7 @@ class DicksonMultiplier final : public core::AnalogBlock {
   [[nodiscard]] std::string state_name(std::size_t i) const override;
   [[nodiscard]] std::string terminal_name(std::size_t i) const override;
 
-  /// PWL mode: hash of the diode segment indices — the Jacobians are
+  /// PWL mode: hash of the diode conductance bands — the Jacobians are
   /// piecewise constant between segment crossings (paper §III-B). Exact
   /// mode: kAlwaysRebuild.
   [[nodiscard]] std::uint64_t jacobian_signature(double t, std::span<const double> x,
@@ -72,17 +79,14 @@ class DicksonMultiplier final : public core::AnalogBlock {
   [[nodiscard]] const pwl::DiodeTable& table() const noexcept { return *table_; }
   [[nodiscard]] std::size_t stages() const noexcept { return params_.stages; }
 
-  /// Diode voltage of diode \p index (1..stages+1) at the given solution.
-  [[nodiscard]] double diode_voltage(std::size_t index, std::span<const double> x,
-                                     std::span<const double> y) const;
-
  private:
   /// 1 when the bottom plate of stage \p i (1-based) is tied to Vm.
   [[nodiscard]] static double pump_phase(std::size_t i) noexcept {
     return (i % 2 == 1) ? 1.0 : 0.0;
   }
-  /// Current and conductance of a diode at voltage vd, per the eval mode.
-  void diode_companion(double vd, double& current, double& conductance) const;
+  /// Fill id_/gd_ with every diode's current and conductance at (x, y), per
+  /// the eval mode, and return the signature (kAlwaysRebuild in exact mode).
+  std::uint64_t companions(std::span<const double> x, std::span<const double> y) const;
 
   MultiplierParams params_;
   DeviceEvalMode mode_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/error.hpp"
 
@@ -19,6 +20,7 @@ bool LuFactorization::factor(const Matrix& a) {
   lu_.assign(a.data(), a.data() + n_ * n_);
   pivot_.resize(n_);
   ok_ = true;
+  nonzeros_recorded_ = false;
 
   for (std::size_t col = 0; col < n_; ++col) {
     // Partial pivoting: find the largest entry in this column at/below diag.
@@ -104,6 +106,75 @@ void LuFactorization::solve_matrix(const Matrix& b, Matrix& x) const {
     solve_inplace(col);
     for (std::size_t r = 0; r < n_; ++r) {
       x(r, c) = col[r];
+    }
+  }
+}
+
+void LuFactorization::record_nonzeros() {
+  EHSIM_ASSERT(ok_, "record_nonzeros on a singular/unfactored LU");
+  index_.reserve(3 * n_);
+  index_.resize(n_);
+  for (std::size_t i = 0; i < n_; ++i) {
+    index_[i] = static_cast<std::uint32_t>(i);
+  }
+  for (std::size_t i = 0; i < n_; ++i) {
+    std::swap(index_[i], index_[pivot_[i]]);
+  }
+  nonzeros_.clear();
+  nonzeros_.reserve(n_ * n_);
+  auto keep = [&](std::size_t r, std::size_t c) {
+    const double value = lu_[r * n_ + c];
+    if (value != 0.0) {
+      nonzeros_.push_back({static_cast<std::uint32_t>(c), value});
+    }
+  };
+  for (std::size_t r = 0; r < n_; ++r) {
+    for (std::size_t c = 0; c < r; ++c) {
+      keep(r, c);
+    }
+    index_.push_back(static_cast<std::uint32_t>(nonzeros_.size()));
+  }
+  for (std::size_t ri = n_; ri-- > 0;) {
+    for (std::size_t c = ri + 1; c < n_; ++c) {
+      keep(ri, c);
+    }
+    index_.push_back(static_cast<std::uint32_t>(nonzeros_.size()));
+  }
+  nonzeros_recorded_ = true;
+}
+
+void LuFactorization::solve_nonzeros(std::span<const double> b, std::span<double> x) const {
+  EHSIM_ASSERT(nonzeros_recorded_, "solve_nonzeros without record_nonzeros after factor");
+  EHSIM_ASSERT(b.size() == n_ && x.size() == n_, "LU solve dimension mismatch");
+  EHSIM_ASSERT(b.data() != x.data(), "solve_nonzeros aliasing not allowed");
+  // The same operations as solve_inplace(), in the same order, minus the
+  // terms whose factor entry is zero.
+  const std::uint32_t* row_of = index_.data();
+  const std::uint32_t* end = index_.data() + n_;
+  for (std::size_t i = 0; i < n_; ++i) {
+    x[i] = b[row_of[i]];
+  }
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < n_; ++r) {
+    double acc = x[r];
+    for (; k < end[r]; ++k) {
+      acc -= nonzeros_[k].value * x[nonzeros_[k].col];
+    }
+    x[r] = acc;
+  }
+  for (std::size_t ri = n_; ri-- > 0;) {
+    double acc = x[ri];
+    for (; k < end[2 * n_ - 1 - ri]; ++k) {
+      acc -= nonzeros_[k].value * x[nonzeros_[k].col];
+    }
+    x[ri] = acc / lu_[ri * n_ + ri];
+  }
+  // A result that is neither zero nor non-finite is exact (see the header).
+  for (std::size_t i = 0; i < n_; ++i) {
+    const double magnitude = std::abs(x[i]);
+    if (!(magnitude > 0.0 && magnitude <= std::numeric_limits<double>::max())) {
+      solve(b, x);
+      return;
     }
   }
 }

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 #include <vector>
 
@@ -47,11 +48,36 @@ class LuFactorization {
   /// Solve A X = B column-by-column, B/X stored as Matrix. Requires ok().
   void solve_matrix(const Matrix& b, Matrix& x) const;
 
+  /// Record the non-zero entries of L and U for solve_nonzeros(). Requires
+  /// ok(); the next factor() discards the record. A call of its own, not
+  /// part of factor(): the Newton-Raphson baseline factorises at every
+  /// iteration and would pay for a record it never uses.
+  void record_nonzeros();
+  /// solve() over the recorded non-zero entries of L and U, bit for bit:
+  /// a skipped term is 0 * b with b finite, which leaves a running sum
+  /// alone except for the sign of an exact zero, so a result holding a zero
+  /// or a non-finite entry is solved again densely. Requires
+  /// record_nonzeros() since the last factor(); \p x may not alias \p b.
+  void solve_nonzeros(std::span<const double> b, std::span<double> x) const;
+
  private:
   std::size_t n_ = 0;
   bool ok_ = false;
   std::vector<double> lu_;          // packed LU, row-major
   std::vector<std::size_t> pivot_;  // row permutation
+  // record_nonzeros(): index_ holds the row swaps of solve_inplace() as a
+  // gather (n entries: row i of P b is b[index_[i]]), then the end of each
+  // row's entries in nonzeros_ (2n: L's rows 0..n-1, then U's rows
+  // n-1..0); nonzeros_ holds the non-zero entries left of the diagonal,
+  // then right of it, each row's in ascending column order. Two vectors, so
+  // that copies of a linearisation stay cheap.
+  struct Nonzero {
+    std::uint32_t col;
+    double value;
+  };
+  bool nonzeros_recorded_ = false;
+  std::vector<std::uint32_t> index_;
+  std::vector<Nonzero> nonzeros_;
 };
 
 /// Dense inverse (test/diagnostic helper; the simulators never invert).

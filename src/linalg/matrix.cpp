@@ -73,16 +73,33 @@ void Matrix::matvec(std::span<const double> x, std::span<double> out) const {
   }
 }
 
-void Matrix::matvec_acc(double alpha, std::span<const double> x, std::span<double> out) const {
-  EHSIM_ASSERT(x.size() == cols_ && out.size() == rows_, "matvec_acc dimension mismatch");
-  EHSIM_ASSERT(x.data() != out.data(), "matvec_acc aliasing not allowed");
-  for (std::size_t r = 0; r < rows_; ++r) {
-    const double* row_ptr = data_.data() + r * cols_;
-    double acc = 0.0;
+void SparseRows::assign(const Matrix& a) {
+  cols_ = a.cols();
+  row_end_.clear();
+  row_end_.reserve(a.rows());
+  entries_.clear();
+  entries_.reserve(a.rows() * cols_);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
     for (std::size_t c = 0; c < cols_; ++c) {
-      acc += row_ptr[c] * x[c];
+      if (a(r, c) != 0.0) {
+        entries_.push_back({static_cast<std::uint32_t>(c), a(r, c)});
+      }
     }
-    out[r] += alpha * acc;
+    row_end_.push_back(static_cast<std::uint32_t>(entries_.size()));
+  }
+}
+
+void SparseRows::multiply_add(std::span<const double> x, std::span<double> out) const {
+  EHSIM_ASSERT(x.size() == cols_ && out.size() == row_end_.size(),
+               "multiply_add dimension mismatch");
+  EHSIM_ASSERT(x.data() != out.data(), "multiply_add aliasing not allowed");
+  std::size_t k = 0;
+  for (std::size_t r = 0; r < out.size(); ++r) {
+    double acc = 0.0;
+    for (; k < row_end_[r]; ++k) {
+      acc += entries_[k].value * x[entries_[k].col];
+    }
+    out[r] += acc;
   }
 }
 

@@ -10,6 +10,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <iosfwd>
 #include <span>
@@ -118,8 +119,6 @@ class Matrix {
 
   /// out = this * x. \p out may not alias \p x. Dimensions checked.
   void matvec(std::span<const double> x, std::span<double> out) const;
-  /// out += alpha * this * x. \p out may not alias \p x.
-  void matvec_acc(double alpha, std::span<const double> x, std::span<double> out) const;
 
   [[nodiscard]] bool operator==(const Matrix& other) const = default;
 
@@ -130,6 +129,30 @@ class Matrix {
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<double> data_;
+};
+
+/// The non-zero entries of a Matrix, row by row, for products that skip its
+/// zeros (the Eq. 4 elimination's Jxy dy).
+class SparseRows {
+ public:
+  /// Record the non-zero entries of \p a, reusing this object's storage.
+  void assign(const Matrix& a);
+
+  /// out[r] += sum of a(r, c) * x[c] over the recorded entries, each row's
+  /// sum formed from 0 in ascending column order. For finite \p x this is
+  /// bit for bit the same row by row sum over every entry: a sum that starts
+  /// at +0 never becomes -0, and adding a zero product to it changes
+  /// nothing. \p out may not alias \p x.
+  void multiply_add(std::span<const double> x, std::span<double> out) const;
+
+ private:
+  struct Entry {
+    std::uint32_t col;
+    double value;
+  };
+  std::size_t cols_ = 0;
+  std::vector<std::uint32_t> row_end_;  // one past each row's last entry
+  std::vector<Entry> entries_;
 };
 
 [[nodiscard]] Matrix operator-(const Matrix& a, const Matrix& b);

@@ -7,22 +7,32 @@
 
 namespace ehsim::ode {
 
-AbCoefficients compute_ab_coefficients(std::span<const double> past_times, double t_next) {
+namespace {
+
+/// The step h = t_next - t_n, after checking the arguments.
+double checked_step(std::span<const double> past_times, double t_next) {
   const std::size_t p = past_times.size();
   if (p == 0 || p > kMaxAbOrder) {
-    throw ModelError("compute_ab_coefficients: order must be 1..4");
+    throw ModelError("AB coefficients: order must be 1..4");
   }
-  const double t_n = past_times[0];
-  const double h = t_next - t_n;
+  const double h = t_next - past_times[0];
   if (!(h > 0.0)) {
-    throw ModelError("compute_ab_coefficients: t_next must exceed the newest history time");
+    throw ModelError("AB coefficients: t_next must exceed the newest history time");
   }
   for (std::size_t i = 1; i < p; ++i) {
     if (!(past_times[i] < past_times[i - 1])) {
-      throw ModelError("compute_ab_coefficients: history times must be strictly decreasing");
+      throw ModelError("AB coefficients: history times must be strictly decreasing");
     }
   }
+  return h;
+}
 
+}  // namespace
+
+AbCoefficients solve_ab_moments(std::span<const double> past_times, double t_next) {
+  const double h = checked_step(past_times, t_next);
+  const std::size_t p = past_times.size();
+  const double t_n = past_times[0];
   // Moment system V beta = m with V[k][i] = tau_i^k, tau_i = t_{n-i} - t_n,
   // m[k] = h^{k+1}/(k+1). Scale tau by h for conditioning: with s_i =
   // tau_i / h the system becomes sum_i beta_i s_i^k = h / (k+1).
@@ -76,6 +86,27 @@ AbCoefficients compute_ab_coefficients(std::span<const double> past_times, doubl
     }
     out.beta[ri] = acc / v[perm[ri]][ri];
   }
+  return out;
+}
+
+AbCoefficients compute_ab_coefficients(std::span<const double> past_times, double t_next) {
+  if (past_times.size() > 2) {
+    return solve_ab_moments(past_times, t_next);
+  }
+  const double h = checked_step(past_times, t_next);
+  // What solve_ab_moments computes for p <= 2, operation for operation: with
+  // s = (t_{n-1} - t_n)/h the system is [1 1; 0 s] beta = [h; h/2], whose
+  // elimination skips its zero sub-diagonal and back-substitutes.
+  AbCoefficients out;
+  out.order = past_times.size();
+  if (out.order == 1) {
+    out.beta[0] = h;
+    return out;
+  }
+  const double s = (past_times[1] - past_times[0]) / h;
+  EHSIM_ASSERT(std::abs(s) > 0.0, "AB moment system is singular (duplicate times?)");
+  out.beta[1] = (h / 2.0) / s;
+  out.beta[0] = h - out.beta[1];
   return out;
 }
 

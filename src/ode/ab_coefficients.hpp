@@ -43,9 +43,18 @@ struct AbCoefficients {
 ///                    1..kMaxAbOrder, strictly decreasing)
 /// \param t_next      target time t_{n+1} > t_n
 ///
-/// Internal 4x4 Gaussian elimination on the moment system; no allocation.
+/// Orders 1 and 2 in closed form, with exactly the operations the moment
+/// elimination performs for them (s = (t_{n-1} - t_n)/h, beta_1 = (h/2)/s,
+/// beta_0 = h - beta_1; beta_0 = h at order 1); orders 3 and 4 by the
+/// moment elimination. No allocation.
 [[nodiscard]] AbCoefficients compute_ab_coefficients(std::span<const double> past_times,
                                                      double t_next);
+
+/// The same coefficients from Gaussian elimination (partial pivoting) on the
+/// moment system, at every order: compute_ab_coefficients' orders 3 and 4,
+/// and the reference its closed forms equal bit for bit.
+[[nodiscard]] AbCoefficients solve_ab_moments(std::span<const double> past_times,
+                                              double t_next);
 
 /// Classical constant-step AB coefficients scaled by h (testing reference and
 /// fast path when the controller holds the step constant).

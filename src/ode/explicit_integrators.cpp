@@ -21,7 +21,7 @@ void AbHistory::push(double t, std::span<const double> f) {
   if (count_ > 0) {
     EHSIM_ASSERT(t > newest_time(), "AbHistory::push times must increase");
   }
-  head_ = (head_ + max_order_ - 1) % max_order_;  // move head to a free slot
+  head_ = (head_ == 0 ? max_order_ : head_) - 1;  // move head to a free slot
   times_[head_] = t;
   std::copy(f.begin(), f.end(), storage_.begin() + static_cast<std::ptrdiff_t>(head_ * state_size_));
   count_ = std::min(count_ + 1, max_order_);
@@ -32,10 +32,10 @@ double AbHistory::newest_time() const {
   return times_[head_];
 }
 
-std::span<const double> AbHistory::entry(std::size_t age) const {
-  EHSIM_ASSERT(age < count_, "AbHistory::entry age out of range");
-  const std::size_t idx = (head_ + age) % max_order_;
-  return {storage_.data() + idx * state_size_, state_size_};
+std::size_t AbHistory::slot(std::size_t age) const {
+  EHSIM_ASSERT(age < count_, "AbHistory::slot age out of range");
+  const std::size_t idx = head_ + age;  // < 2 max_order_
+  return idx < max_order_ ? idx : idx - max_order_;
 }
 
 void AbHistory::step(double t_next, std::span<double> x) const {
@@ -43,12 +43,12 @@ void AbHistory::step(double t_next, std::span<double> x) const {
   EHSIM_ASSERT(x.size() == state_size_, "AbHistory::step dimension mismatch");
   std::array<double, kMaxAbOrder> past{};
   for (std::size_t i = 0; i < count_; ++i) {
-    past[i] = times_[(head_ + i) % max_order_];
+    past[i] = times_[slot(i)];
   }
   const AbCoefficients coeff =
       compute_ab_coefficients(std::span<const double>(past.data(), count_), t_next);
   for (std::size_t i = 0; i < coeff.order; ++i) {
-    const auto f = entry(i);
+    const double* f = storage_.data() + slot(i) * state_size_;
     const double beta = coeff.beta[i];
     for (std::size_t j = 0; j < state_size_; ++j) {
       x[j] += beta * f[j];

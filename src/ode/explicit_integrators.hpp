@@ -60,7 +60,8 @@ class AbHistory {
   void restore_checkpoint_state(const io::JsonValue& state);
 
  private:
-  [[nodiscard]] std::span<const double> entry(std::size_t age) const;
+  /// Ring index of the entry \p age steps older than the newest.
+  [[nodiscard]] std::size_t slot(std::size_t age) const;
 
   std::size_t state_size_ = 0;
   std::size_t max_order_ = 0;

@@ -7,8 +7,17 @@
 
 namespace ehsim::ode {
 
+namespace {
+/// Error ratios are floored here before the power law.
+constexpr double kRatioFloor = 1e-12;
+}  // namespace
+
 StepController::StepController(StepControlOptions options, std::size_t method_order)
-    : options_(options), order_(std::max<std::size_t>(method_order, 1)), h_(options.h_max) {
+    : options_(options),
+      order_(std::max<std::size_t>(method_order, 1)),
+      exponent_(-1.0 / static_cast<double>(order_ + 1)),
+      floor_factor_(options_.safety * std::pow(kRatioFloor, exponent_)),
+      h_(options.h_max) {
   if (!(options_.h_min > 0.0) || !(options_.h_max >= options_.h_min)) {
     throw ModelError("StepController: require 0 < h_min <= h_max");
   }
@@ -19,9 +28,12 @@ StepController::StepController(StepControlOptions options, std::size_t method_or
 }
 
 bool StepController::update(double error_ratio) {
-  const double exponent = -1.0 / static_cast<double>(order_ + 1);
-  const double ratio = std::max(error_ratio, 1e-12);
-  double factor = options_.safety * std::pow(ratio, exponent);
+  // At or below the floor the factor is the constant floor_factor_ (every
+  // zero-drift step of the linearised engine); a NaN ratio is not <= the
+  // floor and takes the power law.
+  double factor = error_ratio <= kRatioFloor
+                      ? floor_factor_
+                      : options_.safety * std::pow(error_ratio, exponent_);
   factor = std::clamp(factor, options_.max_shrink, options_.max_growth);
 
   if (error_ratio <= 1.0) {

@@ -51,6 +51,8 @@ class StepController {
  private:
   StepControlOptions options_;
   std::size_t order_;
+  double exponent_;      ///< -1 / (order + 1)
+  double floor_factor_;  ///< the step factor at the 1e-12 error-ratio floor
   double h_;
   std::size_t rejections_ = 0;
   std::size_t acceptances_ = 0;

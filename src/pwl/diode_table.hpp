@@ -75,6 +75,17 @@ class DiodeTable {
     return bands_[table_.segment(vd)];
   }
 
+  /// conductance_and_source() and conductance_band() at \p vd from one
+  /// segment lookup.
+  struct Companion {
+    PwlTable::Affine affine;
+    std::uint32_t band = 0;
+  };
+  [[nodiscard]] Companion companion(double vd) const noexcept {
+    const std::size_t seg = table_.segment(vd);
+    return {table_.segment_affine(seg), bands_[seg]};
+  }
+
   /// Max |PWL - Shockley| over the tabulated domain.
   [[nodiscard]] double max_table_error(std::size_t probes = 2048) const;
 

@@ -15,6 +15,7 @@
 /// measures it).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <functional>
 #include <vector>
@@ -56,7 +57,10 @@ class PwlTable {
     double intercept = 0.0;
   };
   [[nodiscard]] Affine affine(double x) const noexcept {
-    const std::size_t seg = segment_index(x);
+    return segment_affine(segment_index(x));
+  }
+  /// affine() of segment \p seg, an index segment() returned.
+  [[nodiscard]] Affine segment_affine(std::size_t seg) const noexcept {
     return {slopes_[seg], intercepts_[seg]};
   }
 
@@ -79,7 +83,9 @@ class PwlTable {
     if (x >= x_max_) {
       return slopes_.size() - 1;
     }
-    return static_cast<std::size_t>((x - x_min_) * inv_dx_);
+    // Just below x_max the product can round up to segments(): when |x_min|
+    // exceeds x_max, x - x_min rounds to x_max - x_min within an ulp of it.
+    return std::min(static_cast<std::size_t>((x - x_min_) * inv_dx_), slopes_.size() - 1);
   }
 
   double x_min_ = 0.0;

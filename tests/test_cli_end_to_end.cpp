@@ -315,6 +315,71 @@ TEST(EhsimCli, ResumeAtAnotherCadenceIsRefused) {
   std::filesystem::remove_all(out);
 }
 
+/// A run stopped by --abort-after-checkpoints prints the command that
+/// finishes it, cadence included; run verbatim, that command reproduces the
+/// uninterrupted checkpointed run bit for bit.
+TEST(EhsimCli, PrintedResumeCommandFinishesTheStoppedRun) {
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "ehsim_cli_printed_resume";
+  std::filesystem::remove_all(out);
+  std::filesystem::create_directories(out / "resumed");
+  const std::string spec = " \"" + golden + "golden_charging.json\"";
+  const std::string ehsim = std::string("\"") + EHSIM_CLI_PATH + "\"";
+
+  const std::filesystem::path stdout_path = out / "stopped.txt";
+  const int stopped = std::system(
+      (ehsim + " run" + spec + " --out \"" + (out / "stopped").string() + "\" --checkpoint-dir " +
+       (out / "ckpt").string() + " --checkpoint-every 0.15 --abort-after-checkpoints 2 > \"" +
+       stdout_path.string() + "\"")
+          .c_str());
+  ASSERT_TRUE(WIFEXITED(stopped));
+  ASSERT_EQ(WEXITSTATUS(stopped), 3);
+  const std::string printed = ehsim::io::read_file(stdout_path.string());
+  const auto open = printed.find("`ehsim ");
+  const auto close = printed.find('`', open + 1);
+  ASSERT_NE(open, std::string::npos) << printed;
+  ASSERT_NE(close, std::string::npos) << printed;
+  const std::string command = printed.substr(open + 1, close - open - 1);
+  EXPECT_NE(command.find("--checkpoint-every 0.15"), std::string::npos) << command;
+
+  // The printed command writes its results into the working directory.
+  const std::string resumed = "cd \"" + (out / "resumed").string() + "\" && " + ehsim +
+                              command.substr(std::string("ehsim").size()) + " > /dev/null";
+  ASSERT_EQ(std::system(resumed.c_str()), 0) << resumed;
+  ASSERT_EQ(std::system((ehsim + " run" + spec + " --quiet --out \"" +
+                         (out / "uninterrupted").string() + "\" --checkpoint-dir \"" +
+                         (out / "ckpt_uninterrupted").string() + "\" --checkpoint-every 0.15")
+                            .c_str()),
+            0);
+  for (const char* file : {"golden-charging.result.json", "golden-charging.trace.csv"}) {
+    const std::string compare = ehsim + " compare \"" + (out / "uninterrupted" / file).string() +
+                                "\" \"" + (out / "resumed" / file).string() +
+                                "\" --rtol 0 --atol 0 --ignore cpu_seconds > /dev/null";
+    EXPECT_EQ(std::system(compare.c_str()), 0) << compare;
+  }
+  std::filesystem::remove_all(out);
+}
+
+/// Without a cadence a resume writes no checkpoint, so the kill hook could
+/// never fire: the flag is refused instead of ignored.
+TEST(EhsimCli, ResumeAbortHookWithoutCadenceIsRefused) {
+  const std::string golden = std::string(EHSIM_SOURCE_DIR) + "/tests/golden/";
+  const std::filesystem::path out =
+      std::filesystem::temp_directory_path() / "ehsim_cli_resume_abort_no_cadence";
+  std::filesystem::remove_all(out);
+  const CliOutcome refused =
+      run_cli("resume \"" + golden + "golden_charging.json\" --quiet --out \"" + out.string() +
+              "\" --checkpoint-dir \"" + (out / "ckpt").string() +
+              "\" --abort-after-checkpoints 1");
+  ASSERT_TRUE(WIFEXITED(refused.status));
+  EXPECT_EQ(WEXITSTATUS(refused.status), 1);
+  EXPECT_NE(refused.error.find("--checkpoint-every"), std::string::npos) << refused.error;
+  EXPECT_NE(refused.error.find("--abort-after-checkpoints"), std::string::npos) << refused.error;
+  EXPECT_FALSE(std::filesystem::exists(out / "golden-charging.result.json"));
+  std::filesystem::remove_all(out);
+}
+
 /// The serve daemon end to end through the binary: a malformed envelope gets
 /// a per-job error event naming the bad key while the session keeps serving
 /// and still exits 0 (protocol errors are responses, not crashes).

@@ -36,15 +36,28 @@ TEST(Multiplier, Dimensions) {
 }
 
 TEST(Multiplier, DiodeVoltagesFollowTopology) {
-  DicksonMultiplier mult(small_params(3), DeviceEvalMode::kPwlTable);
+  DicksonMultiplier mult(small_params(3), DeviceEvalMode::kExactShockley);
   // States: V1, V2, V3, Vf.
   Vector x{0.1, 0.2, 0.3, 0.5};
-  Vector y{0.5, 0.0, 1.0, 0.0};  // Vm, Im, Vc, Ic
+  Vector y{0.5, 1e-3, 1.0, 2e-3};  // Vm, Im, Vc, Ic
   // node0 = 0; node1 = V1 + Vf (odd); node2 = V2; node3 = V3 + Vf.
-  EXPECT_NEAR(mult.diode_voltage(1, x.span(), y.span()), 0.0 - (0.1 + 0.5), 1e-15);
-  EXPECT_NEAR(mult.diode_voltage(2, x.span(), y.span()), (0.1 + 0.5) - 0.2, 1e-15);
-  EXPECT_NEAR(mult.diode_voltage(3, x.span(), y.span()), 0.2 - (0.3 + 0.5), 1e-15);
-  EXPECT_NEAR(mult.diode_voltage(4, x.span(), y.span()), (0.3 + 0.5) - 1.0, 1e-15);
+  const double vd[] = {0.0 - (0.1 + 0.5), (0.1 + 0.5) - 0.2, 0.2 - (0.3 + 0.5),
+                       (0.3 + 0.5) - 1.0};
+  double id[4];
+  for (std::size_t i = 0; i < 4; ++i) {
+    id[i] = ehsim::pwl::diode_current(mult.params().diode, vd[i]);
+  }
+  Vector fx(4), fy(2);
+  mult.eval(0.0, x.span(), y.span(), fx.span(), fy.span());
+  const double c = mult.params().stage_capacitance;
+  const double cf = mult.params().input_filter_capacitance;
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_NEAR(fx[i], (id[i] - id[i + 1]) / c, 1e-9 * std::abs(fx[i])) << i;
+  }
+  // The odd stages' pump capacitors feed the filter node.
+  EXPECT_NEAR(fx[3], (1e-3 + (id[0] - id[1]) + (id[2] - id[3])) / cf, 1e-9 * std::abs(fx[3]));
+  EXPECT_NEAR(fy[0], 0.5 - 0.5, 1e-15);
+  EXPECT_NEAR(fy[1], 2e-3 - id[3], 1e-12);
 }
 
 TEST(Multiplier, JacobiansMatchFiniteDifferences) {

@@ -2,6 +2,8 @@
 /// \brief Unit tests for the dense matrix/vector substrate.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <sstream>
 
 #include "common/error.hpp"
@@ -108,13 +110,18 @@ TEST(Matrix, MatVec) {
   EXPECT_DOUBLE_EQ(y[1], 7.0);
 }
 
-TEST(Matrix, MatVecAccumulate) {
-  const Matrix a{{2.0, 0.0}, {0.0, 2.0}};
-  const Vector x{1.0, 2.0};
-  Vector out{10.0, 10.0};
-  a.matvec_acc(0.5, x.span(), out.span());
-  EXPECT_DOUBLE_EQ(out[0], 11.0);
-  EXPECT_DOUBLE_EQ(out[1], 12.0);
+TEST(Matrix, SparseRowsMultiplyAddSkipsZeros) {
+  const Matrix a{{2.0, 0.0, -0.0}, {0.0, 0.0, 0.0}, {1.0, 0.0, 3.0}};
+  ehsim::linalg::SparseRows rows;
+  rows.assign(a);
+  // The zero column meets an infinity: skipped, so no 0 * inf NaN.
+  const Vector x{1.0, std::numeric_limits<double>::infinity(), 2.0};
+  Vector out{10.0, -0.0, 10.0};
+  rows.multiply_add(x.span(), out.span());
+  EXPECT_EQ(out[0], 12.0);
+  EXPECT_EQ(out[1], 0.0);
+  EXPECT_FALSE(std::signbit(out[1]));  // -0 + (+0 sum of no entries) = +0, as densely
+  EXPECT_EQ(out[2], 17.0);
 }
 
 TEST(Matrix, MatrixMultiply) {

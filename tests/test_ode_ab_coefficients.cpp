@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <random>
+#include <span>
 
 #include "common/error.hpp"
 #include "ode/ab_coefficients.hpp"
@@ -92,6 +96,40 @@ TEST(AbCoefficients, RejectsNonPositiveStep) {
 TEST(AbCoefficients, RejectsBadOrder) {
   EXPECT_THROW((void)constant_step_ab_coefficients(0, 0.1), ModelError);
   EXPECT_THROW((void)constant_step_ab_coefficients(5, 0.1), ModelError);
+}
+
+/// Orders 1 and 2 come in closed form; they equal the moment elimination
+/// bit for bit on random variable-step histories, from t = 0 up to the
+/// long runs' hundreds of seconds.
+TEST(AbCoefficients, ClosedFormsEqualTheMomentSolveBitForBit) {
+  std::mt19937_64 rng(31);
+  std::uniform_real_distribution<double> log_step(-9.0, -2.0);
+  std::uniform_real_distribution<double> log_ratio(-2.0, 2.0);
+  std::uniform_real_distribution<double> start(0.0, 3300.0);
+  auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+  for (int trial = 0; trial < 20000; ++trial) {
+    const double h = std::pow(10.0, log_step(rng));
+    std::array<double, 4> past{};
+    past[0] = trial % 5 == 0 ? 0.0 : start(rng);
+    for (std::size_t i = 1; i < past.size(); ++i) {
+      past[i] = past[i - 1] - h * std::pow(10.0, log_ratio(rng));
+    }
+    for (std::size_t order = 1; order <= 4; ++order) {
+      const std::span<const double> history(past.data(), order);
+      if (order > 1 && !(history[order - 1] < history[order - 2])) {
+        break;  // a step vanished below the history times' ulp
+      }
+      const AbCoefficients closed = compute_ab_coefficients(history, past[0] + h);
+      const AbCoefficients moments = ehsim::ode::solve_ab_moments(history, past[0] + h);
+      ASSERT_EQ(closed.order, moments.order);
+      for (std::size_t i = 0; i < order; ++i) {
+        ASSERT_EQ(bits(closed.beta[i]), bits(moments.beta[i]))
+            << "trial " << trial << " order " << order << " beta " << i;
+      }
+    }
+  }
+  const std::array<double, 2> past{0.0, 0.1};
+  EXPECT_THROW((void)ehsim::ode::solve_ab_moments(past, 0.2), ModelError);
 }
 
 /// Property: for any (randomised) step history the moment conditions hold,

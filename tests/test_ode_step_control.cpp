@@ -2,6 +2,12 @@
 /// \brief Step controller tests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <limits>
+
 #include "common/error.hpp"
 #include "ode/step_control.hpp"
 
@@ -95,6 +101,36 @@ TEST(StepController, RejectsInvalidOptions) {
   StepControlOptions bad3;
   bad3.safety = 0.0;
   EXPECT_THROW(StepController(bad3, 1), ModelError);
+}
+
+/// update()'s power law as a formula, for a first accepted step.
+double power_law_step(const StepControlOptions& o, std::size_t order, double h, double ratio) {
+  const double exponent = -1.0 / static_cast<double>(order + 1);
+  double factor = o.safety * std::pow(std::max(ratio, 1e-12), exponent);
+  factor = std::clamp(factor, o.max_shrink, o.max_growth);
+  return std::clamp(h * factor, o.h_min, o.h_max);
+}
+
+/// At or below the 1e-12 floor the factor is a constant the controller
+/// computes once; it equals the power law bit for bit, and a NaN ratio
+/// still goes through the power law (and is rejected).
+TEST(StepController, FloorFactorEqualsThePowerLaw) {
+  StepControlOptions o = options(1e-12, 1e3);
+  o.max_growth = 1e9;  // no clamp hides the factor
+  for (std::size_t order = 1; order <= 4; ++order) {
+    for (const double ratio : {0.0, -0.0, 1e-13, 1e-12, -1.0, 2e-12, 0.5}) {
+      StepController c(o, order);
+      c.set_step(1e-7);
+      EXPECT_TRUE(c.update(ratio));
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(c.suggested_step()),
+                std::bit_cast<std::uint64_t>(power_law_step(o, order, 1e-7, ratio)))
+          << "order " << order << " ratio " << ratio;
+    }
+    StepController c(o, order);
+    c.set_step(1e-7);
+    EXPECT_FALSE(c.update(std::numeric_limits<double>::quiet_NaN()));
+    EXPECT_TRUE(std::isnan(c.suggested_step()));
+  }
 }
 
 TEST(StepController, HigherOrderReactsLessAggressively) {

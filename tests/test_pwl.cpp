@@ -40,6 +40,16 @@ TEST(PwlTable, BoundaryExtrapolationIsLinear) {
   EXPECT_NEAR(table.value(2.0), 1.0 + 1.5 * 1.0, 1e-12);
 }
 
+/// Just below x_max of a table whose |x_min| exceeds x_max (the diode
+/// tables' shape), x - x_min rounds to x_max - x_min: the index must still
+/// name the last segment, not one past it.
+TEST(PwlTable, SegmentJustBelowTheTopIsTheLast) {
+  const PwlTable table([](double x) { return x * x; }, -6.0, 0.52, 512);
+  const double below = std::nextafter(0.52, 0.0);
+  EXPECT_EQ(table.segment(below), 511u);
+  EXPECT_EQ(table.affine(below).slope, table.affine(0.52).slope);
+}
+
 TEST(PwlTable, AffineFormConsistent) {
   const PwlTable table([](double x) { return std::sin(x); }, 0.0, 3.0, 32);
   const double x = 1.234;

@@ -341,6 +341,11 @@ std::optional<experiments::CheckpointOptions> checkpoint_options(const JobArgs& 
     }
   } else if (verb != RequestType::kResume) {
     throw ModelError("--checkpoint-dir needs --checkpoint-every (only resume may omit it)");
+  } else if (abort_after != nullptr) {
+    // Without a cadence the resumed run writes no checkpoint, so the hook
+    // could never fire.
+    throw ModelError("--abort-after-checkpoints needs --checkpoint-every: a resume without "
+                     "a cadence writes no checkpoint");
   }
   if (abort_after != nullptr) {
     checkpointing.abort_after = static_cast<int>(std::min<std::size_t>(
@@ -554,11 +559,14 @@ int cmd_job(const JobVerb& job, const std::vector<std::string>& argv) {
   } catch (const experiments::CheckpointAbort&) {
     // The --abort-after-checkpoints hook stopped the run mid-flight; the
     // checkpoint files are committed, so `ehsim resume` can finish it.
+    // The resume must keep the run's cadence to cut the same chunks.
     if (!args.quiet) {
+      const std::string* every = args.find("--checkpoint-every");
       std::printf("stopped after %d checkpoint(s); resume with `ehsim resume %s "
-                  "--checkpoint-dir %s`\n",
+                  "--checkpoint-dir %s%s%s`\n",
                   options.checkpoint->abort_after, args.spec_path.c_str(),
-                  options.checkpoint->dir.c_str());
+                  options.checkpoint->dir.c_str(), every != nullptr ? " --checkpoint-every " : "",
+                  every != nullptr ? every->c_str() : "");
     }
     return 3;
   }
